@@ -60,10 +60,6 @@ def _write_design(gd: GroupedDesign, out: str | None, fmt: str, default_name: st
     return path
 
 
-def _parse_poly(text: str, s: int) -> gflib.Poly:
-    return gflib.Poly.parse(text, s)
-
-
 def _load_base(args) -> GroupedDesign:
     gd = serialize.load_design_file(args.base, getattr(args, "s", None))
     if getattr(args, "base_group", None) is not None:
@@ -88,16 +84,17 @@ def cmd_construct(args) -> int:
         ext = None
         if args.h:
             p, j = gflib.factor_prime_power(s)
-            ext = gflib.ext_field(p, j, _parse_poly(args.h, p))
+            ext = gflib.ext_field(p, j, gflib.Poly.parse(args.h, p))
         gd = construct_thm1(s, ext)
         name = f"thm1-s{s}"
     elif args.what == "ebert":
-        h = _parse_poly(args.h, s) if args.h else gflib.find_primitive_polys(s, 4)[0]
+        h = gflib.Poly.parse(args.h, s) if args.h else gflib.find_primitive_polys(s, 4)[0]
         gd = construct_ebert(gflib.ext_field(s, 4, h))
         name = f"ebert-s{s}"
     elif args.what == "consecutive":
         k, m = args.k, args.m
-        h = _parse_poly(args.h, s) if args.h else rank_primitive_polys(s, k, m, args.budget)[0][0]
+        h = (gflib.Poly.parse(args.h, s) if args.h
+             else rank_primitive_polys(s, k, m, args.budget)[0][0])
         gd = construct_consecutive(gflib.ext_field(s, k, h), m, args.budget)
         name = f"consecutive-s{s}-k{k}-m{m}"
     elif args.what == "prop1":
@@ -120,9 +117,8 @@ def cmd_construct(args) -> int:
 
     if gd.generator is not None:
         for idx, grp in enumerate(gd.groups):
-            block = gd.generator.matrix[:, grp.columns]
-            rows = ["".join(str(int(x)) for x in row) for row in block]
-            print(f"G{idx}: " + " ".join(rows))
+            block = GeneratorMatrix(gd.generator.s, gd.generator.matrix[:, grp.columns])
+            print(f"G{idx}: " + " ".join(block.row_strings()))
     path = _write_design(gd, args.out, args.format, name)
     print(f"{gd.label()} -> {path}")
     report = verify_claims(gd, args.budget)
@@ -191,12 +187,12 @@ def cmd_survey(args) -> int:
     rows = survey(args.s, args.k, m_values, args.budget)
     print(survey_table(rows))
     if args.out:
-        lines = ["s,k,m,t,g,A3,A4,A5,A6,max_groups,h"]
+        lines = ["s,k,m,t,g,A3,A4,A5,A6,h"]
         for r in rows:
             lines.append(
                 f"{r.s},{r.k},{r.m},{r.t},{r.g},"
                 + ",".join(str(a) for a in r.wlp_head)
-                + f",{int(r.max_groups)},{r.h.format().replace(',', ' ')}"
+                + f",{r.h.format().replace(',', ' ')}"
             )
         Path(args.out).write_text("\n".join(lines) + "\n")
     return EXIT_OK

@@ -30,6 +30,7 @@ from .designs import (
     p_of_d,
     pg_points,
     strength_from_wlp,
+    subset_design,
     wlp,
 )
 from .errors import (
@@ -243,7 +244,7 @@ def p_bound(c: int, n: int) -> Fraction:
 
 
 def _require_strength3(design: Design, columns=None, what="input design"):
-    sub = design if columns is None else Design(design.s, design.matrix[:, list(columns)])
+    sub = design if columns is None else subset_design(design, columns)
     if not check_strength(sub, 3).ok:
         raise StrengthPrereqError(f"{what} is not of strength 3")
 
@@ -366,7 +367,7 @@ def construct_thm1(s: int, level_ext: gflib.ExtField | None = None) -> GroupedDe
         cols += [(1, w, int(field.add(i, field.mul(w, w)))) for w in range(s)]
         groups.append(list(range(start, start + s)))
     gen = GeneratorMatrix(s, np.array(cols, dtype=np.int64).T)
-    design = expand_with(gen, field, origin=f"thm1(s={s})")
+    design = expand_generator(gen, field, origin=f"thm1(s={s})")
     grouped = GroupedDesign(
         design,
         [Group(g, claimed_strength=min(3, len(g))) for g in groups],
@@ -393,15 +394,11 @@ def construct_ebert(ext: gflib.ExtField) -> GroupedDesign:
         raise AssertionError("cap blocks do not partition PG(3, s)")
     gen = generator_from_exponents(ext, exps)
     field = gflib.level_field(s)
-    design = expand_with(gen, field, origin=f"ebert(s={s},h={ext.h})")
+    design = expand_generator(gen, field, origin=f"ebert(s={s},h={ext.h})")
     groups = [Group(list(range(i * m, (i + 1) * m)), claimed_strength=3) for i in range(g)]
     grouped = GroupedDesign(design, groups, claimed_t0=2, generator=gen)
     _attach_group_wlps(grouped, field)
     return annotate(grouped)
-
-
-def expand_with(gen: GeneratorMatrix, field: gflib.GF, origin: str) -> Design:
-    return expand_generator(gen, field, origin=origin)
 
 
 def _attach_group_wlps(gd: GroupedDesign, field: gflib.GF,
@@ -438,7 +435,7 @@ def construct_consecutive(ext: gflib.ExtField, m: int,
         raise TooFewGroupsError(f"group size {m} exceeds the {v} PG points")
     gen = generator_from_exponents(ext, range(g * m))
     field = gflib.level_field(s)
-    design = expand_with(gen, field, origin=f"consecutive(s={s},k={k},h={ext.h},m={m})")
+    design = expand_generator(gen, field, origin=f"consecutive(s={s},k={k},h={ext.h},m={m})")
     group0 = GeneratorMatrix(s, gen.matrix[:, :m])
     pattern = wlp(group0, budget, field)
     claimed = strength_from_wlp(pattern) if m > k else m

@@ -10,6 +10,7 @@ from exhaustive triple counting.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from .errors import (
 )
 
 DEFAULT_WLP_BUDGET = 20_000
+_CHUNK_CELLS = 1 << 14  # int64 cells per projection-counting chunk
 
 
 @dataclass
@@ -142,43 +144,55 @@ def expand_generator(gen: GeneratorMatrix, field: gflib.GF | None = None,
     return Design(gen.s, rows, origin or "expanded")
 
 
-def _projection_counts(matrix: np.ndarray, cols, s: int) -> np.ndarray:
-    enc = matrix[:, cols[0]].copy()
-    for c in cols[1:]:
-        enc = enc * s + matrix[:, c]
-    return np.bincount(enc, minlength=s ** len(cols))
+def _projection_tables(matrix: np.ndarray, s: int, t: int, cols):
+    """Yield (tuples, tables) chunks of t-column projection counts in
+    itertools.combinations order; row i of a chunk is coded with an offset
+    of i * s^t, so one bincount counts the chunk."""
+    cells = s**t
+    size = max(1, _CHUNK_CELLS // max(matrix.shape[0], cells))
+    combos = itertools.combinations(cols, t)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(combos, size))
+        tuples = np.fromiter(flat, dtype=np.intp).reshape(-1, t)
+        if not len(tuples):
+            return
+        enc = np.arange(len(tuples))
+        for i in range(t):
+            enc = enc * s + matrix[:, tuples[:, i]]
+        yield tuples, np.bincount(enc.ravel(), minlength=enc.shape[1] * cells).reshape(-1, cells)
 
 
 def check_strength(design: Design, t: int) -> StrengthCheck:
     """Exhaustive strength-t check.
 
     Passes iff every t-column projection holds each of the s^t level
-    combinations exactly N/s^t times.  On failure the witness is the
-    lexicographically first offending column set together with its count
-    table; failure is a value, not an error.
+    combinations exactly N/s^t times.  Chunks are scanned in lexicographic
+    order, so on failure the witness is still the lexicographically first
+    offending column set with its count table; failure is a value.
     """
     if not 1 <= t <= design.cols:
         raise ValueError(f"need 1 <= t <= {design.cols}")
-    s, n = design.s, design.cols
-    want, rem = divmod(design.runs, s**t)
-    for cols in itertools.combinations(range(n), t):
-        counts = _projection_counts(design.matrix, cols, s)
-        if rem != 0 or not np.all(counts == want):
-            return StrengthCheck(False, t, cols, counts, want)
+    want, rem = divmod(design.runs, design.s**t)
+    for tuples, tables in _projection_tables(design.matrix, design.s, t, range(design.cols)):
+        bad = np.flatnonzero((tables != want).any(axis=1))
+        if len(bad):
+            return StrengthCheck(False, t, tuple(int(c) for c in tuples[bad[0]]),
+                                 tables[bad[0]].copy(), want)
     return StrengthCheck(True, t)
 
 
 def max_strength(design: Design, cap: int | None = None) -> int:
-    """Largest t for which check_strength passes; 0 if even t=1 fails."""
+    """Largest t for which check_strength passes; 0 if even t=1 fails.
+
+    Strength t implies every lower strength, so the search starts at the
+    cap and steps down only on failure.  A t with s^t not dividing N is
+    skipped uncounted, so cap=None never builds s^cols-cell tables.
+    """
     limit = design.cols if cap is None else min(cap, design.cols)
-    best = 0
-    for t in range(1, limit + 1):
-        if design.runs % design.s**t:
-            break
-        if not check_strength(design, t).ok:
-            break
-        best = t
-    return best
+    for t in range(limit, 0, -1):
+        if design.runs % design.s**t == 0 and check_strength(design, t).ok:
+            return t
+    return 0
 
 
 def wlp(gen: GeneratorMatrix, budget: int = DEFAULT_WLP_BUDGET,
@@ -249,22 +263,17 @@ def wlp_of_columns(design: Design, columns, budget: int = DEFAULT_WLP_BUDGET,
 
 
 def p_of_d(design: Design, columns=None) -> Fraction:
-    """Exact proportion of column triples that form a strength-3 subarray."""
+    """Exact proportion of column triples that form a strength-3 subarray,
+    counted by the same projection kernel as check_strength."""
     cols = list(range(design.cols)) if columns is None else list(columns)
     if len(cols) < 3:
         raise TooFewColumnsError("p(D) needs at least three columns")
-    s = design.s
-    want, rem = divmod(design.runs, s**3)
+    want, rem = divmod(design.runs, design.s**3)
     if rem:
         return Fraction(0)
-    hits = 0
-    total = 0
-    for triple in itertools.combinations(cols, 3):
-        total += 1
-        counts = _projection_counts(design.matrix, triple, s)
-        if np.all(counts == want):
-            hits += 1
-    return Fraction(hits, total)
+    hits = sum(int((tables == want).all(axis=1).sum())
+               for _, tables in _projection_tables(design.matrix, design.s, 3, cols))
+    return Fraction(hits, math.comb(len(cols), 3))
 
 
 def pg_points(ext: gflib.ExtField) -> list[tuple[int, ...]]:

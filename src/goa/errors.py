@@ -87,7 +87,3 @@ class SingularModelMatrixError(GoaError):
 
 class FileFormatError(GoaError):
     """A design file could not be parsed."""
-
-
-class ClaimMismatchError(GoaError):
-    """A stored claim was contradicted by re-verification."""

@@ -276,10 +276,6 @@ class ExtField:
             return self.mul_pow(int(a), int(b))
         return self.mul_vec(a, b)
 
-    def scale_vectors(self, i: int, vecs) -> list[tuple[int, ...]]:
-        """Multiply each vector by beta^i."""
-        return [self.mul_vec(self.antilog[i % self.period], v) for v in vecs]
-
     def __repr__(self):
         return f"ExtField(GF({self.s}^{self.k}), h={self.h})"
 

@@ -178,7 +178,6 @@ class SurveyRow:
     g: int
     wlp_head: tuple[int, int, int, int]  # (A_3, A_4, A_5, A_6), zero padded
     h: gflib.Poly
-    max_groups: bool
 
 
 def survey(s: int, k: int, m_values=None,
@@ -187,8 +186,8 @@ def survey(s: int, k: int, m_values=None,
 
     For each m the primitive polynomials are ranked and the winner's group
     parameters are reported; rows whose group count would be zero are
-    skipped.  The flag records whether the group count attains the ceiling
-    floor(v/m), which the consecutive construction does by design.
+    skipped.  The group count is the ceiling floor(v/m), which the
+    consecutive construction attains by design.
     """
     if s**k >= 1000:
         raise ValueError("survey covers run sizes below 1000")
@@ -207,7 +206,6 @@ def survey(s: int, k: int, m_values=None,
                 g=g,
                 wlp_head=tuple(padded[2:6]),
                 h=best,
-                max_groups=(g == v // m),
             )
         )
     return rows
@@ -218,9 +216,8 @@ def survey_table(rows: list[SurveyRow]) -> str:
     lines = [header]
     for row in rows:
         a3, a4, a5, a6 = row.wlp_head
-        flag = "*" if row.max_groups else " "
         lines.append(
-            f"{row.s:>2} {row.k:>2} {row.m:>3} {row.t:>2} {row.g:>3}{flag}"
+            f"{row.s:>2} {row.k:>2} {row.m:>3} {row.t:>2} {row.g:>4}"
             f"  {a3:>4} {a4:>4} {a5:>4} {a6:>4}  {row.h.format()}"
         )
     return "\n".join(lines)

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -52,8 +55,6 @@ def oracle_wlp(gen: dz.GeneratorMatrix) -> tuple[int, ...]:
     Independent of the null-space path used by the library; only feasible
     for s^m up to a few thousand.
     """
-    import itertools
-
     field = gf.level_field(gen.s)
     m = gen.m
     counts = [0] * (m + 1)
@@ -71,3 +72,49 @@ def oracle_wlp(gen: dz.GeneratorMatrix) -> tuple[int, ...]:
         assert r == 0
         pattern.append(q)
     return tuple(pattern)
+
+
+def _oracle_counts(matrix: np.ndarray, cols, s: int) -> np.ndarray:
+    enc = matrix[:, cols[0]].copy()
+    for c in cols[1:]:
+        enc = enc * s + matrix[:, c]
+    return np.bincount(enc, minlength=s ** len(cols))
+
+
+def oracle_check_strength(design: dz.Design, t: int) -> dz.StrengthCheck:
+    """Exhaustive strength-t check, one column tuple at a time.
+
+    The reference for the library's chunked kernel: same contract, with the
+    lexicographically first failing tuple and its count table as witness.
+    """
+    want, rem = divmod(design.runs, design.s**t)
+    for cols in itertools.combinations(range(design.cols), t):
+        counts = _oracle_counts(design.matrix, cols, design.s)
+        if rem != 0 or not np.all(counts == want):
+            return dz.StrengthCheck(False, t, cols, counts, want)
+    return dz.StrengthCheck(True, t)
+
+
+def oracle_max_strength(design: dz.Design, cap: int | None = None) -> int:
+    """Largest strength, proven bottom-up from t = 1 until a check fails."""
+    limit = design.cols if cap is None else min(cap, design.cols)
+    best = 0
+    for t in range(1, limit + 1):
+        if design.runs % design.s**t or not oracle_check_strength(design, t).ok:
+            break
+        best = t
+    return best
+
+
+def oracle_p_of_d(design: dz.Design, columns=None) -> Fraction:
+    """Proportion of strength-3 column triples, one triple at a time."""
+    cols = list(range(design.cols)) if columns is None else list(columns)
+    want, rem = divmod(design.runs, design.s**3)
+    if rem:
+        return Fraction(0)
+    hits = total = 0
+    for triple in itertools.combinations(cols, 3):
+        total += 1
+        if np.all(_oracle_counts(design.matrix, triple, design.s) == want):
+            hits += 1
+    return Fraction(hits, total)

@@ -1,0 +1,140 @@
+"""The chunked projection-counting kernel against the per-tuple oracle.
+
+check_strength, max_strength and p_of_d all count through one chunked
+kernel; these properties compare each with the exhaustive one-tuple-at-a-time
+loop in conftest on random small designs, at chunk caps down to one tuple
+per chunk so that chunk boundaries fall everywhere.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from goa import designs as dz
+from goa import gf
+
+from conftest import oracle_check_strength, oracle_max_strength, oracle_p_of_d
+
+MAX_K = {2: 4, 3: 3, 4: 2}
+CHUNK_CAPS = st.sampled_from([1, 16, 256, dz._CHUNK_CELLS])
+
+
+@st.composite
+def designs(draw, min_cols=1, min_extra=0):
+    """A regular design (the span of a random, possibly rank-deficient
+    basis, stacked once or twice), plus up to two random extra rows and at
+    most one corrupted cell, so that both passing and failing tuples occur."""
+    s = draw(st.sampled_from(sorted(MAX_K)))
+    k = draw(st.integers(1, MAX_K[s]))
+    n = draw(st.integers(min_cols, 6))
+    row = st.lists(st.integers(0, s - 1), min_size=n, max_size=n)
+    basis = draw(st.lists(row, min_size=k, max_size=k))
+    rows = np.tile(gf.span(gf.level_field(s), basis), (draw(st.integers(1, 2)), 1))
+    extra = draw(st.lists(row, min_size=min_extra, max_size=2))
+    if extra:
+        rows = np.vstack([rows, extra])
+    if draw(st.booleans()):
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, n - 1))
+        rows[r, c] = (rows[r, c] + 1) % s
+    return dz.Design(s, rows)
+
+
+def assert_same_check(got: dz.StrengthCheck, want: dz.StrengthCheck):
+    assert got.ok == want.ok
+    assert got.t == want.t
+    assert got.witness == want.witness
+    assert got.expected == want.expected
+    if want.counts is None:
+        assert got.counts is None
+    else:
+        assert np.array_equal(got.counts, want.counts)
+
+
+def largest_dividing_t(design: dz.Design) -> int:
+    t = 0
+    while design.runs % design.s ** (t + 1) == 0:
+        t += 1
+    return t
+
+
+class TestCheckStrength:
+    @settings(deadline=None)
+    @given(designs(), CHUNK_CAPS)
+    def test_matches_oracle(self, d, cells):
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            for t in range(1, d.cols + 1):
+                assert_same_check(dz.check_strength(d, t), oracle_check_strength(d, t))
+
+    @settings(deadline=None)
+    @given(designs(min_extra=1), CHUNK_CAPS)
+    def test_runs_not_divisible(self, d, cells):
+        t = largest_dividing_t(d) + 1
+        if t <= d.cols:
+            with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+                res = dz.check_strength(d, t)
+            assert not res.ok
+            assert_same_check(res, oracle_check_strength(d, t))
+
+    def test_first_failure_past_first_chunk(self):
+        # 512 x 511 strength-2 array (every nonzero vector of GF(2)^9 as a
+        # column); one flipped cell in column 400 makes (0, 400) the first
+        # failing pair, 399 pairs in, past the first chunk.
+        points = np.array(gf.span(gf.level_field(2), np.eye(9, dtype=np.int64))[1:])
+        d = dz.expand_generator(dz.GeneratorMatrix(2, points.T))
+        assert dz._CHUNK_CELLS // d.runs < 399
+        assert dz.check_strength(d, 2).ok
+        d.matrix[0, 400] ^= 1
+        res = dz.check_strength(d, 2)
+        assert res.witness == (0, 400)
+        assert_same_check(res, oracle_check_strength(d, 2))
+
+    def test_wide_two_level_late_column(self):
+        # 8 runs x 200 balanced two-level columns, one cell of column 190
+        # corrupted; with one-tuple-wide chunks it lies 190 chunks in.
+        base = gf.span(gf.level_field(2), np.eye(3, dtype=np.int64))
+        d = dz.Design(2, base[:, np.arange(200) % 3])
+        d.matrix[5, 190] ^= 1
+        for cells in (1, 16, dz._CHUNK_CELLS):
+            with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+                res = dz.check_strength(d, 1)
+            assert res.witness == (190,)
+            assert_same_check(res, oracle_check_strength(d, 1))
+
+
+class TestMaxStrength:
+    @settings(deadline=None)
+    @given(designs(), st.integers(-1, 1), CHUNK_CAPS)
+    def test_top_down_matches_bottom_up(self, d, offset, cells):
+        top = largest_dividing_t(d)
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            for cap in (None, top + offset):
+                assert dz.max_strength(d, cap) == oracle_max_strength(d, cap)
+
+    def test_cap_none_on_wide_design(self):
+        # 16 x 40: the top-down search must skip t = 40 .. 5 without
+        # counting, never asking for a table of more than 16 cells.
+        rng = np.random.default_rng(0)
+        base = gf.span(gf.level_field(2), np.eye(4, dtype=np.int64))
+        d = dz.Design(2, base[:, rng.integers(0, 4, size=40)])
+        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
+            got = dz.max_strength(d)
+        assert got == oracle_max_strength(d)
+        assert all(2 ** call.args[1] <= d.runs for call in spy.call_args_list)
+
+
+class TestPofD:
+    @settings(deadline=None)
+    @given(designs(min_cols=3), CHUNK_CAPS)
+    def test_matches_oracle(self, d, cells):
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            assert dz.p_of_d(d) == oracle_p_of_d(d)
+
+    @settings(deadline=None)
+    @given(designs(min_cols=3), st.data())
+    def test_column_subset_matches_oracle(self, d, data):
+        cols = data.draw(st.lists(st.integers(0, d.cols - 1), min_size=3,
+                                  max_size=d.cols, unique=True))
+        assert dz.p_of_d(d, cols) == oracle_p_of_d(d, cols)

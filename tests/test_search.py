@@ -68,7 +68,6 @@ class TestSurvey:
             v = (s**k - 1) // (s - 1)
             for row in sx.survey(s, k):
                 assert row.g <= v // row.m
-                assert row.max_groups
 
     def test_run_size_bound(self):
         with pytest.raises(ValueError):
