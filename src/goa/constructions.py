@@ -75,18 +75,17 @@ class DifferenceScheme:
 
 def is_difference_scheme(matrix: np.ndarray, s: int,
                          field: gflib.GF | None = None) -> bool:
-    """Check that every column-pair difference hits each element r/s times."""
+    """Check that every column-pair difference hits each element r/s times,
+    i.e. that the columns of pairwise differences have strength 1."""
     field = field or gflib.level_field(s)
     matrix = np.asarray(matrix, dtype=np.int64)
     r, c = matrix.shape
     if r % s:
         return False
-    want = r // s
-    for u, v in itertools.combinations(range(c), 2):
-        diff = field.sub(matrix[:, u], matrix[:, v])
-        if not np.all(np.bincount(diff, minlength=s) == want):
-            return False
-    return True
+    if c < 2:
+        return True
+    u, v = np.array(list(itertools.combinations(range(c), 2))).T
+    return check_strength(Design(s, field.sub(matrix[:, u], matrix[:, v])), 1).ok
 
 
 def _balanced_columns(s: int, r: int) -> np.ndarray:

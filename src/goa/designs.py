@@ -212,8 +212,7 @@ def _wlp_from_null_basis(field: gflib.GF, basis: np.ndarray, m: int,
     size = field.s ** basis.shape[0]
     if size > budget:
         raise BudgetExceededError(f"null space of size {size} exceeds budget {budget}")
-    vectors = gflib.span(field, basis) if basis.shape[0] else np.zeros((1, m), dtype=np.int64)
-    weights = np.count_nonzero(vectors, axis=1)
+    weights = np.count_nonzero(gflib.span(field, basis), axis=1)
     hist = np.bincount(weights, minlength=m + 1)
     pattern = []
     for j in range(1, m + 1):

@@ -291,11 +291,12 @@ def ext_field(s: int, k: int, h) -> ExtField:
     return _ext_field_cached(s, k, coeffs)
 
 
-def find_primitive_polys(s: int, k: int) -> list[Poly]:
+@lru_cache(maxsize=None)
+def find_primitive_polys(s: int, k: int) -> tuple[Poly, ...]:
     """All monic degree-k primitive polynomials over GF(s).
 
     Ordered lexicographically by (b_{k-1}, ..., b_0).  The count always
-    equals phi(s^k - 1)/k.
+    equals phi(s^k - 1)/k.  Cached, so each candidate field is walked once.
     """
     if not is_prime(s):
         raise NonPrimeError(f"{s} is not prime")
@@ -311,7 +312,7 @@ def find_primitive_polys(s: int, k: int) -> list[Poly]:
         except NotPrimitiveError:
             continue
         found.append(Poly(s, coeffs))
-    return found
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)
@@ -404,10 +405,5 @@ def span(gf: GF, basis) -> np.ndarray:
     Rows come out in lexicographic order of the coefficient tuple
     (c_1, ..., c_d), the first coefficient most significant.
     """
-    basis = np.asarray(basis, dtype=np.int64)
-    d, width = basis.shape
-    coeffs = np.array(list(itertools.product(range(gf.s), repeat=d)), dtype=np.int64)
-    out = np.zeros((gf.s**d, width), dtype=np.int64)
-    for j in range(d):
-        out = gf.add(out, gf.mul(coeffs[:, j][:, None], basis[j][None, :]))
-    return out
+    d = len(basis)
+    return mat_mul(gf, list(itertools.product(range(gf.s), repeat=d)), basis)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import gf as gflib
 from .designs import (
+    _CHUNK_CELLS,
     DEFAULT_WLP_BUDGET,
     GeneratorMatrix,
     Group,
@@ -23,10 +24,11 @@ from .designs import (
     annotate,
     expand_generator,
     generator_from_exponents,
+    pg_points,
     strength_from_wlp,
     wlp,
 )
-from .errors import NoGroupingError, RankDeficientError
+from .errors import FormatMismatchError, NoGroupingError, RankDeficientError
 from .constructions import rank_primitive_polys
 
 # Two generator matrices for the minimum-aberration OA(16, 5, 2, 4); they
@@ -75,33 +77,6 @@ class SearchConfig:
     min_groups: int = 1
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Row rank of a small matrix mod a prime; plain elimination."""
-    rows = [row[:] for row in rows]
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    rank = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(rank, n_rows):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(n_rows):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
 def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
     """Grouping by translated exponent sets (greedy over all shifts).
 
@@ -112,42 +87,16 @@ def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
     been collected.  The best restart (largest group count, first found on
     ties) is expanded, re-verified and returned.
     """
-    s = gen.s
-    k = gen.k
+    s, k = gen.s, gen.k
     if not gflib.is_prime(s):
         raise gflib.NonPrimeError(f"grouping search needs a prime level count, got {s}")
     field = gflib.level_field(s)
     if gflib.mat_rank(field, gen.matrix) != k:
         raise RankDeficientError("seed generator must have full row rank")
-    polys = cfg.polys or gflib.find_primitive_polys(s, k)
-    exts = [gflib.ext_field(s, k, h) for h in polys]
-    logs = [ext.log for ext in exts]
-    v = (s**k - 1) // (s - 1)
-
-    best: tuple[int, int, list[tuple[int, ...]]] | None = None  # (g, ext index, groups)
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,)))
-        which = int(rng.integers(len(exts))) if len(exts) > 1 else 0
-        log = logs[which]
-        while True:
-            h_rows = rng.integers(0, s, size=(k, k)).tolist()
-            if _rank_mod_p(h_rows, s) == k:
-                break
-        h_mat = np.array(h_rows, dtype=np.int64)
-        hg = gflib.mat_mul(field, h_mat, gen.matrix)
-        base = tuple(log[tuple(int(x) for x in col)] % v for col in hg.T)
-        used = set(base)
-        groups = [base]
-        for j in range(1, v):
-            translate = tuple((e + j) % v for e in base)
-            if used.isdisjoint(translate):
-                used.update(translate)
-                groups.append(translate)
-        if best is None or len(groups) > best[0]:
-            best = (len(groups), which, groups)
-
-    assert best is not None
-    g_count, which, groups = best
+    if not gen.matrix.any(axis=0).all():
+        raise FormatMismatchError("seed generator has a zero column, which is no PG point")
+    exts = [gflib.ext_field(s, k, h) for h in cfg.polys or gflib.find_primitive_polys(s, k)]
+    g_count, which, groups = _best_restart(gen, cfg, exts)
     if g_count < cfg.min_groups:
         raise NoGroupingError(f"best grouping has g={g_count} < {cfg.min_groups}")
     ext = exts[which]
@@ -167,6 +116,56 @@ def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
                       cfg.wlp_budget, field)
         out_groups.append(grp)
     return annotate(GroupedDesign(design, out_groups, claimed_t0=2, generator=out_gen))
+
+
+def _best_restart(gen: GeneratorMatrix, cfg: SearchConfig,
+                  exts: list[gflib.ExtField]) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(g, polynomial index, groups) of the best restart, the first on ties.
+
+    Restarts run in chunks of _CHUNK_CELLS // (k v), each on its own rng
+    stream.  H is singular iff H x = 0 for some PG point x, and the
+    translates j' + B and j + B meet iff j - j' is a difference of B.
+    """
+    s, k = gen.s, gen.k
+    field = gflib.level_field(s)
+    v = (s**k - 1) // (s - 1)
+    points = np.array(pg_points(exts[0]), dtype=np.int64).T
+    weights = s ** np.arange(k)
+    logs = np.full((len(exts), s**k), -1, dtype=np.int64)  # the zero vector has no log
+    for i, ext in enumerate(exts):
+        logs[i, np.array(ext.antilog) @ weights] = np.arange(ext.period) % v
+    size = max(1, _CHUNK_CELLS // (k * v))
+    best = None
+    for start in range(0, cfg.restarts, size):
+        rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
+                for r in range(start, min(start + size, cfg.restarts))]
+        n = len(rngs)
+        which = np.array([int(rng.integers(len(exts))) if len(exts) > 1 else 0 for rng in rngs])
+        h_mats = np.empty((n, k, k), dtype=np.int64)
+        todo = np.arange(n)
+        while len(todo):
+            h_mats[todo] = [rngs[r].integers(0, s, size=(k, k)) for r in todo]
+            hx = gflib.mat_mul(field, h_mats[todo].reshape(-1, k), points).reshape(-1, k, v)
+            todo = todo[(hx == 0).all(axis=1).any(axis=1)]
+        hg = gflib.mat_mul(field, h_mats.reshape(-1, k), gen.matrix).reshape(n, k, -1)
+        exps = logs[which[:, None], weights @ hg]
+        pairs = (exps[:, :, None] - exps[:, None, :]).reshape(n, -1) % v
+        diffs = np.zeros((n, v), dtype=bool)
+        diffs[np.arange(n)[:, None], pairs] = True
+        wrapped = np.tile(diffs, 2)  # wrapped[:, v-j:2v-j] is diffs shifted by j
+        blocked = np.zeros_like(diffs)
+        kept = np.zeros_like(diffs)
+        for j in range(v):
+            kept[:, j] = keep = ~blocked[:, j]
+            blocked |= wrapped[:, v - j:2 * v - j] & keep[:, None]
+        g = kept.sum(axis=1)
+        r = int(np.argmax(g))
+        if best is None or g[r] > best[0]:
+            base = exps[r].tolist()
+            groups = [tuple((e + j) % v for e in base) for j in np.flatnonzero(kept[r]).tolist()]
+            best = (int(g[r]), int(which[r]), groups)
+    assert best is not None
+    return best
 
 
 @dataclass

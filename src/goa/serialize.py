@@ -72,18 +72,34 @@ def grouped_from_dict(doc: dict) -> GroupedDesign:
                     p=fraction_from_str(g["p"]) if g["p"] is not None else None,
                 )
             )
+        claimed_t0 = int(doc["claimed_t0"])
+        verified_t0 = int(doc["verified_t0"]) if doc["verified_t0"] is not None else None
+        _check_claims(design.cols, claimed_t0, verified_t0, groups)
         gen = None
         if doc.get("generator") is not None:
             gen = GeneratorMatrix(doc["s"], np.array(doc["generator"], dtype=np.int64))
-        return GroupedDesign(
-            design,
-            groups,
-            claimed_t0=int(doc["claimed_t0"]),
-            verified_t0=(int(doc["verified_t0"]) if doc["verified_t0"] is not None else None),
-            generator=gen,
-        )
+        return GroupedDesign(design, groups, claimed_t0, verified_t0, gen)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad design document: {exc}") from exc
+
+
+def _check_claims(cols: int, claimed_t0: int, verified_t0: int | None,
+                  groups: list[Group]) -> None:
+    """Reject group columns and strengths that no design of this shape can hold."""
+    for name, t in (("claimed_t0", claimed_t0), ("verified_t0", verified_t0)):
+        if t is not None and not 0 <= t <= cols:
+            raise FileFormatError(f"{name} {t} outside 0..{cols}")
+    for i, grp in enumerate(groups):
+        where = f"groups[{i}]"
+        bad = [c for c in grp.columns if not 0 <= c < cols]
+        if bad:
+            raise FileFormatError(f"{where}.columns: {bad[0]} outside 0..{cols - 1}")
+        if len(set(grp.columns)) != grp.size:
+            raise FileFormatError(f"{where}.columns: duplicate column")
+        for name in ("claimed_strength", "verified_strength"):
+            t = getattr(grp, name)
+            if t is not None and not 0 <= t <= grp.size:
+                raise FileFormatError(f"{where}.{name} {t} outside 0..{grp.size}")
 
 
 def dumps(gd: GroupedDesign) -> str:

@@ -118,3 +118,37 @@ def oracle_p_of_d(design: dz.Design, columns=None) -> Fraction:
         if np.all(_oracle_counts(design.matrix, triple, design.s) == want):
             hits += 1
     return Fraction(hits, total)
+
+
+def oracle_best_restart(gen: dz.GeneratorMatrix, cfg, exts) -> tuple[int, int, list]:
+    """(g, polynomial index, groups) of the best alg42 restart, one restart
+    at a time: redraw H until its GF rank is k, look each column of H G up
+    in the log table, and scan the shifts against a set of used exponents.
+
+    The reference for the library's chunked restart engine, with the same
+    rng streams and the same first-restart-wins tie rule.
+    """
+    s, k = gen.s, gen.k
+    field = gf.level_field(s)
+    v = (s**k - 1) // (s - 1)
+    best = None
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,)))
+        which = int(rng.integers(len(exts))) if len(exts) > 1 else 0
+        log = exts[which].log
+        while True:
+            h_mat = rng.integers(0, s, size=(k, k))
+            if gf.mat_rank(field, h_mat) == k:
+                break
+        hg = gf.mat_mul(field, h_mat, gen.matrix)
+        base = tuple(log[tuple(int(x) for x in col)] % v for col in hg.T)
+        used = set(base)
+        groups = [base]
+        for j in range(1, v):
+            translate = tuple((e + j) % v for e in base)
+            if used.isdisjoint(translate):
+                used.update(translate)
+                groups.append(translate)
+        if best is None or len(groups) > best[0]:
+            best = (len(groups), which, groups)
+    return best

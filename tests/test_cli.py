@@ -1,10 +1,28 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import goa
 from goa import serialize as io
 from goa.cli import main
+
+# Malformed claim fields of the thm1 s=3 file (groups [0-3], [4-6], [7-9],
+# strengths 3, t0 2): the path to the field, its new value, and the name the
+# error message must give.
+CLAIM_MUTATIONS = [
+    (("groups", 0, "columns", 0), 999, "groups[0].columns"),
+    (("groups", 0, "columns", 0), -1, "groups[0].columns"),
+    (("groups", 1, "columns", 1), 4, "groups[1].columns"),
+    (("groups", 0, "claimed_strength"), 99, "groups[0].claimed_strength"),
+    (("groups", 2, "verified_strength"), 99, "groups[2].verified_strength"),
+    (("claimed_t0",), 99, "claimed_t0"),
+    (("verified_t0",), 99, "verified_t0"),
+]
 
 
 @pytest.fixture()
@@ -85,6 +103,25 @@ class TestVerify:
     def test_parse_error_exits_2(self, workdir):
         (workdir / "junk.json").write_text("{")
         assert main(["verify", "junk.json"]) == 2
+
+    @pytest.mark.parametrize("path,value,field", CLAIM_MUTATIONS,
+                             ids=[f"{m[2]}={m[1]}" for m in CLAIM_MUTATIONS])
+    def test_malformed_claims_exit_2(self, workdir, path, value, field):
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        doc = json.loads((workdir / "t.json").read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        src = str(Path(goa.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "goa", "verify", "bad.json"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert field in proc.stderr
 
 
 class TestSearchCli:
@@ -178,6 +215,15 @@ class TestCliEdgeCases:
 
     def test_search_needs_a_seed(self, workdir):
         assert main(["search", "alg42", "--restarts", "10"]) == 2
+
+    def test_search_rejects_constant_column_seed(self, workdir):
+        main(["construct", "thm1", "--s", "2", "--out", "t.json"])
+        doc = json.loads((workdir / "t.json").read_text())
+        doc["generator"] = None
+        for row in doc["matrix"]:
+            row[0] = 0
+        (workdir / "c.json").write_text(json.dumps(doc))
+        assert main(["search", "alg42", "--seed-design", "c.json", "--restarts", "5"]) == 2
 
     def test_rotate_rejects_ungrouped(self, workdir):
         main(["construct", "thm1", "--s", "2", "--out", "t.json", "--format", "both"])

@@ -116,6 +116,12 @@ class TestDifferenceSchemes:
         assert ds.matrix.shape == (6, 6)
         assert cx.is_difference_scheme(ds.matrix, 3)
 
+    def test_unbalanced_scheme_fails(self):
+        matrix = cx.ds_catalog(3, 6, 6).matrix.copy()
+        matrix[0, 1] = (matrix[0, 1] + 1) % 3
+        assert not cx.is_difference_scheme(matrix, 3)
+        assert cx.is_difference_scheme(matrix[:, :1], 3)
+
     def test_search_deterministic(self):
         a = cx.ds_search(3, 6, 6, seed=5)
         b = cx.ds_search(3, 6, 6, seed=5)

@@ -139,6 +139,11 @@ class TestPrimitiveEnumeration:
         keys = [tuple(reversed(p.coeffs[:-1])) for p in polys]
         assert keys == sorted(keys)
 
+    def test_cached_and_immutable(self):
+        polys = gf.find_primitive_polys(2, 5)
+        assert isinstance(polys, tuple)
+        assert gf.find_primitive_polys(2, 5) is polys
+
 
 class TestLevelField:
     def test_gf4_labels(self):
@@ -180,6 +185,10 @@ class TestLinearAlgebra:
         for _ in range(20):
             a, b = rows[rng.integers(9)], rows[rng.integers(9)]
             assert tuple((a + b) % 3) in seen
+
+    def test_span_of_empty_basis_is_the_zero_row(self):
+        rows = gf.span(gf.prime_field(3), np.zeros((0, 4), dtype=np.int64))
+        assert rows.tolist() == [[0, 0, 0, 0]]
 
     def test_is_nonsingular(self):
         f2 = gf.prime_field(2)
