@@ -81,11 +81,7 @@ def _get_ds(args, s: int):
 def cmd_construct(args) -> int:
     s = args.s
     if args.what == "thm1":
-        ext = None
-        if args.h:
-            p, j = gflib.factor_prime_power(s)
-            ext = gflib.ext_field(p, j, gflib.Poly.parse(args.h, p))
-        gd = construct_thm1(s, ext)
+        gd = construct_thm1(s)
         name = f"thm1-s{s}"
     elif args.what == "ebert":
         h = gflib.Poly.parse(args.h, s) if args.h else gflib.find_primitive_polys(s, 4)[0]
@@ -112,8 +108,6 @@ def cmd_construct(args) -> int:
         for grp, bound in zip(gd.groups, result.bounds):
             print(f"group of {grp.size}: p = {grp.p} (bound {bound})")
         name = f"thm2-s{s}"
-    else:
-        raise GoaError(f"unknown construction {args.what}")
 
     if gd.generator is not None:
         for idx, grp in enumerate(gd.groups):
@@ -357,18 +351,20 @@ def build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser("construct", help="build and verify a design")
     con_sub = con.add_subparsers(dest="what", required=True)
     for what in ("thm1", "ebert", "prop1", "thm2", "consecutive"):
-        p = con_sub.add_parser(what)
+        # no prefix matching: a stray --h must not be read as --help
+        p = con_sub.add_parser(what, allow_abbrev=False)
         p.add_argument("--s", type=int, required=True)
-        p.add_argument("--h", help="primitive polynomial, descending coefficients")
         p.add_argument("--budget", type=int, default=DEFAULT_WLP_BUDGET)
-        p.add_argument("--rng-seed", type=int, default=0)
         _add_out_flags(p)
+        if what in ("ebert", "consecutive"):
+            p.add_argument("--h", help="primitive polynomial, descending coefficients")
         if what == "consecutive":
             p.add_argument("--k", type=int, required=True)
             p.add_argument("--m", type=int, required=True)
         if what in ("prop1", "thm2"):
             p.add_argument("--ds-shape", help="r,c for a catalogued scheme")
             p.add_argument("--ds-search", help="r,c to search for a scheme")
+            p.add_argument("--rng-seed", type=int, default=0, help="seed of --ds-search")
             p.add_argument("--base", required=True, help="base design JSON file")
             p.add_argument("--base-group", type=int, help="use only this group of the base")
         if what == "prop1":
@@ -444,5 +440,10 @@ def main(argv=None) -> int:
         return EXIT_CLAIM
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> int:
+    """Console entry point: a crash that main() lets raise is one `error:` line, exit 2."""
+    try:
+        return main()
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CLAIM

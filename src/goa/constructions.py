@@ -38,7 +38,6 @@ from .errors import (
     BudgetExceededError,
     DegenerateSizeError,
     LevelMismatchError,
-    NotPrimePowerError,
     SearchExhaustedError,
     StrengthPrereqError,
     TooFewGroupsError,
@@ -73,11 +72,9 @@ class DifferenceScheme:
         return self.matrix.shape[1]
 
 
-def is_difference_scheme(matrix: np.ndarray, s: int,
-                         field: gflib.GF | None = None) -> bool:
+def is_difference_scheme(matrix: np.ndarray, s: int) -> bool:
     """Check that every column-pair difference hits each element r/s times,
     i.e. that the columns of pairwise differences have strength 1."""
-    field = field or gflib.level_field(s)
     matrix = np.asarray(matrix, dtype=np.int64)
     r, c = matrix.shape
     if r % s:
@@ -85,7 +82,8 @@ def is_difference_scheme(matrix: np.ndarray, s: int,
     if c < 2:
         return True
     u, v = np.array(list(itertools.combinations(range(c), 2))).T
-    return check_strength(Design(s, field.sub(matrix[:, u], matrix[:, v])), 1).ok
+    diffs = gflib.level_field(s).sub(matrix[:, u], matrix[:, v])
+    return check_strength(Design(s, diffs), 1).ok
 
 
 def _balanced_columns(s: int, r: int) -> np.ndarray:
@@ -107,7 +105,7 @@ def _balanced_columns(s: int, r: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _search_columns(s, r, c, rng, field, candidates, node_budget, exhaustive):
+def _search_columns(s, r, c, rng, candidates, node_budget, exhaustive):
     """Depth-first column-by-column search; returns an r x c matrix or None.
 
     The first column is normalised to all-zero, which is lossless: any
@@ -116,6 +114,7 @@ def _search_columns(s, r, c, rng, field, candidates, node_budget, exhaustive):
     column is additionally pinned to the sorted balanced column (lossless
     by row permutation) and the full tree is explored.
     """
+    field = gflib.level_field(s)
     want = r // s
     nodes = 0
 
@@ -169,23 +168,22 @@ def ds_search(s: int, r: int, c: int, seed: int = 0, restarts: int = 200,
         raise ValueError(f"search shape {r}x{c} above desk-scale cell limit")
     if r % s or c < 1:
         raise SearchExhaustedError(f"no DS({r},{c},{s}): need s | r")
-    field = gflib.level_field(s)
     candidates = _balanced_columns(s, r)
     if exhaustive:
-        found = _search_columns(s, r, c, None, field, candidates, 0, True)
+        found = _search_columns(s, r, c, None, candidates, 0, True)
         if found is None:
             raise SearchExhaustedError(f"exhaustive search: no DS({r},{c},{s}) exists")
-        return _certified(found, s, field)
+        return _certified(found, s)
     for restart in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
-        found = _search_columns(s, r, c, rng, field, candidates, node_budget, False)
+        found = _search_columns(s, r, c, rng, candidates, node_budget, False)
         if found is not None:
-            return _certified(found, s, field)
+            return _certified(found, s)
     raise SearchExhaustedError(f"no DS({r},{c},{s}) found in {restarts} restarts")
 
 
-def _certified(matrix, s, field) -> DifferenceScheme:
-    if not is_difference_scheme(matrix, s, field):
+def _certified(matrix, s) -> DifferenceScheme:
+    if not is_difference_scheme(matrix, s):
         raise AssertionError("search produced an unbalanced scheme")
     return DifferenceScheme(s, matrix)
 
@@ -198,12 +196,10 @@ def ds_catalog(s: int, r: int, c: int) -> DifferenceScheme:
     (2s, 2s, s) for s in {2, 3, 4, 5} comes from stored search-certified
     schemes.  Every returned scheme is re-verified here.
     """
-    field = gflib.level_field(s)
     if (r, c) == (s, s):
-        idx = np.arange(s)
-        return _certified(field.mul_t[np.ix_(idx, idx)], s, field)
+        return _certified(gflib.level_field(s).mul_t.copy(), s)
     if (r, c) == (2 * s, 2 * s) and (s, r, c) in STORED_SCHEMES:
-        return _certified(np.array(STORED_SCHEMES[(s, r, c)], dtype=np.int64), s, field)
+        return _certified(np.array(STORED_SCHEMES[(s, r, c)], dtype=np.int64), s)
     raise UnsupportedShapeError(f"no catalogued DS({r},{c},{s})")
 
 
@@ -211,22 +207,18 @@ def ds_catalog(s: int, r: int, c: int) -> DifferenceScheme:
 # Kronecker-sum recursions
 
 
-def kronecker_sum(a, b: Design, field: gflib.GF | None = None,
-                  origin: str | None = None) -> Design:
+def kronecker_sum(a: DifferenceScheme, b: Design, origin: str | None = None) -> Design:
     """Kronecker sum D = A (+) B under GF(s) addition.
 
     Rows are indexed by (row of A, row of B) and columns by (column of A,
     column of B), so the n columns descending from one column of A stay
     contiguous.
     """
-    a_matrix = a.matrix if isinstance(a, (DifferenceScheme, Design)) else np.asarray(a)
-    a_s = a.s if isinstance(a, (DifferenceScheme, Design)) else None
-    if a_s is not None and a_s != b.s:
-        raise LevelMismatchError(f"level mismatch: {a_s} vs {b.s}")
-    field = field or gflib.level_field(b.s)
-    r, c = a_matrix.shape
+    if a.s != b.s:
+        raise LevelMismatchError(f"level mismatch: {a.s} vs {b.s}")
+    r, c = a.matrix.shape
     n_runs, n_cols = b.matrix.shape
-    blocks = field.add(a_matrix[:, None, :, None], b.matrix[None, :, None, :])
+    blocks = gflib.level_field(b.s).add(a.matrix[:, None, :, None], b.matrix[None, :, None, :])
     return Design(b.s, blocks.reshape(r * n_runs, c * n_cols),
                   origin or f"kronecker({r}x{c} (+) {n_runs}x{n_cols})")
 
@@ -248,8 +240,7 @@ def _require_strength3(design: Design, columns=None, what="input design"):
         raise StrengthPrereqError(f"{what} is not of strength 3")
 
 
-def construct_prop1(ds: DifferenceScheme, blocks, b: Design,
-                    field: gflib.GF | None = None) -> GroupedDesign:
+def construct_prop1(ds: DifferenceScheme, blocks, b: Design) -> GroupedDesign:
     """Strength-3 groups from one- or two-column blocks of a difference scheme.
 
     Group i is A_i (+) B where A_i holds the block's columns; because a
@@ -263,8 +254,7 @@ def construct_prop1(ds: DifferenceScheme, blocks, b: Design,
     if covered != list(range(ds.c)):
         raise BadBlockSizeError("blocks must partition the scheme's columns")
     _require_strength3(b)
-    design = kronecker_sum(ds, b, field,
-                           origin=f"prop1(ds={ds.r}x{ds.c}x{ds.s}, b={b.origin})")
+    design = kronecker_sum(ds, b, origin=f"prop1(ds={ds.r}x{ds.c}x{ds.s}, b={b.origin})")
     n = b.cols
     groups = [
         Group([j * n + w for j in block for w in range(n)], claimed_strength=3)
@@ -274,24 +264,22 @@ def construct_prop1(ds: DifferenceScheme, blocks, b: Design,
 
 
 def grouped_kronecker(ds: DifferenceScheme, blocks, b: Design,
-                      claimed_strength: int = 2, field: gflib.GF | None = None,
-                      origin: str | None = None, with_p: bool = True) -> GroupedDesign:
+                      origin: str | None = None) -> GroupedDesign:
     """Kronecker sum grouped by arbitrary blocks of scheme columns.
 
     The per-group strength-3 proportion is measured exactly and stored;
     this generalises construct_prop1 to blocks wider than two columns,
     where groups are only of near strength 3.
     """
-    design = kronecker_sum(ds, b, field, origin=origin)
+    design = kronecker_sum(ds, b, origin=origin)
     n = b.cols
     groups = []
     for block in blocks:
         cols = [j * n + w for j in block for w in range(n)]
-        groups.append(Group(cols, claimed_strength=min(claimed_strength, len(cols))))
+        groups.append(Group(cols, claimed_strength=min(2, len(cols))))
     gd = annotate(GroupedDesign(design, groups, claimed_t0=2))
-    if with_p:
-        for grp in gd.groups:
-            grp.p = p_of_d(design, grp.columns)
+    for grp in gd.groups:
+        grp.p = p_of_d(design, grp.columns)
     return gd
 
 
@@ -305,8 +293,7 @@ class Thm2Result:
     bounds: list[Fraction]
 
 
-def construct_thm2(ds: DifferenceScheme, b: GroupedDesign,
-                   field: gflib.GF | None = None) -> Thm2Result:
+def construct_thm2(ds: DifferenceScheme, b: GroupedDesign) -> Thm2Result:
     """Recursive construction from a scheme and a GOA with strength-3 groups.
 
     Group i of the output is A (+) B_i with c*m_i columns; its measured
@@ -314,7 +301,7 @@ def construct_thm2(ds: DifferenceScheme, b: GroupedDesign,
     """
     for grp in b.groups:
         _require_strength3(b.design, grp.columns, what=f"group {grp.columns}")
-    design = kronecker_sum(ds, b.design, field,
+    design = kronecker_sum(ds, b.design,
                            origin=f"thm2(ds={ds.r}x{ds.c}x{ds.s}, b={b.design.origin})")
     n = b.design.cols
     groups = []
@@ -343,22 +330,15 @@ def construct_thm2(ds: DifferenceScheme, b: GroupedDesign,
 # Oval and cap constructions
 
 
-def construct_thm1(s: int, level_ext: gflib.ExtField | None = None) -> GroupedDesign:
+def construct_thm1(s: int) -> GroupedDesign:
     """s^3-run GOA with strength-3 groups from an oval in PG(2, s).
 
     The first group's generator has columns (1, w_i, w_i^2) plus (0, 0, 1);
     group i >= 1 shifts the quadratic row by w_i.  For non-prime s the
-    elements w_i are enumerated through an extension field of GF(s) with
-    w_0 = 0 and w_i = beta^(i-1).
+    elements w_i are the labels of gflib.level_field(s): w_0 = 0 and
+    w_i = beta^(i-1).
     """
-    p, j = gflib.factor_prime_power(s)  # raises NotPrimePowerError
-    if j == 1:
-        field = gflib.level_field(s)
-    else:
-        field = gflib.GF.from_ext(level_ext) if level_ext is not None else gflib.level_field(s)
-    if level_ext is not None and level_ext.order != s:
-        raise NotPrimePowerError(f"supplied field has order {level_ext.order}, not {s}")
-
+    field = gflib.level_field(s)  # raises NotPrimePowerError
     cols = [(1, w, int(field.mul(w, w))) for w in range(s)] + [(0, 0, 1)]
     groups = [list(range(s + 1))]
     for i in range(1, s):
@@ -366,14 +346,14 @@ def construct_thm1(s: int, level_ext: gflib.ExtField | None = None) -> GroupedDe
         cols += [(1, w, int(field.add(i, field.mul(w, w)))) for w in range(s)]
         groups.append(list(range(start, start + s)))
     gen = GeneratorMatrix(s, np.array(cols, dtype=np.int64).T)
-    design = expand_generator(gen, field, origin=f"thm1(s={s})")
+    design = expand_generator(gen, origin=f"thm1(s={s})")
     grouped = GroupedDesign(
         design,
         [Group(g, claimed_strength=min(3, len(g))) for g in groups],
         claimed_t0=2,
         generator=gen,
     )
-    _attach_group_wlps(grouped, field)
+    _attach_group_wlps(grouped)
     return annotate(grouped)
 
 
@@ -392,22 +372,20 @@ def construct_ebert(ext: gflib.ExtField) -> GroupedDesign:
     if sorted(exps) != list(range(len(pg_points(ext)))):
         raise AssertionError("cap blocks do not partition PG(3, s)")
     gen = generator_from_exponents(ext, exps)
-    field = gflib.level_field(s)
-    design = expand_generator(gen, field, origin=f"ebert(s={s},h={ext.h})")
+    design = expand_generator(gen, origin=f"ebert(s={s},h={ext.h})")
     groups = [Group(list(range(i * m, (i + 1) * m)), claimed_strength=3) for i in range(g)]
     grouped = GroupedDesign(design, groups, claimed_t0=2, generator=gen)
-    _attach_group_wlps(grouped, field)
+    _attach_group_wlps(grouped)
     return annotate(grouped)
 
 
-def _attach_group_wlps(gd: GroupedDesign, field: gflib.GF,
-                       budget: int = DEFAULT_WLP_BUDGET) -> None:
+def _attach_group_wlps(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET) -> None:
     if gd.generator is None:
         return
     for grp in gd.groups:
         sub = GeneratorMatrix(gd.generator.s, gd.generator.matrix[:, grp.columns])
         try:
-            grp.wlp = wlp(sub, budget, field)
+            grp.wlp = wlp(sub, budget)
         except BudgetExceededError:
             grp.wlp = None
 
@@ -433,16 +411,15 @@ def construct_consecutive(ext: gflib.ExtField, m: int,
     if g < 1:
         raise TooFewGroupsError(f"group size {m} exceeds the {v} PG points")
     gen = generator_from_exponents(ext, range(g * m))
-    field = gflib.level_field(s)
-    design = expand_generator(gen, field, origin=f"consecutive(s={s},k={k},h={ext.h},m={m})")
+    design = expand_generator(gen, origin=f"consecutive(s={s},k={k},h={ext.h},m={m})")
     group0 = GeneratorMatrix(s, gen.matrix[:, :m])
-    pattern = wlp(group0, budget, field)
+    pattern = wlp(group0, budget)
     claimed = strength_from_wlp(pattern) if m > k else m
     groups = []
     for i in range(g):
         grp = Group(list(range(i * m, (i + 1) * m)), claimed_strength=min(claimed, m))
         sub = GeneratorMatrix(s, gen.matrix[:, grp.columns])
-        grp.wlp = wlp(sub, budget, field)
+        grp.wlp = wlp(sub, budget)
         groups.append(grp)
     grouped = GroupedDesign(design, groups, claimed_t0=2, generator=gen)
     return annotate(grouped)
@@ -524,7 +501,7 @@ def group_wlp_for_poly(s: int, k: int, h: gflib.Poly, m: int,
     """Wordlength pattern of one consecutive-powers group under h."""
     ext = gflib.ext_field(s, k, h)
     gen = generator_from_exponents(ext, range(m))
-    return wlp(gen, budget, gflib.level_field(s))
+    return wlp(gen, budget)
 
 
 def rank_primitive_polys(s: int, k: int, m: int,
@@ -570,11 +547,10 @@ def ma_regular_oa(s: int, k: int, m: int, subset_budget: int = 500_000,
         total = total * (v - i) // (i + 1)
     if total > subset_budget:
         raise BudgetExceededError(f"{total} subsets exceed budget {subset_budget}")
-    field = gflib.level_field(s)
     best = None
     for subset in itertools.combinations(range(v), m):
         gen = GeneratorMatrix(s, np.array([points[i] for i in subset], dtype=np.int64).T)
-        pattern = wlp(gen, wlp_budget, field)
+        pattern = wlp(gen, wlp_budget)
         key = tuple(pattern)
         if best is None or key < best[0]:
             best = (key, gen, pattern)

@@ -130,14 +130,13 @@ class StrengthCheck:
     expected: int | None = None
 
 
-def expand_generator(gen: GeneratorMatrix, field: gflib.GF | None = None,
-                     origin: str | None = None) -> Design:
+def expand_generator(gen: GeneratorMatrix, origin: str | None = None) -> Design:
     """All s^k GF(s)-linear combinations of the rows of the generator.
 
     Rows are emitted in lexicographic order of the coefficient vector, so
     the same generator always produces the same file.
     """
-    field = field or gflib.level_field(gen.s)
+    field = gflib.level_field(gen.s)
     if gflib.mat_rank(field, gen.matrix) != gen.k:
         raise RankDeficientError(f"generator rank < {gen.k}")
     rows = gflib.span(field, gen.matrix)
@@ -195,14 +194,13 @@ def max_strength(design: Design, cap: int | None = None) -> int:
     return 0
 
 
-def wlp(gen: GeneratorMatrix, budget: int = DEFAULT_WLP_BUDGET,
-        field: gflib.GF | None = None) -> tuple[int, ...]:
+def wlp(gen: GeneratorMatrix, budget: int = DEFAULT_WLP_BUDGET) -> tuple[int, ...]:
     """Wordlength pattern (A_1, ..., A_m) of a regular design.
 
     Enumerates the full null space of the generator; scalar multiples of a
     word are identified, so each raw weight count divides by s - 1.
     """
-    field = field or gflib.level_field(gen.s)
+    field = gflib.level_field(gen.s)
     basis = gflib.null_space(field, gen.matrix)
     return _wlp_from_null_basis(field, basis, gen.m, budget)
 
@@ -230,35 +228,25 @@ def strength_from_wlp(pattern: tuple[int, ...]) -> int:
     return len(pattern)
 
 
-def regular_row_basis(field: gflib.GF, matrix: np.ndarray) -> np.ndarray | None:
-    """Row-space basis if the rows form a linear space (with equal
-    multiplicity), else None."""
-    basis = gflib.row_space_basis(field, matrix)
-    r = basis.shape[0]
-    runs = matrix.shape[0]
-    lam, rem = divmod(runs, field.s**r)
-    if rem or lam == 0:
-        return None
-    rows, counts = np.unique(matrix, axis=0, return_counts=True)
-    if rows.shape[0] != field.s**r or not np.all(counts == lam):
-        return None
-    return basis
-
-
-def wlp_of_columns(design: Design, columns, budget: int = DEFAULT_WLP_BUDGET,
-                   field: gflib.GF | None = None) -> tuple[int, ...] | None:
+def wlp_of_columns(design: Design, columns,
+                   budget: int = DEFAULT_WLP_BUDGET) -> tuple[int, ...] | None:
     """Wordlength pattern recovered from the design matrix itself.
 
-    Returns None when the projected rows do not form a linear space, i.e.
-    the projection is not regular and has no wordlength pattern.
+    Returns None when the projected rows do not form a linear space (every
+    vector of their row space, each with the same multiplicity), i.e. the
+    projection is not regular and has no wordlength pattern.
     """
-    field = field or gflib.level_field(design.s)
+    field = gflib.level_field(design.s)
     sub = design.matrix[:, list(columns)]
-    basis = regular_row_basis(field, sub)
-    if basis is None:
+    basis = gflib.row_space_basis(field, sub)
+    size = design.s ** basis.shape[0]
+    lam, rem = divmod(design.runs, size)
+    if rem or lam == 0:
         return None
-    null_basis = gflib.null_space(field, basis)
-    return _wlp_from_null_basis(field, null_basis, sub.shape[1], budget)
+    rows, counts = np.unique(sub, axis=0, return_counts=True)
+    if rows.shape[0] != size or not np.all(counts == lam):
+        return None
+    return _wlp_from_null_basis(field, gflib.null_space(field, basis), sub.shape[1], budget)
 
 
 def p_of_d(design: Design, columns=None) -> Fraction:
@@ -340,8 +328,7 @@ def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix[np.lexsort(matrix.T[::-1])]
 
 
-def verify_claims(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET,
-                  field: gflib.GF | None = None) -> VerifyReport:
+def verify_claims(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET) -> VerifyReport:
     """Re-verify every claim a design file carries, from the matrix alone.
 
     Checks, in order: generator consistency (when a generator is stored,
@@ -351,12 +338,11 @@ def verify_claims(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET,
     form a linear space) and the stored p value.  Any mismatch makes the
     report fail; recomputation stops early only within a failed check.
     """
-    field = field or gflib.level_field(gd.design.s)
     checks: list[ClaimCheck] = []
 
     if gd.generator is not None:
         try:
-            regen = expand_generator(gd.generator, field)
+            regen = expand_generator(gd.generator)
             same = regen.runs == gd.design.runs and np.array_equal(
                 _sorted_rows(regen.matrix), _sorted_rows(gd.design.matrix)
             )
@@ -380,7 +366,7 @@ def verify_claims(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET,
             checks.append(ClaimCheck(name, f"strength {t}", res.ok, detail))
         if grp.wlp is not None:
             try:
-                recomputed = wlp_of_columns(gd.design, grp.columns, budget, field)
+                recomputed = wlp_of_columns(gd.design, grp.columns, budget)
             except BudgetExceededError:
                 recomputed = "over budget"
             ok = recomputed == tuple(grp.wlp)

@@ -33,6 +33,7 @@ from .errors import (
 )
 
 DESK_ORDER_LIMIT = 10**6
+LEVEL_ORDER_LIMIT = 97  # largest level count s; level_field fills s x s tables in Python
 
 
 def is_prime(n: int) -> bool:
@@ -134,8 +135,8 @@ class GF:
     def prime(cls, s: int) -> "GF":
         if not is_prime(s):
             raise NonPrimeError(f"{s} is not prime")
-        if s > 97:
-            raise ValueError(f"prime modulus {s} above desk-scale bound 97")
+        if s > LEVEL_ORDER_LIMIT:
+            raise ValueError(f"prime modulus {s} above desk-scale bound {LEVEL_ORDER_LIMIT}")
         idx = np.arange(s)
         return cls(s, (idx[:, None] + idx[None, :]) % s, (idx[:, None] * idx[None, :]) % s)
 
@@ -323,6 +324,8 @@ def level_field(s: int) -> GF:
     GF(p^j) is built on the lexicographically first primitive polynomial
     and relabelled as described in the module docstring.
     """
+    if s > LEVEL_ORDER_LIMIT:
+        raise ValueError(f"level count {s} above desk-scale bound {LEVEL_ORDER_LIMIT}")
     p, j = factor_prime_power(s)
     if j == 1:
         return GF.prime(s)

@@ -28,7 +28,7 @@ from .designs import (
     strength_from_wlp,
     wlp,
 )
-from .errors import FormatMismatchError, NoGroupingError, RankDeficientError
+from .errors import FormatMismatchError, GoaError, NoGroupingError, RankDeficientError
 from .constructions import rank_primitive_polys
 
 # Two generator matrices for the minimum-aberration OA(16, 5, 2, 4); they
@@ -90,8 +90,9 @@ def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
     s, k = gen.s, gen.k
     if not gflib.is_prime(s):
         raise gflib.NonPrimeError(f"grouping search needs a prime level count, got {s}")
-    field = gflib.level_field(s)
-    if gflib.mat_rank(field, gen.matrix) != k:
+    if cfg.restarts < 1:
+        raise GoaError(f"restarts must be at least 1, got {cfg.restarts}")
+    if gflib.mat_rank(gflib.level_field(s), gen.matrix) != k:
         raise RankDeficientError("seed generator must have full row rank")
     if not gen.matrix.any(axis=0).all():
         raise FormatMismatchError("seed generator has a zero column, which is no PG point")
@@ -103,17 +104,16 @@ def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
     exps = [e for grp in groups for e in grp]
     out_gen = generator_from_exponents(ext, exps)
     design = expand_generator(
-        out_gen, field,
+        out_gen,
         origin=f"alg42(s={s},k={k},m={gen.m},h={ext.h},restarts={cfg.restarts},seed={cfg.seed})",
     )
     m = gen.m
-    seed_pattern = wlp(gen, cfg.wlp_budget, field)
+    seed_pattern = wlp(gen, cfg.wlp_budget)
     claimed = strength_from_wlp(seed_pattern)
     out_groups = []
     for i in range(g_count):
         grp = Group(list(range(i * m, (i + 1) * m)), claimed_strength=claimed)
-        grp.wlp = wlp(GeneratorMatrix(s, out_gen.matrix[:, grp.columns]),
-                      cfg.wlp_budget, field)
+        grp.wlp = wlp(GeneratorMatrix(s, out_gen.matrix[:, grp.columns]), cfg.wlp_budget)
         out_groups.append(grp)
     return annotate(GroupedDesign(design, out_groups, claimed_t0=2, generator=out_gen))
 
@@ -164,7 +164,6 @@ def _best_restart(gen: GeneratorMatrix, cfg: SearchConfig,
             base = exps[r].tolist()
             groups = [tuple((e + j) % v for e in base) for j in np.flatnonzero(kept[r]).tolist()]
             best = (int(g[r]), int(which[r]), groups)
-    assert best is not None
     return best
 
 

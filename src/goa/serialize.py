@@ -7,14 +7,16 @@ run per line as comma-separated levels with no header.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from . import gf as gflib
 from .designs import Design, GeneratorMatrix, Group, GroupedDesign
-from .errors import FileFormatError
+from .errors import FileFormatError, NotPrimePowerError
 
 
 def fraction_to_str(p: Fraction) -> str:
@@ -56,31 +58,61 @@ def grouped_to_dict(gd: GroupedDesign) -> dict:
 
 def grouped_from_dict(doc: dict) -> GroupedDesign:
     try:
-        design = Design(doc["s"], np.array(doc["matrix"], dtype=np.int64), doc["origin"])
-        if design.runs != doc["runs"] or design.cols != doc["cols"]:
+        s = _level_count(doc["s"])
+        design = Design(s, _int_matrix(doc["matrix"], "matrix"), doc["origin"])
+        if design.runs != _int(doc["runs"], "runs") or design.cols != _int(doc["cols"], "cols"):
             raise FileFormatError("matrix shape disagrees with runs/cols header")
         groups = []
-        for g in doc["groups"]:
+        for i, g in enumerate(doc["groups"]):
+            where = f"groups[{i}]"
             groups.append(
                 Group(
-                    columns=[int(c) for c in g["columns"]],
-                    claimed_strength=int(g["claimed_strength"]),
-                    verified_strength=(
-                        int(g["verified_strength"]) if g["verified_strength"] is not None else None
-                    ),
-                    wlp=tuple(g["wlp"]) if g["wlp"] is not None else None,
+                    columns=[_int(c, f"{where}.columns") for c in g["columns"]],
+                    claimed_strength=_int(g["claimed_strength"], f"{where}.claimed_strength"),
+                    verified_strength=_opt_int(g["verified_strength"],
+                                               f"{where}.verified_strength"),
+                    wlp=(tuple(_int(a, f"{where}.wlp") for a in g["wlp"])
+                         if g["wlp"] is not None else None),
                     p=fraction_from_str(g["p"]) if g["p"] is not None else None,
                 )
             )
-        claimed_t0 = int(doc["claimed_t0"])
-        verified_t0 = int(doc["verified_t0"]) if doc["verified_t0"] is not None else None
+        claimed_t0 = _int(doc["claimed_t0"], "claimed_t0")
+        verified_t0 = _opt_int(doc["verified_t0"], "verified_t0")
         _check_claims(design.cols, claimed_t0, verified_t0, groups)
         gen = None
         if doc.get("generator") is not None:
-            gen = GeneratorMatrix(doc["s"], np.array(doc["generator"], dtype=np.int64))
+            gen = GeneratorMatrix(s, _int_matrix(doc["generator"], "generator"))
         return GroupedDesign(design, groups, claimed_t0, verified_t0, gen)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad design document: {exc}") from exc
+
+
+def _int(value, name: str) -> int:
+    """An integer field; JSON booleans, floats and strings are rejected."""
+    if type(value) is not int:
+        raise FileFormatError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
+def _opt_int(value, name: str) -> int | None:
+    return None if value is None else _int(value, name)
+
+
+def _int_matrix(rows, name: str) -> np.ndarray:
+    """A list of integer rows; one boolean, float or string cell rejects it."""
+    if set(map(type, itertools.chain.from_iterable(rows))) - {int}:
+        raise FileFormatError(f"{name}: every cell must be an integer")
+    return np.array(rows, dtype=np.int64)
+
+
+def _level_count(value) -> int:
+    """The level count s: one whose field gflib.level_field builds."""
+    s = _int(value, "s")
+    try:
+        gflib.level_field(s)
+    except (ValueError, NotPrimePowerError) as exc:
+        raise FileFormatError(f"s: {exc}") from exc
+    return s
 
 
 def _check_claims(cols: int, claimed_t0: int, verified_t0: int | None,

@@ -11,9 +11,9 @@ import goa
 from goa import serialize as io
 from goa.cli import main
 
-# Malformed claim fields of the thm1 s=3 file (groups [0-3], [4-6], [7-9],
-# strengths 3, t0 2): the path to the field, its new value, and the name the
-# error message must give.
+# Malformed fields of the thm1 s=3 file (groups [0-3], [4-6], [7-9],
+# strengths 3, t0 2, first row all zero): the path to the field, its new
+# value, and the name the error message must give.
 CLAIM_MUTATIONS = [
     (("groups", 0, "columns", 0), 999, "groups[0].columns"),
     (("groups", 0, "columns", 0), -1, "groups[0].columns"),
@@ -22,7 +22,34 @@ CLAIM_MUTATIONS = [
     (("groups", 2, "verified_strength"), 99, "groups[2].verified_strength"),
     (("claimed_t0",), 99, "claimed_t0"),
     (("verified_t0",), 99, "verified_t0"),
+    (("matrix", 0, 1), 0.5, "matrix"),
+    (("s",), 2.9, "s"),
+    (("s",), 101, "s"),
+    (("claimed_t0",), True, "claimed_t0"),
+    (("groups", 0, "claimed_strength"), "3", "groups[0].claimed_strength"),
 ]
+
+# Flags that the subcommand does not read; each must be refused.
+UNREAD_FLAGS = [
+    ["construct", "thm1", "--s", "3", "--h", "1,1"],
+    ["construct", "thm1", "--s", "3", "--rng-seed", "1"],
+    ["construct", "ebert", "--s", "2", "--rng-seed", "1"],
+    ["construct", "consecutive", "--s", "2", "--k", "4", "--m", "5", "--rng-seed", "1"],
+    ["construct", "prop1", "--s", "3", "--ds-shape", "3,3", "--blocks", "1",
+     "--base", "t.json", "--base-group", "0", "--h", "1,1"],
+    ["construct", "thm2", "--s", "3", "--ds-shape", "3,3", "--base", "t.json",
+     "--h", "1,1"],
+]
+
+
+def run_goa(*argv):
+    """`python -m goa argv` in a subprocess, so exit codes and tracebacks
+    are those a user sees."""
+    src = str(Path(goa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "goa", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture()
@@ -50,6 +77,18 @@ class TestConstruct:
                      "--h", "1,1,1,1,2,1", "--m", "6", "--out", "c.json"]) == 0
         gd = io.load_json(workdir / "c.json")
         assert len(gd.groups) == 20
+
+    def test_prime_power_thm1_verifies(self, workdir):
+        assert main(["construct", "thm1", "--s", "8", "--out", "t.json"]) == 0
+        assert main(["verify", "t.json"]) == 0
+
+    @pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=lambda a: f"{a[1]} {a[-2]}")
+    def test_unread_flag_exits_2_without_writing(self, workdir, argv):
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        proc = run_goa(*argv, "--out", "new.json")
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
+        assert not (workdir / "new.json").exists()
 
     def test_csv_output(self, workdir):
         assert main(["construct", "thm1", "--s", "2", "--out", "t.json",
@@ -105,7 +144,7 @@ class TestVerify:
         assert main(["verify", "junk.json"]) == 2
 
     @pytest.mark.parametrize("path,value,field", CLAIM_MUTATIONS,
-                             ids=[f"{m[2]}={m[1]}" for m in CLAIM_MUTATIONS])
+                             ids=[f"{m[2]}={m[1]!r}" for m in CLAIM_MUTATIONS])
     def test_malformed_claims_exit_2(self, workdir, path, value, field):
         main(["construct", "thm1", "--s", "3", "--out", "t.json"])
         doc = json.loads((workdir / "t.json").read_text())
@@ -114,11 +153,7 @@ class TestVerify:
             target = target[key]
         target[path[-1]] = value
         (workdir / "bad.json").write_text(json.dumps(doc))
-        src = str(Path(goa.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "goa", "verify", "bad.json"],
-                              capture_output=True, text=True, env=env)
+        proc = run_goa("verify", "bad.json")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stdout + proc.stderr
         assert field in proc.stderr
@@ -212,6 +247,27 @@ class TestCliEdgeCases:
                      "--out", "p.json"]) == 0
         gd = io.load_json(workdir / "p.json")
         assert gd.design.runs == 243 and gd.group_sizes == (10, 10, 10)
+
+    def test_search_rejects_zero_restarts(self, workdir):
+        proc = run_goa("search", "alg42", "--builtin", "oa16-5-ma", "--restarts", "0",
+                       "--out", "a.json")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "restarts" in proc.stderr
+        assert not (workdir / "a.json").exists()
+
+    def test_foreign_error_exits_2_on_one_line(self, workdir):
+        # coefficients outside GF(3) raise a ValueError, not a GoaError
+        proc = run_goa("construct", "ebert", "--s", "3", "--h", "9,9", "--out", "e.json")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not (workdir / "e.json").exists()
+
+    def test_foreign_error_raises_in_process(self, workdir):
+        # only the console entry point turns a crash into exit 2
+        with pytest.raises(ValueError):
+            main(["construct", "ebert", "--s", "3", "--h", "9,9", "--out", "e.json"])
 
     def test_search_needs_a_seed(self, workdir):
         assert main(["search", "alg42", "--restarts", "10"]) == 2

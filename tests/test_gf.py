@@ -1,10 +1,11 @@
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from goa import gf
+from goa import constructions, designs, gf, search
 from goa.errors import FormatMismatchError, NonPrimeError, NotPrimitiveError
 
 
@@ -156,6 +157,20 @@ class TestLevelField:
     def test_non_prime_power_rejected(self):
         with pytest.raises(Exception):
             gf.level_field(6)
+
+    def test_prime_power_above_bound_rejected(self):
+        # 128 = 2^7 would fill two 128 x 128 tables cell by cell
+        with pytest.raises(ValueError):
+            gf.level_field(128)
+
+    @pytest.mark.parametrize("module", [designs, constructions, search])
+    def test_no_caller_picks_the_labelling(self, module):
+        # a design file stores labels, so level_field(s) alone may fix them
+        for name, fn in vars(module).items():
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not name.startswith("_")):
+                params = inspect.signature(fn).parameters
+                assert not {"field", "level_ext"} & set(params), name
 
 
 class TestLinearAlgebra:
