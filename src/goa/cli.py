@@ -404,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = exp_sub.add_parser(what)
         p.add_argument("--design", required=True)
         p.add_argument("--s", type=int)
-        p.add_argument("--rng-seed", type=int, default=0)
+        if what == "lhd":
+            p.add_argument("--rng-seed", type=int, default=0)
         _add_out_flags(p)
         p.set_defaults(func=cmd_expand)
 

@@ -25,7 +25,9 @@ from .errors import (
 )
 
 DEFAULT_WLP_BUDGET = 20_000
-_CHUNK_CELLS = 1 << 14  # int64 cells per projection-counting chunk
+# int64 cells per projection-counting chunk; for t = 2, uint64 words of
+# the AND block
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass
@@ -143,10 +145,47 @@ def expand_generator(gen: GeneratorMatrix, origin: str | None = None) -> Design:
     return Design(gen.s, rows, origin or "expanded")
 
 
+def _level_bitsets(matrix: np.ndarray, s: int) -> np.ndarray:
+    """n x s x W uint64 words; bit r of [c, a] is set iff matrix[r, c] == a.
+    The rows are zero-padded to whole words."""
+    packed = np.packbits(matrix[:, :, None] == np.arange(s), axis=0)
+    words = np.zeros((matrix.shape[1], s, -(-packed.shape[0] // 8) * 8), dtype=np.uint8)
+    words[:, :, :packed.shape[0]] = packed.transpose(1, 2, 0)
+    return words.view(np.uint64)
+
+
 def _projection_tables(matrix: np.ndarray, s: int, t: int, cols):
     """Yield (tuples, tables) chunks of t-column projection counts in
-    itertools.combinations order; row i of a chunk is coded with an offset
-    of i * s^t, so one bincount counts the chunk."""
+    itertools.combinations order of cols, cell a_1 s^(t-1) + ... + a_t.
+
+    For t = 2 each (column, level) is a bitset of the rows, and the count
+    of levels (a, b) in columns (i, j) is the popcount of
+    bits[i, a] & bits[j, b].  A chunk is a block of first columns
+    i0..i0+width-1 against the columns after i0, read in row-major order
+    over the j > i triangle; when one first column against them all
+    exceeds the cap, the later columns are split into spans.  For any
+    other t, row i of a chunk is coded with an offset of i * s^t, so one
+    bincount counts the chunk.
+    """
+    if t == 2:
+        idx = np.fromiter(cols, dtype=np.intp)
+        bits = _level_bitsets(matrix, s)[idx]
+        n, pair = len(idx), s * s * bits.shape[2]
+        i0 = 0
+        while i0 < n - 1:
+            rest = n - 1 - i0
+            width = min(rest, max(1, _CHUNK_CELLS // (rest * pair)))
+            span = max(1, _CHUNK_CELLS // (width * pair))
+            left = bits[i0:i0 + width, None, :, None, :]
+            for j0 in range(i0 + 1, n, span):
+                both = left & bits[None, j0:j0 + span, None, :, :]
+                counts = np.bitwise_count(both).sum(-1, dtype=np.int64)
+                first, second = np.nonzero(np.triu(np.ones(counts.shape[:2], dtype=bool),
+                                                   i0 + 1 - j0))
+                yield (np.stack([idx[i0 + first], idx[j0 + second]], axis=1),
+                       counts[first, second].reshape(-1, s * s))
+            i0 += width
+        return
     cells = s**t
     size = max(1, _CHUNK_CELLS // max(matrix.shape[0], cells))
     combos = itertools.combinations(cols, t)
@@ -328,6 +367,16 @@ def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix[np.lexsort(matrix.T[::-1])]
 
 
+def _strength_claim(subject: str, design: Design, t: int) -> ClaimCheck:
+    """A strength-t claim fails uncounted when s^t does not divide N, so a
+    large claimed t never sizes s^t-cell tables."""
+    if design.runs % design.s**t:
+        return ClaimCheck(subject, f"strength {t}", False, "s^t does not divide N")
+    res = check_strength(design, t)
+    detail = "" if res.ok else f"witness columns {res.witness}"
+    return ClaimCheck(subject, f"strength {t}", res.ok, detail)
+
+
 def verify_claims(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET) -> VerifyReport:
     """Re-verify every claim a design file carries, from the matrix alone.
 
@@ -352,18 +401,13 @@ def verify_claims(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET) -> Verify
 
     t0 = max(gd.claimed_t0, gd.verified_t0 or 0)
     if t0 >= 1:
-        res = check_strength(gd.design, t0)
-        detail = "" if res.ok else f"witness columns {res.witness}"
-        checks.append(ClaimCheck("array", f"strength {t0}", res.ok, detail))
+        checks.append(_strength_claim("array", gd.design, t0))
 
     for idx, grp in enumerate(gd.groups):
         name = f"group {idx + 1} ({grp.size} cols)"
         t = max(grp.claimed_strength, grp.verified_strength or 0)
         if t >= 1:
-            sub = subset_design(gd.design, grp.columns)
-            res = check_strength(sub, t)
-            detail = "" if res.ok else f"witness columns {res.witness}"
-            checks.append(ClaimCheck(name, f"strength {t}", res.ok, detail))
+            checks.append(_strength_claim(name, subset_design(gd.design, grp.columns), t))
         if grp.wlp is not None:
             try:
                 recomputed = wlp_of_columns(gd.design, grp.columns, budget)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import goa
+from goa import designs as dz
+from goa import gf
 from goa import serialize as io
 from goa.cli import main
 
@@ -135,6 +137,16 @@ class TestVerify:
         (workdir / "bad.json").write_text(json.dumps(doc))
         assert main(["verify", "bad.json"]) == 2
 
+    def test_undividable_claim_exits_2(self, workdir):
+        # a claimed t0 of 50 on 64 runs of two levels: 2^50 cells would not fit
+        points = gf.span(gf.level_field(2), np.eye(6, dtype=np.int64))[1:]
+        design = dz.expand_generator(dz.GeneratorMatrix(2, points.T))
+        io.save_json(dz.GroupedDesign(design, [], claimed_t0=50), workdir / "big.json")
+        proc = run_goa("verify", "big.json")
+        assert proc.returncode == 2
+        assert "array: strength 50: FAIL (s^t does not divide N)" in proc.stdout
+        assert "Traceback" not in proc.stdout + proc.stderr
+
     def test_csv_verify(self, workdir, capsys):
         main(["construct", "thm1", "--s", "3", "--out", "t.json", "--format", "both"])
         assert main(["verify", "t.csv", "--s", "3"]) == 0
@@ -193,6 +205,16 @@ class TestExpandEval:
         assert main(["expand", "rotate", "--design", "g.json", "--out", "r.json"]) == 0
         doc = json.loads((workdir / "r.json").read_text())
         assert doc["cols"] == 24
+
+    def test_rotate_refuses_rng_seed(self, workdir):
+        # rotation draws nothing at random; only lhd reads --rng-seed
+        main(["construct", "consecutive", "--s", "2", "--k", "5", "--m", "8",
+              "--out", "g.json"])
+        proc = run_goa("expand", "rotate", "--design", "g.json", "--rng-seed", "5",
+                       "--out", "r.json")
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
+        assert not (workdir / "r.json").exists()
 
     def test_eval_bias_csv(self, workdir, capsys):
         main(["construct", "thm1", "--s", "3", "--out", "t.json"])

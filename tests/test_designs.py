@@ -223,6 +223,21 @@ class TestVerifyClaims:
                               claimed_t0=2)
         assert not dz.verify_claims(gd).ok
 
+    def test_undividable_claims_fail_uncounted(self, monkeypatch):
+        # 64 x 63, every nonzero vector of GF(2)^6: 2^50 and 2^7 do not
+        # divide 64, so neither claim may size a table or count a tuple
+        points = gf.span(gf.level_field(2), np.eye(6, dtype=np.int64))[1:]
+        design = dz.expand_generator(dz.GeneratorMatrix(2, points.T))
+        gd = dz.GroupedDesign(design, [dz.Group(list(range(10)), claimed_strength=7)],
+                              claimed_t0=50)
+        monkeypatch.setattr(dz, "check_strength", None)
+        report = dz.verify_claims(gd)
+        assert not report.ok
+        assert [(c.claim, c.ok, c.detail) for c in report.checks] == [
+            ("strength 50", False, "s^t does not divide N"),
+            ("strength 7", False, "s^t does not divide N"),
+        ]
+
 
 class TestReplicatedProjections:
     def test_wlp_recovered_with_multiplicity(self):

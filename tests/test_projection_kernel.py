@@ -9,6 +9,7 @@ per chunk so that chunk boundaries fall everywhere.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,31 @@ class TestCheckStrength:
                 res = dz.check_strength(d, 1)
             assert res.witness == (190,)
             assert_same_check(res, oracle_check_strength(d, 1))
+
+
+class TestPairBitsetWords:
+    """t = 2 counts popcounts of 64-row words; run counts on both sides of
+    the byte and word boundaries, each at several chunk caps."""
+
+    @pytest.mark.parametrize("s", [2, 3, 5, 7])
+    @pytest.mark.parametrize("runs", [1, 7, 8, 9, 63, 64, 65, 129])
+    def test_matches_oracle(self, runs, s):
+        # the s + 1 columns of OA(s^2, s + 1, s, 2), tiled and cut to the
+        # run count (balanced when s^2 divides it), then with the last cell
+        # of the last column corrupted
+        field = gf.level_field(s)
+        points = np.vstack([[[0, 1]], np.column_stack([np.ones(s, dtype=np.int64),
+                                                       np.arange(s)])])
+        base = gf.span(field, points.T)
+        rows = np.tile(base, (-(-runs // len(base)), 1))[:runs]
+        corrupt = rows.copy()
+        corrupt[-1, -1] = (corrupt[-1, -1] + 1) % s
+        for matrix in (rows, corrupt):
+            d = dz.Design(s, matrix)
+            want = oracle_check_strength(d, 2)
+            for cells in (1, 16, dz._CHUNK_CELLS):
+                with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+                    assert_same_check(dz.check_strength(d, 2), want)
 
 
 class TestMaxStrength:
