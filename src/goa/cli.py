@@ -134,10 +134,12 @@ def cmd_verify(args) -> int:
             extras = []
             if grp.wlp is not None:
                 extras.append(f"wlp {tuple(grp.wlp)}")
-            if grp.size >= 3 and grp.p is None:
-                extras.append(f"p {p_of_d(gd.design, grp.columns)}")
-            elif grp.p is not None:
+            if grp.p is not None:
                 extras.append(f"p {grp.p}")
+            elif max(grp.claimed_strength, grp.verified_strength or 0) >= 3:
+                extras.append("p 1")  # verify_claims just proved strength >= 3
+            elif grp.size >= 3:
+                extras.append(f"p {p_of_d(gd.design, grp.columns)}")
             print(
                 f"group {idx + 1}: {grp.size} cols, verified strength "
                 f"{grp.verified_strength}" + (", " + ", ".join(extras) if extras else "")
@@ -378,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--budget", type=int, default=DEFAULT_WLP_BUDGET)
     ver.set_defaults(func=cmd_verify)
 
-    sea = sub.add_parser("search", help="randomized grouping search / survey")
+    sea = sub.add_parser("search", help="randomized grouping search")
     sea_sub = sea.add_subparsers(dest="what", required=True)
     alg = sea_sub.add_parser("alg42")
     alg.add_argument("--seed-design", help="JSON design file providing the seed generator")
@@ -390,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     alg.add_argument("--budget", type=int, default=DEFAULT_WLP_BUDGET)
     _add_out_flags(alg)
     alg.set_defaults(func=cmd_search)
-    for host in (sea_sub.add_parser("survey"), sub.add_parser("survey")):
-        host.add_argument("--s", type=int, required=True)
-        host.add_argument("--k", type=int, required=True)
-        host.add_argument("--mmax", type=int)
-        host.add_argument("--budget", type=int, default=DEFAULT_WLP_BUDGET)
-        host.add_argument("--out")
-        host.set_defaults(func=cmd_survey)
+    sur = sub.add_parser("survey", help="consecutive-powers survey")
+    sur.add_argument("--s", type=int, required=True)
+    sur.add_argument("--k", type=int, required=True)
+    sur.add_argument("--mmax", type=int)
+    sur.add_argument("--budget", type=int, default=DEFAULT_WLP_BUDGET)
+    sur.add_argument("--out")
+    sur.set_defaults(func=cmd_survey)
 
     exp = sub.add_parser("expand", help="Latin hypercube / rotation expansion")
     exp_sub = exp.add_subparsers(dest="what", required=True)

@@ -458,7 +458,7 @@ class FStats:
 
 
 def f_statistics(h: gflib.Poly) -> FStats:
-    field = gflib.prime_field(h.s)
+    field = gflib.level_field(h.s)
     padded = (0,) + tuple(h.coeffs) + (0,)
     f = [0] * h.s
     f_s = 0
@@ -549,7 +549,7 @@ def ma_regular_oa(s: int, k: int, m: int, subset_budget: int = 500_000,
         raise BudgetExceededError(f"{total} subsets exceed budget {subset_budget}")
     best = None
     for subset in itertools.combinations(range(v), m):
-        gen = GeneratorMatrix(s, np.array([points[i] for i in subset], dtype=np.int64).T)
+        gen = GeneratorMatrix(s, points[list(subset)].T)
         pattern = wlp(gen, wlp_budget)
         key = tuple(pattern)
         if best is None or key < best[0]:

@@ -302,10 +302,9 @@ def p_of_d(design: Design, columns=None) -> Fraction:
     return Fraction(hits, math.comb(len(cols), 3))
 
 
-def pg_points(ext: gflib.ExtField) -> list[tuple[int, ...]]:
-    """The (s^k-1)/(s-1) points of PG(k-1, s) as beta^0, beta^1, ..."""
-    v = (ext.order - 1) // (ext.s - 1)
-    return [ext.antilog[i] for i in range(v)]
+def pg_points(ext: gflib.ExtField) -> np.ndarray:
+    """The (s^k-1)/(s-1) points of PG(k-1, s) as the rows beta^0, beta^1, ..."""
+    return ext.antilog[:(ext.order - 1) // (ext.s - 1)]
 
 
 def shift_exponents(ext: gflib.ExtField, exps, j: int) -> tuple[int, ...]:
@@ -315,8 +314,7 @@ def shift_exponents(ext: gflib.ExtField, exps, j: int) -> tuple[int, ...]:
 
 
 def generator_from_exponents(ext: gflib.ExtField, exps) -> GeneratorMatrix:
-    cols = [ext.antilog[e % (ext.order - 1)] for e in exps]
-    return GeneratorMatrix(ext.s, np.array(cols, dtype=np.int64).T)
+    return GeneratorMatrix(ext.s, ext.antilog[np.asarray(exps, dtype=np.int64) % ext.period].T)
 
 
 def annotate(gd: GroupedDesign) -> GroupedDesign:

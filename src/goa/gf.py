@@ -3,18 +3,22 @@
 Elements of GF(s) are the integer labels 0..s-1.  A nonzero element of an
 extension GF(s^k) is carried either in power format (the exponent i of
 beta^i for a primitive element beta) or in vector format, the length-k
-tuple (a_0, ..., a_{k-1}) with
+row (a_0, ..., a_{k-1}) with
 
     beta^i = a_0 + a_1*beta + ... + a_{k-1}*beta^{k-1},
 
 so a_0 is the constant coefficient.  Conversion between the formats goes
-through log/antilog tables built once per field by repeated multiplication
-by beta with reduction modulo the primitive polynomial.
+through the log/antilog arrays built once per field by repeated
+multiplication by beta with reduction modulo the primitive polynomial;
+log is indexed by the integer code a_0 + a_1 s + ... of a vector.
 
 Prime-power level sets (s = p^j with j > 1) are handled by relabelling the
-elements of GF(p^j) as 0..s-1 with 0 -> 0 and i -> beta^(i-1) for i >= 1;
-`level_field` returns total add/mul tables on those labels so that callers
-can stay label-based regardless of whether s is prime.
+elements of GF(p^j) as 0..s-1 with 0 -> 0 and i -> beta^(i-1) for i >= 1.
+`level_field` maps each label to its GF(p) coordinates, derives total
+add/mul tables on the labels so that callers can stay label-based
+regardless of whether s is prime, and multiplies matrices of labels as
+one integer matmul mod p through the regular representation, in which
+each element of GF(p^j) acts as a j x j matrix over GF(p).
 """
 
 from __future__ import annotations
@@ -25,15 +29,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    FormatMismatchError,
-    NonPrimeError,
-    NotPrimePowerError,
-    NotPrimitiveError,
-)
+from .errors import NonPrimeError, NotPrimePowerError, NotPrimitiveError
 
 DESK_ORDER_LIMIT = 10**6
-LEVEL_ORDER_LIMIT = 97  # largest level count s; level_field fills s x s tables in Python
+LEVEL_ORDER_LIMIT = 97  # largest level count s; level_field builds s x s tables
 
 
 def is_prime(n: int) -> bool:
@@ -109,52 +108,39 @@ class Poly:
         return self.format()
 
 
-class GF:
-    """Total arithmetic tables on the level labels {0, ..., s-1}.
+def code(p: int, vectors: np.ndarray) -> np.ndarray:
+    """The integer a_0 + a_1 p + a_2 p^2 + ... of each GF(p) vector
+    (a_0, a_1, ...) along the last axis; ExtField.log and GF.lab are
+    indexed by it."""
+    return vectors @ p ** np.arange(vectors.shape[-1])
 
-    Methods accept plain ints or numpy arrays of labels; table lookups
-    broadcast like any numpy indexing.
+
+class GF:
+    """Arithmetic on the level labels {0, ..., s-1} of GF(s), s = p^j.
+
+    vec[a] holds the GF(p) coordinates of label a and lab[code(p, x)] is
+    the label of the vector x.  mat[a] is the j x j matrix over GF(p) of
+    multiplication by a, so vec[a*b] = mat[a] @ vec[b] mod p.  The add, neg
+    and inv tables are derived from vec and mul_t.  Methods accept plain
+    ints or numpy arrays of labels; table lookups broadcast like any numpy
+    indexing.
     """
 
-    def __init__(self, s: int, add_table: np.ndarray, mul_table: np.ndarray):
-        self.s = s
-        self.add_t = add_table
+    def __init__(self, p: int, vec: np.ndarray, mul_table: np.ndarray):
+        s, j = vec.shape
+        self.s, self.p = s, p
+        self.vec = vec
+        self.lab = np.empty(s, dtype=np.int64)
+        self.lab[code(p, vec)] = np.arange(s)
+        self.add_t = self.lab[code(p, (vec[:, None] + vec[None, :]) % p)]
+        self.neg_t = self.lab[code(p, -vec % p)]
         self.mul_t = mul_table
-        self.neg_t = np.empty(s, dtype=np.int64)
-        for a in range(s):
-            (b,) = np.where(add_table[a] == 0)[0][:1]
-            self.neg_t[a] = b
-        self.inv_t = np.zeros(s, dtype=np.int64)
-        for a in range(1, s):
-            hits = np.where(mul_table[a] == 1)[0]
-            if hits.size != 1:
-                raise NonPrimeError(f"{s} levels do not form a field")
-            self.inv_t[a] = hits[0]
-
-    @classmethod
-    def prime(cls, s: int) -> "GF":
-        if not is_prime(s):
-            raise NonPrimeError(f"{s} is not prime")
-        if s > LEVEL_ORDER_LIMIT:
-            raise ValueError(f"prime modulus {s} above desk-scale bound {LEVEL_ORDER_LIMIT}")
-        idx = np.arange(s)
-        return cls(s, (idx[:, None] + idx[None, :]) % s, (idx[:, None] * idx[None, :]) % s)
-
-    @classmethod
-    def from_ext(cls, ext: "ExtField") -> "GF":
-        """Relabel GF(p^j) as 0..p^j-1 with 0 -> 0 and i -> beta^(i-1)."""
-        s = ext.order
-        vecs = [(0,) * ext.k] + [ext.antilog[i] for i in range(s - 1)]
-        label = {v: i for i, v in enumerate(vecs)}
-        add = np.zeros((s, s), dtype=np.int64)
-        mul = np.zeros((s, s), dtype=np.int64)
-        for a in range(s):
-            for b in range(s):
-                va, vb = vecs[a], vecs[b]
-                add[a, b] = label[tuple((x + y) % ext.s for x, y in zip(va, vb))]
-                if a and b:
-                    mul[a, b] = ((a - 1) + (b - 1)) % (s - 1) + 1
-        return cls(s, add, mul)
+        # column c of mat[a] is vec[a * beta^c]; beta^c has label c + 1
+        self.mat = vec[mul_table[:, 1:j + 1]].transpose(0, 2, 1)
+        hits = mul_table[1:] == 1
+        if (hits.sum(axis=1) != 1).any():
+            raise NonPrimeError(f"{s} levels do not form a field")
+        self.inv_t = np.concatenate(([0], hits.argmax(axis=1)))
 
     def add(self, a, b):
         return self.add_t[a, b]
@@ -173,29 +159,17 @@ class GF:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv_t[a])
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = int(self.mul_t[r, base])
-            base = int(self.mul_t[base, base])
-            e >>= 1
-        return r
-
-
-def prime_field(s: int) -> GF:
-    """Arithmetic on {0,...,s-1} for prime s."""
-    return GF.prime(s)
-
 
 class ExtField:
     """GF(s^k) presented by a primitive polynomial h(x) over prime GF(s).
 
-    Raises NotPrimitiveError when the powers of beta = x close up before
-    all s^k - 1 nonzero vectors have been visited; the walk doubles as an
-    irreducibility test, so no factoring is needed.
+    antilog[i] is the vector of beta^i, an (s^k - 1) x k array; log is
+    indexed by code(s, vector) and holds i, or -1 at the zero vector.
+    Both are read-only, since fields are cached and shared.
+
+    Raises NotPrimitiveError unless beta = x first returns to 1 after
+    s^k - 1 steps; then its powers are s^k - 1 distinct units, so the walk
+    doubles as an irreducibility test and no factoring is needed.
     """
 
     def __init__(self, s: int, k: int, h):
@@ -213,69 +187,33 @@ class ExtField:
         self.k = k
         self.h = h
         self.order = s**k
-        self.antilog: list[tuple[int, ...]] = []
-        self.log: dict[tuple[int, ...], int] = {}
-        self._build()
+        self.antilog = self._walk()
+        self.log = np.full(self.order, -1, dtype=np.int64)
+        self.log[code(s, self.antilog)] = np.arange(self.period)
+        self.antilog.flags.writeable = self.log.flags.writeable = False
 
-    def _build(self):
+    def _walk(self) -> np.ndarray:
         s, k = self.s, self.k
         # x^k = -(b_0 + b_1 x + ... + b_{k-1} x^{k-1}) since h is monic
-        red = tuple((-c) % s for c in self.h.coeffs[:k])
-        one = (1,) + (0,) * (k - 1)
+        red = [(-c) % s for c in self.h.coeffs[:k]]
+        one = [1] + [0] * (k - 1)
         v = one
-        for i in range(self.order - 1):
-            if v in self.log:
+        powers = []
+        for i in range(self.period):
+            if i and v == one:
                 raise NotPrimitiveError(
-                    f"beta has order {i} < {self.order - 1} under h = {self.h}"
+                    f"beta has order {i} < {self.period} under h = {self.h}"
                 )
-            self.antilog.append(v)
-            self.log[v] = i
+            powers.append(v)
             carry = v[k - 1]
-            v = tuple(
-                ((v[j - 1] if j else 0) + carry * red[j]) % s for j in range(k)
-            )
+            v = [((v[j - 1] if j else 0) + carry * red[j]) % s for j in range(k)]
         if v != one:
             raise NotPrimitiveError(f"beta is not a unit under h = {self.h}")
+        return np.array(powers, dtype=np.int64)
 
     @property
     def period(self) -> int:
         return self.order - 1
-
-    def vector(self, i: int) -> tuple[int, ...]:
-        """Vector format of beta^i."""
-        return self.antilog[i % self.period]
-
-    def exponent(self, vec) -> int:
-        """Power format of a nonzero vector."""
-        key = tuple(int(x) for x in vec)
-        if key not in self.log:
-            raise FormatMismatchError(f"{key} is not a nonzero element of GF({self.s}^{self.k})")
-        return self.log[key]
-
-    def mul_pow(self, i: int, j: int) -> int:
-        return (i + j) % self.period
-
-    def mul_vec(self, a, b) -> tuple[int, ...]:
-        zero = (0,) * self.k
-        a = tuple(int(x) for x in a)
-        b = tuple(int(x) for x in b)
-        if a == zero or b == zero:
-            return zero
-        return self.antilog[self.mul_pow(self.log[a], self.log[b])]
-
-    def mul(self, a, b):
-        """Product of two elements given in the same format.
-
-        Exponents (ints) multiply by exponent addition mod s^k - 1; vectors
-        multiply through the log tables, with the zero vector absorbing.
-        """
-        a_pow = isinstance(a, (int, np.integer))
-        b_pow = isinstance(b, (int, np.integer))
-        if a_pow != b_pow:
-            raise FormatMismatchError("cannot mix power and vector formats")
-        if a_pow:
-            return self.mul_pow(int(a), int(b))
-        return self.mul_vec(a, b)
 
     def __repr__(self):
         return f"ExtField(GF({self.s}^{self.k}), h={self.h})"
@@ -320,16 +258,21 @@ def find_primitive_polys(s: int, k: int) -> tuple[Poly, ...]:
 def level_field(s: int) -> GF:
     """Canonical GF tables for any prime power s.
 
-    For prime s this is plain mod-s arithmetic; for s = p^j the field
+    For prime s the labels are the residues mod s; for s = p^j the field
     GF(p^j) is built on the lexicographically first primitive polynomial
     and relabelled as described in the module docstring.
     """
     if s > LEVEL_ORDER_LIMIT:
         raise ValueError(f"level count {s} above desk-scale bound {LEVEL_ORDER_LIMIT}")
     p, j = factor_prime_power(s)
+    idx = np.arange(s)
     if j == 1:
-        return GF.prime(s)
-    return GF.from_ext(ext_field(p, j, find_primitive_polys(p, j)[0]))
+        return GF(p, idx[:, None], idx[:, None] * idx % s)
+    vec = np.zeros((s, j), dtype=np.int64)
+    vec[1:] = ext_field(p, j, find_primitive_polys(p, j)[0]).antilog
+    mul = (idx[:, None] + idx - 2) % (s - 1) + 1  # beta^(a-1) beta^(b-1)
+    mul[0] = mul[:, 0] = 0
+    return GF(p, vec, mul)
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +312,20 @@ def mat_rank(gf: GF, m) -> int:
     return len(row_reduce(gf, m)[1])
 
 
-def is_nonsingular(gf: GF, m) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and mat_rank(gf, m) == m.shape[0]
-
-
 def mat_mul(gf: GF, a, b) -> np.ndarray:
+    """a @ b over the level field, as one integer matmul mod p.
+
+    Cell (i, l) is the label of sum_m mat[b[m, l]] @ vec[a[i, m]] mod p;
+    the mat blocks go on b, the short side in span.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i in range(a.shape[1]):
-        out = gf.add(out, gf.mul(a[:, i][:, None], b[i][None, :]))
-    return out
+    (n, r), q = a.shape, b.shape[1]
+    j = gf.vec.shape[1]
+    left = gf.vec[a].reshape(n, r * j)
+    right = gf.mat[b].transpose(0, 3, 1, 2).reshape(r * j, q * j)
+    # the product stays unnamed, so at most two n x q arrays are alive at once
+    return gf.lab[code(gf.p, (left @ right).reshape(n, q, j) % gf.p)]
 
 
 def null_space(gf: GF, m) -> np.ndarray:

@@ -129,11 +129,8 @@ def _best_restart(gen: GeneratorMatrix, cfg: SearchConfig,
     s, k = gen.s, gen.k
     field = gflib.level_field(s)
     v = (s**k - 1) // (s - 1)
-    points = np.array(pg_points(exts[0]), dtype=np.int64).T
-    weights = s ** np.arange(k)
-    logs = np.full((len(exts), s**k), -1, dtype=np.int64)  # the zero vector has no log
-    for i, ext in enumerate(exts):
-        logs[i, np.array(ext.antilog) @ weights] = np.arange(ext.period) % v
+    points = pg_points(exts[0]).T
+    logs = np.stack([ext.log for ext in exts])
     size = max(1, _CHUNK_CELLS // (k * v))
     best = None
     for start in range(0, cfg.restarts, size):
@@ -148,7 +145,7 @@ def _best_restart(gen: GeneratorMatrix, cfg: SearchConfig,
             hx = gflib.mat_mul(field, h_mats[todo].reshape(-1, k), points).reshape(-1, k, v)
             todo = todo[(hx == 0).all(axis=1).any(axis=1)]
         hg = gflib.mat_mul(field, h_mats.reshape(-1, k), gen.matrix).reshape(n, k, -1)
-        exps = logs[which[:, None], weights @ hg]
+        exps = logs[which[:, None], gflib.code(s, hg.transpose(0, 2, 1))] % v
         pairs = (exps[:, :, None] - exps[:, None, :]).reshape(n, -1) % v
         diffs = np.zeros((n, v), dtype=bool)
         diffs[np.arange(n)[:, None], pairs] = True

@@ -81,7 +81,7 @@ def grouped_from_dict(doc: dict) -> GroupedDesign:
         _check_claims(design.cols, claimed_t0, verified_t0, groups)
         gen = None
         if doc.get("generator") is not None:
-            gen = GeneratorMatrix(s, _int_matrix(doc["generator"], "generator"))
+            gen = GeneratorMatrix(s, _level_matrix(doc["generator"], "generator", s))
         return GroupedDesign(design, groups, claimed_t0, verified_t0, gen)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad design document: {exc}") from exc
@@ -103,6 +103,14 @@ def _int_matrix(rows, name: str) -> np.ndarray:
     if set(map(type, itertools.chain.from_iterable(rows))) - {int}:
         raise FileFormatError(f"{name}: every cell must be an integer")
     return np.array(rows, dtype=np.int64)
+
+
+def _level_matrix(rows, name: str, s: int) -> np.ndarray:
+    """A 2-d integer matrix whose cells are all levels 0..s-1."""
+    matrix = _int_matrix(rows, name)
+    if matrix.ndim != 2 or matrix.size and not 0 <= matrix.min() <= matrix.max() < s:
+        raise FileFormatError(f"{name}: expected rows of levels 0..{s - 1}")
+    return matrix
 
 
 def _level_count(value) -> int:

@@ -74,6 +74,19 @@ def oracle_wlp(gen: dz.GeneratorMatrix) -> tuple[int, ...]:
     return tuple(pattern)
 
 
+def oracle_mat_mul(field: gf.GF, a, b) -> np.ndarray:
+    """a @ b over the level field by table gathers, one inner index at a time.
+
+    The reference for the library's integer matmul mod p.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[1]):
+        out = field.add(out, field.mul(a[:, i][:, None], b[i][None, :]))
+    return out
+
+
 def _oracle_counts(matrix: np.ndarray, cols, s: int) -> np.ndarray:
     enc = matrix[:, cols[0]].copy()
     for c in cols[1:]:
@@ -123,7 +136,8 @@ def oracle_p_of_d(design: dz.Design, columns=None) -> Fraction:
 def oracle_best_restart(gen: dz.GeneratorMatrix, cfg, exts) -> tuple[int, int, list]:
     """(g, polynomial index, groups) of the best alg42 restart, one restart
     at a time: redraw H until its GF rank is k, look each column of H G up
-    in the log table, and scan the shifts against a set of used exponents.
+    in a vector -> exponent dict built from the antilog rows, and scan the
+    shifts against a set of used exponents.
 
     The reference for the library's chunked restart engine, with the same
     rng streams and the same first-restart-wins tie rule.
@@ -135,12 +149,12 @@ def oracle_best_restart(gen: dz.GeneratorMatrix, cfg, exts) -> tuple[int, int, l
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,)))
         which = int(rng.integers(len(exts))) if len(exts) > 1 else 0
-        log = exts[which].log
+        log = {tuple(vec): i for i, vec in enumerate(exts[which].antilog.tolist())}
         while True:
             h_mat = rng.integers(0, s, size=(k, k))
             if gf.mat_rank(field, h_mat) == k:
                 break
-        hg = gf.mat_mul(field, h_mat, gen.matrix)
+        hg = oracle_mat_mul(field, h_mat, gen.matrix)
         base = tuple(log[tuple(int(x) for x in col)] % v for col in hg.T)
         used = set(base)
         groups = [base]

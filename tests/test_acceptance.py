@@ -125,7 +125,7 @@ def test_c07_prop2_vs_oracle():
 
 def test_c08_consecutive_structure():
     with criterion(8, "consecutive powers: 20 groups WLP (0,...,0,1); 17 groups strength 4", 120.0):
-        f3 = gf.prime_field(3)
+        f3 = gf.level_field(3)
         h6 = gf.Poly.parse("1,1,1,1,2,1", 3)
         gd6 = cx.construct_consecutive(gf.ext_field(3, 5, h6), 6)
         assert len(gd6.groups) == 20

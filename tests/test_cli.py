@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import goa
+from goa import cli
 from goa import designs as dz
 from goa import gf
 from goa import serialize as io
@@ -29,6 +31,9 @@ CLAIM_MUTATIONS = [
     (("s",), 101, "s"),
     (("claimed_t0",), True, "claimed_t0"),
     (("groups", 0, "claimed_strength"), "3", "groups[0].claimed_strength"),
+    (("generator", 1, 2), -1, "generator"),
+    (("generator", 1, 2), 3, "generator"),
+    (("generator", 1, 2), 7, "generator"),
 ]
 
 # Flags that the subcommand does not read; each must be refused.
@@ -147,6 +152,23 @@ class TestVerify:
         assert "array: strength 50: FAIL (s^t does not divide N)" in proc.stdout
         assert "Traceback" not in proc.stdout + proc.stderr
 
+    def test_strength3_groups_print_p_1_uncounted(self, workdir, capsys):
+        # the three thm1 groups carry no stored p and verify at strength 3
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        capsys.readouterr()
+        counted = AssertionError("p_of_d was called")
+        with mock.patch.object(cli, "p_of_d", side_effect=counted), \
+                mock.patch.object(dz, "p_of_d", side_effect=counted):
+            assert main(["verify", "t.json"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(", p 1\n") == 3
+
+    def test_strength2_groups_print_counted_p(self, workdir, capsys):
+        main(["construct", "consecutive", "--s", "2", "--k", "4", "--m", "6", "--out", "c.json"])
+        capsys.readouterr()
+        assert main(["verify", "c.json"]) == 0
+        assert capsys.readouterr().out.count(", p 9/10\n") == 2
+
     def test_csv_verify(self, workdir, capsys):
         main(["construct", "thm1", "--s", "3", "--out", "t.json", "--format", "both"])
         assert main(["verify", "t.csv", "--s", "3"]) == 0
@@ -189,6 +211,12 @@ class TestSearchCli:
         lines = (workdir / "s.csv").read_text().splitlines()
         assert lines[0].startswith("s,k,m,t,g")
         assert len(lines) > 1
+
+    def test_search_survey_alias_removed(self):
+        # `goa survey` is the one survey command
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "survey", "--s", "2", "--k", "4"])
+        assert exc.value.code == 2
 
 
 class TestExpandEval:

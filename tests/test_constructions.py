@@ -84,7 +84,7 @@ class TestEbert:
 
     def test_caps_partition_pg(self, ebert3):
         cols = {tuple(col) for col in ebert3.generator.matrix.T}
-        pts = set(dz.pg_points(gf.ext_field(3, 4, (2, 1, 0, 0, 1))))
+        pts = set(map(tuple, dz.pg_points(gf.ext_field(3, 4, (2, 1, 0, 0, 1))).tolist()))
         assert cols == pts and len(cols) == 40
 
     def test_wrong_degree(self):
@@ -259,7 +259,7 @@ class TestConsecutive:
             h = gf.Poly.parse(h_text, 3)
             ext = gf.ext_field(3, 5, h)
             gd = cx.construct_consecutive(ext, m)
-            f3 = gf.prime_field(3)
+            f3 = gf.level_field(3)
             words = cx.shifted_word_basis(h, m)
             for grp in gd.groups:
                 sub = gd.generator.matrix[:, grp.columns]

@@ -4,46 +4,46 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goa import constructions, designs, gf, search
-from goa.errors import FormatMismatchError, NonPrimeError, NotPrimitiveError
+from goa.errors import NotPrimePowerError, NotPrimitiveError
+
+from conftest import oracle_mat_mul
+
+LEVELS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81]
 
 
 class TestPrimeField:
     def test_mod3_arithmetic(self):
-        f = gf.prime_field(3)
+        f = gf.level_field(3)
         assert f.add(2, 2) == 1
         assert f.mul(2, 2) == 1
         assert f.inv(2) == 2
 
     def test_mod5_inverse(self):
-        assert gf.prime_field(5).inv(3) == 2
+        assert gf.level_field(5).inv(3) == 2
 
     def test_mod2_addition(self):
-        assert gf.prime_field(2).add(1, 1) == 0
+        assert gf.level_field(2).add(1, 1) == 0
 
     def test_composite_rejected(self):
-        with pytest.raises(NonPrimeError):
-            gf.prime_field(6)
+        with pytest.raises(NotPrimePowerError):
+            gf.level_field(6)
 
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroDivisionError):
-            gf.prime_field(5).inv(0)
+            gf.level_field(5).inv(0)
 
     @pytest.mark.parametrize("s", [2, 3, 5, 7])
     def test_field_axioms(self, s):
-        f = gf.prime_field(s)
+        f = gf.level_field(s)
         els = range(s)
         assert all(f.add(a, b) == f.add(b, a) for a, b in itertools.product(els, repeat=2))
         assert all(f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
                    for a, b, c in itertools.product(els, repeat=3))
         assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, s))
-
-    def test_pow(self):
-        f = gf.prime_field(7)
-        assert f.pow(3, 6) == 1
-        assert f.pow(3, 0) == 1
-        assert f.pow(3, -1) == f.inv(3)
 
 
 class TestPoly:
@@ -62,18 +62,18 @@ class TestExtField:
     def test_known_powers_under_x4_x_2(self):
         # beta^4 = 2*beta + 1 under x^4 + x + 2, so the vector is (1,2,0,0)
         f = gf.ext_field(3, 4, gf.Poly.parse("1,0,0,1,2", 3))
-        assert f.vector(4) == (1, 2, 0, 0)
-        assert f.vector(8) == (1, 1, 1, 0)
+        assert f.antilog[4].tolist() == [1, 2, 0, 0]
+        assert f.antilog[8].tolist() == [1, 1, 1, 0]
 
     def test_antilog_zero_is_one(self):
         for s, k in [(2, 3), (3, 2), (5, 2)]:
             h = gf.find_primitive_polys(s, k)[0]
-            assert gf.ext_field(s, k, h).vector(0) == (1,) + (0,) * (k - 1)
+            assert gf.ext_field(s, k, h).antilog[0].tolist() == [1] + [0] * (k - 1)
 
     def test_antilog_covers_nonzero_vectors_once(self):
         f = gf.ext_field(3, 3, gf.find_primitive_polys(3, 3)[0])
-        seen = set(f.antilog)
-        assert len(f.antilog) == 26
+        seen = set(map(tuple, f.antilog.tolist()))
+        assert f.antilog.shape == (26, 3)
         assert len(seen) == 26
         assert (0, 0, 0) not in seen
 
@@ -84,7 +84,7 @@ class TestExtField:
             f = gf.ext_field(s, k, h)
             acc = np.zeros(k, dtype=np.int64)
             for i, b in enumerate(h.coeffs):
-                acc = (acc + b * np.array(f.vector(i))) % s
+                acc = (acc + b * f.antilog[i]) % s
             assert not acc.any()
 
     def test_not_primitive_reducible(self):
@@ -97,25 +97,25 @@ class TestExtField:
             gf.ExtField(3, 2, gf.Poly.parse("1,0,1", 3))
 
     def test_mul_exponents(self):
-        f = gf.ext_field(3, 4, gf.Poly.parse("1,0,0,1,2", 3))
-        assert f.mul(4, 4) == 8
-        assert f.mul(39, 2) == 41
-        assert f.mul(79, 1) == 0
+        # label i + 1 of level_field(81) is beta^i: exponents add mod 80
+        f = gf.level_field(81)
+        assert f.mul(5, 5) == 9
+        assert f.mul(40, 3) == 42
+        assert f.mul(80, 2) == 1
 
     def test_mul_vectors_and_zero(self):
-        f = gf.ext_field(3, 4, gf.Poly.parse("1,0,0,1,2", 3))
-        assert f.mul_vec(f.vector(4), f.vector(4)) == f.vector(8)
-        assert f.mul((0, 0, 0, 0), f.vector(5)) == (0, 0, 0, 0)
-
-    def test_mixed_formats_rejected(self):
-        f = gf.ext_field(2, 3, gf.find_primitive_polys(2, 3)[0])
-        with pytest.raises(FormatMismatchError):
-            f.mul(3, (1, 0, 0))
+        # vec[a * b] = mat[a] @ vec[b] mod p; label 5 is beta^4
+        f = gf.level_field(81)
+        assert ((f.mat[5] @ f.vec[5]) % 3).tolist() == f.vec[9].tolist()
+        assert not ((f.mat[0] @ f.vec[6]) % 3).any()
+        assert not ((f.mat[6] @ f.vec[0]) % 3).any()
 
     def test_exponent_inverse_of_vector(self):
         f = gf.ext_field(3, 4, gf.Poly.parse("1,0,0,1,2", 3))
         for i in (0, 1, 17, 53, 79):
-            assert f.exponent(f.vector(i)) == i
+            assert f.log[gf.code(3, f.antilog[i])] == i
+        assert f.log[0] == -1  # the zero vector has no exponent
+        assert f.log[3] == 1  # beta = (0, 1, 0, 0) has code 0 + 1*3
 
 
 class TestPrimitiveEnumeration:
@@ -175,7 +175,7 @@ class TestLevelField:
 
 class TestLinearAlgebra:
     def test_rank_and_null_space(self):
-        f2 = gf.prime_field(2)
+        f2 = gf.level_field(2)
         m = np.array([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
         assert gf.mat_rank(f2, m) == 3
         basis = gf.null_space(f2, m)
@@ -183,14 +183,14 @@ class TestLinearAlgebra:
         assert not gf.mat_mul(f2, m, basis.T).any()
 
     def test_null_space_gf3(self):
-        f3 = gf.prime_field(3)
+        f3 = gf.level_field(3)
         m = np.array([[1, 2, 0], [0, 0, 1]])
         basis = gf.null_space(f3, m)
         assert basis.shape == (1, 3)
         assert not gf.mat_mul(f3, m, basis.T).any()
 
     def test_span_order_and_closure(self):
-        f3 = gf.prime_field(3)
+        f3 = gf.level_field(3)
         rows = gf.span(f3, np.array([[1, 1], [0, 1]]))
         assert rows.shape == (9, 2)
         assert rows[0].tolist() == [0, 0]
@@ -202,19 +202,23 @@ class TestLinearAlgebra:
             assert tuple((a + b) % 3) in seen
 
     def test_span_of_empty_basis_is_the_zero_row(self):
-        rows = gf.span(gf.prime_field(3), np.zeros((0, 4), dtype=np.int64))
+        rows = gf.span(gf.level_field(3), np.zeros((0, 4), dtype=np.int64))
         assert rows.tolist() == [[0, 0, 0, 0]]
 
     def test_is_nonsingular(self):
-        f2 = gf.prime_field(2)
-        assert gf.is_nonsingular(f2, np.eye(3, dtype=int))
-        assert not gf.is_nonsingular(f2, np.ones((3, 3), dtype=int))
+        f2 = gf.level_field(2)
+        assert gf.mat_rank(f2, np.eye(3, dtype=int)) == 3
+        assert gf.mat_rank(f2, np.ones((3, 3), dtype=int)) < 3
 
 
 class TestPrimePowerLevelFields:
-    @pytest.mark.parametrize("s", [4, 8, 9])
+    @pytest.mark.parametrize("s", [4, 8, 9, 16, 25, 27])
     def test_field_axioms(self, s):
         f = gf.level_field(s)
+        p, j = gf.factor_prime_power(s)
+        ext = gf.ext_field(p, j, gf.find_primitive_polys(p, j)[0])
+        assert not f.vec[0].any()
+        assert f.vec[1:].tolist() == ext.antilog.tolist()  # label i is beta^(i-1)
         els = range(s)
         assert all(f.add(a, b) == f.add(b, a) for a in els for b in els)
         assert all(f.mul(a, b) == f.mul(b, a) for a in els for b in els)
@@ -239,3 +243,32 @@ class TestSpanOracle:
                        for j in range(3)]
                 rows.append(row)
         assert fast.tolist() == rows
+
+
+def label_matrix(data, s, rows, cols):
+    cell = st.integers(0, s - 1)
+    drawn = data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+    return np.array(drawn, dtype=np.int64).reshape(rows, cols)
+
+
+class TestMatMulOracle:
+    """gf.mat_mul and gf.span against the table-gather loop in conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), s=st.sampled_from(LEVELS),
+           n=st.integers(1, 5), r=st.integers(0, 6), q=st.integers(1, 5))
+    def test_mat_mul(self, data, s, n, r, q):
+        f = gf.level_field(s)
+        a, b = label_matrix(data, s, n, r), label_matrix(data, s, r, q)
+        assert np.array_equal(gf.mat_mul(f, a, b), oracle_mat_mul(f, a, b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), s=st.sampled_from(LEVELS), m=st.integers(1, 5))
+    def test_span(self, data, s, m):
+        # inner dimension d up to 6, while s^d stays at most 6561 rows
+        d = data.draw(st.integers(0, max(e for e in range(7) if s**e <= 6561)))
+        f = gf.level_field(s)
+        basis = label_matrix(data, s, d, m)
+        coeffs = list(itertools.product(range(s), repeat=d))
+        assert np.array_equal(gf.span(f, basis), oracle_mat_mul(f, coeffs, basis))
