@@ -25,10 +25,10 @@ from .designs import (
     GroupedDesign,
     annotate,
     check_strength,
-    expand_generator,
     generator_from_exponents,
     p_of_d,
     pg_points,
+    regular_goa,
     strength_from_wlp,
     subset_design,
     wlp,
@@ -346,15 +346,8 @@ def construct_thm1(s: int) -> GroupedDesign:
         cols += [(1, w, int(field.add(i, field.mul(w, w)))) for w in range(s)]
         groups.append(list(range(start, start + s)))
     gen = GeneratorMatrix(s, np.array(cols, dtype=np.int64).T)
-    design = expand_generator(gen, origin=f"thm1(s={s})")
-    grouped = GroupedDesign(
-        design,
-        [Group(g, claimed_strength=min(3, len(g))) for g in groups],
-        claimed_t0=2,
-        generator=gen,
-    )
-    _attach_group_wlps(grouped)
-    return annotate(grouped)
+    return regular_goa(gen, [Group(g, claimed_strength=min(3, len(g))) for g in groups],
+                       f"thm1(s={s})")
 
 
 def construct_ebert(ext: gflib.ExtField) -> GroupedDesign:
@@ -371,23 +364,8 @@ def construct_ebert(ext: gflib.ExtField) -> GroupedDesign:
     exps = [i + j * g for i in range(g) for j in range(m)]
     if sorted(exps) != list(range(len(pg_points(ext)))):
         raise AssertionError("cap blocks do not partition PG(3, s)")
-    gen = generator_from_exponents(ext, exps)
-    design = expand_generator(gen, origin=f"ebert(s={s},h={ext.h})")
     groups = [Group(list(range(i * m, (i + 1) * m)), claimed_strength=3) for i in range(g)]
-    grouped = GroupedDesign(design, groups, claimed_t0=2, generator=gen)
-    _attach_group_wlps(grouped)
-    return annotate(grouped)
-
-
-def _attach_group_wlps(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET) -> None:
-    if gd.generator is None:
-        return
-    for grp in gd.groups:
-        sub = GeneratorMatrix(gd.generator.s, gd.generator.matrix[:, grp.columns])
-        try:
-            grp.wlp = wlp(sub, budget)
-        except BudgetExceededError:
-            grp.wlp = None
+    return regular_goa(generator_from_exponents(ext, exps), groups, f"ebert(s={s},h={ext.h})")
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +389,11 @@ def construct_consecutive(ext: gflib.ExtField, m: int,
     if g < 1:
         raise TooFewGroupsError(f"group size {m} exceeds the {v} PG points")
     gen = generator_from_exponents(ext, range(g * m))
-    design = expand_generator(gen, origin=f"consecutive(s={s},k={k},h={ext.h},m={m})")
-    group0 = GeneratorMatrix(s, gen.matrix[:, :m])
-    pattern = wlp(group0, budget)
+    pattern = wlp(GeneratorMatrix(s, gen.matrix[:, :m]), budget)
     claimed = strength_from_wlp(pattern) if m > k else m
-    groups = []
-    for i in range(g):
-        grp = Group(list(range(i * m, (i + 1) * m)), claimed_strength=min(claimed, m))
-        sub = GeneratorMatrix(s, gen.matrix[:, grp.columns])
-        grp.wlp = wlp(sub, budget)
-        groups.append(grp)
-    grouped = GroupedDesign(design, groups, claimed_t0=2, generator=gen)
-    return annotate(grouped)
+    groups = [Group(list(range(i * m, (i + 1) * m)), claimed_strength=min(claimed, m))
+              for i in range(g)]
+    return regular_goa(gen, groups, f"consecutive(s={s},k={k},h={ext.h},m={m})", budget)
 
 
 def shifted_word_basis(h: gflib.Poly, m: int) -> np.ndarray:

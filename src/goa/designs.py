@@ -241,19 +241,14 @@ def wlp(gen: GeneratorMatrix, budget: int = DEFAULT_WLP_BUDGET) -> tuple[int, ..
     """
     field = gflib.level_field(gen.s)
     basis = gflib.null_space(field, gen.matrix)
-    return _wlp_from_null_basis(field, basis, gen.m, budget)
-
-
-def _wlp_from_null_basis(field: gflib.GF, basis: np.ndarray, m: int,
-                         budget: int) -> tuple[int, ...]:
-    size = field.s ** basis.shape[0]
+    size = gen.s ** basis.shape[0]
     if size > budget:
         raise BudgetExceededError(f"null space of size {size} exceeds budget {budget}")
     weights = np.count_nonzero(gflib.span(field, basis), axis=1)
-    hist = np.bincount(weights, minlength=m + 1)
+    hist = np.bincount(weights, minlength=gen.m + 1)
     pattern = []
-    for j in range(1, m + 1):
-        count, rem = divmod(int(hist[j]), field.s - 1)
+    for j in range(1, gen.m + 1):
+        count, rem = divmod(int(hist[j]), gen.s - 1)
         if rem:
             raise AssertionError("weight count not divisible by s-1")
         pattern.append(count)
@@ -285,7 +280,7 @@ def wlp_of_columns(design: Design, columns,
     rows, counts = np.unique(sub, axis=0, return_counts=True)
     if rows.shape[0] != size or not np.all(counts == lam):
         return None
-    return _wlp_from_null_basis(field, gflib.null_space(field, basis), sub.shape[1], budget)
+    return wlp(GeneratorMatrix(design.s, basis), budget)
 
 
 def p_of_d(design: Design, columns=None) -> Fraction:
@@ -328,6 +323,22 @@ def annotate(gd: GroupedDesign) -> GroupedDesign:
         sub = subset_design(gd.design, grp.columns)
         grp.verified_strength = max_strength(sub, cap=grp.claimed_strength)
     return gd
+
+
+def regular_goa(gen: GeneratorMatrix, groups: list[Group], origin: str,
+                budget: int = DEFAULT_WLP_BUDGET) -> GroupedDesign:
+    """The grouped design generated by gen, annotated.
+
+    Each group's wordlength pattern comes from its generator columns, or
+    is None when its null space exceeds the budget.
+    """
+    design = expand_generator(gen, origin=origin)
+    for grp in groups:
+        try:
+            grp.wlp = wlp(GeneratorMatrix(gen.s, gen.matrix[:, grp.columns]), budget)
+        except BudgetExceededError:
+            grp.wlp = None
+    return annotate(GroupedDesign(design, groups, claimed_t0=2, generator=gen))
 
 
 def claims_ok(gd: GroupedDesign) -> bool:
@@ -379,20 +390,21 @@ def verify_claims(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET) -> Verify
     """Re-verify every claim a design file carries, from the matrix alone.
 
     Checks, in order: generator consistency (when a generator is stored,
-    its expansion must reproduce the row multiset), the whole-array
-    strength claim, then per group the strength claim, the stored
-    wordlength pattern (recomputed from the projected rows, which must
-    form a linear space) and the stored p value.  Any mismatch makes the
-    report fail; recomputation stops early only within a failed check.
+    its expansion must reproduce the row multiset; a k-row generator with
+    s^k != N fails unexpanded), the whole-array strength claim, then per
+    group the strength claim, the stored wordlength pattern (recomputed
+    from the projected rows, which must form a linear space) and the
+    stored p value.  Any mismatch makes the report fail; recomputation
+    stops early only within a failed check.
     """
     checks: list[ClaimCheck] = []
 
     if gd.generator is not None:
+        same = gd.generator.s ** gd.generator.k == gd.design.runs
         try:
-            regen = expand_generator(gd.generator)
-            same = regen.runs == gd.design.runs and np.array_equal(
-                _sorted_rows(regen.matrix), _sorted_rows(gd.design.matrix)
-            )
+            same = same and np.array_equal(
+                _sorted_rows(expand_generator(gd.generator).matrix),
+                _sorted_rows(gd.design.matrix))
         except (RankDeficientError, ValueError):
             same = False
         checks.append(ClaimCheck("array", "generator reproduces rows", same))

@@ -18,7 +18,7 @@ class NotPrimePowerError(GoaError):
 
 
 class FormatMismatchError(GoaError):
-    """Field elements in incompatible formats were combined."""
+    """A seed generator column is no point of PG(k-1, s)."""
 
 
 class RankDeficientError(GoaError):

@@ -8,9 +8,14 @@ row (a_0, ..., a_{k-1}) with
     beta^i = a_0 + a_1*beta + ... + a_{k-1}*beta^{k-1},
 
 so a_0 is the constant coefficient.  Conversion between the formats goes
-through the log/antilog arrays built once per field by repeated
-multiplication by beta with reduction modulo the primitive polynomial;
-log is indexed by the integer code a_0 + a_1 s + ... of a vector.
+through the log/antilog arrays built once per field; log is indexed by
+the integer code a_0 + a_1 s + ... of a vector.
+
+A monic h of degree k is primitive iff x has order s^k - 1 modulo h
+(Lidl and Niederreiter, Finite Fields, Thm 3.16); one square-and-multiply
+over the companion matrices of all candidates decides it.  antilog is
+filled by doubling: rows beta^0..beta^(2^i - 1) times the matrix of
+beta^(2^i) are the next 2^i rows.
 
 Prime-power level sets (s = p^j with j > 1) are handled by relabelling the
 elements of GF(p^j) as 0..s-1 with 0 -> 0 and i -> beta^(i-1) for i >= 1.
@@ -33,36 +38,34 @@ from .errors import NonPrimeError, NotPrimePowerError, NotPrimitiveError
 
 DESK_ORDER_LIMIT = 10**6
 LEVEL_ORDER_LIMIT = 97  # largest level count s; level_field builds s x s tables
+# companion-matrix cells per block of candidates in find_primitive_polys
+_PRIMITIVE_CELLS = 1 << 14
+
+
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n by trial division; empty for n < 2."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return factorize(n) == {n: 1}
 
 
 def factor_prime_power(s: int) -> tuple[int, int]:
     """Return (p, j) with s = p^j, or raise NotPrimePowerError."""
-    if s < 2:
+    factors = factorize(s)
+    if len(factors) != 1:
         raise NotPrimePowerError(f"{s} is not a prime power")
-    p = 2
-    while p * p <= s:
-        if s % p == 0:
-            j = 0
-            n = s
-            while n % p == 0:
-                n //= p
-                j += 1
-            if n != 1:
-                raise NotPrimePowerError(f"{s} is not a prime power")
-            return p, j
-        p += 1
-    return s, 1
+    return next(iter(factors.items()))
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,6 @@ class Poly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def monic(self) -> bool:
-        return self.coeffs[-1] == 1
 
     @classmethod
     def parse(cls, text: str, s: int) -> "Poly":
@@ -160,56 +159,73 @@ class GF:
         return int(self.inv_t[a])
 
 
+def _check_order(s: int, k: int) -> None:
+    if not is_prime(s):
+        raise NonPrimeError(f"{s} is not prime")
+    if k < 1:
+        raise ValueError("extension degree must be >= 1")
+    if s**k > DESK_ORDER_LIMIT:
+        raise ValueError(f"field order {s**k} above desk-scale limit")
+
+
+def _companion(s: int, coeffs: np.ndarray) -> np.ndarray:
+    """Companion matrix M of x^k + b_{k-1} x^{k-1} + ... + b_0 for each row
+    b_0..b_{k-1} of coeffs: row i is x^(i+1) mod h, so v @ M is x v."""
+    mats = np.repeat(np.eye(coeffs.shape[1], k=1, dtype=np.int64)[None], len(coeffs), axis=0)
+    mats[:, -1] = -coeffs % s
+    return mats
+
+
+def _primitive(s: int, coeffs: np.ndarray) -> np.ndarray:
+    """Which rows b_0..b_{k-1} of coeffs give a primitive h over prime GF(s).
+
+    x has order n = s^k - 1 modulo h iff the companion matrix has M^n = I
+    and M^(n/q) != I for each prime q | n; a reducible h, or b_0 = 0,
+    leaves fewer than n units.  One square-and-multiply pass raises the
+    whole stack to all these exponents.
+    """
+    k = coeffs.shape[1]
+    n = s**k - 1
+    exps = [n] + [n // q for q in factorize(n)]
+    step = _companion(s, coeffs)
+    eye = np.eye(k, dtype=np.int64)
+    powers = np.broadcast_to(eye, (len(exps), *step.shape)).copy()
+    for bit in range(n.bit_length()):
+        odd = [i for i, e in enumerate(exps) if e >> bit & 1]
+        powers[odd] = powers[odd] @ step % s
+        step = step @ step % s
+    is_one = (powers == eye).all(axis=(2, 3))
+    return is_one[0] & ~is_one[1:].any(axis=0)
+
+
 class ExtField:
     """GF(s^k) presented by a primitive polynomial h(x) over prime GF(s).
 
     antilog[i] is the vector of beta^i, an (s^k - 1) x k array; log is
     indexed by code(s, vector) and holds i, or -1 at the zero vector.
-    Both are read-only, since fields are cached and shared.
-
-    Raises NotPrimitiveError unless beta = x first returns to 1 after
-    s^k - 1 steps; then its powers are s^k - 1 distinct units, so the walk
-    doubles as an irreducibility test and no factoring is needed.
+    Both are read-only, since fields are cached and shared.  h must pass
+    the order test of _primitive (else NotPrimitiveError); antilog is
+    filled by doubling, as the module docstring says.
     """
 
     def __init__(self, s: int, k: int, h):
-        if not is_prime(s):
-            raise NonPrimeError(f"{s} is not prime")
-        if k < 1:
-            raise ValueError("extension degree must be >= 1")
-        if s**k > DESK_ORDER_LIMIT:
-            raise ValueError(f"field order {s**k} above desk-scale limit")
+        _check_order(s, k)
         if not isinstance(h, Poly):
             h = Poly(s, tuple(h))
-        if h.s != s or h.degree != k or not h.monic:
+        if h.s != s or h.degree != k or h.coeffs[-1] != 1:
             raise ValueError(f"need a monic degree-{k} polynomial over GF({s})")
-        self.s = s
-        self.k = k
-        self.h = h
-        self.order = s**k
-        self.antilog = self._walk()
+        low = np.array([h.coeffs[:k]], dtype=np.int64)
+        if not _primitive(s, low)[0]:
+            raise NotPrimitiveError(f"x does not have order {s**k - 1} modulo h = {h}")
+        self.s, self.k, self.h, self.order = s, k, h, s**k
+        antilog, step = np.eye(1, k, dtype=np.int64), _companion(s, low)[0]
+        while len(antilog) < self.period:
+            antilog = np.concatenate([antilog, antilog[:self.period - len(antilog)] @ step % s])
+            step = step @ step % s
+        self.antilog = antilog
         self.log = np.full(self.order, -1, dtype=np.int64)
-        self.log[code(s, self.antilog)] = np.arange(self.period)
+        self.log[code(s, antilog)] = np.arange(self.period)
         self.antilog.flags.writeable = self.log.flags.writeable = False
-
-    def _walk(self) -> np.ndarray:
-        s, k = self.s, self.k
-        # x^k = -(b_0 + b_1 x + ... + b_{k-1} x^{k-1}) since h is monic
-        red = [(-c) % s for c in self.h.coeffs[:k]]
-        one = [1] + [0] * (k - 1)
-        v = one
-        powers = []
-        for i in range(self.period):
-            if i and v == one:
-                raise NotPrimitiveError(
-                    f"beta has order {i} < {self.period} under h = {self.h}"
-                )
-            powers.append(v)
-            carry = v[k - 1]
-            v = [((v[j - 1] if j else 0) + carry * red[j]) % s for j in range(k)]
-        if v != one:
-            raise NotPrimitiveError(f"beta is not a unit under h = {self.h}")
-        return np.array(powers, dtype=np.int64)
 
     @property
     def period(self) -> int:
@@ -232,26 +248,21 @@ def ext_field(s: int, k: int, h) -> ExtField:
 
 @lru_cache(maxsize=None)
 def find_primitive_polys(s: int, k: int) -> tuple[Poly, ...]:
-    """All monic degree-k primitive polynomials over GF(s).
+    """All monic degree-k primitive polynomials over GF(s), count phi(s^k - 1)/k.
 
-    Ordered lexicographically by (b_{k-1}, ..., b_0).  The count always
-    equals phi(s^k - 1)/k.  Cached, so each candidate field is walked once.
+    Candidate c has the base-s digits of c as b_0..b_{k-1}, so the order is
+    lexicographic by (b_{k-1}, ..., b_0); _primitive tests them in blocks
+    and no field is built.
     """
-    if not is_prime(s):
-        raise NonPrimeError(f"{s} is not prime")
-    if s**k > DESK_ORDER_LIMIT:
-        raise ValueError(f"field order {s**k} above desk-scale limit")
+    _check_order(s, k)
+    block = max(1, _PRIMITIVE_CELLS // (k * k))
+    digits = s ** np.arange(k)
     found = []
-    for high_to_low in itertools.product(range(s), repeat=k):
-        coeffs = tuple(reversed(high_to_low)) + (1,)
-        if coeffs[0] == 0:
-            continue  # beta would not be a unit
-        try:
-            ext_field(s, k, coeffs)
-        except NotPrimitiveError:
-            continue
-        found.append(Poly(s, coeffs))
-    return tuple(found)
+    for start in range(0, s**k, block):
+        coeffs = np.arange(start, min(start + block, s**k))[:, None] // digits % s
+        coeffs = coeffs[coeffs[:, 0] > 0]  # b_0 = 0 makes x no unit
+        found += coeffs[_primitive(s, coeffs)].tolist()
+    return tuple(Poly(s, (*c, 1)) for c in found)
 
 
 @lru_cache(maxsize=None)
@@ -288,19 +299,13 @@ def row_reduce(gf: GF, m) -> tuple[np.ndarray, list[int]]:
     pivots = []
     rank = 0
     for c in range(cols):
-        sel = None
-        for i in range(rank, rows):
-            if r[i, c]:
-                sel = i
-                break
+        sel = next((i for i in range(rank, rows) if r[i, c]), None)
         if sel is None:
             continue
         r[[rank, sel]] = r[[sel, rank]]
         r[rank] = gf.mul(gf.inv(int(r[rank, c])), r[rank])
-        mask = np.ones(rows, dtype=bool)
-        mask[rank] = False
-        factors = r[mask, c]
-        r[mask] = gf.sub(r[mask], gf.mul(factors[:, None], r[rank][None, :]))
+        others = np.arange(rows) != rank
+        r[others] = gf.sub(r[others], gf.mul(r[others, c][:, None], r[rank][None, :]))
         pivots.append(c)
         rank += 1
         if rank == rows:
@@ -330,15 +335,10 @@ def mat_mul(gf: GF, a, b) -> np.ndarray:
 
 def null_space(gf: GF, m) -> np.ndarray:
     """Basis (as rows) of {c : m @ c = 0} over GF(s)."""
-    m = np.asarray(m, dtype=np.int64)
-    cols = m.shape[1]
     r, pivots = row_reduce(gf, m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, p in enumerate(pivots):
-            basis[i, p] = gf.neg(int(r[row, f]))
+    free = [c for c in range(r.shape[1]) if c not in pivots]
+    basis = np.eye(r.shape[1], dtype=np.int64)[free]
+    basis[:, pivots] = gf.neg(r[:len(pivots)][:, free]).T
     return basis
 
 

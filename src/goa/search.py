@@ -21,10 +21,9 @@ from .designs import (
     GeneratorMatrix,
     Group,
     GroupedDesign,
-    annotate,
-    expand_generator,
     generator_from_exponents,
     pg_points,
+    regular_goa,
     strength_from_wlp,
     wlp,
 )
@@ -101,21 +100,15 @@ def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
     if g_count < cfg.min_groups:
         raise NoGroupingError(f"best grouping has g={g_count} < {cfg.min_groups}")
     ext = exts[which]
-    exps = [e for grp in groups for e in grp]
-    out_gen = generator_from_exponents(ext, exps)
-    design = expand_generator(
-        out_gen,
-        origin=f"alg42(s={s},k={k},m={gen.m},h={ext.h},restarts={cfg.restarts},seed={cfg.seed})",
-    )
     m = gen.m
-    seed_pattern = wlp(gen, cfg.wlp_budget)
-    claimed = strength_from_wlp(seed_pattern)
-    out_groups = []
-    for i in range(g_count):
-        grp = Group(list(range(i * m, (i + 1) * m)), claimed_strength=claimed)
-        grp.wlp = wlp(GeneratorMatrix(s, out_gen.matrix[:, grp.columns]), cfg.wlp_budget)
-        out_groups.append(grp)
-    return annotate(GroupedDesign(design, out_groups, claimed_t0=2, generator=out_gen))
+    claimed = strength_from_wlp(wlp(gen, cfg.wlp_budget))
+    out_gen = generator_from_exponents(ext, [e for grp in groups for e in grp])
+    out_groups = [Group(list(range(i * m, (i + 1) * m)), claimed_strength=claimed)
+                  for i in range(g_count)]
+    return regular_goa(
+        out_gen, out_groups,
+        f"alg42(s={s},k={k},m={m},h={ext.h},restarts={cfg.restarts},seed={cfg.seed})",
+        cfg.wlp_budget)
 
 
 def _best_restart(gen: GeneratorMatrix, cfg: SearchConfig,

@@ -87,6 +87,28 @@ def oracle_mat_mul(field: gf.GF, a, b) -> np.ndarray:
     return out
 
 
+def oracle_ext_field_walk(s: int, k: int, coeffs) -> np.ndarray | None:
+    """beta^0, ..., beta^(s^k - 2) for beta = x modulo the monic h with
+    ascending coeffs, one multiplication by x at a time; None unless beta
+    first returns to 1 after s^k - 1 steps.
+
+    The reference for the library's batched order test and for the
+    doubling that fills ExtField.antilog.
+    """
+    # x^k = -(b_0 + b_1 x + ... + b_{k-1} x^{k-1}) since h is monic
+    red = [(-c) % s for c in coeffs[:k]]
+    one = [1] + [0] * (k - 1)
+    v = one
+    powers = []
+    for i in range(s**k - 1):
+        if i and v == one:
+            return None
+        powers.append(v)
+        carry = v[k - 1]
+        v = [((v[j - 1] if j else 0) + carry * red[j]) % s for j in range(k)]
+    return np.array(powers, dtype=np.int64) if v == one else None
+
+
 def _oracle_counts(matrix: np.ndarray, cols, s: int) -> np.ndarray:
     enc = matrix[:, cols[0]].copy()
     for c in cols[1:]:

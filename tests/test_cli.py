@@ -152,6 +152,21 @@ class TestVerify:
         assert "array: strength 50: FAIL (s^t does not divide N)" in proc.stdout
         assert "Traceback" not in proc.stdout + proc.stderr
 
+    def test_oversized_generator_fails_unexpanded(self, workdir, capsys):
+        # a full-rank 16 x 63 generator stored with 64 runs: 2^16 != 64, so
+        # the check fails without spanning 65,536 rows
+        points = gf.span(gf.level_field(2), np.eye(6, dtype=np.int64))[1:]
+        design = dz.expand_generator(dz.GeneratorMatrix(2, points.T))
+        big = np.random.default_rng(0).integers(0, 2, size=(16, 63))
+        big[:, :16] = np.eye(16, dtype=np.int64)
+        io.save_json(dz.GroupedDesign(design, [], generator=dz.GeneratorMatrix(2, big)),
+                     workdir / "big.json")
+        capsys.readouterr()
+        with mock.patch.object(gf, "span", side_effect=AssertionError("span was called")) as span:
+            assert main(["verify", "big.json"]) == 2
+        assert not span.called
+        assert "array: generator reproduces rows: FAIL" in capsys.readouterr().out
+
     def test_strength3_groups_print_p_1_uncounted(self, workdir, capsys):
         # the three thm1 groups carry no stored p and verify at strength 3
         main(["construct", "thm1", "--s", "3", "--out", "t.json"])

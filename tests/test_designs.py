@@ -124,6 +124,23 @@ class TestWlp:
         d = dz.Design(2, [[0, 0], [0, 1], [1, 0], [1, 0]])
         assert dz.wlp_of_columns(d, range(2)) is None
 
+    def test_wlp_of_columns_over_budget(self, eq21_generator):
+        d = dz.expand_generator(eq21_generator)
+        with pytest.raises(BudgetExceededError):
+            dz.wlp_of_columns(d, range(4), budget=1)
+
+
+class TestRegularGoa:
+    def test_over_budget_group_has_no_wlp(self):
+        # columns 0 and 1 repeat, so only the first group has a defining word
+        gen = dz.GeneratorMatrix(2, [[1, 1, 1, 0], [0, 0, 0, 1]])
+        groups = [dz.Group([0, 1], 2), dz.Group([2, 3], 2)]
+        gd = dz.regular_goa(gen, groups, "repeat", budget=1)
+        assert [g.wlp for g in gd.groups] == [None, (0, 0)]
+        assert [g.verified_strength for g in gd.groups] == [1, 2]
+        assert gd.generator is gen and gd.verified_t0 == 1
+        assert (gd.design.runs, gd.design.origin) == (4, "repeat")
+
 
 class TestPofD:
     def test_strength3_gives_one(self, oa_27_4_3_3):

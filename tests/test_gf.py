@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from goa import constructions, designs, gf, search
 from goa.errors import NotPrimePowerError, NotPrimitiveError
 
-from conftest import oracle_mat_mul
+from conftest import oracle_ext_field_walk, oracle_mat_mul
 
 LEVELS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81]
 
@@ -96,6 +96,11 @@ class TestExtField:
         with pytest.raises(NotPrimitiveError):
             gf.ExtField(3, 2, gf.Poly.parse("1,0,1", 3))
 
+    def test_not_primitive_zero_constant(self):
+        # x^3 + x: beta = x is no unit
+        with pytest.raises(NotPrimitiveError):
+            gf.ExtField(2, 3, gf.Poly.parse("1,0,1,0", 2))
+
     def test_mul_exponents(self):
         # label i + 1 of level_field(81) is beta^i: exponents add mod 80
         f = gf.level_field(81)
@@ -144,6 +149,61 @@ class TestPrimitiveEnumeration:
         polys = gf.find_primitive_polys(2, 5)
         assert isinstance(polys, tuple)
         assert gf.find_primitive_polys(2, 5) is polys
+
+
+# every prime s <= 13 with s^k <= 2,500, then s = 97
+ORACLE_FIELDS = [(s, k) for s in (2, 3, 5, 7, 11, 13) for k in range(1, 12)
+                 if s**k <= 2500] + [(97, 1), (97, 2)]
+
+
+class TestPrimitivityOracle:
+    @pytest.mark.parametrize("s,k", ORACLE_FIELDS)
+    def test_matches_walk(self, s, k, monkeypatch):
+        # GF(97^2) walks only the candidates with b_1 in a few residues:
+        # walking all 9,409 would cost more than all other fields together
+        b1 = range(s) if s**k <= 2500 else (0, 1, 2, 48, 96)
+
+        def kept(coeffs):
+            return k == 1 or coeffs[1] in b1
+
+        walks = {}
+        for high_to_low in itertools.product(range(s), repeat=k):
+            coeffs = (*reversed(high_to_low), 1)
+            if coeffs[0] and kept(coeffs):
+                powers = oracle_ext_field_walk(s, k, coeffs)
+                if powers is not None:
+                    walks[coeffs] = powers
+        # blocks of 1 and 7 candidates too, on the fields where that is quick
+        for cells in (gf._PRIMITIVE_CELLS, 1, 7 * k * k)[:1 if s**k > 1000 else 3]:
+            monkeypatch.setattr(gf, "_PRIMITIVE_CELLS", cells)
+            polys = gf.find_primitive_polys.__wrapped__(s, k)
+            assert [h.coeffs for h in polys if kept(h.coeffs)] == list(walks)
+        weights = s ** np.arange(k)
+        for coeffs, powers in walks.items():
+            ext = gf.ExtField(s, k, coeffs)
+            assert np.array_equal(ext.antilog, powers)
+            log = np.full(s**k, -1)
+            log[powers @ weights] = np.arange(s**k - 1)
+            assert np.array_equal(ext.log, log)
+
+    def test_enumeration_builds_no_field(self, monkeypatch):
+        cached = gf._ext_field_cached.cache_info().currsize
+        monkeypatch.setattr(gf, "ExtField", None)  # any build would raise
+        assert len(gf.find_primitive_polys.__wrapped__(2, 12)) == 144
+        assert gf._ext_field_cached.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("n,prime,power", [
+        (0, False, None), (1, False, None), (-3, False, None), (2, True, (2, 1)),
+        (6, False, None), (81, False, (3, 4)), (91, False, None), (97, True, (97, 1)),
+        (1_000_003, True, (1_000_003, 1)),
+    ])
+    def test_is_prime_and_factor_prime_power(self, n, prime, power):
+        assert gf.is_prime(n) is prime
+        if power is None:
+            with pytest.raises(NotPrimePowerError):
+                gf.factor_prime_power(n)
+        else:
+            assert gf.factor_prime_power(n) == power
 
 
 class TestLevelField:
