@@ -16,7 +16,6 @@ from pathlib import Path
 from . import gf as gflib
 from . import serialize
 from .designs import (
-    DEFAULT_WLP_BUDGET,
     GeneratorMatrix,
     GroupedDesign,
     claims_ok,
@@ -90,8 +89,8 @@ def cmd_construct(args) -> int:
     elif args.what == "consecutive":
         k, m = args.k, args.m
         h = (gflib.Poly.parse(args.h, s) if args.h
-             else rank_primitive_polys(s, k, m, args.budget)[0][0])
-        gd = construct_consecutive(gflib.ext_field(s, k, h), m, args.budget)
+             else rank_primitive_polys(s, k, m)[0][0])
+        gd = construct_consecutive(gflib.ext_field(s, k, h), m)
         name = f"consecutive-s{s}-k{k}-m{m}"
     elif args.what == "prop1":
         ds = _get_ds(args, s)
@@ -115,7 +114,7 @@ def cmd_construct(args) -> int:
             print(f"G{idx}: " + " ".join(block.row_strings()))
     path = _write_design(gd, args.out, args.format, name)
     print(f"{gd.label()} -> {path}")
-    report = verify_claims(gd, args.budget)
+    report = verify_claims(gd)
     if not (claims_ok(gd) and report.ok):
         for line in report.lines():
             print(line)
@@ -126,7 +125,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     gd = serialize.load_design_file(args.file, args.s)
-    report = verify_claims(gd, args.budget)
+    report = verify_claims(gd)
     for line in report.lines():
         print(line)
     if report.ok:
@@ -167,7 +166,6 @@ def cmd_search(args) -> int:
     cfg = SearchConfig(
         restarts=args.restarts,
         seed=args.rng_seed,
-        wlp_budget=args.budget,
         min_groups=args.min_groups,
     )
     gd = algorithm_42(gen, cfg)
@@ -180,7 +178,7 @@ def cmd_survey(args) -> int:
     m_values = None
     if args.mmax is not None:
         m_values = range(args.k + 1, args.mmax + 1)
-    rows = survey(args.s, args.k, m_values, args.budget)
+    rows = survey(args.s, args.k, m_values)
     print(survey_table(rows))
     if args.out:
         lines = ["s,k,m,t,g,A3,A4,A5,A6,h"]
@@ -356,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefix matching: a stray --h must not be read as --help
         p = con_sub.add_parser(what, allow_abbrev=False)
         p.add_argument("--s", type=int, required=True)
-        p.add_argument("--budget", type=int, default=DEFAULT_WLP_BUDGET)
         _add_out_flags(p)
         if what in ("ebert", "consecutive"):
             p.add_argument("--h", help="primitive polynomial, descending coefficients")
@@ -377,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="re-verify the claims in a design file")
     ver.add_argument("file")
     ver.add_argument("--s", type=int, help="level count (required for CSV)")
-    ver.add_argument("--budget", type=int, default=DEFAULT_WLP_BUDGET)
     ver.set_defaults(func=cmd_verify)
 
     sea = sub.add_parser("search", help="randomized grouping search")
@@ -389,14 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     alg.add_argument("--restarts", type=int, default=10_000)
     alg.add_argument("--rng-seed", type=int, default=0)
     alg.add_argument("--min-groups", type=int, default=1)
-    alg.add_argument("--budget", type=int, default=DEFAULT_WLP_BUDGET)
     _add_out_flags(alg)
     alg.set_defaults(func=cmd_search)
     sur = sub.add_parser("survey", help="consecutive-powers survey")
     sur.add_argument("--s", type=int, required=True)
     sur.add_argument("--k", type=int, required=True)
     sur.add_argument("--mmax", type=int)
-    sur.add_argument("--budget", type=int, default=DEFAULT_WLP_BUDGET)
     sur.add_argument("--out")
     sur.set_defaults(func=cmd_survey)
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import gf as gflib
 from .designs import (
-    DEFAULT_WLP_BUDGET,
     Design,
     GeneratorMatrix,
     Group,
@@ -32,6 +31,7 @@ from .designs import (
     strength_from_wlp,
     subset_design,
     wlp,
+    wlp_of_rows,
 )
 from .errors import (
     BadBlockSizeError,
@@ -372,8 +372,7 @@ def construct_ebert(ext: gflib.ExtField) -> GroupedDesign:
 # Consecutive powers of a primitive element
 
 
-def construct_consecutive(ext: gflib.ExtField, m: int,
-                          budget: int = DEFAULT_WLP_BUDGET) -> GroupedDesign:
+def construct_consecutive(ext: gflib.ExtField, m: int) -> GroupedDesign:
     """GOA whose groups are consecutive blocks of m points of PG(k-1, s).
 
     All groups share one wordlength pattern (translation by a power of
@@ -389,11 +388,10 @@ def construct_consecutive(ext: gflib.ExtField, m: int,
     if g < 1:
         raise TooFewGroupsError(f"group size {m} exceeds the {v} PG points")
     gen = generator_from_exponents(ext, range(g * m))
-    pattern = wlp(GeneratorMatrix(s, gen.matrix[:, :m]), budget)
-    claimed = strength_from_wlp(pattern) if m > k else m
-    groups = [Group(list(range(i * m, (i + 1) * m)), claimed_strength=min(claimed, m))
+    claimed = strength_from_wlp(group_wlp_for_poly(s, k, ext.h, m))
+    groups = [Group(list(range(i * m, (i + 1) * m)), claimed_strength=claimed)
               for i in range(g)]
-    return regular_goa(gen, groups, f"consecutive(s={s},k={k},h={ext.h},m={m})", budget)
+    return regular_goa(gen, groups, f"consecutive(s={s},k={k},h={ext.h},m={m})")
 
 
 def shifted_word_basis(h: gflib.Poly, m: int) -> np.ndarray:
@@ -467,17 +465,29 @@ def _proxy_key(h: gflib.Poly, m: int):
     return None
 
 
-def group_wlp_for_poly(s: int, k: int, h: gflib.Poly, m: int,
-                       budget: int = DEFAULT_WLP_BUDGET) -> tuple[int, ...]:
-    """Wordlength pattern of one consecutive-powers group under h."""
-    ext = gflib.ext_field(s, k, h)
-    gen = generator_from_exponents(ext, range(m))
-    return wlp(gen, budget)
+def group_wlp_for_poly(s: int, k: int, h: gflib.Poly, m: int) -> tuple[int, ...]:
+    """Wordlength pattern of one consecutive-powers group under h.
+
+    The group's defining words are spanned by shifted_word_basis(h, m);
+    its rows are the length-m sequences with
+    c_(j+k) = -(b_0 c_j + ... + b_(k-1) c_(j+k-1)), since x^(j+k) is that
+    combination of x^j, ..., x^(j+k-1) modulo h.  Whichever of the two
+    spaces is smaller is enumerated, and no field is built.
+    """
+    if m <= k:
+        return (0,) * m
+    field = gflib.level_field(s)
+    if m - k <= k:
+        weights = np.count_nonzero(gflib.span(field, shifted_word_basis(h, m)), axis=1)
+        return tuple(int(a) // (s - 1) for a in np.bincount(weights, minlength=m + 1)[1:])
+    rows = np.zeros((s**k, m), dtype=np.int64)
+    rows[:, :k] = gflib.span(field, np.eye(k, dtype=np.int64))
+    for j in range(k, m):
+        rows[:, j] = -rows[:, j - k:j] @ np.array(h.coeffs[:k]) % s
+    return wlp_of_rows(s, rows)
 
 
-def rank_primitive_polys(s: int, k: int, m: int,
-                         budget: int = DEFAULT_WLP_BUDGET
-                         ) -> list[tuple[gflib.Poly, tuple[int, ...]]]:
+def rank_primitive_polys(s: int, k: int, m: int) -> list[tuple[gflib.Poly, tuple[int, ...]]]:
     """Primitive polynomials ranked by group aberration at group size m.
 
     m = k+1 ranks by the count of nonzero low coefficients (descending),
@@ -487,7 +497,7 @@ def rank_primitive_polys(s: int, k: int, m: int,
     """
     ranked = []
     for h in gflib.find_primitive_polys(s, k):
-        pattern = group_wlp_for_poly(s, k, h, m, budget)
+        pattern = group_wlp_for_poly(s, k, h, m)
         key = _proxy_key(h, m)
         if key is None:
             key = pattern[2:]
@@ -505,8 +515,7 @@ def wlp_rank_key(pattern: tuple[int, ...]):
 # Exhaustive minimum-aberration search over PG column subsets
 
 
-def ma_regular_oa(s: int, k: int, m: int, subset_budget: int = 500_000,
-                  wlp_budget: int = DEFAULT_WLP_BUDGET
+def ma_regular_oa(s: int, k: int, m: int, subset_budget: int = 500_000
                   ) -> tuple[GeneratorMatrix, tuple[int, ...]]:
     """Minimum-aberration regular OA(s^k, m, s, 2) by exhausting all
     m-subsets of the PG(k-1, s) points."""
@@ -521,7 +530,7 @@ def ma_regular_oa(s: int, k: int, m: int, subset_budget: int = 500_000,
     best = None
     for subset in itertools.combinations(range(v), m):
         gen = GeneratorMatrix(s, points[list(subset)].T)
-        pattern = wlp(gen, wlp_budget)
+        pattern = wlp(gen)
         key = tuple(pattern)
         if best is None or key < best[0]:
             best = (key, gen, pattern)

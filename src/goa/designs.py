@@ -2,9 +2,9 @@
 
 Nothing in this module trusts a construction: strength is always checked
 combinatorially by projecting onto column subsets and counting level
-combinations, wordlength patterns are recovered from explicit null-space
-enumeration, and the strength-3 triple proportion p(D) is an exact rational
-from exhaustive triple counting.
+combinations, wordlength patterns are read off the weights of the rows
+themselves by the MacWilliams transform, and the strength-3 triple
+proportion p(D) is an exact rational from exhaustive triple counting.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ import numpy as np
 
 from . import gf as gflib
 from .errors import (
-    BudgetExceededError,
     EmptySelectionError,
     RankDeficientError,
     TooFewColumnsError,
 )
 
-DEFAULT_WLP_BUDGET = 20_000
 # int64 cells per projection-counting chunk; for t = 2, uint64 words of
 # the AND block
 _CHUNK_CELLS = 1 << 14
@@ -233,26 +231,35 @@ def max_strength(design: Design, cap: int | None = None) -> int:
     return 0
 
 
-def wlp(gen: GeneratorMatrix, budget: int = DEFAULT_WLP_BUDGET) -> tuple[int, ...]:
-    """Wordlength pattern (A_1, ..., A_m) of a regular design.
+def wlp_of_rows(s: int, rows: np.ndarray) -> tuple[int, ...]:
+    """Wordlength pattern (A_1, ..., A_m) of the N rows of a linear space
+    over GF(s), each vector of the space repeated equally often.
 
-    Enumerates the full null space of the generator; scalar multiples of a
-    word are identified, so each raw weight count divides by s - 1.
+    With B_i rows of weight i, the defining words number
+    sum_i B_i (1 - z)^i (1 + (s - 1) z)^(m - i) / N (MacWilliams), one per
+    scalar multiple, so each coefficient of z^j divides by N (s - 1).
+    Horner's rule in (1 - z) keeps the exact integer evaluation O(m^2).
     """
-    field = gflib.level_field(gen.s)
-    basis = gflib.null_space(field, gen.matrix)
-    size = gen.s ** basis.shape[0]
-    if size > budget:
-        raise BudgetExceededError(f"null space of size {size} exceeds budget {budget}")
-    weights = np.count_nonzero(gflib.span(field, basis), axis=1)
-    hist = np.bincount(weights, minlength=gen.m + 1)
-    pattern = []
-    for j in range(1, gen.m + 1):
-        count, rem = divmod(int(hist[j]), gen.s - 1)
-        if rem:
-            raise AssertionError("weight count not divisible by s-1")
-        pattern.append(count)
-    return tuple(pattern)
+    n, m = rows.shape
+    hist = np.bincount(np.count_nonzero(rows, axis=1), minlength=m + 1)
+    poly = np.zeros(m + 1, dtype=object)
+    power = np.zeros(m + 1, dtype=object)  # (1 + (s - 1) z)^(m - i)
+    power[0] = 1
+    for i in range(m, -1, -1):
+        poly[1:] = poly[1:] - poly[:-1]
+        poly += int(hist[i]) * power
+        power[1:] = power[1:] + (s - 1) * power[:-1]
+    scale = n * (s - 1)
+    if any(coeff % scale for coeff in poly[1:]):
+        raise AssertionError("weight count not divisible by N(s-1)")
+    return tuple(int(coeff // scale) for coeff in poly[1:])
+
+
+def wlp(gen: GeneratorMatrix) -> tuple[int, ...]:
+    """Wordlength pattern (A_1, ..., A_m) of a regular design, read off the
+    s^k rows the generator spans; a rank-deficient generator repeats each
+    row equally often, which wlp_of_rows allows."""
+    return wlp_of_rows(gen.s, gflib.span(gflib.level_field(gen.s), gen.matrix))
 
 
 def strength_from_wlp(pattern: tuple[int, ...]) -> int:
@@ -262,25 +269,23 @@ def strength_from_wlp(pattern: tuple[int, ...]) -> int:
     return len(pattern)
 
 
-def wlp_of_columns(design: Design, columns,
-                   budget: int = DEFAULT_WLP_BUDGET) -> tuple[int, ...] | None:
+def wlp_of_columns(design: Design, columns) -> tuple[int, ...] | None:
     """Wordlength pattern recovered from the design matrix itself.
 
-    Returns None when the projected rows do not form a linear space (every
-    vector of their row space, each with the same multiplicity), i.e. the
-    projection is not regular and has no wordlength pattern.
+    Returns None when the projected rows do not form a linear space (s^rank
+    distinct rows, each with the same multiplicity), i.e. the projection is
+    not regular and has no wordlength pattern.
     """
-    field = gflib.level_field(design.s)
     sub = design.matrix[:, list(columns)]
-    basis = gflib.row_space_basis(field, sub)
-    size = design.s ** basis.shape[0]
-    lam, rem = divmod(design.runs, size)
-    if rem or lam == 0:
+    ordered = _sorted_rows(sub)
+    new = np.ones(design.runs, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=design.runs)
+    rank = gflib.mat_rank(gflib.level_field(design.s), ordered[starts])
+    if len(starts) != design.s**rank or (counts != counts[0]).any():
         return None
-    rows, counts = np.unique(sub, axis=0, return_counts=True)
-    if rows.shape[0] != size or not np.all(counts == lam):
-        return None
-    return wlp(GeneratorMatrix(design.s, basis), budget)
+    return wlp_of_rows(design.s, sub)
 
 
 def p_of_d(design: Design, columns=None) -> Fraction:
@@ -325,19 +330,12 @@ def annotate(gd: GroupedDesign) -> GroupedDesign:
     return gd
 
 
-def regular_goa(gen: GeneratorMatrix, groups: list[Group], origin: str,
-                budget: int = DEFAULT_WLP_BUDGET) -> GroupedDesign:
-    """The grouped design generated by gen, annotated.
-
-    Each group's wordlength pattern comes from its generator columns, or
-    is None when its null space exceeds the budget.
-    """
+def regular_goa(gen: GeneratorMatrix, groups: list[Group], origin: str) -> GroupedDesign:
+    """The grouped design generated by gen, annotated; each group's
+    wordlength pattern is read off its columns of the expanded rows."""
     design = expand_generator(gen, origin=origin)
     for grp in groups:
-        try:
-            grp.wlp = wlp(GeneratorMatrix(gen.s, gen.matrix[:, grp.columns]), budget)
-        except BudgetExceededError:
-            grp.wlp = None
+        grp.wlp = wlp_of_rows(gen.s, design.matrix[:, grp.columns])
     return annotate(GroupedDesign(design, groups, claimed_t0=2, generator=gen))
 
 
@@ -373,7 +371,8 @@ class VerifyReport:
 
 
 def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
-    return matrix[np.lexsort(matrix.T[::-1])]
+    """Rows in lexicographic order; lexsort takes no empty key list."""
+    return matrix[np.lexsort(matrix.T[::-1])] if matrix.shape[1] else matrix
 
 
 def _strength_claim(subject: str, design: Design, t: int) -> ClaimCheck:
@@ -386,16 +385,16 @@ def _strength_claim(subject: str, design: Design, t: int) -> ClaimCheck:
     return ClaimCheck(subject, f"strength {t}", res.ok, detail)
 
 
-def verify_claims(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET) -> VerifyReport:
+def verify_claims(gd: GroupedDesign) -> VerifyReport:
     """Re-verify every claim a design file carries, from the matrix alone.
 
     Checks, in order: generator consistency (when a generator is stored,
     its expansion must reproduce the row multiset; a k-row generator with
     s^k != N fails unexpanded), the whole-array strength claim, then per
-    group the strength claim, the stored wordlength pattern (recomputed
-    from the projected rows, which must form a linear space) and the
-    stored p value.  Any mismatch makes the report fail; recomputation
-    stops early only within a failed check.
+    group the strength claim, the stored wordlength pattern (the
+    MacWilliams transform of the weights of the projected rows, which must
+    form a linear space) and the stored p value.  Any mismatch makes the
+    report fail; recomputation stops early only within a failed check.
     """
     checks: list[ClaimCheck] = []
 
@@ -419,10 +418,7 @@ def verify_claims(gd: GroupedDesign, budget: int = DEFAULT_WLP_BUDGET) -> Verify
         if t >= 1:
             checks.append(_strength_claim(name, subset_design(gd.design, grp.columns), t))
         if grp.wlp is not None:
-            try:
-                recomputed = wlp_of_columns(gd.design, grp.columns, budget)
-            except BudgetExceededError:
-                recomputed = "over budget"
+            recomputed = wlp_of_columns(gd.design, grp.columns)
             ok = recomputed == tuple(grp.wlp)
             checks.append(
                 ClaimCheck(name, "wordlength pattern", ok,

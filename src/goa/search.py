@@ -17,7 +17,6 @@ import numpy as np
 from . import gf as gflib
 from .designs import (
     _CHUNK_CELLS,
-    DEFAULT_WLP_BUDGET,
     GeneratorMatrix,
     Group,
     GroupedDesign,
@@ -71,7 +70,6 @@ class SearchConfig:
 
     restarts: int = 10_000
     seed: int = 0
-    wlp_budget: int = DEFAULT_WLP_BUDGET
     polys: list[gflib.Poly] | None = None
     min_groups: int = 1
 
@@ -101,14 +99,13 @@ def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
         raise NoGroupingError(f"best grouping has g={g_count} < {cfg.min_groups}")
     ext = exts[which]
     m = gen.m
-    claimed = strength_from_wlp(wlp(gen, cfg.wlp_budget))
+    claimed = strength_from_wlp(wlp(gen))
     out_gen = generator_from_exponents(ext, [e for grp in groups for e in grp])
     out_groups = [Group(list(range(i * m, (i + 1) * m)), claimed_strength=claimed)
                   for i in range(g_count)]
     return regular_goa(
         out_gen, out_groups,
-        f"alg42(s={s},k={k},m={m},h={ext.h},restarts={cfg.restarts},seed={cfg.seed})",
-        cfg.wlp_budget)
+        f"alg42(s={s},k={k},m={m},h={ext.h},restarts={cfg.restarts},seed={cfg.seed})")
 
 
 def _best_restart(gen: GeneratorMatrix, cfg: SearchConfig,
@@ -168,8 +165,7 @@ class SurveyRow:
     h: gflib.Poly
 
 
-def survey(s: int, k: int, m_values=None,
-           budget: int = DEFAULT_WLP_BUDGET) -> list[SurveyRow]:
+def survey(s: int, k: int, m_values=None) -> list[SurveyRow]:
     """Best consecutive-powers grouping per group size m in (k, k+4].
 
     For each m the primitive polynomials are ranked and the winner's group
@@ -185,12 +181,12 @@ def survey(s: int, k: int, m_values=None,
         g = v // m
         if g < 1:
             continue
-        best, pattern = rank_primitive_polys(s, k, m, budget)[0]
+        best, pattern = rank_primitive_polys(s, k, m)[0]
         padded = pattern + (0,) * max(0, 6 - len(pattern))
         rows.append(
             SurveyRow(
                 s=s, k=k, m=m,
-                t=strength_from_wlp(pattern) if m > k else m,
+                t=strength_from_wlp(pattern),
                 g=g,
                 wlp_head=tuple(padded[2:6]),
                 h=best,

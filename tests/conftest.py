@@ -52,23 +52,20 @@ def eq21_generator():
 def oracle_wlp(gen: dz.GeneratorMatrix) -> tuple[int, ...]:
     """Brute-force wordlength pattern: try every nonzero coefficient vector.
 
-    Independent of the null-space path used by the library; only feasible
-    for s^m up to a few thousand.
+    Independent of the MacWilliams transform used by the library; only
+    feasible for s^m up to a few thousand.
     """
     field = gf.level_field(gen.s)
     m = gen.m
-    counts = [0] * (m + 1)
-    for coeffs in itertools.product(range(gen.s), repeat=m):
-        if not any(coeffs):
-            continue
-        acc = np.zeros(gen.k, dtype=np.int64)
-        for j, c in enumerate(coeffs):
-            acc = field.add(acc, field.mul(c, gen.matrix[:, j]))
-        if not acc.any():
-            counts[sum(1 for c in coeffs if c)] += 1
+    coeffs = np.array(list(itertools.product(range(gen.s), repeat=m)), dtype=np.int64)
+    acc = np.zeros((len(coeffs), gen.k), dtype=np.int64)
+    for j in range(m):
+        acc = field.add(acc, field.mul(coeffs[:, j][:, None], gen.matrix[:, j][None, :]))
+    words = coeffs[1:][~acc[1:].any(axis=1)]
+    counts = np.bincount(np.count_nonzero(words, axis=1), minlength=m + 1)
     pattern = []
     for j in range(1, m + 1):
-        q, r = divmod(counts[j], gen.s - 1)
+        q, r = divmod(int(counts[j]), gen.s - 1)
         assert r == 0
         pattern.append(q)
     return tuple(pattern)

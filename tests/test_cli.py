@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -84,6 +85,26 @@ class TestConstruct:
                      "--h", "1,1,1,1,2,1", "--m", "6", "--out", "c.json"]) == 0
         gd = io.load_json(workdir / "c.json")
         assert len(gd.groups) == 20
+
+    def test_consecutive_wide_group(self, workdir):
+        # one group of all 31 PG(4, 2) points: its defining words are the
+        # [31, 26] Hamming code, 2^26 of them
+        assert main(["construct", "consecutive", "--s", "2", "--k", "5", "--m", "31",
+                     "--out", "c.json"]) == 0
+        assert main(["verify", "c.json"]) == 0
+        gd = io.load_json(workdir / "c.json")
+        assert gd.design.runs == 32 and gd.groups[0].wlp[2] == 155
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "thm1", "--s", "3"],
+        ["verify", "t.json"],
+        ["search", "alg42", "--builtin", "oa16-5-ma"],
+        ["survey", "--s", "2", "--k", "4"],
+    ], ids=lambda a: a[0])
+    def test_budget_flag_refused(self, workdir, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--budget", "5"])
+        assert exc.value.code == 2
 
     def test_prime_power_thm1_verifies(self, workdir):
         assert main(["construct", "thm1", "--s", "8", "--out", "t.json"]) == 0
@@ -298,6 +319,14 @@ class TestCatalogContent:
         rng = np.random.default_rng(8)
         for path in rng.choice(files, size=8, replace=False):
             assert main(["verify", str(path)]) == 0, path.name
+
+    def test_wlp_of_every_column(self, catalog_dir):
+        # 512 x 507: the defining words number 2^498 - 1, up to scalars
+        gd = io.load_json(catalog_dir / "survey-s2-k9-m13.json")
+        start = time.perf_counter()
+        pattern = dz.wlp_of_columns(gd.design, range(507))
+        assert time.perf_counter() - start < 2
+        assert pattern[:2] == (0, 0) and sum(pattern) == 2**498 - 1
 
 
 class TestCliEdgeCases:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,6 +322,22 @@ class TestRanking:
         ext = gf.ext_field(3, 3, h)
         gen = dz.generator_from_exponents(ext, range(5))
         assert cx.group_wlp_for_poly(3, 3, h, 5) == oracle_wlp(gen)
+
+    @pytest.mark.parametrize("s,k", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+    def test_wlp_against_oracle_every_m(self, s, k):
+        # m <= k, the shifted words (m - k <= k) and the recurrence rows
+        h = gf.find_primitive_polys(s, k)[-1]
+        ext = gf.ext_field(s, k, h)
+        for m in range(2, (s**k - 1) // (s - 1) + 1):
+            if s**m > 4096:
+                break
+            gen = dz.generator_from_exponents(ext, range(m))
+            assert cx.group_wlp_for_poly(s, k, h, m) == oracle_wlp(gen)
+
+    def test_ranking_builds_no_field(self):
+        with mock.patch.object(gf, "ext_field", side_effect=AssertionError("field built")):
+            ranked = cx.rank_primitive_polys(2, 8, 10)
+        assert len(ranked) == len(gf.find_primitive_polys(2, 8))
 
 
 class TestMaRegular:

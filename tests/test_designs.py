@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from goa import constructions as cx
 from goa import designs as dz
 from goa import gf
 from goa.errors import (
-    BudgetExceededError,
     EmptySelectionError,
     RankDeficientError,
     TooFewColumnsError,
@@ -94,10 +97,12 @@ class TestWlp:
         gen = dz.generator_from_exponents(ext, range(5))
         assert dz.wlp(gen) == oracle_wlp(gen)
 
-    def test_budget(self):
+    def test_wide_null_space(self):
+        # the defining words of a single all-ones row are the even-weight
+        # vectors: 2^19 of them, read off two distinct rows
         gen = dz.GeneratorMatrix(2, [[1] * 20])
-        with pytest.raises(BudgetExceededError):
-            dz.wlp(gen, budget=4)
+        assert dz.wlp(gen) == tuple(math.comb(20, j) if j % 2 == 0 else 0
+                                    for j in range(1, 21))
 
     def test_strength_wlp_consistency(self):
         # strength t iff A_1 = ... = A_t = 0, on a spread of small designs
@@ -119,24 +124,80 @@ class TestWlp:
     def test_wlp_of_columns_from_matrix(self, eq21_generator):
         d = dz.expand_generator(eq21_generator)
         assert dz.wlp_of_columns(d, range(4)) == (0, 0, 0, 1)
+        d.matrix[:, 0] ^= 1  # the odd-weight coset
+        assert dz.wlp_of_columns(d, range(4)) is None
 
     def test_wlp_of_columns_nonregular(self):
         d = dz.Design(2, [[0, 0], [0, 1], [1, 0], [1, 0]])
         assert dz.wlp_of_columns(d, range(2)) is None
 
-    def test_wlp_of_columns_over_budget(self, eq21_generator):
-        d = dz.expand_generator(eq21_generator)
-        with pytest.raises(BudgetExceededError):
-            dz.wlp_of_columns(d, range(4), budget=1)
+    def test_wlp_of_columns_unequal_multiplicity(self):
+        d = dz.Design(2, [[0, 0], [0, 1], [1, 0], [1, 1], [0, 0], [0, 1], [1, 0], [0, 0]])
+        assert dz.wlp_of_columns(d, range(2)) is None
+
+    def test_wlp_of_columns_not_closed(self):
+        # four distinct rows, each once, whose span has eight
+        d = dz.Design(2, [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+        assert dz.wlp_of_columns(d, range(3)) is None
+
+    @pytest.mark.parametrize("s", [3, 4, 5])
+    def test_wlp_of_columns_coset(self, s):
+        # the first thm1 group with one column shifted x -> x+1 mod s is a
+        # coset of the group's row space, which holds no unit vector
+        gd = cx.construct_thm1(s)
+        cols = gd.groups[0].columns
+        assert dz.wlp_of_columns(gd.design, cols) == gd.groups[0].wlp
+        d = dz.Design(s, gd.design.matrix.copy())
+        d.matrix[:, cols[1]] = (d.matrix[:, cols[1]] + 1) % s
+        assert dz.wlp_of_columns(d, cols) is None
+
+    def test_wlp_of_columns_no_columns(self, eq21_generator):
+        assert dz.wlp_of_columns(dz.expand_generator(eq21_generator), []) == ()
+
+
+# s^m <= 4096 keeps the brute-force oracle small
+MAX_M = {2: 12, 3: 7, 4: 6, 5: 5, 7: 4, 8: 4, 9: 3}
+
+
+@st.composite
+def generators(draw, max_k=4):
+    """A k x m generator over GF(s), often rank deficient: random rows,
+    then optionally a scalar multiple of the first row appended."""
+    s = draw(st.sampled_from(sorted(MAX_M)))
+    m = draw(st.integers(1, MAX_M[s]))
+    row = st.lists(st.integers(0, s - 1), min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=1, max_size=max_k))
+    if draw(st.booleans()):
+        c = draw(st.integers(0, s - 1))
+        rows.append(gf.level_field(s).mul(c, np.array(rows[0])).tolist())
+    return dz.GeneratorMatrix(s, rows)
+
+
+class TestWlpOracle:
+    @settings(deadline=None)
+    @given(generators())
+    def test_wlp_matches_oracle(self, gen):
+        assert dz.wlp(gen) == oracle_wlp(gen)
+
+    @settings(deadline=None)
+    @given(generators(max_k=3), st.data())
+    def test_wlp_of_columns_matches_wlp(self, gen, data):
+        # any column projection of a regular design is regular
+        assume(gf.mat_rank(gf.level_field(gen.s), gen.matrix) == gen.k)
+        cols = data.draw(st.lists(st.integers(0, gen.m - 1), min_size=1,
+                                  max_size=gen.m, unique=True))
+        d = dz.expand_generator(gen)
+        want = dz.wlp(dz.GeneratorMatrix(gen.s, gen.matrix[:, cols]))
+        assert dz.wlp_of_columns(d, cols) == want
 
 
 class TestRegularGoa:
-    def test_over_budget_group_has_no_wlp(self):
+    def test_repeated_columns_give_a_word(self):
         # columns 0 and 1 repeat, so only the first group has a defining word
         gen = dz.GeneratorMatrix(2, [[1, 1, 1, 0], [0, 0, 0, 1]])
         groups = [dz.Group([0, 1], 2), dz.Group([2, 3], 2)]
-        gd = dz.regular_goa(gen, groups, "repeat", budget=1)
-        assert [g.wlp for g in gd.groups] == [None, (0, 0)]
+        gd = dz.regular_goa(gen, groups, "repeat")
+        assert [g.wlp for g in gd.groups] == [(0, 1), (0, 0)]
         assert [g.verified_strength for g in gd.groups] == [1, 2]
         assert gd.generator is gen and gd.verified_t0 == 1
         assert (gd.design.runs, gd.design.origin) == (4, "repeat")
