@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 partial failure, 2 verification/claim/parse failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -344,7 +345,10 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The goa argument parser, built once per process: it holds no state
+    between parse_args calls, and building every subparser costs ms."""
     parser = argparse.ArgumentParser(prog="goa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -156,16 +156,17 @@ def _projection_tables(matrix: np.ndarray, s: int, t: int, cols):
     """Yield (tuples, tables) chunks of t-column projection counts in
     itertools.combinations order of cols, cell a_1 s^(t-1) + ... + a_t.
 
-    For t = 2 each (column, level) is a bitset of the rows, and the count
-    of levels (a, b) in columns (i, j) is the popcount of
+    For t = 2 and s^2 <= 64 each (column, level) is a bitset of the rows,
+    and the count of levels (a, b) in columns (i, j) is the popcount of
     bits[i, a] & bits[j, b].  A chunk is a block of first columns
     i0..i0+width-1 against the columns after i0, read in row-major order
     over the j > i triangle; when one first column against them all
-    exceeds the cap, the later columns are split into spans.  For any
-    other t, row i of a chunk is coded with an offset of i * s^t, so one
-    bincount counts the chunk.
+    exceeds the cap, the later columns are split into spans.  A pair then
+    costs s^2 words per 64 rows against one bincount cell per row, so for
+    larger s, and for any other t, row i of a chunk is coded with an
+    offset of i * s^t and one bincount counts the chunk.
     """
-    if t == 2:
+    if t == 2 and s * s <= 64:
         idx = np.fromiter(cols, dtype=np.intp)
         bits = _level_bitsets(matrix, s)[idx]
         n, pair = len(idx), s * s * bits.shape[2]

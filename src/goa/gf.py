@@ -127,7 +127,7 @@ class GF:
 
     def __init__(self, p: int, vec: np.ndarray, mul_table: np.ndarray):
         s, j = vec.shape
-        self.s, self.p = s, p
+        self.s, self.p, self.j = s, p, j
         self.vec = vec
         self.lab = np.empty(s, dtype=np.int64)
         self.lab[code(p, vec)] = np.arange(s)
@@ -291,30 +291,50 @@ def level_field(s: int) -> GF:
 
 
 def row_reduce(gf: GF, m) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column list)."""
-    r = np.array(m, dtype=np.int64, copy=True)
+    """Reduced row echelon form; returns (R, pivot column list).
+
+    Gauss-Jordan elimination row by row: the pivot of row i is its first
+    nonzero entry once the earlier pivot rows have been cleared out of it,
+    and that column is then cleared from every other row.  Sorting the
+    pivot rows by column gives the RREF; a matrix has only one, so R and
+    the pivots do not depend on the order of elimination.  Over a prime
+    field each row operation is integer arithmetic mod p; over GF(p^j),
+    j > 1, it goes through the label tables.  Raises ValueError unless m
+    is 2-d.
+    """
+    r = np.array(m, dtype=np.int64, order="C")
     if r.ndim != 2:
         raise ValueError("need a 2-d matrix")
-    rows, cols = r.shape
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        sel = next((i for i in range(rank, rows) if r[i, c]), None)
-        if sel is None:
+    found = []  # (pivot column, row)
+    for i in range(len(r)):
+        nonzero = np.flatnonzero(r[i])
+        if not len(nonzero):
             continue
-        r[[rank, sel]] = r[[sel, rank]]
-        r[rank] = gf.mul(gf.inv(int(r[rank, c])), r[rank])
-        others = np.arange(rows) != rank
-        r[others] = gf.sub(r[others], gf.mul(r[others, c][:, None], r[rank][None, :]))
-        pivots.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    return r, pivots
+        c = int(nonzero[0])
+        found.append((c, i))
+        row = r[i]
+        if gf.j == 1:
+            row *= pow(int(row[c]), -1, gf.p)
+            row %= gf.p
+            for rest in (r[:i], r[i + 1:]):
+                rest -= rest[:, c, None] * row
+                rest %= gf.p
+        else:
+            row[:] = gf.mul_t[gf.inv_t[row[c]], row]
+            for rest in (r[:i], r[i + 1:]):
+                rest[:] = gf.sub(rest, gf.mul(rest[:, c, None], row))
+    found.sort()
+    out = np.zeros_like(r)
+    out[:len(found)] = r[[i for _, i in found]]
+    return out, [c for c, _ in found]
 
 
 def mat_rank(gf: GF, m) -> int:
-    return len(row_reduce(gf, m)[1])
+    """Rank over the level field.  Row rank equals column rank, so a
+    matrix taller than wide is reduced as its transpose and row_reduce
+    steps through min(rows, cols) rows; raises ValueError unless m is 2-d."""
+    m = np.asarray(m)
+    return len(row_reduce(gf, m.T if m.ndim == 2 and len(m) > m.shape[1] else m)[1])
 
 
 def mat_mul(gf: GF, a, b) -> np.ndarray:
@@ -326,7 +346,7 @@ def mat_mul(gf: GF, a, b) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     (n, r), q = a.shape, b.shape[1]
-    j = gf.vec.shape[1]
+    j = gf.j
     left = gf.vec[a].reshape(n, r * j)
     right = gf.mat[b].transpose(0, 3, 1, 2).reshape(r * j, q * j)
     # the product stays unnamed, so at most two n x q arrays are alive at once

@@ -84,6 +84,33 @@ def oracle_mat_mul(field: gf.GF, a, b) -> np.ndarray:
     return out
 
 
+def oracle_row_reduce(field: gf.GF, m) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form, one pivot column at a time through the
+    add/mul tables; returns (R, pivot column list).
+
+    The reference for the library's row-wise elimination.
+    """
+    r = np.array(m, dtype=np.int64, copy=True)
+    if r.ndim != 2:
+        raise ValueError("need a 2-d matrix")
+    rows, cols = r.shape
+    pivots = []
+    rank = 0
+    for c in range(cols):
+        sel = next((i for i in range(rank, rows) if r[i, c]), None)
+        if sel is None:
+            continue
+        r[[rank, sel]] = r[[sel, rank]]
+        r[rank] = field.mul(field.inv(int(r[rank, c])), r[rank])
+        others = np.arange(rows) != rank
+        r[others] = field.sub(r[others], field.mul(r[others, c][:, None], r[rank][None, :]))
+        pivots.append(c)
+        rank += 1
+        if rank == rows:
+            break
+    return r, pivots
+
+
 def oracle_ext_field_walk(s: int, k: int, coeffs) -> np.ndarray | None:
     """beta^0, ..., beta^(s^k - 2) for beta = x modulo the monic h with
     ascending coeffs, one multiplication by x at a time; None unless beta
@@ -171,7 +198,7 @@ def oracle_best_restart(gen: dz.GeneratorMatrix, cfg, exts) -> tuple[int, int, l
         log = {tuple(vec): i for i, vec in enumerate(exts[which].antilog.tolist())}
         while True:
             h_mat = rng.integers(0, s, size=(k, k))
-            if gf.mat_rank(field, h_mat) == k:
+            if len(oracle_row_reduce(field, h_mat)[1]) == k:
                 break
         hg = oracle_mat_mul(field, h_mat, gen.matrix)
         base = tuple(log[tuple(int(x) for x in col)] % v for col in hg.T)

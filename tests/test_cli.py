@@ -375,6 +375,28 @@ class TestCliEdgeCases:
         (workdir / "c.json").write_text(json.dumps(doc))
         assert main(["search", "alg42", "--seed-design", "c.json", "--restarts", "5"]) == 2
 
+    def test_successive_calls_match_fresh_processes(self, workdir, capsys, monkeypatch):
+        # one parser serves every main() call in a process; argparse wraps
+        # usage lines to COLUMNS, so both sides get the same width
+        monkeypatch.setenv("COLUMNS", "80")
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        doc = json.loads((workdir / "t.json").read_text())
+        doc["matrix"][4][1] = (doc["matrix"][4][1] + 1) % 3
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        codes = []
+        for argv in (["verify", "t.json"], ["verify", "bad.json"],
+                     ["verify", "t.json", "--bogus"], ["verify", "t.json"]):
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            out, err = capsys.readouterr()
+            proc = run_goa(*argv)
+            assert (codes[-1], out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert codes == [0, 2, 2, 0]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_rotate_rejects_ungrouped(self, workdir):
         main(["construct", "thm1", "--s", "2", "--out", "t.json", "--format", "both"])
         assert main(["expand", "rotate", "--design", "t.csv", "--s", "2"]) == 2

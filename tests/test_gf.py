@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from goa import constructions, designs, gf, search
 from goa.errors import NotPrimePowerError, NotPrimitiveError
 
-from conftest import oracle_ext_field_walk, oracle_mat_mul
+from conftest import oracle_ext_field_walk, oracle_mat_mul, oracle_row_reduce
 
 LEVELS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81]
 
@@ -332,3 +332,39 @@ class TestMatMulOracle:
         basis = label_matrix(data, s, d, m)
         coeffs = list(itertools.product(range(s), repeat=d))
         assert np.array_equal(gf.span(f, basis), oracle_mat_mul(f, coeffs, basis))
+
+
+class TestRowReduceOracle:
+    """gf.row_reduce, mat_rank and null_space against the column-by-column
+    elimination in conftest, over prime and prime-power level fields."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), s=st.sampled_from(LEVELS),
+           rows=st.integers(0, 8), cols=st.integers(0, 8))
+    def test_matches_oracle(self, data, s, rows, cols):
+        f = gf.level_field(s)
+        k = data.draw(st.integers(0, 3))
+        if data.draw(st.booleans()):  # rank at most k
+            m = oracle_mat_mul(f, label_matrix(data, s, rows, k), label_matrix(data, s, k, cols))
+        else:
+            m = label_matrix(data, s, rows, cols)
+        if rows:
+            m[data.draw(st.integers(0, rows - 1))] = 0
+            m[data.draw(st.integers(0, rows - 1))] = m[data.draw(st.integers(0, rows - 1))]
+        want_r, want_pivots = oracle_row_reduce(f, m)
+        r, pivots = gf.row_reduce(f, m)
+        assert pivots == want_pivots
+        assert np.array_equal(r, want_r)
+        assert gf.mat_rank(f, m) == gf.mat_rank(f, m.T) == len(want_pivots)
+        # the null space basis is the identity on the free columns, which
+        # fixes it given the space
+        basis = gf.null_space(f, m)
+        free = [c for c in range(cols) if c not in want_pivots]
+        assert np.array_equal(basis[:, free], np.eye(len(free), dtype=np.int64))
+        assert not oracle_mat_mul(f, m, basis.T).any()
+
+    @pytest.mark.parametrize("fn", [gf.row_reduce, gf.mat_rank])
+    @pytest.mark.parametrize("m", [[1, 0, 2], np.zeros((2, 2, 2), dtype=np.int64)])
+    def test_needs_a_2d_matrix(self, fn, m):
+        with pytest.raises(ValueError):
+            fn(gf.level_field(3), m)

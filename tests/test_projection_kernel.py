@@ -106,10 +106,11 @@ class TestCheckStrength:
 
 
 class TestPairBitsetWords:
-    """t = 2 counts popcounts of 64-row words; run counts on both sides of
-    the byte and word boundaries, each at several chunk caps."""
+    """t = 2 counts popcounts of 64-row words while s^2 <= 64 and bincounts
+    above; run counts on both sides of the byte and word boundaries, each
+    at several chunk caps."""
 
-    @pytest.mark.parametrize("s", [2, 3, 5, 7])
+    @pytest.mark.parametrize("s", [2, 3, 5, 7, 9, 11, 13])
     @pytest.mark.parametrize("runs", [1, 7, 8, 9, 63, 64, 65, 129])
     def test_matches_oracle(self, runs, s):
         # the s + 1 columns of OA(s^2, s + 1, s, 2), tiled and cut to the
