@@ -1,8 +1,8 @@
 """Command-line front door.
 
 Subcommands: construct, verify, search, survey, expand, eval, catalog.
-Every written design is verified first; a construction whose claims do not
-hold still writes its file (with truthful verified strengths) but exits 2.
+A construction checks each claim once as it builds; the file is written with
+truthful verified strengths, and a failed claim prints its witness and exits 2.
 Exit codes: 0 ok, 1 partial failure, 2 verification/claim/parse failure.
 """
 
@@ -115,13 +115,18 @@ def cmd_construct(args) -> int:
             print(f"G{idx}: " + " ".join(block.row_strings()))
     path = _write_design(gd, args.out, args.format, name)
     print(f"{gd.label()} -> {path}")
-    report = verify_claims(gd)
-    if not (claims_ok(gd) and report.ok):
-        for line in report.lines():
-            print(line)
-        print("verification FAILED; file written with truthful verified strengths")
-        return EXIT_CLAIM
-    return EXIT_OK
+    return _verdict(gd)
+
+
+def _verdict(gd: GroupedDesign) -> int:
+    """Exit code of a design built and written: its construction checked every
+    claim, so claims_ok decides; verify_claims only prints a failure's witness."""
+    if claims_ok(gd):
+        return EXIT_OK
+    for line in verify_claims(gd).lines():
+        print(line)
+    print("verification FAILED; file written with truthful verified strengths")
+    return EXIT_CLAIM
 
 
 def cmd_verify(args) -> int:
@@ -131,19 +136,16 @@ def cmd_verify(args) -> int:
         print(line)
     if report.ok:
         for idx, grp in enumerate(gd.groups):
-            extras = []
+            line = [f"group {idx + 1}: {grp.size} cols, verified strength {grp.verified_strength}"]
             if grp.wlp is not None:
-                extras.append(f"wlp {tuple(grp.wlp)}")
+                line.append(f"wlp {tuple(grp.wlp)}")
             if grp.p is not None:
-                extras.append(f"p {grp.p}")
-            elif max(grp.claimed_strength, grp.verified_strength or 0) >= 3:
-                extras.append("p 1")  # verify_claims just proved strength >= 3
+                line.append(f"p {grp.p}")
+            elif grp.verified_strength >= 3:
+                line.append("p 1")  # verify_claims just proved strength >= 3
             elif grp.size >= 3:
-                extras.append(f"p {p_of_d(gd.design, grp.columns)}")
-            print(
-                f"group {idx + 1}: {grp.size} cols, verified strength "
-                f"{grp.verified_strength}" + (", " + ", ".join(extras) if extras else "")
-            )
+                line.append(f"p {p_of_d(gd.design, grp.columns)}")
+            print(", ".join(line))
         print(f"array: {gd.label()}")
         print("all claims hold")
         return EXIT_OK
@@ -172,7 +174,7 @@ def cmd_search(args) -> int:
     gd = algorithm_42(gen, cfg)
     path = _write_design(gd, args.out, args.format, f"alg42-s{gen.s}-m{gen.m}")
     print(f"{gd.label()} (g={len(gd.groups)}) -> {path}")
-    return EXIT_OK if claims_ok(gd) else EXIT_CLAIM
+    return _verdict(gd)
 
 
 def cmd_survey(args) -> int:
@@ -238,14 +240,16 @@ def _catalog_entries(rng_seed: int):
     for s in (2, 3, 4, 5):
         entries.append((f"thm1-s{s}", f"construct thm1 --s {s}",
                         lambda s=s: construct_thm1(s)))
+    # bases that several entries share are built once, on first use
+    ebert = functools.cache(lambda s: construct_ebert(
+        gflib.ext_field(s, 4, gflib.find_primitive_polys(s, 4)[0])))
     for s in (2, 3):
         h = gflib.find_primitive_polys(s, 4)[0]
         entries.append((f"ebert-s{s}", f"construct ebert --s {s} --h {h.format()}",
-                        lambda s=s, h=h: construct_ebert(gflib.ext_field(s, 4, h))))
+                        functools.partial(ebert, s)))
 
     def ebert_group(s):
-        gd = construct_ebert(gflib.ext_field(s, 4, gflib.find_primitive_polys(s, 4)[0]))
-        return subset_design(gd.design, gd.groups[0].columns)
+        return subset_design(ebert(s).design, ebert(s).groups[0].columns)
 
     entries.append((
         "goa486-20x3",
@@ -267,21 +271,20 @@ def _catalog_entries(rng_seed: int):
                     "grouped_kronecker(ds=6x6x3, blocks of 3, b=thm1(s=3) group 0)",
                     wide_blocks_162))
 
-    def ebert_subset_5544():
-        gd = construct_ebert(gflib.ext_field(3, 4, gflib.find_primitive_polys(3, 4)[0]))
-        keep = (gd.groups[0].columns[:5] + gd.groups[1].columns[:5]
-                + gd.groups[2].columns[:4] + gd.groups[3].columns[:4])
-        return subset_columns(gd, keep)
+    @functools.cache
+    def thm2_5544():
+        keep = [c for grp, n in zip(ebert(3).groups, (5, 5, 4, 4)) for c in grp.columns[:n]]
+        return construct_thm2(ds_catalog(3, 6, 6), subset_columns(ebert(3), keep))
 
     entries.append((
         "goa486-thm2",
         "construct thm2 --s 3 --ds-shape 6,6 --base ebert-s3-subset.json",
-        lambda: construct_thm2(ds_catalog(3, 6, 6), ebert_subset_5544()).grouped,
+        lambda: thm2_5544().grouped,
     ))
     entries.append((
         "goa486-thm2-regrouped",
         "construct thm2 --s 3 --ds-shape 6,6 --base ebert-s3-subset.json (nested)",
-        lambda: construct_thm2(ds_catalog(3, 6, 6), ebert_subset_5544()).nested,
+        lambda: thm2_5544().nested,
     ))
 
     for m, h_text in ((6, "1,1,1,1,2,1"), (7, "1,0,1,2,2,1")):

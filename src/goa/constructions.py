@@ -4,13 +4,14 @@ Covers the oval-based s^3-run construction, the Ebert cap partition of
 PG(3, s) for s^4 runs, difference-scheme Kronecker recursions with the
 exact strength-3 triple-proportion bound, consecutive-powers groupings with
 their defining relations, and the f-statistic ranking of primitive
-polynomials.  Every output is re-verified combinatorially before it is
-labelled; no construction is trusted.
+polynomials.  Every output's claims are checked combinatorially, once,
+before it is labelled; no construction is trusted.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +48,7 @@ from .errors import (
 from ._ds_tables import STORED_SCHEMES
 
 DS_SEARCH_CELL_LIMIT = 64
+DS_SEARCH_COLUMN_LIMIT = 1 << 20  # balanced columns ds_search may enumerate
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +164,15 @@ def ds_search(s: int, r: int, c: int, seed: int = 0, restarts: int = 200,
     Deterministic given the seed: restart i draws from its own stream, so
     the result does not depend on scheduling.  Raises SearchExhaustedError
     when the restarts run out (or, in exhaustive mode, when the full tree
-    contains no scheme).
+    contains no scheme), and ValueError, before any work, above
+    DS_SEARCH_CELL_LIMIT cells or DS_SEARCH_COLUMN_LIMIT balanced columns.
     """
     if r * c > DS_SEARCH_CELL_LIMIT:
         raise ValueError(f"search shape {r}x{c} above desk-scale cell limit")
     if r % s or c < 1:
         raise SearchExhaustedError(f"no DS({r},{c},{s}): need s | r")
+    if math.factorial(r) // math.factorial(r // s) ** s > DS_SEARCH_COLUMN_LIMIT:
+        raise ValueError(f"search shape {r}x{c} above desk-scale column limit")
     candidates = _balanced_columns(s, r)
     if exhaustive:
         found = _search_columns(s, r, c, None, candidates, 0, True)
@@ -240,6 +245,22 @@ def _require_strength3(design: Design, columns=None, what="input design"):
         raise StrengthPrereqError(f"{what} is not of strength 3")
 
 
+def _kronecker_goa(ds: DifferenceScheme, b: Design, parts, origin: str | None) -> GroupedDesign:
+    """A (+) B grouped by parts, one (scheme columns js, base columns ws,
+    claimed strength) per group: the group takes the columns j*n + w for j in
+    js and w in ws.  The claims are annotated, and p is measured exactly for
+    the groups claimed below strength 3."""
+    design = kronecker_sum(ds, b, origin=origin)
+    n = b.cols
+    groups = [Group([j * n + w for j in js for w in ws], claimed_strength=t)
+              for js, ws, t in parts]
+    gd = annotate(GroupedDesign(design, groups, claimed_t0=2))
+    for grp in gd.groups:
+        if grp.claimed_strength < 3:
+            grp.p = p_of_d(design, grp.columns)
+    return gd
+
+
 def construct_prop1(ds: DifferenceScheme, blocks, b: Design) -> GroupedDesign:
     """Strength-3 groups from one- or two-column blocks of a difference scheme.
 
@@ -254,13 +275,8 @@ def construct_prop1(ds: DifferenceScheme, blocks, b: Design) -> GroupedDesign:
     if covered != list(range(ds.c)):
         raise BadBlockSizeError("blocks must partition the scheme's columns")
     _require_strength3(b)
-    design = kronecker_sum(ds, b, origin=f"prop1(ds={ds.r}x{ds.c}x{ds.s}, b={b.origin})")
-    n = b.cols
-    groups = [
-        Group([j * n + w for j in block for w in range(n)], claimed_strength=3)
-        for block in blocks
-    ]
-    return annotate(GroupedDesign(design, groups, claimed_t0=2))
+    return _kronecker_goa(ds, b, [(block, range(b.cols), 3) for block in blocks],
+                          f"prop1(ds={ds.r}x{ds.c}x{ds.s}, b={b.origin})")
 
 
 def grouped_kronecker(ds: DifferenceScheme, blocks, b: Design,
@@ -271,16 +287,8 @@ def grouped_kronecker(ds: DifferenceScheme, blocks, b: Design,
     this generalises construct_prop1 to blocks wider than two columns,
     where groups are only of near strength 3.
     """
-    design = kronecker_sum(ds, b, origin=origin)
-    n = b.cols
-    groups = []
-    for block in blocks:
-        cols = [j * n + w for j in block for w in range(n)]
-        groups.append(Group(cols, claimed_strength=min(2, len(cols))))
-    gd = annotate(GroupedDesign(design, groups, claimed_t0=2))
-    for grp in gd.groups:
-        grp.p = p_of_d(design, grp.columns)
-    return gd
+    return _kronecker_goa(
+        ds, b, [(block, range(b.cols), min(2, len(block) * b.cols)) for block in blocks], origin)
 
 
 @dataclass
@@ -298,31 +306,17 @@ def construct_thm2(ds: DifferenceScheme, b: GroupedDesign) -> Thm2Result:
 
     Group i of the output is A (+) B_i with c*m_i columns; its measured
     p(D_i) is stored next to the bound 1 - (c-1)(c-2)/((cm_i-1)(cm_i-2)).
+    The nested regrouping pairs scheme columns (the last odd one alone).
     """
     for grp in b.groups:
         _require_strength3(b.design, grp.columns, what=f"group {grp.columns}")
-    design = kronecker_sum(ds, b.design,
-                           origin=f"thm2(ds={ds.r}x{ds.c}x{ds.s}, b={b.design.origin})")
-    n = b.design.cols
-    groups = []
-    bounds = []
-    for grp in b.groups:
-        cols = [j * n + w for j in range(ds.c) for w in grp.columns]
-        groups.append(Group(cols, claimed_strength=2))
-        bounds.append(p_bound(ds.c, grp.size))
-    coarse = annotate(GroupedDesign(design, groups, claimed_t0=2))
-    for grp in coarse.groups:
-        grp.p = p_of_d(design, grp.columns)
-
-    # nested regrouping: pair consecutive scheme columns (last odd one alone)
-    blocks = [list(range(j, min(j + 2, ds.c))) for j in range(0, ds.c, 2)]
-    nested_groups = []
-    for grp in b.groups:
-        for block in blocks:
-            cols = [j * n + w for j in block for w in grp.columns]
-            nested_groups.append(Group(cols, claimed_strength=3))
-    nested = annotate(GroupedDesign(Design(design.s, design.matrix, design.origin),
-                                    nested_groups, claimed_t0=2))
+    bounds = [p_bound(ds.c, grp.size) for grp in b.groups]
+    origin = f"thm2(ds={ds.r}x{ds.c}x{ds.s}, b={b.design.origin})"
+    coarse = _kronecker_goa(ds, b.design,
+                            [(range(ds.c), grp.columns, 2) for grp in b.groups], origin)
+    blocks = [range(j, min(j + 2, ds.c)) for j in range(0, ds.c, 2)]
+    nested = _kronecker_goa(ds, b.design, [(block, grp.columns, 3)
+                                           for grp in b.groups for block in blocks], origin)
     return Thm2Result(coarse, nested, bounds)
 
 

@@ -376,14 +376,22 @@ def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix[np.lexsort(matrix.T[::-1])] if matrix.shape[1] else matrix
 
 
-def _strength_claim(subject: str, design: Design, t: int) -> ClaimCheck:
-    """A strength-t claim fails uncounted when s^t does not divide N, so a
-    large claimed t never sizes s^t-cell tables."""
+def _strength_claim(checks: list[ClaimCheck], subject: str, design: Design, t: int) -> bool:
+    """Append the check of a strength-t claim and return whether it holds; it fails
+    uncounted when s^t does not divide N, so a large t never sizes s^t-cell tables."""
     if design.runs % design.s**t:
-        return ClaimCheck(subject, f"strength {t}", False, "s^t does not divide N")
-    res = check_strength(design, t)
-    detail = "" if res.ok else f"witness columns {res.witness}"
-    return ClaimCheck(subject, f"strength {t}", res.ok, detail)
+        ok, detail = False, "s^t does not divide N"
+    else:
+        res = check_strength(design, t)
+        ok, detail = res.ok, "" if res.ok else f"witness columns {res.witness}"
+    checks.append(ClaimCheck(subject, f"strength {t}", ok, detail))
+    return ok
+
+
+def _stored_claim(checks: list[ClaimCheck], subject: str, claim: str, stored, found, how: str):
+    """Append the check that a stored value equals the one found again."""
+    ok = found == stored
+    checks.append(ClaimCheck(subject, claim, ok, "" if ok else f"stored {stored} {how} {found}"))
 
 
 def verify_claims(gd: GroupedDesign) -> VerifyReport:
@@ -396,6 +404,8 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     MacWilliams transform of the weights of the projected rows, which must
     form a linear space) and the stored p value.  Any mismatch makes the
     report fail; recomputation stops early only within a failed check.
+    The strength checked is the larger of the claimed and the stored one;
+    like annotate, it is recorded as verified on each subject where it holds.
     """
     checks: list[ClaimCheck] = []
 
@@ -410,28 +420,20 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
         checks.append(ClaimCheck("array", "generator reproduces rows", same))
 
     t0 = max(gd.claimed_t0, gd.verified_t0 or 0)
-    if t0 >= 1:
-        checks.append(_strength_claim("array", gd.design, t0))
+    if t0 < 1 or _strength_claim(checks, "array", gd.design, t0):
+        gd.verified_t0 = t0
 
     for idx, grp in enumerate(gd.groups):
         name = f"group {idx + 1} ({grp.size} cols)"
         t = max(grp.claimed_strength, grp.verified_strength or 0)
-        if t >= 1:
-            checks.append(_strength_claim(name, subset_design(gd.design, grp.columns), t))
+        if t < 1 or _strength_claim(checks, name, subset_design(gd.design, grp.columns), t):
+            grp.verified_strength = t
         if grp.wlp is not None:
-            recomputed = wlp_of_columns(gd.design, grp.columns)
-            ok = recomputed == tuple(grp.wlp)
-            checks.append(
-                ClaimCheck(name, "wordlength pattern", ok,
-                           f"stored {tuple(grp.wlp)} recomputed {recomputed}" if not ok else "")
-            )
+            _stored_claim(checks, name, "wordlength pattern", tuple(grp.wlp),
+                          wlp_of_columns(gd.design, grp.columns), "recomputed")
         if grp.p is not None:
-            measured = p_of_d(gd.design, grp.columns) if grp.size >= 3 else None
-            ok = measured == grp.p
-            checks.append(
-                ClaimCheck(name, "triple proportion p", ok,
-                           f"stored {grp.p} measured {measured}" if not ok else "")
-            )
+            _stored_claim(checks, name, "triple proportion p", grp.p,
+                          p_of_d(gd.design, grp.columns) if grp.size >= 3 else None, "measured")
 
     return VerifyReport(all(c.ok for c in checks), checks)
 

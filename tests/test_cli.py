@@ -229,6 +229,57 @@ class TestVerify:
         assert field in proc.stderr
 
 
+class TestCertifyOnce:
+    """construct and search decide by claims_ok; verify records what it proved."""
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "thm1", "--s", "3"],
+        ["search", "alg42", "--builtin", "oa16-5-ma", "--restarts", "50"],
+    ], ids=lambda a: a[0])
+    def test_failed_claim_exits_2_with_witness(self, workdir, capsys, argv):
+        # the design is built claiming whole-array strength 3, one above
+        # what thm1 and alg42 designs hold
+        real = dz.annotate
+
+        def annotate(gd):
+            gd.claimed_t0 += 1
+            return real(gd)
+
+        with mock.patch.object(dz, "annotate", annotate):
+            assert main([*argv, "--out", "f.json"]) == 2
+        out = capsys.readouterr().out
+        assert "\narray: strength 3: FAIL (witness columns (" in out
+        assert out.endswith(
+            "\nverification FAILED; file written with truthful verified strengths\n")
+        gd = io.load_json(workdir / "f.json")
+        assert (gd.claimed_t0, gd.verified_t0) == (3, 2)
+        assert all(g.verified_strength == g.claimed_strength for g in gd.groups)
+        assert main(["verify", "f.json"]) == 2
+        assert "array: strength 3: FAIL (witness columns (" in capsys.readouterr().out
+
+    def test_construct_checks_each_claim_once(self, workdir):
+        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as check:
+            assert main(["construct", "thm1", "--s", "3", "--out", "t.json"]) == 0
+        # the whole-array claim and the three group claims
+        assert sorted(c.args[1] for c in check.call_args_list) == [2, 3, 3, 3]
+
+    def test_verify_records_proven_strengths(self, workdir, capsys):
+        main(["construct", "thm1", "--s", "2", "--out", "t.json"])
+        doc = json.loads((workdir / "t.json").read_text())
+        doc["verified_t0"] = None
+        for grp in doc["groups"]:
+            grp["verified_strength"] = None
+        (workdir / "n.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "n.json"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(
+            "group 1: 3 cols, verified strength 3, wlp (0, 0, 0), p 1\n"
+            "group 2: 2 cols, verified strength 2, wlp (0, 0)\n"
+            "array: GOA(8, (3,2), (3,2), 2, 2)\n"
+            "all claims hold\n")
+
+
 class TestSearchCli:
     def test_alg42_builtin(self, workdir):
         assert main(["search", "alg42", "--builtin", "oa16-5-ma", "--restarts", "300",

@@ -135,6 +135,22 @@ class TestDifferenceSchemes:
     def test_first_column_zero(self):
         assert not cx.ds_search(3, 6, 6, seed=1).matrix[:, 0].any()
 
+    @pytest.mark.parametrize("s,r,c", [(4, 16, 4), (2, 32, 2), (3, 21, 3)])
+    def test_search_refuses_too_many_columns(self, s, r, c):
+        # 63,063,000 / 601,080,390 / 399,072,960 balanced columns, each shape
+        # inside the cell limit: refused before one column is enumerated
+        enumerated = AssertionError("balanced columns were enumerated")
+        with mock.patch.object(cx, "_balanced_columns", side_effect=enumerated), \
+                pytest.raises(ValueError, match="desk-scale column limit"):
+            cx.ds_search(s, r, c)
+
+    def test_search_admits_369600_columns(self):
+        # (4, 12, 5): 12!/(3!)^4 balanced columns, under the limit
+        admitted = AssertionError("admitted")
+        with mock.patch.object(cx, "_balanced_columns", side_effect=admitted), \
+                pytest.raises(AssertionError, match="admitted"):
+            cx.ds_search(4, 12, 5)
+
 
 class TestKronecker:
     def test_identity(self, oa_27_4_3_3):
@@ -232,6 +248,39 @@ class TestThm2:
         )
         with pytest.raises(StrengthPrereqError):
             cx.construct_thm2(cx.ds_catalog(3, 3, 3), weak)
+
+
+class TestKroneckerGrouping:
+    """prop1, grouped_kronecker and both thm2 groupings share one ending."""
+
+    def test_columns_claims_and_p(self, ebert3, oa_27_4_3_3):
+        ds = cx.ds_catalog(3, 3, 3)
+        with mock.patch.object(cx, "annotate", wraps=dz.annotate) as annotate:
+            prop1 = cx.construct_prop1(ds, [[0], [1, 2]], oa_27_4_3_3)
+            wide = cx.grouped_kronecker(ds, [[0, 1, 2]], oa_27_4_3_3)
+            thm2 = cx.construct_thm2(ds, ebert3)
+        assert annotate.call_count == 4
+        n = oa_27_4_3_3.cols
+        assert [g.columns for g in prop1.groups] == [
+            [w for w in range(n)], [j * n + w for j in (1, 2) for w in range(n)]]
+        assert wide.groups[0].columns == list(range(3 * n))
+        n = ebert3.design.cols
+        assert [g.columns for g in thm2.grouped.groups] == [
+            [j * n + w for j in range(3) for w in grp.columns] for grp in ebert3.groups]
+        assert [g.columns for g in thm2.nested.groups] == [
+            [j * n + w for j in block for w in grp.columns]
+            for grp in ebert3.groups for block in ([0, 1], [2])]
+        # p is measured exactly for the groups claimed below strength 3
+        for gd in (prop1, wide, thm2.grouped, thm2.nested):
+            assert gd.claimed_t0 == gd.verified_t0 == 2
+            for grp in gd.groups:
+                assert grp.verified_strength == grp.claimed_strength
+                if grp.claimed_strength < 3:
+                    assert grp.p == dz.p_of_d(gd.design, grp.columns)
+                else:
+                    assert grp.p is None
+        assert [g.claimed_strength for g in wide.groups + thm2.grouped.groups] == [2] * 5
+        assert np.array_equal(thm2.grouped.design.matrix, thm2.nested.design.matrix)
 
 
 class TestConsecutive:

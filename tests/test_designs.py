@@ -296,6 +296,21 @@ class TestVerifyClaims:
         assert not report.ok
         assert any(not c.ok for c in report.checks)
 
+    def test_records_the_strengths_it_proved(self, thm1_3):
+        import copy
+
+        gd = copy.deepcopy(thm1_3)
+        gd.verified_t0 = gd.groups[0].verified_strength = None
+        gd.groups[1].claimed_strength, gd.groups[1].verified_strength = 0, None
+        gd.groups[2].verified_strength = 1
+        # one cell of group 3 (columns 7-9) breaks its claim and the array's
+        row = next(r for r in range(27) if gd.design.matrix[r, 8] == 0)
+        gd.design.matrix[row, 8] = 1
+        assert not dz.verify_claims(gd).ok
+        # proved: group 1 at its claim, group 2 claims none; failed: kept
+        assert gd.verified_t0 is None
+        assert [g.verified_strength for g in gd.groups] == [3, 0, 1]
+
     def test_inflated_claim_fails(self, oa_27_4_3_3):
         gd = dz.GroupedDesign(oa_27_4_3_3, [dz.Group([0, 1, 2, 3], claimed_strength=4)],
                               claimed_t0=2)
