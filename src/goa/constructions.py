@@ -4,8 +4,9 @@ Covers the oval-based s^3-run construction, the Ebert cap partition of
 PG(3, s) for s^4 runs, difference-scheme Kronecker recursions with the
 exact strength-3 triple-proportion bound, consecutive-powers groupings with
 their defining relations, and the f-statistic ranking of primitive
-polynomials.  Every output's claims are checked combinatorially, once,
-before it is labelled; no construction is trusted.
+polynomials.  Every output's claims are checked from its matrix, once,
+before it is labelled (see goa.designs.annotate); no construction is
+trusted.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .designs import (
     annotate,
     check_strength,
     generator_from_exponents,
+    has_strength,
     p_of_d,
     pg_points,
     regular_goa,
@@ -241,7 +243,7 @@ def p_bound(c: int, n: int) -> Fraction:
 
 def _require_strength3(design: Design, columns=None, what="input design"):
     sub = design if columns is None else subset_design(design, columns)
-    if not check_strength(sub, 3).ok:
+    if not has_strength(sub, 3):
         raise StrengthPrereqError(f"{what} is not of strength 3")
 
 

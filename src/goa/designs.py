@@ -1,10 +1,16 @@
 """Design objects and the verification primitives everything else leans on.
 
-Nothing in this module trusts a construction: strength is always checked
-combinatorially by projecting onto column subsets and counting level
-combinations, wordlength patterns are read off the weights of the rows
-themselves by the MacWilliams transform, and the strength-3 triple
-proportion p(D) is an exact rational from exhaustive triple counting.
+Nothing in this module trusts a construction; every claim is decided from
+the level matrix.  Strength is read off the dual distance when the rows form
+a linear space over GF(s), each vector repeated equally often (one test per
+design, inherited by every column projection): such an array has strength
+d⊥ - 1, one less than the first nonzero A_j of its wordlength pattern.  An
+array that is not linear is checked combinatorially, by projecting onto
+column subsets and counting level combinations; the same count finds the
+lexicographically first failing columns of any failed claim.  Wordlength
+patterns are read off the weights of the rows themselves by the MacWilliams
+transform, and the strength-3 triple proportion p(D) is an exact rational
+from exhaustive triple counting.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from . import gf as gflib
 from .errors import (
     EmptySelectionError,
+    NotPrimePowerError,
     RankDeficientError,
     TooFewColumnsError,
 )
@@ -232,28 +239,33 @@ def max_strength(design: Design, cap: int | None = None) -> int:
     return 0
 
 
-def wlp_of_rows(s: int, rows: np.ndarray) -> tuple[int, ...]:
-    """Wordlength pattern (A_1, ..., A_m) of the N rows of a linear space
-    over GF(s), each vector of the space repeated equally often.
+def wlp_of_rows(s: int, rows: np.ndarray, t: int | None = None) -> tuple[int, ...]:
+    """Wordlength pattern (A_1, ..., A_t) of the N rows of a linear space
+    over GF(s), each vector of the space repeated equally often; t defaults
+    to the m columns, and A_1..A_t alone decide strength t.
 
-    With B_i rows of weight i, the defining words number
-    sum_i B_i (1 - z)^i (1 + (s - 1) z)^(m - i) / N (MacWilliams), one per
-    scalar multiple, so each coefficient of z^j divides by N (s - 1).
-    Horner's rule in (1 - z) keeps the exact integer evaluation O(m^2).
+    With B_i rows of weight i, the defining words of length j number
+    sum_i B_i K_j(i) / N (MacWilliams), K_j the Krawtchouk polynomial, one
+    per scalar multiple, so each sum divides by N (s - 1).  The sums run
+    over the weights that occur, by the recurrence (j + 1) K_{j+1}(i) =
+    ((s - 1)(m - j) + j - s i) K_j(i) - (s - 1)(m - j + 1) K_{j-1}(i) in
+    exact integers: O(m t) in all.
     """
     n, m = rows.shape
     hist = np.bincount(np.count_nonzero(rows, axis=1), minlength=m + 1)
-    poly = np.zeros(m + 1, dtype=object)
-    power = np.zeros(m + 1, dtype=object)  # (1 + (s - 1) z)^(m - i)
-    power[0] = 1
-    for i in range(m, -1, -1):
-        poly[1:] = poly[1:] - poly[:-1]
-        poly += int(hist[i]) * power
-        power[1:] = power[1:] + (s - 1) * power[:-1]
+    weights = np.flatnonzero(hist)
+    counts = hist[weights].astype(object)
+    i = weights.astype(object)
+    prev, cur = np.zeros_like(i), np.ones_like(i)  # K_{-1}, K_0
+    sums = []
+    for j in range(m if t is None else t):
+        prev, cur = cur, (((s - 1) * (m - j) + j - s * i) * cur
+                          - (s - 1) * (m - j + 1) * prev) // (j + 1)
+        sums.append(int((counts * cur).sum()))
     scale = n * (s - 1)
-    if any(coeff % scale for coeff in poly[1:]):
+    if any(total % scale for total in sums):
         raise AssertionError("weight count not divisible by N(s-1)")
-    return tuple(int(coeff // scale) for coeff in poly[1:])
+    return tuple(total // scale for total in sums)
 
 
 def wlp(gen: GeneratorMatrix) -> tuple[int, ...]:
@@ -270,23 +282,53 @@ def strength_from_wlp(pattern: tuple[int, ...]) -> int:
     return len(pattern)
 
 
+def _linear_basis(s: int, matrix: np.ndarray) -> np.ndarray | None:
+    """RREF basis of the row space when the distinct rows of matrix form a
+    linear space over GF(s), each repeated equally often; None otherwise.
+
+    Sorted, the s^r vectors sum_i c_i b_i of a space with RREF basis
+    b_1..b_r come in the order of (c_1, ..., c_r): the entries before the
+    pivot of b_i depend on c_1..c_(i-1) alone, and the pivot entry is c_i.
+    So b_i is distinct row s^(r-i), and the rows are linear iff those r
+    rows have rank r and every distinct row lies in their span.  The span
+    test runs over chunks of about _CHUNK_CELLS cells, each row minus the
+    basis rows at its pivot entries, and stops at the first chunk with a
+    nonzero residue.  A matrix with no field on its s levels is not linear.
+    """
+    try:
+        field = gflib.level_field(s)
+    except (ValueError, NotPrimePowerError):
+        return None
+    # each row as one byte string (s <= 97), so np.unique sorts the rows
+    # lexicographically; a leading zero byte keeps the key one byte wide
+    # when there are no columns
+    cells = np.zeros((len(matrix), matrix.shape[1] + 1), dtype=np.uint8)
+    cells[:, 1:] = matrix
+    keys = cells.view(np.dtype((np.void, cells.shape[1])))[:, 0]
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    r = round(math.log(len(first), s))
+    if len(first) != s**r or (counts != counts[0]).any():
+        return None
+    basis, pivots = gflib.row_reduce(field, matrix[first[s ** np.arange(r - 1, -1, -1)]])
+    if len(pivots) < r:
+        return None
+    step = max(1, _CHUNK_CELLS // max(1, matrix.shape[1]))
+    for start in range(0, len(first), step):
+        chunk = matrix[first[start:start + step]]
+        if field.sub(chunk, gflib.mat_mul(field, chunk[:, pivots], basis)).any():
+            return None
+    return basis
+
+
 def wlp_of_columns(design: Design, columns) -> tuple[int, ...] | None:
     """Wordlength pattern recovered from the design matrix itself.
 
-    Returns None when the projected rows do not form a linear space (s^rank
-    distinct rows, each with the same multiplicity), i.e. the projection is
-    not regular and has no wordlength pattern.
+    Returns None when the projected rows do not form a linear space (see
+    _linear_basis), i.e. the projection is not regular and has no
+    wordlength pattern.
     """
     sub = design.matrix[:, list(columns)]
-    ordered = _sorted_rows(sub)
-    new = np.ones(design.runs, dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=design.runs)
-    rank = gflib.mat_rank(gflib.level_field(design.s), ordered[starts])
-    if len(starts) != design.s**rank or (counts != counts[0]).any():
-        return None
-    return wlp_of_rows(design.s, sub)
+    return None if _linear_basis(design.s, sub) is None else wlp_of_rows(design.s, sub)
 
 
 def p_of_d(design: Design, columns=None) -> Fraction:
@@ -318,16 +360,46 @@ def generator_from_exponents(ext: gflib.ExtField, exps) -> GeneratorMatrix:
     return GeneratorMatrix(ext.s, ext.antilog[np.asarray(exps, dtype=np.int64) % ext.period].T)
 
 
-def annotate(gd: GroupedDesign) -> GroupedDesign:
-    """Fill verified strengths by combinatorial checks, capped at the claims.
+def _strength(design: Design, cap: int, linear: bool) -> int:
+    """max_strength(design, cap); for linear rows min(cap, d⊥ - 1), read off
+    A_1..A_cap of the wordlength pattern with nothing counted."""
+    if not linear:
+        return max_strength(design, cap)
+    return strength_from_wlp(wlp_of_rows(design.s, design.matrix, min(cap, design.cols)))
 
-    A group (or the whole array) is never credited beyond what
-    check_strength confirms; shortfalls are recorded, not raised.
+
+def _strength_at(design: Design, t: int, linear: bool) -> StrengthCheck:
+    """check_strength(design, t), decided for linear rows by A_1..A_t all
+    vanishing (strength d⊥ - 1); a linear failure is still counted, for the
+    lexicographically first witness."""
+    if linear and t <= design.cols and not any(wlp_of_rows(design.s, design.matrix, t)):
+        return StrengthCheck(True, t)
+    return check_strength(design, t)
+
+
+def has_strength(design: Design, t: int) -> bool:
+    """Whether the design has strength t: read off the dual distance when
+    its rows are linear, counted by check_strength otherwise."""
+    return _strength_at(design, t, _linear_basis(design.s, design.matrix) is not None).ok
+
+
+def annotate(gd: GroupedDesign) -> GroupedDesign:
+    """Fill verified strengths, capped at the claims; shortfalls are
+    recorded, not raised.
+
+    The whole array is tested once for linear rows (_linear_basis).  A
+    projection of a linear array is linear, so then every subject's
+    strength is min(claim, d⊥ - 1), read off its wordlength pattern;
+    otherwise each group is tested alone, and a subject that is not linear
+    is credited only what check_strength confirms (max_strength).
     """
-    gd.verified_t0 = max_strength(gd.design, cap=gd.claimed_t0)
+    design = gd.design
+    linear = _linear_basis(design.s, design.matrix) is not None
+    gd.verified_t0 = _strength(design, gd.claimed_t0, linear)
     for grp in gd.groups:
-        sub = subset_design(gd.design, grp.columns)
-        grp.verified_strength = max_strength(sub, cap=grp.claimed_strength)
+        sub = subset_design(design, grp.columns)
+        grp.verified_strength = _strength(
+            sub, grp.claimed_strength, linear or _linear_basis(design.s, sub.matrix) is not None)
     return gd
 
 
@@ -371,18 +443,14 @@ class VerifyReport:
         return out
 
 
-def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
-    """Rows in lexicographic order; lexsort takes no empty key list."""
-    return matrix[np.lexsort(matrix.T[::-1])] if matrix.shape[1] else matrix
-
-
-def _strength_claim(checks: list[ClaimCheck], subject: str, design: Design, t: int) -> bool:
+def _strength_claim(checks: list[ClaimCheck], subject: str, design: Design, t: int,
+                    linear: bool) -> bool:
     """Append the check of a strength-t claim and return whether it holds; it fails
     uncounted when s^t does not divide N, so a large t never sizes s^t-cell tables."""
     if design.runs % design.s**t:
         ok, detail = False, "s^t does not divide N"
     else:
-        res = check_strength(design, t)
+        res = _strength_at(design, t, linear)
         ok, detail = res.ok, "" if res.ok else f"witness columns {res.witness}"
     checks.append(ClaimCheck(subject, f"strength {t}", ok, detail))
     return ok
@@ -398,42 +466,51 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     """Re-verify every claim a design file carries, from the matrix alone.
 
     Checks, in order: generator consistency (when a generator is stored,
-    its expansion must reproduce the row multiset; a k-row generator with
-    s^k != N fails unexpanded), the whole-array strength claim, then per
-    group the strength claim, the stored wordlength pattern (the
+    its span must be the row multiset), the whole-array strength claim,
+    then per group the strength claim, the stored wordlength pattern (the
     MacWilliams transform of the weights of the projected rows, which must
     form a linear space) and the stored p value.  Any mismatch makes the
     report fail; recomputation stops early only within a failed check.
-    The strength checked is the larger of the claimed and the stored one;
-    like annotate, it is recorded as verified on each subject where it holds.
+
+    The whole array is tested once for linear rows, and each group alone
+    only when it fails.  The span of a k-row generator is a linear space
+    with each row once, so it is the row multiset iff the rows are linear,
+    N = s^k and G, the row basis and both stacked all have rank k; nothing
+    is expanded.  On a linear subject a strength-t claim holds iff A_1..A_t
+    vanish, and check_strength counts only to find a failure's witness; on
+    any other subject it counts.  The strength checked is the larger of the
+    claimed and the stored one; like annotate, it is recorded as verified
+    on each subject where it holds.
     """
     checks: list[ClaimCheck] = []
+    design, s = gd.design, gd.design.s
+    basis = _linear_basis(s, design.matrix)
 
     if gd.generator is not None:
-        same = gd.generator.s ** gd.generator.k == gd.design.runs
-        try:
-            same = same and np.array_equal(
-                _sorted_rows(expand_generator(gd.generator).matrix),
-                _sorted_rows(gd.design.matrix))
-        except (RankDeficientError, ValueError):
-            same = False
+        gen, field = gd.generator.matrix, gflib.level_field(s)
+        k = len(gen)
+        same = (basis is not None and len(basis) == k and s**k == design.runs
+                and gen.shape[1] == design.cols and gflib.mat_rank(field, gen) == k
+                and gflib.mat_rank(field, np.vstack([gen, basis])) == k)
         checks.append(ClaimCheck("array", "generator reproduces rows", same))
 
     t0 = max(gd.claimed_t0, gd.verified_t0 or 0)
-    if t0 < 1 or _strength_claim(checks, "array", gd.design, t0):
+    if t0 < 1 or _strength_claim(checks, "array", design, t0, basis is not None):
         gd.verified_t0 = t0
 
     for idx, grp in enumerate(gd.groups):
         name = f"group {idx + 1} ({grp.size} cols)"
+        rows = design.matrix[:, grp.columns]
+        linear = basis is not None or _linear_basis(s, rows) is not None
         t = max(grp.claimed_strength, grp.verified_strength or 0)
-        if t < 1 or _strength_claim(checks, name, subset_design(gd.design, grp.columns), t):
+        if t < 1 or _strength_claim(checks, name, subset_design(design, grp.columns), t, linear):
             grp.verified_strength = t
         if grp.wlp is not None:
             _stored_claim(checks, name, "wordlength pattern", tuple(grp.wlp),
-                          wlp_of_columns(gd.design, grp.columns), "recomputed")
+                          wlp_of_rows(s, rows) if linear else None, "recomputed")
         if grp.p is not None:
             _stored_claim(checks, name, "triple proportion p", grp.p,
-                          p_of_d(gd.design, grp.columns) if grp.size >= 3 else None, "measured")
+                          p_of_d(design, grp.columns) if grp.size >= 3 else None, "measured")
 
     return VerifyReport(all(c.ok for c in checks), checks)
 

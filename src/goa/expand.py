@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, GroupedDesign, check_strength
+from .designs import Design, GroupedDesign, has_strength
 from .errors import ShapeMismatchError, StrengthPrereqError
 
 
@@ -89,7 +89,7 @@ def rotate_columns(gd: GroupedDesign) -> RealDesign:
     for grp in gd.groups:
         if grp.size != 8:
             raise ShapeMismatchError(f"group of {grp.size} columns; need 8")
-        if not check_strength(Design(2, design.matrix[:, grp.columns]), 3).ok:
+        if not has_strength(Design(2, design.matrix[:, grp.columns]), 3):
             raise StrengthPrereqError("every group must have strength 3")
     doubled = 2 * design.matrix - 1  # levels +-1 = twice the centered +-1/2
     pieces = []

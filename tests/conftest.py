@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from goa import constructions as cx
 from goa import designs as dz
 from goa import gf
 from goa.cli import main as cli_main
+
+# `pytest --hypothesis-profile=ci` replays the same examples on every run
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")
@@ -152,6 +156,24 @@ def oracle_check_strength(design: dz.Design, t: int) -> dz.StrengthCheck:
         if rem != 0 or not np.all(counts == want):
             return dz.StrengthCheck(False, t, cols, counts, want)
     return dz.StrengthCheck(True, t)
+
+
+def oracle_is_linear(design: dz.Design) -> bool:
+    """Whether the distinct rows form a linear space over GF(s), each
+    repeated equally often: a + c b must be a row again for any two rows a,
+    b and any nonzero scalar c, tried one row a at a time through the
+    add/mul tables.
+
+    The reference for the library's linear-space test.
+    """
+    field = gf.level_field(design.s)
+    rows, counts = np.unique(design.matrix, axis=0, return_counts=True)
+    if (counts != counts[0]).any():
+        return False
+    present = {tuple(row) for row in rows.tolist()}
+    scaled = field.mul(np.arange(1, design.s)[:, None, None], rows[None])
+    return all(tuple(v) in present
+               for a in rows for v in field.add(a, scaled).reshape(-1, design.cols).tolist())
 
 
 def oracle_max_strength(design: dz.Design, cap: int | None = None) -> int:

@@ -188,6 +188,11 @@ class TestVerify:
         assert not span.called
         assert "array: generator reproduces rows: FAIL" in capsys.readouterr().out
 
+    def test_linear_file_verifies_unexpanded(self, workdir):
+        main(["construct", "consecutive", "--s", "2", "--k", "5", "--m", "6", "--out", "c.json"])
+        with mock.patch.object(gf, "span", side_effect=AssertionError("span was called")):
+            assert main(["verify", "c.json"]) == 0
+
     def test_strength3_groups_print_p_1_uncounted(self, workdir, capsys):
         # the three thm1 groups carry no stored p and verify at strength 3
         main(["construct", "thm1", "--s", "3", "--out", "t.json"])
@@ -257,11 +262,31 @@ class TestCertifyOnce:
         assert main(["verify", "f.json"]) == 2
         assert "array: strength 3: FAIL (witness columns (" in capsys.readouterr().out
 
-    def test_construct_checks_each_claim_once(self, workdir):
+    def test_construct_counts_nothing_on_a_linear_design(self, workdir):
+        # thm1's rows are linear: every claim is read off the dual distance
         with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as check:
             assert main(["construct", "thm1", "--s", "3", "--out", "t.json"]) == 0
-        # the whole-array claim and the three group claims
-        assert sorted(c.args[1] for c in check.call_args_list) == [2, 3, 3, 3]
+        assert not check.called
+
+    def test_nonlinear_design_still_counts(self, workdir):
+        # goa162-12x2 is a Kronecker sum whose rows and groups are not linear:
+        # building and verifying each count the array and both groups at t = 2
+        for argv in (["catalog", "--out", ".", "--only", "goa162-12x2"],
+                     ["verify", "goa162-12x2.json"]):
+            with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as check:
+                assert main(argv) == 0
+            assert [(c.args[0].cols, c.args[1]) for c in check.call_args_list] == [
+                (24, 2), (12, 2), (12, 2)]
+
+    def test_prop1_counts_nothing_on_a_linear_base(self, workdir):
+        # the base group's projection and its strength-3 prerequisite are
+        # read off the dual distance; only the Kronecker sum is counted
+        main(["construct", "ebert", "--s", "3", "--out", "e.json"])
+        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as check:
+            assert main(["construct", "prop1", "--s", "3", "--ds-shape", "6,6", "--blocks", "2",
+                         "--base", "e.json", "--base-group", "0", "--out", "p.json"]) == 0
+        assert [(c.args[0].runs, c.args[0].cols, c.args[1]) for c in check.call_args_list] == [
+            (486, 60, 2), (486, 20, 3), (486, 20, 3)]
 
     def test_verify_records_proven_strengths(self, workdir, capsys):
         main(["construct", "thm1", "--s", "2", "--out", "t.json"])

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,7 +178,11 @@ class TestWlpOracle:
     @settings(deadline=None)
     @given(generators())
     def test_wlp_matches_oracle(self, gen):
-        assert dz.wlp(gen) == oracle_wlp(gen)
+        want = oracle_wlp(gen)
+        assert dz.wlp(gen) == want
+        rows = gf.span(gf.level_field(gen.s), gen.matrix)
+        for t in range(gen.m + 1):
+            assert dz.wlp_of_rows(gen.s, rows, t) == want[:t]
 
     @settings(deadline=None)
     @given(generators(max_k=3), st.data())
@@ -310,6 +315,22 @@ class TestVerifyClaims:
         # proved: group 1 at its claim, group 2 claims none; failed: kept
         assert gd.verified_t0 is None
         assert [g.verified_strength for g in gd.groups] == [3, 0, 1]
+
+    def test_generator_of_another_row_space_fails(self, thm1_3):
+        # G with two columns swapped still has rank 3 and spans 27 rows, but
+        # not these; the verdict comes from ranks, with nothing expanded
+        import copy
+
+        gd = copy.deepcopy(thm1_3)
+        gen = gd.generator.matrix
+        gen[:, [1, 4]] = gen[:, [4, 1]]
+        field = gf.level_field(3)
+        assert gf.mat_rank(field, gen) == 3
+        assert gf.mat_rank(field, np.vstack([gen, thm1_3.generator.matrix])) > 3
+        with mock.patch.object(gf, "span", side_effect=AssertionError("span was called")):
+            report = dz.verify_claims(gd)
+        assert [(c.claim, c.ok) for c in report.checks if not c.ok] == [
+            ("generator reproduces rows", False)]
 
     def test_inflated_claim_fails(self, oa_27_4_3_3):
         gd = dz.GroupedDesign(oa_27_4_3_3, [dz.Group([0, 1, 2, 3], claimed_strength=4)],

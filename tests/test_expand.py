@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,10 @@ class TestRotation:
                     for w in range(8):
                         if w not in (u, v):
                             assert prod @ block[:, w] == 0
+
+    def test_linear_groups_are_not_counted(self, goa32):
+        with mock.patch.object(dz, "check_strength", side_effect=AssertionError("counted")):
+            assert ex.rotate_columns(goa32).int_matrix.shape == (32, 24)
 
     def test_requires_two_levels(self, thm1_3):
         with pytest.raises(ShapeMismatchError):

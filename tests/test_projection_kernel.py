@@ -3,7 +3,9 @@
 check_strength, max_strength and p_of_d all count through one chunked
 kernel; these properties compare each with the exhaustive one-tuple-at-a-time
 loop in conftest on random small designs, at chunk caps down to one tuple
-per chunk so that chunk boundaries fall everywhere.
+per chunk so that chunk boundaries fall everywhere.  The strength of a
+linear design is read off its dual distance instead, and is compared with
+the same oracle.
 """
 
 from unittest import mock
@@ -16,9 +18,15 @@ from hypothesis import strategies as st
 from goa import designs as dz
 from goa import gf
 
-from conftest import oracle_check_strength, oracle_max_strength, oracle_p_of_d
+from conftest import (
+    oracle_check_strength,
+    oracle_is_linear,
+    oracle_max_strength,
+    oracle_p_of_d,
+)
 
 MAX_K = {2: 4, 3: 3, 4: 2}
+LINEAR_MAX_K = {2: 4, 3: 3, 4: 2, 5: 2, 7: 2, 8: 2, 9: 2}
 CHUNK_CAPS = st.sampled_from([1, 16, 256, dz._CHUNK_CELLS])
 
 
@@ -165,3 +173,83 @@ class TestPofD:
         cols = data.draw(st.lists(st.integers(0, d.cols - 1), min_size=3,
                                   max_size=d.cols, unique=True))
         assert dz.p_of_d(d, cols) == oracle_p_of_d(d, cols)
+
+
+@st.composite
+def linear_designs(draw):
+    """The span of a random, possibly rank-deficient basis over GF(s), with
+    up to two columns zeroed and up to two copied onto others, stacked one
+    to three times."""
+    s = draw(st.sampled_from(sorted(LINEAR_MAX_K)))
+    k = draw(st.integers(1, LINEAR_MAX_K[s]))
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, s - 1), min_size=n, max_size=n)
+    basis = np.array(draw(st.lists(row, min_size=k, max_size=k)), dtype=np.int64)
+    col = st.integers(0, n - 1)
+    for c in draw(st.lists(col, max_size=2)):
+        basis[:, c] = 0
+    for a, b in draw(st.lists(st.tuples(col, col), max_size=2)):
+        basis[:, b] = basis[:, a]
+    rows = gf.span(gf.level_field(s), basis)
+    return dz.Design(s, np.tile(rows, (draw(st.integers(1, 3)), 1)))
+
+
+@st.composite
+def broken_linear_designs(draw):
+    """A linear design with one cell shifted, one row dropped or one row
+    repeated; nearly always no longer linear."""
+    d = draw(linear_designs())
+    rows = d.matrix
+    r = draw(st.integers(0, len(rows) - 1))
+    how = draw(st.sampled_from(["flip", "drop", "repeat"]))
+    if how == "flip":
+        c = draw(st.integers(0, d.cols - 1))
+        rows[r, c] = (rows[r, c] + draw(st.integers(1, d.s - 1))) % d.s
+    elif how == "drop":
+        rows = np.delete(rows, r, axis=0)
+    else:
+        rows = np.vstack([rows, rows[r]])
+    return dz.Design(d.s, rows)
+
+
+class TestDualDistance:
+    """A linear design's strength is d⊥ - 1, read off its wordlength
+    pattern with nothing counted; any other design is counted."""
+
+    @settings(deadline=None)
+    @given(linear_designs())
+    def test_linear_strength_matches_oracle(self, d):
+        basis = dz._linear_basis(d.s, d.matrix)
+        assert basis is not None
+        assert d.s ** len(basis) == len(np.unique(d.matrix, axis=0))
+        assert gf.mat_rank(gf.level_field(d.s), np.vstack([basis, d.matrix])) == len(basis)
+        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
+            gd = dz.annotate(dz.GroupedDesign(d, [dz.Group(list(range(d.cols)), d.cols)],
+                                              claimed_t0=d.cols))
+        assert gd.verified_t0 == gd.groups[0].verified_strength == oracle_max_strength(d)
+        assert not spy.called
+        for t in range(1, d.cols + 1):
+            want = oracle_check_strength(d, t)
+            with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
+                assert dz.has_strength(d, t) == want.ok
+                # a failure is counted once more, for check_strength's witness
+                assert_same_check(dz._strength_at(d, t, True), want)
+            assert spy.call_count == 2 * (not want.ok)
+
+    @settings(deadline=None)
+    @given(broken_linear_designs())
+    def test_nonlinear_design_is_counted(self, d):
+        linear = oracle_is_linear(d)
+        assert (dz._linear_basis(d.s, d.matrix) is not None) == linear
+        for t in range(1, d.cols + 1):
+            want = oracle_check_strength(d, t)
+            with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
+                assert_same_check(dz._strength_at(d, t, linear), want)
+                assert dz.has_strength(d, t) == want.ok
+            if not linear:
+                assert spy.call_count == 2
+        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
+            gd = dz.annotate(dz.GroupedDesign(d, [], claimed_t0=d.cols))
+        assert gd.verified_t0 == oracle_max_strength(d, d.cols)
+        if linear:
+            assert not spy.called
