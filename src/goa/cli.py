@@ -19,6 +19,7 @@ from . import serialize
 from .designs import (
     GeneratorMatrix,
     GroupedDesign,
+    _linear_basis,
     claims_ok,
     p_of_d,
     subset_columns,
@@ -74,7 +75,7 @@ def _get_ds(args, s: int):
         return ds_catalog(s, r, c)
     if args.ds_search:
         r, c = (int(x) for x in args.ds_search.split(","))
-        return ds_search(s, r, c, seed=args.rng_seed)
+        return ds_search(s, r, c)
     raise GoaError("need --ds-shape or --ds-search")
 
 
@@ -160,12 +161,14 @@ def cmd_search(args) -> int:
         raise GoaError("need --seed-design or --builtin")
     else:
         seed_design = serialize.load_design_file(args.seed_design)
-        if seed_design.generator is not None:
-            gen = seed_design.generator
-        else:
-            field = gflib.level_field(seed_design.design.s)
-            basis = gflib.row_space_basis(field, seed_design.design.matrix)
-            gen = GeneratorMatrix(seed_design.design.s, basis)
+        gen = seed_design.generator
+        if gen is None:
+            design = seed_design.design
+            basis = _linear_basis(design.s, design.matrix)
+            if basis is None:
+                raise GoaError(f"{args.seed_design}: its rows are not a linear space "
+                               f"over GF({design.s}), so no generator seeds alg42")
+            gen = GeneratorMatrix(design.s, basis)
     cfg = SearchConfig(
         restarts=args.restarts,
         seed=args.rng_seed,
@@ -370,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         if what in ("prop1", "thm2"):
             p.add_argument("--ds-shape", help="r,c for a catalogued scheme")
             p.add_argument("--ds-search", help="r,c to search for a scheme")
-            p.add_argument("--rng-seed", type=int, default=0, help="seed of --ds-search")
             p.add_argument("--base", required=True, help="base design JSON file")
             p.add_argument("--base-group", type=int, help="use only this group of the base")
         if what == "prop1":

@@ -91,36 +91,49 @@ def is_difference_scheme(matrix: np.ndarray, s: int) -> bool:
 
 
 def _balanced_columns(s: int, r: int) -> np.ndarray:
-    """All columns holding each of the s elements exactly r/s times."""
+    """The columns holding each of the s elements exactly r/s times and 0 in
+    row 0, in lexicographic order, grown one entry at a time."""
     per = r // s
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == r:
-            out.append(prefix)
-            return
-        for e in range(s):
-            if remaining[e]:
-                remaining[e] -= 1
-                rec(prefix + (e,), remaining)
-                remaining[e] += 1
-
-    rec((), [per] * s)
-    return np.array(out, dtype=np.int64)
+    cols = np.zeros((1, 1), dtype=np.int64)
+    counts = np.zeros((1, s), dtype=np.int64)
+    counts[0, 0] = 1
+    for _ in range(1, r):
+        # C-order nonzero extends each prefix by its admissible elements in
+        # increasing order, so the rows stay sorted
+        prefix, e = np.nonzero(counts < per)
+        cols = np.column_stack([cols[prefix], e])
+        counts = counts[prefix]
+        counts[np.arange(len(e)), e] += 1
+    return cols
 
 
-def _search_columns(s, r, c, rng, candidates, node_budget, exhaustive):
-    """Depth-first column-by-column search; returns an r x c matrix or None.
+def ds_search(s: int, r: int, c: int) -> DifferenceScheme:
+    """Exhaustive depth-first search for a DS(r, c, s) in normal form.
 
-    The first column is normalised to all-zero, which is lossless: any
-    difference scheme maps to one with a zero first column by subtracting
-    its first column from every column.  In exhaustive mode the second
-    column is additionally pinned to the sorted balanced column (lossless
-    by row permutation) and the full tree is explored.
+    The normal form is lossless, since adding a constant to a column and
+    permuting rows or columns keep a difference scheme: column 0 is all
+    zero (subtract it from every column), row 0 is all zero (translate each
+    other column by minus its row-0 entry), column 1 is the sorted balanced
+    column (permute rows 1..r-1), and columns 2..c-1 are distinct balanced
+    columns in increasing order (two equal columns have a zero difference).
+    A node passes its child only the candidates after its own that stay
+    balanced against it, and is pruned when fewer remain than columns are
+    still needed.  Deterministic; raises SearchExhaustedError when the
+    tree holds no scheme, and ValueError, before any work, above
+    DS_SEARCH_CELL_LIMIT cells or DS_SEARCH_COLUMN_LIMIT balanced columns.
     """
+    if r * c > DS_SEARCH_CELL_LIMIT:
+        raise ValueError(f"search shape {r}x{c} above desk-scale cell limit")
+    if r % s or c < 1:
+        raise SearchExhaustedError(f"no DS({r},{c},{s}): need s | r")
+    if math.factorial(r) // math.factorial(r // s) ** s > DS_SEARCH_COLUMN_LIMIT:
+        raise ValueError(f"search shape {r}x{c} above desk-scale column limit")
     field = gflib.level_field(s)
     want = r // s
-    nodes = 0
+    zero = np.zeros((r, 1), dtype=np.int64)
+    if c <= 2:
+        return _certified(np.hstack([zero, np.repeat(np.arange(s), want)[:, None]])[:, :c], s)
+    candidates = _balanced_columns(s, r)  # row 0 is the sorted column
 
     def viable_after(viable, col):
         diff = field.sub(candidates[viable], col[None, :])
@@ -130,63 +143,22 @@ def _search_columns(s, r, c, rng, candidates, node_budget, exhaustive):
         return viable[ok]
 
     def dfs(chosen, viable):
-        nonlocal nodes
-        if len(chosen) == c:
-            return np.array(chosen, dtype=np.int64).T
-        nodes += 1
-        if not exhaustive and nodes > node_budget:
+        # chosen holds the candidate indices of columns 1, 2, ...
+        need = c - 1 - len(chosen)
+        if need == 0:
+            return chosen
+        if len(viable) < need:
             return None
-        order = viable if exhaustive else rng.permutation(viable)
-        for idx in order:
-            col = candidates[idx]
-            rest = viable_after(viable[viable != idx], col)
-            found = dfs(chosen + [col], rest)
+        for pos, idx in enumerate(viable):
+            found = dfs(chosen + [idx], viable_after(viable[pos + 1:], candidates[idx]))
             if found is not None:
                 return found
         return None
 
-    zero = np.zeros(r, dtype=np.int64)
-    viable = np.arange(candidates.shape[0])
-    if exhaustive:
-        canon = np.repeat(np.arange(s), want)
-        (start,) = np.where((candidates == canon).all(axis=1))
-        rest = viable_after(viable[viable != start[0]], candidates[start[0]])
-        if c == 1:
-            return zero[:, None]
-        if c == 2:
-            return np.array([zero, candidates[start[0]]], dtype=np.int64).T
-        return dfs([zero, candidates[start[0]]], rest)
-    return dfs([zero], viable)
-
-
-def ds_search(s: int, r: int, c: int, seed: int = 0, restarts: int = 200,
-              node_budget: int = 20_000, exhaustive: bool = False) -> DifferenceScheme:
-    """Randomized backtracking search for a DS(r, c, s).
-
-    Deterministic given the seed: restart i draws from its own stream, so
-    the result does not depend on scheduling.  Raises SearchExhaustedError
-    when the restarts run out (or, in exhaustive mode, when the full tree
-    contains no scheme), and ValueError, before any work, above
-    DS_SEARCH_CELL_LIMIT cells or DS_SEARCH_COLUMN_LIMIT balanced columns.
-    """
-    if r * c > DS_SEARCH_CELL_LIMIT:
-        raise ValueError(f"search shape {r}x{c} above desk-scale cell limit")
-    if r % s or c < 1:
-        raise SearchExhaustedError(f"no DS({r},{c},{s}): need s | r")
-    if math.factorial(r) // math.factorial(r // s) ** s > DS_SEARCH_COLUMN_LIMIT:
-        raise ValueError(f"search shape {r}x{c} above desk-scale column limit")
-    candidates = _balanced_columns(s, r)
-    if exhaustive:
-        found = _search_columns(s, r, c, None, candidates, 0, True)
-        if found is None:
-            raise SearchExhaustedError(f"exhaustive search: no DS({r},{c},{s}) exists")
-        return _certified(found, s)
-    for restart in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
-        found = _search_columns(s, r, c, rng, candidates, node_budget, False)
-        if found is not None:
-            return _certified(found, s)
-    raise SearchExhaustedError(f"no DS({r},{c},{s}) found in {restarts} restarts")
+    found = dfs([0], viable_after(np.arange(1, len(candidates)), candidates[0]))
+    if found is None:
+        raise SearchExhaustedError(f"exhaustive search: no DS({r},{c},{s}) exists")
+    return _certified(np.hstack([zero, candidates[found].T]), s)
 
 
 def _certified(matrix, s) -> DifferenceScheme:

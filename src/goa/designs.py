@@ -216,7 +216,7 @@ def check_strength(design: Design, t: int) -> StrengthCheck:
     """
     if not 1 <= t <= design.cols:
         raise ValueError(f"need 1 <= t <= {design.cols}")
-    want, rem = divmod(design.runs, design.s**t)
+    want = design.runs // design.s**t
     for tuples, tables in _projection_tables(design.matrix, design.s, t, range(design.cols)):
         bad = np.flatnonzero((tables != want).any(axis=1))
         if len(bad):

@@ -362,11 +362,6 @@ def null_space(gf: GF, m) -> np.ndarray:
     return basis
 
 
-def row_space_basis(gf: GF, m) -> np.ndarray:
-    r, pivots = row_reduce(gf, m)
-    return r[: len(pivots)]
-
-
 def span(gf: GF, basis) -> np.ndarray:
     """All GF-linear combinations of the basis rows.
 

@@ -201,6 +201,58 @@ def oracle_p_of_d(design: dz.Design, columns=None) -> Fraction:
     return Fraction(hits, total)
 
 
+def oracle_ds_search(s: int, r: int, c: int) -> np.ndarray | None:
+    """An r x c difference scheme over GF(s), or None when none exists.
+
+    Depth-first over every balanced column of length r: column 0 is all
+    zero and column 1 the sorted balanced column, both lossless, and each
+    later column is tried from the full list of columns still balanced
+    against all chosen ones, in any order.  The reference for the library's
+    normal-form search.
+    """
+    field = gf.level_field(s)
+    want = r // s
+    zero = np.zeros(r, dtype=np.int64)
+    canon = np.repeat(np.arange(s), want)
+    if c <= 2:
+        return np.array([zero, canon][:c], dtype=np.int64).T
+    cols = []
+
+    def balanced(prefix, remaining):
+        if len(prefix) == r:
+            cols.append(prefix)
+            return
+        for e in range(s):
+            if remaining[e]:
+                remaining[e] -= 1
+                balanced(prefix + (e,), remaining)
+                remaining[e] += 1
+
+    balanced((), [want] * s)
+    candidates = np.array(cols, dtype=np.int64)
+
+    def viable_after(viable, col):
+        diff = field.sub(candidates[viable], col[None, :])
+        ok = np.ones(viable.shape[0], dtype=bool)
+        for e in range(s):
+            ok &= (diff == e).sum(axis=1) == want
+        return viable[ok]
+
+    def dfs(chosen, viable):
+        if len(chosen) == c:
+            return np.array(chosen, dtype=np.int64).T
+        for idx in viable:
+            found = dfs(chosen + [candidates[idx]],
+                        viable_after(viable[viable != idx], candidates[idx]))
+            if found is not None:
+                return found
+        return None
+
+    viable = np.arange(len(candidates))
+    (start,) = np.flatnonzero((candidates == canon).all(axis=1))
+    return dfs([zero, canon], viable_after(viable[viable != start], canon))
+
+
 def oracle_best_restart(gen: dz.GeneratorMatrix, cfg, exts) -> tuple[int, int, list]:
     """(g, polynomial index, groups) of the best alg42 restart, one restart
     at a time: redraw H until its GF rank is k, look each column of H G up

@@ -16,6 +16,8 @@ from goa import gf
 from goa import serialize as io
 from goa.cli import main
 
+from conftest import oracle_row_reduce
+
 # Malformed fields of the thm1 s=3 file (groups [0-3], [4-6], [7-9],
 # strengths 3, t0 2, first row all zero): the path to the field, its new
 # value, and the name the error message must give.
@@ -47,6 +49,10 @@ UNREAD_FLAGS = [
      "--base", "t.json", "--base-group", "0", "--h", "1,1"],
     ["construct", "thm2", "--s", "3", "--ds-shape", "3,3", "--base", "t.json",
      "--h", "1,1"],
+    ["construct", "prop1", "--s", "3", "--ds-search", "3,3", "--blocks", "1",
+     "--base", "t.json", "--base-group", "0", "--rng-seed", "1"],
+    ["construct", "thm2", "--s", "3", "--ds-search", "3,3", "--base", "t.json",
+     "--rng-seed", "1"],
 ]
 
 
@@ -450,6 +456,31 @@ class TestCliEdgeCases:
             row[0] = 0
         (workdir / "c.json").write_text(json.dumps(doc))
         assert main(["search", "alg42", "--seed-design", "c.json", "--restarts", "5"]) == 2
+
+    def test_search_rejects_nonlinear_seed(self, workdir):
+        # goa162-12x2's 162 rows are not a linear space; the span of their
+        # rank-7 row space is a different, 2187-run design
+        main(["catalog", "--out", ".", "--only", "goa162-12x2"])
+        proc = run_goa("search", "alg42", "--seed-design", "goa162-12x2.json",
+                       "--restarts", "5", "--out", "a.json")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: goa162-12x2.json: its rows are not a linear space")
+        assert not (workdir / "a.json").exists()
+
+    def test_search_seeds_from_the_rref_of_linear_rows(self, workdir):
+        # a linear seed without a stored generator searches from the RREF
+        # of its rows, as if that were its generator
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        doc = json.loads((workdir / "t.json").read_text())
+        doc["generator"] = None
+        (workdir / "rows.json").write_text(json.dumps(doc))
+        rref, pivots = oracle_row_reduce(gf.level_field(3), doc["matrix"])
+        doc["generator"] = rref[:len(pivots)].tolist()
+        (workdir / "rref.json").write_text(json.dumps(doc))
+        for name in ("rows", "rref"):
+            assert main(["search", "alg42", "--seed-design", f"{name}.json", "--restarts", "20",
+                         "--out", f"a-{name}.json"]) == 0
+        assert (workdir / "a-rows.json").read_bytes() == (workdir / "a-rref.json").read_bytes()
 
     def test_successive_calls_match_fresh_processes(self, workdir, capsys, monkeypatch):
         # one parser serves every main() call in a process; argparse wraps

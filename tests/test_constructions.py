@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -19,7 +20,7 @@ from goa.errors import (
     WrongDegreeError,
 )
 
-from conftest import oracle_wlp
+from conftest import oracle_ds_search, oracle_wlp
 
 OVAL_S5_ROWS = [
     ["111110", "012340", "014411"],
@@ -93,6 +94,16 @@ class TestEbert:
             cx.construct_ebert(gf.ext_field(3, 3, gf.find_primitive_polys(3, 3)[0]))
 
 
+# every shape ds_search admits with r*c <= 36 cells: s a prime power, s | r,
+# at most DS_SEARCH_COLUMN_LIMIT balanced columns
+ORACLE_DS_SHAPES = [
+    (s, r, c) for s in range(2, 37) if len(gf.factorize(s)) == 1
+    for r in range(s, 37, s)
+    if math.factorial(r) // math.factorial(r // s) ** s <= cx.DS_SEARCH_COLUMN_LIMIT
+    for c in range(1, 36 // r + 1)
+]
+
+
 class TestDifferenceSchemes:
     def test_sss_catalog(self):
         for s in (2, 3, 4, 5):
@@ -109,11 +120,11 @@ class TestDifferenceSchemes:
             cx.ds_catalog(3, 9, 6)
 
     def test_search_finds_3_3_3(self):
-        ds = cx.ds_search(3, 3, 3, seed=0)
+        ds = cx.ds_search(3, 3, 3)
         assert cx.is_difference_scheme(ds.matrix, 3)
 
     def test_search_finds_6_6_3(self):
-        ds = cx.ds_search(3, 6, 6, seed=0)
+        ds = cx.ds_search(3, 6, 6)
         assert ds.matrix.shape == (6, 6)
         assert cx.is_difference_scheme(ds.matrix, 3)
 
@@ -124,16 +135,32 @@ class TestDifferenceSchemes:
         assert cx.is_difference_scheme(matrix[:, :1], 3)
 
     def test_search_deterministic(self):
-        a = cx.ds_search(3, 6, 6, seed=5)
-        b = cx.ds_search(3, 6, 6, seed=5)
+        a = cx.ds_search(3, 6, 6)
+        b = cx.ds_search(3, 6, 6)
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_no_ds_6_7_3(self):
         with pytest.raises(SearchExhaustedError):
-            cx.ds_search(3, 6, 7, exhaustive=True)
+            cx.ds_search(3, 6, 7)
 
     def test_first_column_zero(self):
-        assert not cx.ds_search(3, 6, 6, seed=1).matrix[:, 0].any()
+        assert not cx.ds_search(3, 6, 6).matrix[:, 0].any()
+
+    @pytest.mark.parametrize("s,r,c", ORACLE_DS_SHAPES)
+    def test_search_matches_oracle(self, s, r, c):
+        want = oracle_ds_search(s, r, c)
+        try:
+            got = cx.ds_search(s, r, c).matrix
+        except SearchExhaustedError:
+            assert want is None
+            return
+        assert want is not None and got.shape == (r, c)
+        assert cx.is_difference_scheme(got, s)
+        # the normal form: column 0 and row 0 zero, column 1 sorted, the
+        # later columns distinct and in increasing order
+        assert not got[:, 0].any() and not got[0].any()
+        assert (np.diff(got[:, 1:2], axis=0) >= 0).all()
+        assert [tuple(col) for col in got.T[1:]] == sorted(set(map(tuple, got.T[1:])))
 
     @pytest.mark.parametrize("s,r,c", [(4, 16, 4), (2, 32, 2), (3, 21, 3)])
     def test_search_refuses_too_many_columns(self, s, r, c):
