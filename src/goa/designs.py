@@ -30,8 +30,8 @@ from .errors import (
     TooFewColumnsError,
 )
 
-# int64 cells per projection-counting chunk; for t = 2, uint64 words of
-# the AND block
+# int64 cells per projection-counting chunk; for a popcount chunk, uint64
+# words of the AND block
 _CHUNK_CELLS = 1 << 14
 
 
@@ -163,47 +163,39 @@ def _projection_tables(matrix: np.ndarray, s: int, t: int, cols):
     """Yield (tuples, tables) chunks of t-column projection counts in
     itertools.combinations order of cols, cell a_1 s^(t-1) + ... + a_t.
 
-    For t = 2 and s^2 <= 64 each (column, level) is a bitset of the rows,
-    and the count of levels (a, b) in columns (i, j) is the popcount of
-    bits[i, a] & bits[j, b].  A chunk is a block of first columns
-    i0..i0+width-1 against the columns after i0, read in row-major order
-    over the j > i triangle; when one first column against them all
-    exceeds the cap, the later columns are split into spans.  A pair then
-    costs s^2 words per 64 rows against one bincount cell per row, so for
-    larger s, and for any other t, row i of a chunk is coded with an
-    offset of i * s^t and one bincount counts the chunk.
+    One walk serves every t and s: each chunk is the next
+    _CHUNK_CELLS // per column tuples, per being what one tuple costs to
+    count, and only the count step forks.  For t = 2 and s^2 <= 64 each
+    (column, level) is a bitset of the rows, and the count of levels (a, b)
+    in columns (i, j) is the popcount of bits[i, a] & bits[j, b]: per is
+    the s^2 W words of the AND block.  A pair then costs s^2 words per 64
+    rows against one bincount cell per row, so for larger s, and for any
+    other t, row i of a chunk is coded with an offset of i * s^t and one
+    bincount counts the chunk: per is max(N, s^t) cells.
     """
-    if t == 2 and s * s <= 64:
-        idx = np.fromiter(cols, dtype=np.intp)
-        bits = _level_bitsets(matrix, s)[idx]
-        n, pair = len(idx), s * s * bits.shape[2]
-        i0 = 0
-        while i0 < n - 1:
-            rest = n - 1 - i0
-            width = min(rest, max(1, _CHUNK_CELLS // (rest * pair)))
-            span = max(1, _CHUNK_CELLS // (width * pair))
-            left = bits[i0:i0 + width, None, :, None, :]
-            for j0 in range(i0 + 1, n, span):
-                both = left & bits[None, j0:j0 + span, None, :, :]
-                counts = np.bitwise_count(both).sum(-1, dtype=np.int64)
-                first, second = np.nonzero(np.triu(np.ones(counts.shape[:2], dtype=bool),
-                                                   i0 + 1 - j0))
-                yield (np.stack([idx[i0 + first], idx[j0 + second]], axis=1),
-                       counts[first, second].reshape(-1, s * s))
-            i0 += width
-        return
     cells = s**t
-    size = max(1, _CHUNK_CELLS // max(matrix.shape[0], cells))
+    popcount = t == 2 and cells <= 64
+    if popcount:
+        bits = _level_bitsets(matrix, s)
+        per = cells * bits.shape[2]
+    else:
+        per = max(matrix.shape[0], cells)
+    size = max(1, _CHUNK_CELLS // per)
     combos = itertools.combinations(cols, t)
     while True:
         flat = itertools.chain.from_iterable(itertools.islice(combos, size))
         tuples = np.fromiter(flat, dtype=np.intp).reshape(-1, t)
         if not len(tuples):
             return
-        enc = np.arange(len(tuples))
-        for i in range(t):
-            enc = enc * s + matrix[:, tuples[:, i]]
-        yield tuples, np.bincount(enc.ravel(), minlength=enc.shape[1] * cells).reshape(-1, cells)
+        if popcount:
+            both = bits[tuples[:, 0], :, None] & bits[tuples[:, 1], None, :]
+            tables = np.bitwise_count(both).sum(-1, dtype=np.int64)
+        else:
+            enc = np.arange(len(tuples))
+            for i in range(t):
+                enc = enc * s + matrix[:, tuples[:, i]]
+            tables = np.bincount(enc.ravel(), minlength=enc.shape[1] * cells)
+        yield tuples, tables.reshape(-1, cells)
 
 
 def check_strength(design: Design, t: int) -> StrengthCheck:

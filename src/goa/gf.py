@@ -297,10 +297,11 @@ def row_reduce(gf: GF, m) -> tuple[np.ndarray, list[int]]:
     nonzero entry once the earlier pivot rows have been cleared out of it,
     and that column is then cleared from every other row.  Sorting the
     pivot rows by column gives the RREF; a matrix has only one, so R and
-    the pivots do not depend on the order of elimination.  Over a prime
-    field each row operation is integer arithmetic mod p; over GF(p^j),
-    j > 1, it goes through the label tables.  Raises ValueError unless m
-    is 2-d.
+    the pivots do not depend on the order of elimination.  Every s
+    eliminates through the label tables: the pivot row is scaled to a
+    leading 1 and negated once, so clearing its column from the other rows
+    is two gathers, a mul_t and an add_t.  Raises ValueError unless m is
+    2-d.
     """
     r = np.array(m, dtype=np.int64, order="C")
     if r.ndim != 2:
@@ -312,17 +313,10 @@ def row_reduce(gf: GF, m) -> tuple[np.ndarray, list[int]]:
             continue
         c = int(nonzero[0])
         found.append((c, i))
-        row = r[i]
-        if gf.j == 1:
-            row *= pow(int(row[c]), -1, gf.p)
-            row %= gf.p
-            for rest in (r[:i], r[i + 1:]):
-                rest -= rest[:, c, None] * row
-                rest %= gf.p
-        else:
-            row[:] = gf.mul_t[gf.inv_t[row[c]], row]
-            for rest in (r[:i], r[i + 1:]):
-                rest[:] = gf.sub(rest, gf.mul(rest[:, c, None], row))
+        r[i] = gf.mul_t[gf.inv_t[r[i, c]], r[i]]
+        neg = gf.neg_t[r[i]]
+        for rest in (r[:i], r[i + 1:]):
+            rest[:] = gf.add_t[rest, gf.mul_t[rest[:, c, None], neg]]
     found.sort()
     out = np.zeros_like(r)
     out[:len(found)] = r[[i for _, i in found]]

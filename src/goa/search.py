@@ -70,19 +70,17 @@ class SearchConfig:
 
     restarts: int = 10_000
     seed: int = 0
-    polys: list[gflib.Poly] | None = None
     min_groups: int = 1
 
 
 def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
     """Grouping by translated exponent sets (greedy over all shifts).
 
-    Per restart: draw a primitive polynomial (uniformly from the supplied
-    list or from all of them), draw a non-singular k x k matrix H by
-    rejection, write the columns of H G as PG exponents mod v, then scan
-    shifts j = 1, ..., v-1 and keep every translate disjoint from what has
-    been collected.  The best restart (largest group count, first found on
-    ties) is expanded, re-verified and returned.
+    Per restart: draw a primitive polynomial uniformly, draw a non-singular
+    k x k matrix H by rejection, write the columns of H G as PG exponents
+    mod v, then scan shifts j = 1, ..., v-1 and keep every translate
+    disjoint from what has been collected.  The best restart (largest group
+    count, first found on ties) is expanded, re-verified and returned.
     """
     s, k = gen.s, gen.k
     if not gflib.is_prime(s):
@@ -93,7 +91,7 @@ def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
         raise RankDeficientError("seed generator must have full row rank")
     if not gen.matrix.any(axis=0).all():
         raise FormatMismatchError("seed generator has a zero column, which is no PG point")
-    exts = [gflib.ext_field(s, k, h) for h in cfg.polys or gflib.find_primitive_polys(s, k)]
+    exts = [gflib.ext_field(s, k, h) for h in gflib.find_primitive_polys(s, k)]
     g_count, which, groups = _best_restart(gen, cfg, exts)
     if g_count < cfg.min_groups:
         raise NoGroupingError(f"best grouping has g={g_count} < {cfg.min_groups}")

@@ -59,24 +59,29 @@ def grouped_to_dict(gd: GroupedDesign) -> dict:
 def grouped_from_dict(doc: dict) -> GroupedDesign:
     try:
         s = _level_count(doc["s"])
-        design = Design(s, _int_matrix(doc["matrix"], "matrix"), doc["origin"])
-        if design.runs != _int(doc["runs"], "runs") or design.cols != _int(doc["cols"], "cols"):
+        design = Design(s, _int_matrix(doc["matrix"], "matrix"),
+                        _typed(doc["origin"], str, "origin"))
+        if (design.runs != _typed(doc["runs"], int, "runs")
+                or design.cols != _typed(doc["cols"], int, "cols")):
             raise FileFormatError("matrix shape disagrees with runs/cols header")
         groups = []
-        for i, g in enumerate(doc["groups"]):
+        for i, g in enumerate(_typed(doc["groups"], list, "groups")):
             where = f"groups[{i}]"
             groups.append(
                 Group(
-                    columns=[_int(c, f"{where}.columns") for c in g["columns"]],
-                    claimed_strength=_int(g["claimed_strength"], f"{where}.claimed_strength"),
+                    columns=[_typed(c, int, f"{where}.columns")
+                             for c in _typed(g["columns"], list, f"{where}.columns")],
+                    claimed_strength=_typed(g["claimed_strength"], int,
+                                            f"{where}.claimed_strength"),
                     verified_strength=_opt_int(g["verified_strength"],
                                                f"{where}.verified_strength"),
-                    wlp=(tuple(_int(a, f"{where}.wlp") for a in g["wlp"])
+                    wlp=(tuple(_typed(a, int, f"{where}.wlp")
+                               for a in _typed(g["wlp"], list, f"{where}.wlp"))
                          if g["wlp"] is not None else None),
                     p=fraction_from_str(g["p"]) if g["p"] is not None else None,
                 )
             )
-        claimed_t0 = _int(doc["claimed_t0"], "claimed_t0")
+        claimed_t0 = _typed(doc["claimed_t0"], int, "claimed_t0")
         verified_t0 = _opt_int(doc["verified_t0"], "verified_t0")
         _check_claims(design.cols, claimed_t0, verified_t0, groups)
         gen = None
@@ -87,15 +92,16 @@ def grouped_from_dict(doc: dict) -> GroupedDesign:
         raise FileFormatError(f"bad design document: {exc}") from exc
 
 
-def _int(value, name: str) -> int:
-    """An integer field; JSON booleans, floats and strings are rejected."""
-    if type(value) is not int:
-        raise FileFormatError(f"{name}: expected an integer, got {value!r}")
+def _typed(value, kind: type, name: str):
+    """A field that JSON gave as exactly kind (int, list or str): booleans
+    and floats are no integers, and a string or object is no list."""
+    if type(value) is not kind:
+        raise FileFormatError(f"{name}: expected {kind.__name__}, got {value!r}")
     return value
 
 
 def _opt_int(value, name: str) -> int | None:
-    return None if value is None else _int(value, name)
+    return None if value is None else _typed(value, int, name)
 
 
 def _int_matrix(rows, name: str) -> np.ndarray:
@@ -115,7 +121,7 @@ def _level_matrix(rows, name: str, s: int) -> np.ndarray:
 
 def _level_count(value) -> int:
     """The level count s: one whose field gflib.level_field builds."""
-    s = _int(value, "s")
+    s = _typed(value, int, "s")
     try:
         gflib.level_field(s)
     except (ValueError, NotPrimePowerError) as exc:
@@ -131,6 +137,8 @@ def _check_claims(cols: int, claimed_t0: int, verified_t0: int | None,
             raise FileFormatError(f"{name} {t} outside 0..{cols}")
     for i, grp in enumerate(groups):
         where = f"groups[{i}]"
+        if not grp.columns:
+            raise FileFormatError(f"{where}.columns: a group needs at least one column")
         bad = [c for c in grp.columns if not 0 <= c < cols]
         if bad:
             raise FileFormatError(f"{where}.columns: {bad[0]} outside 0..{cols - 1}")

@@ -37,6 +37,11 @@ CLAIM_MUTATIONS = [
     (("generator", 1, 2), -1, "generator"),
     (("generator", 1, 2), 3, "generator"),
     (("generator", 1, 2), 7, "generator"),
+    (("groups",), "", "groups"),
+    (("groups",), {}, "groups"),
+    (("groups", 0, "columns"), "", "groups[0].columns"),
+    (("groups", 1, "wlp"), {}, "groups[1].wlp"),
+    (("origin",), None, "origin"),
 ]
 
 # Flags that the subcommand does not read; each must be refused.
@@ -238,6 +243,18 @@ class TestVerify:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stdout + proc.stderr
         assert field in proc.stderr
+
+    def test_empty_group_exits_2(self, workdir):
+        # a group with no columns must not verify as GOA(8, (0), (0), 2, 2)
+        main(["construct", "thm1", "--s", "2", "--out", "t.json"])
+        doc = json.loads((workdir / "t.json").read_text())
+        doc["groups"] = [{"columns": [], "claimed_strength": 0, "verified_strength": None,
+                          "wlp": None, "p": None}]
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        proc = run_goa("verify", "bad.json")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "groups[0].columns" in proc.stderr
 
 
 class TestCertifyOnce:

@@ -25,8 +25,8 @@ from conftest import (
     oracle_p_of_d,
 )
 
-MAX_K = {2: 4, 3: 3, 4: 2}
-LINEAR_MAX_K = {2: 4, 3: 3, 4: 2, 5: 2, 7: 2, 8: 2, 9: 2}
+# s <= 8 counts pairs by popcount and s = 9 by bincount
+MAX_K = {2: 4, 3: 3, 4: 2, 5: 2, 7: 2, 8: 2, 9: 2}
 CHUNK_CAPS = st.sampled_from([1, 16, 256, dz._CHUNK_CELLS])
 
 
@@ -180,8 +180,8 @@ def linear_designs(draw):
     """The span of a random, possibly rank-deficient basis over GF(s), with
     up to two columns zeroed and up to two copied onto others, stacked one
     to three times."""
-    s = draw(st.sampled_from(sorted(LINEAR_MAX_K)))
-    k = draw(st.integers(1, LINEAR_MAX_K[s]))
+    s = draw(st.sampled_from(sorted(MAX_K)))
+    k = draw(st.integers(1, MAX_K[s]))
     n = draw(st.integers(1, 6))
     row = st.lists(st.integers(0, s - 1), min_size=n, max_size=n)
     basis = np.array(draw(st.lists(row, min_size=k, max_size=k)), dtype=np.int64)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from goa import designs as dz
-from goa import gf
 from goa import search as sx
 from goa.errors import NoGroupingError, RankDeficientError
 
@@ -43,12 +42,6 @@ class TestAlgorithm42:
         bad = dz.GeneratorMatrix(2, [[1, 0, 1], [1, 0, 1]])
         with pytest.raises(RankDeficientError):
             sx.algorithm_42(bad, sx.SearchConfig(restarts=1))
-
-    def test_pinned_polynomial(self):
-        h = gf.find_primitive_polys(2, 4)[0]
-        gd = sx.algorithm_42(sx.SEED_GENERATORS["oa16-5-ma"],
-                             sx.SearchConfig(restarts=200, seed=0, polys=[h]))
-        assert f"h={h.format()}" in gd.design.origin
 
 
 class TestSurvey:
