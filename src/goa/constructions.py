@@ -92,16 +92,18 @@ def is_difference_scheme(matrix: np.ndarray, s: int) -> bool:
 
 def _balanced_columns(s: int, r: int) -> np.ndarray:
     """The columns holding each of the s elements exactly r/s times and 0 in
-    row 0, in lexicographic order, grown one entry at a time."""
+    row 0, in lexicographic order, grown one entry at a time.  They are
+    uint8: ds_search enumerates them only for c >= 3 columns, so every
+    level and count is at most r <= DS_SEARCH_CELL_LIMIT / 3."""
     per = r // s
-    cols = np.zeros((1, 1), dtype=np.int64)
-    counts = np.zeros((1, s), dtype=np.int64)
+    cols = np.zeros((1, 1), dtype=np.uint8)
+    counts = np.zeros((1, s), dtype=np.uint8)
     counts[0, 0] = 1
     for _ in range(1, r):
         # C-order nonzero extends each prefix by its admissible elements in
         # increasing order, so the rows stay sorted
         prefix, e = np.nonzero(counts < per)
-        cols = np.column_stack([cols[prefix], e])
+        cols = np.column_stack([cols[prefix], e.astype(np.uint8)])
         counts = counts[prefix]
         counts[np.arange(len(e)), e] += 1
     return cols
@@ -134,9 +136,10 @@ def ds_search(s: int, r: int, c: int) -> DifferenceScheme:
     if c <= 2:
         return _certified(np.hstack([zero, np.repeat(np.arange(s), want)[:, None]])[:, :c], s)
     candidates = _balanced_columns(s, r)  # row 0 is the sorted column
+    add = field.add_t.astype(np.uint8)
 
     def viable_after(viable, col):
-        diff = field.sub(candidates[viable], col[None, :])
+        diff = add[candidates[viable], field.neg_t[col]]
         ok = np.ones(viable.shape[0], dtype=bool)
         for e in range(s):
             ok &= (diff == e).sum(axis=1) == want
@@ -219,16 +222,21 @@ def _require_strength3(design: Design, columns=None, what="input design"):
         raise StrengthPrereqError(f"{what} is not of strength 3")
 
 
-def _kronecker_goa(ds: DifferenceScheme, b: Design, parts, origin: str | None) -> GroupedDesign:
+def _kronecker_goa(ds: DifferenceScheme, b: Design, parts, origin: str | None,
+                   same_sum: GroupedDesign | None = None) -> GroupedDesign:
     """A (+) B grouped by parts, one (scheme columns js, base columns ws,
     claimed strength) per group: the group takes the columns j*n + w for j in
     js and w in ws.  The claims are annotated, and p is measured exactly for
-    the groups claimed below strength 3."""
-    design = kronecker_sum(ds, b, origin=origin)
+    the groups claimed below strength 3.  same_sum, an earlier grouping of
+    this A (+) B, lends its array and its whole-array verdict."""
+    if same_sum is None:
+        design, verified_t0 = kronecker_sum(ds, b, origin=origin), None
+    else:
+        design, verified_t0 = same_sum.design, same_sum.verified_t0
     n = b.cols
     groups = [Group([j * n + w for j in js for w in ws], claimed_strength=t)
               for js, ws, t in parts]
-    gd = annotate(GroupedDesign(design, groups, claimed_t0=2))
+    gd = annotate(GroupedDesign(design, groups, claimed_t0=2), verified_t0)
     for grp in gd.groups:
         if grp.claimed_strength < 3:
             grp.p = p_of_d(design, grp.columns)
@@ -290,7 +298,8 @@ def construct_thm2(ds: DifferenceScheme, b: GroupedDesign) -> Thm2Result:
                             [(range(ds.c), grp.columns, 2) for grp in b.groups], origin)
     blocks = [range(j, min(j + 2, ds.c)) for j in range(0, ds.c, 2)]
     nested = _kronecker_goa(ds, b.design, [(block, grp.columns, 3)
-                                           for grp in b.groups for block in blocks], origin)
+                                           for grp in b.groups for block in blocks], origin,
+                            same_sum=coarse)
     return Thm2Result(coarse, nested, bounds)
 
 

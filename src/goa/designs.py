@@ -375,7 +375,7 @@ def has_strength(design: Design, t: int) -> bool:
     return _strength_at(design, t, _linear_basis(design.s, design.matrix) is not None).ok
 
 
-def annotate(gd: GroupedDesign) -> GroupedDesign:
+def annotate(gd: GroupedDesign, verified_t0: int | None = None) -> GroupedDesign:
     """Fill verified strengths, capped at the claims; shortfalls are
     recorded, not raised.
 
@@ -383,11 +383,14 @@ def annotate(gd: GroupedDesign) -> GroupedDesign:
     projection of a linear array is linear, so then every subject's
     strength is min(claim, d⊥ - 1), read off its wordlength pattern;
     otherwise each group is tested alone, and a subject that is not linear
-    is credited only what check_strength confirms (max_strength).
+    is credited only what check_strength confirms (max_strength).  A
+    given verified_t0 is the whole array's verdict at this claim, already
+    found for another grouping of the same array, and is not found again.
     """
     design = gd.design
     linear = _linear_basis(design.s, design.matrix) is not None
-    gd.verified_t0 = _strength(design, gd.claimed_t0, linear)
+    gd.verified_t0 = (_strength(design, gd.claimed_t0, linear) if verified_t0 is None
+                      else verified_t0)
     for grp in gd.groups:
         sub = subset_design(design, grp.columns)
         grp.verified_strength = _strength(

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import gf as gflib
 from .designs import (
-    _CHUNK_CELLS,
     GeneratorMatrix,
     Group,
     GroupedDesign,
@@ -62,6 +61,13 @@ SEED_GENERATORS: dict[str, GeneratorMatrix] = {
         ],
     ),
 }
+
+
+# the share of restarts whose first word block may hold no non-singular H
+_REDRAW_SHARE = 1 / 16
+# bytes one chunk of restarts may hold at once: its words and their Lemire
+# products, the H @ points test and the scan masks
+_CHUNK_BYTES = 1 << 21
 
 
 @dataclass
@@ -110,28 +116,26 @@ def _best_restart(gen: GeneratorMatrix, cfg: SearchConfig,
                   exts: list[gflib.ExtField]) -> tuple[int, int, list[tuple[int, ...]]]:
     """(g, polynomial index, groups) of the best restart, the first on ties.
 
-    Restarts run in chunks of _CHUNK_CELLS // (k v), each on its own rng
-    stream.  H is singular iff H x = 0 for some PG point x, and the
-    translates j' + B and j + B meet iff j - j' is a difference of B.
+    Restart r reads the stream of numpy's
+    default_rng(SeedSequence(cfg.seed, spawn_key=(r,))): one
+    Generator.integers(len(exts)) for the polynomial (none when there is
+    one), then Generator.integers(0, s, (k, k)) until H is non-singular.
+    goa computes that stream itself, a chunk of restarts at a time
+    (_pcg_seeds, _stream_words, _bounded); the tests pin it to numpy's.
+    H is singular iff H x = 0 for some PG point x, and the translates
+    j' + B and j + B meet iff j - j' is a difference of B.
     """
     s, k = gen.s, gen.k
     field = gflib.level_field(s)
     v = (s**k - 1) // (s - 1)
     points = pg_points(exts[0]).T
     logs = np.stack([ext.log for ext in exts])
-    size = max(1, _CHUNK_CELLS // (k * v))
+    attempts, size = _chunking(s, k)
     best = None
     for start in range(0, cfg.restarts, size):
-        rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
-                for r in range(start, min(start + size, cfg.restarts))]
-        n = len(rngs)
-        which = np.array([int(rng.integers(len(exts))) if len(exts) > 1 else 0 for rng in rngs])
-        h_mats = np.empty((n, k, k), dtype=np.int64)
-        todo = np.arange(n)
-        while len(todo):
-            h_mats[todo] = [rngs[r].integers(0, s, size=(k, k)) for r in todo]
-            hx = gflib.mat_mul(field, h_mats[todo].reshape(-1, k), points).reshape(-1, k, v)
-            todo = todo[(hx == 0).all(axis=1).any(axis=1)]
+        seeds = _pcg_seeds(cfg.seed, range(start, min(start + size, cfg.restarts)))
+        which, h_mats = _draw_restarts(field, points, len(exts), seeds, attempts)
+        n = len(which)
         hg = gflib.mat_mul(field, h_mats.reshape(-1, k), gen.matrix).reshape(n, k, -1)
         exps = logs[which[:, None], gflib.code(s, hg.transpose(0, 2, 1))] % v
         pairs = (exps[:, :, None] - exps[:, None, :]).reshape(n, -1) % v
@@ -150,6 +154,161 @@ def _best_restart(gen: GeneratorMatrix, cfg: SearchConfig,
             groups = [tuple((e + j) % v for e in base) for j in np.flatnonzero(kept[r]).tolist()]
             best = (int(g[r]), int(which[r]), groups)
     return best
+
+
+def _chunking(s: int, k: int) -> tuple[int, int]:
+    """(H attempts in a restart's first word block, restarts per chunk).
+
+    A random k x k H over GF(s) is singular with probability
+    1 - prod_i (1 - s^-i); the attempts leave at most _REDRAW_SHARE of
+    restarts without a non-singular one.  A restart holds about 40 bytes
+    per 32-bit word drawn, 24 per cell of H @ points and 6 per shift.
+    """
+    singular = 1 - np.prod(1 - float(s) ** -np.arange(1, k + 1))
+    attempts = max(1, int(np.ceil(np.log(_REDRAW_SHARE) / np.log(singular))))
+    v = (s**k - 1) // (s - 1)
+    return attempts, max(1, _CHUNK_BYTES // (40 * (1 + attempts * k * k) + 24 * k * v + 6 * v))
+
+
+def _draw_restarts(field: gflib.GF, points: np.ndarray, polys: int,
+                   seeds: list[tuple[int, int]], attempts: int) -> tuple[np.ndarray, np.ndarray]:
+    """(polynomial index, H) of each seeded restart.
+
+    A restart's first word block holds the index and `attempts` H draws.
+    The cell words Lemire's rule keeps after the index word are gathered
+    at one cumsum offset per restart, and attempt a is kept cells
+    a k^2, ..., (a + 1) k^2 - 1.  A restart whose attempts are all
+    singular draws a block twice as long and tests the attempts it adds.
+    The 32-bit halves are read low half first, as numpy's PCG64 hands
+    them to Generator.integers.
+    """
+    s, (k, v) = field.s, points.shape
+    cells = k * k
+    which = np.zeros(len(seeds), dtype=np.int64)
+    h_mats = np.empty((len(seeds), cells), dtype=np.int64)
+    todo = np.arange(len(seeds))
+    tested = np.zeros(len(seeds), dtype=np.int64)  # leading attempts known singular
+    while len(todo):
+        u = _stream_words([seeds[i] for i in todo], (2 + attempts * cells) // 2).view("<u4")
+        start = np.zeros(len(todo), dtype=np.int64)
+        if polys > 1:
+            value, ok = _bounded(u, polys)
+            first = ok.argmax(axis=1)
+            which[todo] = value[np.arange(len(todo)), first]
+            start = np.where(ok.any(axis=1), first + 1, u.shape[1])
+            del value, ok  # free them before the next block-sized arrays
+        value, ok = _bounded(u, s)
+        ok &= np.arange(u.shape[1]) >= start[:, None]
+        count = ok.sum(axis=1)
+        flat, offset = value[ok], np.cumsum(count) - count
+        del value, ok
+        open_ = np.ones(len(todo), dtype=bool)
+        for a in range(int(tested[todo].min()), min(attempts, int(count.max()) // cells)):
+            test = np.flatnonzero(open_ & (count >= (a + 1) * cells) & (tested[todo] <= a))
+            h = flat[offset[test, None] + a * cells + np.arange(cells)]
+            hx = gflib.mat_mul(field, h.reshape(-1, k), points).reshape(-1, k, v)
+            ok = ~(hx == 0).all(axis=1).any(axis=1)
+            h_mats[todo[test[ok]]] = h[ok]
+            open_[test[ok]] = False
+            if not open_.any():
+                break
+        tested[todo] = np.minimum(count // cells, attempts)
+        todo = todo[open_]
+        attempts *= 2
+    return which, h_mats.reshape(-1, k, k)
+
+
+# numpy's SeedSequence mixing (pool size 4) and PCG64 multiplier; NEP 19
+# keeps the streams they define stable across numpy releases
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a non-negative int, low first."""
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg_seeds(seed: int, restarts) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=(r,))) for each r.
+
+    The entropy is the seed's words, zero padded to the pool size, then r's
+    one or two words.  The pool after the seed's words is shared, so only
+    the spawn words are hashed per r, in uint32 arrays (the same code runs
+    on Python ints masked to 32 bits).  PCG64 is seeded from the
+    generated state by two 128-bit LCG steps.
+    """
+    if seed < 0:
+        raise GoaError(f"the rng seed must be non-negative, got {seed}")
+    entropy = _uint32_words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    r = np.asarray(restarts, dtype=np.uint64)
+    const = _INIT_A
+
+    def hashmix(x):
+        nonlocal const
+        x = x ^ const
+        const = const * _MULT_A & _MASK32
+        x = x * const & _MASK32
+        return x ^ x >> 16
+
+    def mix(x, y):
+        x = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for i in range(_POOL_SIZE):
+        for j in range(_POOL_SIZE):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for w in entropy[_POOL_SIZE:]:
+        pool = [mix(x, hashmix(w)) for x in pool]
+    pool = [mix(x, hashmix((r & _MASK32).astype(np.uint32))) for x in pool]
+    high = (r >> np.uint64(32)).astype(np.uint32)
+    pool = [np.where(high > 0, mix(x, hashmix(high)), x) for x in pool]
+    const, state = _INIT_B, []
+    for i in range(2 * _POOL_SIZE):
+        x = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        x = x * const & _MASK32
+        state.append((x ^ x >> 16).astype(np.uint64))
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (state[2 * i] | state[2 * i + 1] << np.uint64(32)).tolist() for i in range(4))
+    seeds = []
+    for a, b, c, d in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        seeds.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return seeds
+
+
+def _stream_words(seeds: list[tuple[int, int]], length: int) -> np.ndarray:
+    """The first `length` uint64 outputs of PCG64 from each (state, inc)."""
+    bitgen = np.random.PCG64(0)
+    out = np.empty((len(seeds), length), dtype="<u8")
+    for i, (state, inc) in enumerate(seeds):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        out[i] = bitgen.random_raw(length)
+    return out
+
+
+def _bounded(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.integers(0, n) read off 32-bit words: each word's value and
+    whether Lemire's rule keeps it, as numpy's buffered_bounded_lemire_uint32
+    does (value (u n) >> 32; rejected iff (u n) mod 2^32 < 2^32 mod n)."""
+    m = u.astype(np.uint64)
+    m *= np.uint64(n)
+    ok = (m & np.uint64(_MASK32)) >= (1 << 32) % n
+    m >>= np.uint64(32)
+    return m, ok
 
 
 @dataclass

@@ -311,6 +311,16 @@ class TestCertifyOnce:
         assert [(c.args[0].runs, c.args[0].cols, c.args[1]) for c in check.call_args_list] == [
             (486, 60, 2), (486, 20, 3), (486, 20, 3)]
 
+    def test_thm2_counts_the_sum_once(self, workdir):
+        # the coarse and the nested grouping share one A (+) B and its
+        # whole-array verdict; each group is counted once
+        main(["construct", "ebert", "--s", "3", "--h", "1,0,0,1,2", "--out", "e.json"])
+        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as check:
+            assert main(["construct", "thm2", "--s", "3", "--ds-shape", "6,6",
+                         "--base", "e.json", "--out", "t.json"]) == 0
+        assert [(c.args[0].runs, c.args[0].cols, c.args[1]) for c in check.call_args_list] == [
+            (486, 240, 2)] + [(486, 60, 2)] * 4 + [(486, 20, 3)] * 8
+
     def test_verify_records_proven_strengths(self, workdir, capsys):
         main(["construct", "thm1", "--s", "2", "--out", "t.json"])
         doc = json.loads((workdir / "t.json").read_text())
@@ -461,6 +471,13 @@ class TestCliEdgeCases:
         # only the console entry point turns a crash into exit 2
         with pytest.raises(ValueError):
             main(["construct", "ebert", "--s", "3", "--h", "9,9", "--out", "e.json"])
+
+    def test_search_rejects_negative_rng_seed(self, workdir):
+        proc = run_goa("search", "alg42", "--builtin", "oa16-5-ma", "--restarts", "5",
+                       "--rng-seed", "-1", "--out", "a.json")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the rng seed must be non-negative, got -1\n"
+        assert not (workdir / "a.json").exists()
 
     def test_search_needs_a_seed(self, workdir):
         assert main(["search", "alg42", "--restarts", "10"]) == 2

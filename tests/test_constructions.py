@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -138,6 +139,19 @@ class TestDifferenceSchemes:
         a = cx.ds_search(3, 6, 6)
         b = cx.ds_search(3, 6, 6)
         assert np.array_equal(a.matrix, b.matrix)
+
+    def test_search_3_15_3_in_narrow_columns(self):
+        # 252,252 balanced columns of 15 cells, one byte a cell: the first
+        # filter pass peaked at 92 MB traced when they were int64
+        tracemalloc.start()
+        try:
+            got = cx.ds_search(3, 15, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ["".join(map(str, col)) for col in got.matrix.T] == [
+            "000000000000000", "000001111122222", "000002222211111"]
+        assert peak < 24 << 20
 
     def test_no_ds_6_7_3(self):
         with pytest.raises(SearchExhaustedError):
