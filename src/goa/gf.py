@@ -29,6 +29,7 @@ each element of GF(p^j) acts as a j x j matrix over GF(p).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,7 +112,7 @@ def code(p: int, vectors: np.ndarray) -> np.ndarray:
     """The integer a_0 + a_1 p + a_2 p^2 + ... of each GF(p) vector
     (a_0, a_1, ...) along the last axis; ExtField.log and GF.lab are
     indexed by it."""
-    return vectors @ p ** np.arange(vectors.shape[-1])
+    return np.einsum("...j,j->...", vectors, p ** np.arange(vectors.shape[-1]))
 
 
 class GF:
@@ -288,47 +289,66 @@ def level_field(s: int) -> GF:
 
 # ---------------------------------------------------------------------------
 # Linear algebra over a GF table
+#
+# One Gauss-Jordan loop, _eliminate, serves a matrix and a stack of them:
+# row_reduce runs it on a stack of one, mat_rank on a (..., rows, cols) stack.
+
+
+def _eliminate(gf: GF, r: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan elimination of each matrix in a (B, rows, cols) stack.
+
+    Row by row: the pivot of row i is its first nonzero entry once the
+    earlier pivot rows have been cleared out of it.  The row is scaled to a
+    leading 1 and its column cleared from every other row, as gathers in
+    mul_t and add_t against the negated row, for all B matrices in one step.
+    A zero row has pivot entry 0, so inv_t scales it to zero and it clears
+    nothing.  The result's nonzero rows are the pivot rows, each with its
+    pivot as its leading entry; the input is not written to.
+    """
+    at = np.arange(len(r))
+    for i in range(r.shape[1] if r.shape[2] else 0):  # no columns, no pivots
+        row = r[:, i]
+        c = (row != 0).argmax(axis=1)
+        row = gf.mul_t[gf.inv_t[row[at, c, None]], row]
+        r = gf.add_t[r, gf.mul_t[r[at, :, c, None], gf.neg_t[row[:, None]]]]
+        r[:, i] = row  # row i cleared itself to zero above
+    return r
 
 
 def row_reduce(gf: GF, m) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (R, pivot column list).
 
-    Gauss-Jordan elimination row by row: the pivot of row i is its first
-    nonzero entry once the earlier pivot rows have been cleared out of it,
-    and that column is then cleared from every other row.  Sorting the
-    pivot rows by column gives the RREF; a matrix has only one, so R and
-    the pivots do not depend on the order of elimination.  Every s
-    eliminates through the label tables: the pivot row is scaled to a
-    leading 1 and negated once, so clearing its column from the other rows
-    is two gathers, a mul_t and an add_t.  Raises ValueError unless m is
-    2-d.
+    _eliminate on a stack of one; sorting the pivot rows by column gives
+    the RREF.  A matrix has only one, so R and the pivots do not depend on
+    the order of elimination.  Raises ValueError unless m is 2-d.
     """
-    r = np.array(m, dtype=np.int64, order="C")
+    r = np.asarray(m, dtype=np.int64)
     if r.ndim != 2:
         raise ValueError("need a 2-d matrix")
-    found = []  # (pivot column, row)
-    for i in range(len(r)):
-        nonzero = np.flatnonzero(r[i])
-        if not len(nonzero):
-            continue
-        c = int(nonzero[0])
-        found.append((c, i))
-        r[i] = gf.mul_t[gf.inv_t[r[i, c]], r[i]]
-        neg = gf.neg_t[r[i]]
-        for rest in (r[:i], r[i + 1:]):
-            rest[:] = gf.add_t[rest, gf.mul_t[rest[:, c, None], neg]]
-    found.sort()
-    out = np.zeros_like(r)
-    out[:len(found)] = r[[i for _, i in found]]
-    return out, [c for c, _ in found]
+    r = _eliminate(gf, r[None])[0]
+    # a True column past the last puts a zero row's lead at cols, after every pivot
+    lead = np.hstack([r != 0, np.ones((len(r), 1), dtype=bool)]).argmax(axis=1)
+    order = lead.argsort()
+    return r[order], [c for c in lead[order].tolist() if c < r.shape[1]]
 
 
-def mat_rank(gf: GF, m) -> int:
-    """Rank over the level field.  Row rank equals column rank, so a
-    matrix taller than wide is reduced as its transpose and row_reduce
-    steps through min(rows, cols) rows; raises ValueError unless m is 2-d."""
-    m = np.asarray(m)
-    return len(row_reduce(gf, m.T if m.ndim == 2 and len(m) > m.shape[1] else m)[1])
+def mat_rank(gf: GF, m) -> int | np.ndarray:
+    """Rank over the level field of a matrix (an int) or of each matrix in
+    a (..., rows, cols) stack (an int array of the batch shape).
+
+    Row rank equals column rank, so matrices taller than wide are reduced
+    as their transposes and _eliminate steps through min(rows, cols) rows;
+    the rank is the number of nonzero rows it leaves.  Raises ValueError
+    when m has fewer than 2 axes.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    if m.ndim < 2:
+        raise ValueError("need a matrix or a stack of matrices")
+    if m.shape[-2] > m.shape[-1]:
+        m = m.swapaxes(-1, -2)
+    *batch, rows, cols = m.shape
+    ranks = _eliminate(gf, m.reshape(math.prod(batch), rows, cols)).any(axis=2).sum(axis=1)
+    return ranks.reshape(batch) if batch else int(ranks[0])
 
 
 def mat_mul(gf: GF, a, b) -> np.ndarray:

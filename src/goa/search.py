@@ -10,6 +10,7 @@ wordlength pattern, so every group inherits the seed's aberration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from .designs import (
     Group,
     GroupedDesign,
     generator_from_exponents,
-    pg_points,
     regular_goa,
     strength_from_wlp,
     wlp,
@@ -66,8 +66,9 @@ SEED_GENERATORS: dict[str, GeneratorMatrix] = {
 # the share of restarts whose first word block may hold no non-singular H
 _REDRAW_SHARE = 1 / 16
 # bytes one chunk of restarts may hold at once: its words and their Lemire
-# products, the H @ points test and the scan masks
-_CHUNK_BYTES = 1 << 21
+# products, the H stacks under elimination and the scan masks (1.25 MiB, some
+# 330 restarts; larger chunks save little time and raise the peak RSS)
+_CHUNK_BYTES = 5 << 18
 
 
 @dataclass
@@ -86,7 +87,10 @@ def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
     k x k matrix H by rejection, write the columns of H G as PG exponents
     mod v, then scan shifts j = 1, ..., v-1 and keep every translate
     disjoint from what has been collected.  The best restart (largest group
-    count, first found on ties) is expanded, re-verified and returned.
+    count, first found on ties) is expanded, re-verified and returned.  A
+    seed whose phi(s^k - 1)/k fields of s^k elements, one per primitive
+    polynomial, would exceed DESK_ORDER_LIMIT cells is refused before any
+    is built.
     """
     s, k = gen.s, gen.k
     if not gflib.is_prime(s):
@@ -97,6 +101,14 @@ def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
         raise RankDeficientError("seed generator must have full row rank")
     if not gen.matrix.any(axis=0).all():
         raise FormatMismatchError("seed generator has a zero column, which is no PG point")
+    cells = s**k
+    if cells <= gflib.DESK_ORDER_LIMIT:  # else one field is already too large to factor n
+        n = cells - 1
+        primes = gflib.factorize(n)
+        cells *= n // math.prod(primes) * math.prod(q - 1 for q in primes) // k  # phi(n) / k
+    if cells > gflib.DESK_ORDER_LIMIT:
+        raise GoaError(f"alg42 over GF({s}^{k}) needs {cells} field table cells, "
+                       f"above the desk-scale limit of {gflib.DESK_ORDER_LIMIT}")
     exts = [gflib.ext_field(s, k, h) for h in gflib.find_primitive_polys(s, k)]
     g_count, which, groups = _best_restart(gen, cfg, exts)
     if g_count < cfg.min_groups:
@@ -122,19 +134,18 @@ def _best_restart(gen: GeneratorMatrix, cfg: SearchConfig,
     one), then Generator.integers(0, s, (k, k)) until H is non-singular.
     goa computes that stream itself, a chunk of restarts at a time
     (_pcg_seeds, _stream_words, _bounded); the tests pin it to numpy's.
-    H is singular iff H x = 0 for some PG point x, and the translates
+    H is kept iff gf.mat_rank says it has rank k, and the translates
     j' + B and j + B meet iff j - j' is a difference of B.
     """
     s, k = gen.s, gen.k
     field = gflib.level_field(s)
     v = (s**k - 1) // (s - 1)
-    points = pg_points(exts[0]).T
     logs = np.stack([ext.log for ext in exts])
     attempts, size = _chunking(s, k)
     best = None
     for start in range(0, cfg.restarts, size):
         seeds = _pcg_seeds(cfg.seed, range(start, min(start + size, cfg.restarts)))
-        which, h_mats = _draw_restarts(field, points, len(exts), seeds, attempts)
+        which, h_mats = _draw_restarts(field, k, len(exts), seeds, attempts)
         n = len(which)
         hg = gflib.mat_mul(field, h_mats.reshape(-1, k), gen.matrix).reshape(n, k, -1)
         exps = logs[which[:, None], gflib.code(s, hg.transpose(0, 2, 1))] % v
@@ -161,29 +172,32 @@ def _chunking(s: int, k: int) -> tuple[int, int]:
 
     A random k x k H over GF(s) is singular with probability
     1 - prod_i (1 - s^-i); the attempts leave at most _REDRAW_SHARE of
-    restarts without a non-singular one.  A restart holds about 40 bytes
-    per 32-bit word drawn, 24 per cell of H @ points and 6 per shift.
+    restarts without a non-singular one.  A restart holds about 24 bytes
+    per 32-bit word drawn (the word, its Lemire product and mask, the cell
+    kept), 32 per cell of the H whose rank is taken (the gathered attempt
+    and the elimination's stacks) and 6 per shift.
     """
     singular = 1 - np.prod(1 - float(s) ** -np.arange(1, k + 1))
     attempts = max(1, int(np.ceil(np.log(_REDRAW_SHARE) / np.log(singular))))
     v = (s**k - 1) // (s - 1)
-    return attempts, max(1, _CHUNK_BYTES // (40 * (1 + attempts * k * k) + 24 * k * v + 6 * v))
+    return attempts, max(1, _CHUNK_BYTES // (24 * (2 + attempts * k * k) + 32 * k * k + 6 * v))
 
 
-def _draw_restarts(field: gflib.GF, points: np.ndarray, polys: int,
+def _draw_restarts(field: gflib.GF, k: int, polys: int,
                    seeds: list[tuple[int, int]], attempts: int) -> tuple[np.ndarray, np.ndarray]:
     """(polynomial index, H) of each seeded restart.
 
     A restart's first word block holds the index and `attempts` H draws.
     The cell words Lemire's rule keeps after the index word are gathered
     at one cumsum offset per restart, and attempt a is kept cells
-    a k^2, ..., (a + 1) k^2 - 1.  A restart whose attempts are all
-    singular draws a block twice as long and tests the attempts it adds.
+    a k^2, ..., (a + 1) k^2 - 1.  Attempt a of the restarts still open is
+    kept iff gf.mat_rank of their stack of k x k matrices is k.  A restart
+    whose attempts are all singular draws a block twice as long and tests
+    the attempts it adds.
     The 32-bit halves are read low half first, as numpy's PCG64 hands
     them to Generator.integers.
     """
-    s, (k, v) = field.s, points.shape
-    cells = k * k
+    s, cells = field.s, k * k
     which = np.zeros(len(seeds), dtype=np.int64)
     h_mats = np.empty((len(seeds), cells), dtype=np.int64)
     todo = np.arange(len(seeds))
@@ -206,8 +220,7 @@ def _draw_restarts(field: gflib.GF, points: np.ndarray, polys: int,
         for a in range(int(tested[todo].min()), min(attempts, int(count.max()) // cells)):
             test = np.flatnonzero(open_ & (count >= (a + 1) * cells) & (tested[todo] <= a))
             h = flat[offset[test, None] + a * cells + np.arange(cells)]
-            hx = gflib.mat_mul(field, h.reshape(-1, k), points).reshape(-1, k, v)
-            ok = ~(hx == 0).all(axis=1).any(axis=1)
+            ok = gflib.mat_rank(field, h.reshape(-1, k, k)) == k
             h_mats[todo[test[ok]]] = h[ok]
             open_[test[ok]] = False
             if not open_.any():

@@ -106,7 +106,7 @@ def test_same_file_past_first_chunk(name):
 @pytest.mark.parametrize("kib", [1, 64])
 @pytest.mark.parametrize("name", sorted(SEEDS))
 def test_small_chunk_caps(name, kib):
-    # 1 KiB holds one restart of each seed, 64 KiB from 3 (oa243-6-ma) to 95 (s5)
+    # 1 KiB holds one restart of each seed (two of s5), 64 KiB from 16 (oa243-6-ma) to 162 (s5)
     gen = SEEDS[name]
     cfg = sx.SearchConfig(restarts=40, seed=1)
     exts = all_exts(gen)
@@ -183,9 +183,8 @@ def test_draw_matches_generator_integers(seed, start, polys, name):
     gen = SEEDS[name]
     s, k = gen.s, gen.k
     field = gf.level_field(s)
-    points = dz.pg_points(all_exts(gen)[0]).T
     rs = range(start, start + 6)
-    which, h_mats = sx._draw_restarts(field, points, polys, sx._pcg_seeds(seed, rs),
+    which, h_mats = sx._draw_restarts(field, k, polys, sx._pcg_seeds(seed, rs),
                                       sx._chunking(s, k)[0])
     for r, got_which, got_h in zip(rs, which.tolist(), h_mats):
         rng = default_rng(seed, r)
@@ -224,8 +223,7 @@ def test_draw_on_rejected_words(prefix, seed):
     # crafted words: rejected index words move every H cell, and rejected
     # cells shorten a word block until it is drawn again
     gen = SEEDS["oa243-6-ma"]
-    field = gf.level_field(3)
-    points = dz.pg_points(all_exts(gen)[0]).T
+    field = gf.level_field(gen.s)
     seeds = sx._pcg_seeds(seed, range(4))
     streams = {}
     for i, pcg in enumerate(seeds):
@@ -237,7 +235,7 @@ def test_draw_on_rejected_words(prefix, seed):
         return np.array([streams[p][:2 * length] for p in pcgs], dtype="<u4").view("<u8")
 
     with mock.patch.object(sx, "_stream_words", crafted):
-        which, h_mats = sx._draw_restarts(field, points, 22, seeds, 1)
+        which, h_mats = sx._draw_restarts(field, gen.k, 22, seeds, 1)
     for pcg, got_which, got_h in zip(seeds, which.tolist(), h_mats):
         it = iter(streams[pcg])
         assert got_which == lemire(it, 22)

@@ -479,6 +479,26 @@ class TestCliEdgeCases:
         assert proc.stderr == "error: the rng seed must be non-negative, got -1\n"
         assert not (workdir / "a.json").exists()
 
+    @pytest.mark.parametrize("k", [13, 60])
+    def test_search_bounds_the_field_tables(self, workdir, k):
+        # a full-rank k x (k + 1) generator over GF(2): at k = 13 alg42 would
+        # build one GF(2^13) for each of its 630 primitive polynomials, 5.2e6
+        # cells; at k = 60 one field is already past the limit
+        gen = np.hstack([np.eye(k, dtype=int), np.ones((k, 1), dtype=int)])
+        doc = {"s": 2, "runs": 2, "cols": k + 1, "claimed_t0": 1, "verified_t0": 1,
+               "groups": [{"columns": list(range(k + 1)), "claimed_strength": 1,
+                           "verified_strength": 1, "wlp": None, "p": None}],
+               "generator": gen.tolist(), "matrix": [[0] * (k + 1), [1] * (k + 1)],
+               "origin": "wide"}
+        (workdir / "wide.json").write_text(json.dumps(doc))
+        start = time.perf_counter()
+        with mock.patch.object(gf, "find_primitive_polys") as enumerate_polys:
+            code = main(["search", "alg42", "--seed-design", "wide.json", "--restarts", "10",
+                         "--out", "a.json"])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not enumerate_polys.called
+        assert not (workdir / "a.json").exists()
+
     def test_search_needs_a_seed(self, workdir):
         assert main(["search", "alg42", "--restarts", "10"]) == 2
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from goa import constructions, designs, gf, search
 from goa.errors import NotPrimePowerError, NotPrimitiveError
@@ -334,6 +335,17 @@ class TestMatMulOracle:
         assert np.array_equal(gf.span(f, basis), oracle_mat_mul(f, coeffs, basis))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 97]),
+       shape=st.lists(st.integers(0, 5), min_size=1, max_size=3))
+def test_code_matches_matmul(data, p, shape):
+    vectors = data.draw(arrays(np.int64, shape, elements=st.integers(0, p - 1)))
+    got = gf.code(p, vectors)
+    want = vectors @ p ** np.arange(shape[-1])
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 class TestRowReduceOracle:
     """gf.row_reduce, mat_rank and null_space against the column-by-column
     elimination in conftest, over prime and prime-power level fields."""
@@ -363,8 +375,32 @@ class TestRowReduceOracle:
         assert np.array_equal(basis[:, free], np.eye(len(free), dtype=np.int64))
         assert not oracle_mat_mul(f, m, basis.T).any()
 
-    @pytest.mark.parametrize("fn", [gf.row_reduce, gf.mat_rank])
-    @pytest.mark.parametrize("m", [[1, 0, 2], np.zeros((2, 2, 2), dtype=np.int64)])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), s=st.sampled_from(LEVELS), b1=st.integers(0, 3), b2=st.integers(0, 3),
+           rows=st.integers(0, 6), cols=st.integers(0, 6))
+    def test_stack_ranks_match_oracle(self, data, s, b1, b2, rows, cols):
+        f = gf.level_field(s)
+        n = b1 * b2 * rows
+        if data.draw(st.booleans()):  # every matrix of rank at most k
+            k = data.draw(st.integers(0, 3))
+            flat = oracle_mat_mul(f, label_matrix(data, s, n, k), label_matrix(data, s, k, cols))
+        else:
+            flat = label_matrix(data, s, n, cols)
+        stack = flat.reshape(b1, b2, rows, cols)
+        ranks = gf.mat_rank(f, stack)
+        assert ranks.shape == (b1, b2)
+        assert ranks.tolist() == [[len(oracle_row_reduce(f, m)[1]) for m in row] for row in stack]
+        for m in stack.reshape(b1 * b2, rows, cols):
+            one = gf.mat_rank(f, m[None])
+            rank = gf.mat_rank(f, m)
+            assert type(rank) is int and one.tolist() == [rank]
+
+    # the 3-d case of mat_rank is a stack: test_stack_ranks_match_oracle
+    @pytest.mark.parametrize("fn, m", [
+        pytest.param(gf.row_reduce, [1, 0, 2], id="m0-row_reduce"),
+        pytest.param(gf.mat_rank, [1, 0, 2], id="m0-mat_rank"),
+        pytest.param(gf.row_reduce, np.zeros((2, 2, 2), dtype=np.int64), id="m1-row_reduce"),
+    ])
     def test_needs_a_2d_matrix(self, fn, m):
         with pytest.raises(ValueError):
             fn(gf.level_field(3), m)
