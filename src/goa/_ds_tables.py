@@ -1,9 +1,9 @@
-"""Stored difference schemes, certified by the search in `constructions`.
+"""Stored difference schemes, one fixed table per shape.
 
-Keys are (s, r, c).  Each entry was found by the seeded column-by-column
-search with a normalised all-zero first column; ds_catalog re-verifies
-the balance property before handing a scheme out, so a corrupted entry
-cannot leak.
+Keys are (s, r, c).  Each entry has an all-zero first column; its rows
+are not in the normal form that `constructions.ds_search` returns, and
+nothing rebuilds them.  ds_catalog re-verifies the balance property
+before handing a scheme out, so a corrupted entry cannot leak.
 """
 
 STORED_SCHEMES: dict[tuple[int, int, int], list[list[int]]] = {

@@ -63,19 +63,30 @@ def _write_design(gd: GroupedDesign, out: str | None, fmt: str, default_name: st
 
 def _load_base(args) -> GroupedDesign:
     gd = serialize.load_design_file(args.base, getattr(args, "s", None))
-    if getattr(args, "base_group", None) is not None:
-        grp = gd.groups[args.base_group]
-        gd = subset_columns(gd, grp.columns)
+    idx = getattr(args, "base_group", None)
+    if idx is not None:
+        if not 0 <= idx < len(gd.groups):
+            raise GoaError(f"--base-group {idx}: {args.base} has {len(gd.groups)} groups")
+        gd = subset_columns(gd, gd.groups[idx].columns)
     return gd
+
+
+def _shape(flag: str, text: str) -> tuple[int, int]:
+    """The r,c of a --ds-shape or --ds-search value: two positive integers."""
+    try:
+        r, c = (int(x) for x in text.split(","))
+        if r >= 1 and c >= 1:
+            return r, c
+    except ValueError:
+        pass
+    raise GoaError(f"{flag} {text}: expected two positive integers r,c")
 
 
 def _get_ds(args, s: int):
     if args.ds_shape:
-        r, c = (int(x) for x in args.ds_shape.split(","))
-        return ds_catalog(s, r, c)
+        return ds_catalog(s, *_shape("--ds-shape", args.ds_shape))
     if args.ds_search:
-        r, c = (int(x) for x in args.ds_search.split(","))
-        return ds_search(s, r, c)
+        return ds_search(s, *_shape("--ds-search", args.ds_search))
     raise GoaError("need --ds-shape or --ds-search")
 
 
@@ -388,9 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     sea = sub.add_parser("search", help="randomized grouping search")
     sea_sub = sea.add_subparsers(dest="what", required=True)
     alg = sea_sub.add_parser("alg42")
-    alg.add_argument("--seed-design", help="JSON design file providing the seed generator")
-    alg.add_argument("--builtin", choices=sorted(SEED_GENERATORS),
-                     help="use an embedded minimum-aberration seed")
+    seed = alg.add_mutually_exclusive_group()
+    seed.add_argument("--seed-design", help="JSON design file providing the seed generator")
+    seed.add_argument("--builtin", choices=sorted(SEED_GENERATORS),
+                      help="use an embedded minimum-aberration seed")
     alg.add_argument("--restarts", type=int, default=10_000)
     alg.add_argument("--rng-seed", type=int, default=0)
     alg.add_argument("--min-groups", type=int, default=1)

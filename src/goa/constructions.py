@@ -33,12 +33,10 @@ from .designs import (
     regular_goa,
     strength_from_wlp,
     subset_design,
-    wlp,
     wlp_of_rows,
 )
 from .errors import (
     BadBlockSizeError,
-    BudgetExceededError,
     DegenerateSizeError,
     LevelMismatchError,
     SearchExhaustedError,
@@ -419,18 +417,6 @@ def f_statistics(h: gflib.Poly) -> FStats:
     return FStats(tuple(f), f_s, f_star)
 
 
-def satisfies_prop2_i(h: gflib.Poly) -> bool:
-    """All of b_0, ..., b_{k-1} nonzero (minimum aberration at m = k+1)."""
-    return all(c != 0 for c in h.coeffs[:-1])
-
-
-def satisfies_prop2_ii(h: gflib.Poly) -> bool:
-    """f_star = 0 and the f counts differ by at most 1 (MA at m = k+2)."""
-    st = f_statistics(h)
-    vals = (*st.f, st.f_s)
-    return st.f_star == 0 and max(vals) - min(vals) <= 1
-
-
 def _proxy_key(h: gflib.Poly, m: int):
     k = h.degree
     if m == k + 1:
@@ -481,34 +467,3 @@ def rank_primitive_polys(s: int, k: int, m: int) -> list[tuple[gflib.Poly, tuple
         ranked.append((key, h, pattern))
     ranked.sort(key=lambda item: item[0])
     return [(h, pattern) for _, h, pattern in ranked]
-
-
-def wlp_rank_key(pattern: tuple[int, ...]):
-    """Sequential-minimization key over (A_3, A_4, ...)."""
-    return tuple(pattern[2:])
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive minimum-aberration search over PG column subsets
-
-
-def ma_regular_oa(s: int, k: int, m: int, subset_budget: int = 500_000
-                  ) -> tuple[GeneratorMatrix, tuple[int, ...]]:
-    """Minimum-aberration regular OA(s^k, m, s, 2) by exhausting all
-    m-subsets of the PG(k-1, s) points."""
-    ext = gflib.ext_field(s, k, gflib.find_primitive_polys(s, k)[0])
-    points = pg_points(ext)
-    v = len(points)
-    total = 1
-    for i in range(m):
-        total = total * (v - i) // (i + 1)
-    if total > subset_budget:
-        raise BudgetExceededError(f"{total} subsets exceed budget {subset_budget}")
-    best = None
-    for subset in itertools.combinations(range(v), m):
-        gen = GeneratorMatrix(s, points[list(subset)].T)
-        pattern = wlp(gen)
-        key = tuple(pattern)
-        if best is None or key < best[0]:
-            best = (key, gen, pattern)
-    return best[1], best[2]

@@ -15,6 +15,7 @@ from exhaustive triple counting.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -312,6 +313,24 @@ def _linear_basis(s: int, matrix: np.ndarray) -> np.ndarray | None:
     return basis
 
 
+def _reading(s: int, rows: np.ndarray, linear: bool | None,
+             t: int | None = None) -> tuple[int, ...] | None:
+    """One subject's wordlength pattern, A_1..A_t (all of it by default),
+    or None when its rows are not a linear space over GF(s).
+
+    A subject is the whole array or one group of it, and this is the one
+    place that decides whether it has a pattern.  linear says what is
+    already known of the rows: True for a projection of an array found
+    linear (every projection of a linear array is linear), False for rows
+    found not linear, None when _linear_basis must decide.
+    """
+    if linear is None:
+        linear = _linear_basis(s, rows) is not None
+    if not linear:
+        return None
+    return wlp_of_rows(s, rows, None if t is None else min(t, rows.shape[1]))
+
+
 def wlp_of_columns(design: Design, columns) -> tuple[int, ...] | None:
     """Wordlength pattern recovered from the design matrix itself.
 
@@ -319,8 +338,7 @@ def wlp_of_columns(design: Design, columns) -> tuple[int, ...] | None:
     _linear_basis), i.e. the projection is not regular and has no
     wordlength pattern.
     """
-    sub = design.matrix[:, list(columns)]
-    return None if _linear_basis(design.s, sub) is None else wlp_of_rows(design.s, sub)
+    return _reading(design.s, design.matrix[:, list(columns)], None)
 
 
 def p_of_d(design: Design, columns=None) -> Fraction:
@@ -342,69 +360,67 @@ def pg_points(ext: gflib.ExtField) -> np.ndarray:
     return ext.antilog[:(ext.order - 1) // (ext.s - 1)]
 
 
-def shift_exponents(ext: gflib.ExtField, exps, j: int) -> tuple[int, ...]:
-    """Translate PG exponents by j, reduced to representatives mod v."""
-    v = (ext.order - 1) // (ext.s - 1)
-    return tuple((e + j) % v for e in exps)
-
-
 def generator_from_exponents(ext: gflib.ExtField, exps) -> GeneratorMatrix:
     return GeneratorMatrix(ext.s, ext.antilog[np.asarray(exps, dtype=np.int64) % ext.period].T)
 
 
-def _strength(design: Design, cap: int, linear: bool) -> int:
-    """max_strength(design, cap); for linear rows min(cap, d⊥ - 1), read off
-    A_1..A_cap of the wordlength pattern with nothing counted."""
-    if not linear:
-        return max_strength(design, cap)
-    return strength_from_wlp(wlp_of_rows(design.s, design.matrix, min(cap, design.cols)))
-
-
-def _strength_at(design: Design, t: int, linear: bool) -> StrengthCheck:
-    """check_strength(design, t), decided for linear rows by A_1..A_t all
-    vanishing (strength d⊥ - 1); a linear failure is still counted, for the
-    lexicographically first witness."""
-    if linear and t <= design.cols and not any(wlp_of_rows(design.s, design.matrix, t)):
+def _strength_at(s: int, rows: np.ndarray, t: int,
+                 pattern: tuple[int, ...] | None) -> StrengthCheck:
+    """check_strength of the rows at t.  When pattern, the rows' wordlength
+    pattern, holds A_1..A_t, the claim holds iff they all vanish (strength
+    d⊥ - 1) and nothing is counted; rows that are not linear (pattern None)
+    and a failure are counted, the failure for its lexicographically first
+    witness."""
+    if pattern is not None and t <= len(pattern) and not any(pattern[:t]):
         return StrengthCheck(True, t)
-    return check_strength(design, t)
+    return check_strength(Design(s, rows), t)
 
 
 def has_strength(design: Design, t: int) -> bool:
     """Whether the design has strength t: read off the dual distance when
     its rows are linear, counted by check_strength otherwise."""
-    return _strength_at(design, t, _linear_basis(design.s, design.matrix) is not None).ok
+    return _strength_at(design.s, design.matrix, t,
+                        _reading(design.s, design.matrix, None, t)).ok
 
 
 def annotate(gd: GroupedDesign, verified_t0: int | None = None) -> GroupedDesign:
     """Fill verified strengths, capped at the claims; shortfalls are
-    recorded, not raised.
+    recorded, not raised.  A regular design, one that carries a generator,
+    also gets each group's wordlength pattern as grp.wlp.
 
-    The whole array is tested once for linear rows (_linear_basis).  A
-    projection of a linear array is linear, so then every subject's
-    strength is min(claim, d⊥ - 1), read off its wordlength pattern;
-    otherwise each group is tested alone, and a subject that is not linear
-    is credited only what check_strength confirms (max_strength).  A
-    given verified_t0 is the whole array's verdict at this claim, already
-    found for another grouping of the same array, and is not found again.
+    Each subject is read once (_reading).  The whole array is tested for
+    linear rows, and its A_1..A_t0 alone are read; a projection of a
+    linear array is linear, so then no group is tested again.  A linear
+    subject's strength is min(claim, d⊥ - 1), read off its pattern; a
+    subject that is not linear is credited only what check_strength
+    confirms (max_strength).  A group's full pattern is read only when it
+    is recorded, else its A_1..A_claim.  A given verified_t0 is the whole
+    array's verdict at this claim, already found for another grouping of
+    the same array, and is not found again.
     """
-    design = gd.design
-    linear = _linear_basis(design.s, design.matrix) is not None
-    gd.verified_t0 = (_strength(design, gd.claimed_t0, linear) if verified_t0 is None
-                      else verified_t0)
+    design, s = gd.design, gd.design.s
+    top = _reading(s, design.matrix, None, gd.claimed_t0)
+    known = top is not None or None  # a group of a linear array is linear
+    if verified_t0 is None:
+        verified_t0 = (max_strength(design, gd.claimed_t0) if top is None
+                       else strength_from_wlp(top))
+    gd.verified_t0 = verified_t0
     for grp in gd.groups:
-        sub = subset_design(design, grp.columns)
-        grp.verified_strength = _strength(
-            sub, grp.claimed_strength, linear or _linear_basis(design.s, sub.matrix) is not None)
+        rows = design.matrix[:, grp.columns]
+        cap = grp.claimed_strength
+        pattern = _reading(s, rows, known, None if gd.generator is not None else cap)
+        grp.verified_strength = (max_strength(Design(s, rows), cap) if pattern is None
+                                 else strength_from_wlp(pattern[:cap]))
+        if gd.generator is not None:
+            grp.wlp = pattern
     return gd
 
 
 def regular_goa(gen: GeneratorMatrix, groups: list[Group], origin: str) -> GroupedDesign:
-    """The grouped design generated by gen, annotated; each group's
-    wordlength pattern is read off its columns of the expanded rows."""
-    design = expand_generator(gen, origin=origin)
-    for grp in groups:
-        grp.wlp = wlp_of_rows(gen.s, design.matrix[:, grp.columns])
-    return annotate(GroupedDesign(design, groups, claimed_t0=2, generator=gen))
+    """The grouped design generated by gen, annotated, which records each
+    group's wordlength pattern."""
+    return annotate(GroupedDesign(expand_generator(gen, origin=origin), groups,
+                                  claimed_t0=2, generator=gen))
 
 
 def claims_ok(gd: GroupedDesign) -> bool:
@@ -438,14 +454,16 @@ class VerifyReport:
         return out
 
 
-def _strength_claim(checks: list[ClaimCheck], subject: str, design: Design, t: int,
-                    linear: bool) -> bool:
-    """Append the check of a strength-t claim and return whether it holds; it fails
-    uncounted when s^t does not divide N, so a large t never sizes s^t-cell tables."""
-    if design.runs % design.s**t:
+def _strength_claim(checks: list[ClaimCheck], subject: str, s: int, rows: np.ndarray,
+                    t: int, read) -> bool:
+    """Append the check of a strength-t claim on rows and return whether it
+    holds.  It fails uncounted when s^t does not divide N, so a large t
+    never sizes s^t-cell tables or reads A_1..A_t; else read() gives the
+    subject's pattern, which decides it when the rows are linear."""
+    if len(rows) % s**t:
         ok, detail = False, "s^t does not divide N"
     else:
-        res = _strength_at(design, t, linear)
+        res = _strength_at(s, rows, t, read())
         ok, detail = res.ok, "" if res.ok else f"witness columns {res.witness}"
     checks.append(ClaimCheck(subject, f"strength {t}", ok, detail))
     return ok
@@ -467,19 +485,23 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     form a linear space) and the stored p value.  Any mismatch makes the
     report fail; recomputation stops early only within a failed check.
 
-    The whole array is tested once for linear rows, and each group alone
-    only when it fails.  The span of a k-row generator is a linear space
-    with each row once, so it is the row multiset iff the rows are linear,
-    N = s^k and G, the row basis and both stacked all have rank k; nothing
-    is expanded.  On a linear subject a strength-t claim holds iff A_1..A_t
-    vanish, and check_strength counts only to find a failure's witness; on
-    any other subject it counts.  The strength checked is the larger of the
-    claimed and the stored one; like annotate, it is recorded as verified
-    on each subject where it holds.
+    Each subject is read once (_reading).  The whole array is tested for
+    linear rows, and each group alone only when it fails; its A_1..A_t0
+    are read only after the s^t0 | N test.  The span of a k-row generator
+    is a linear space with each row once, so it is the row multiset iff
+    the rows are linear, N = s^k and G, the row basis and both stacked all
+    have rank k; nothing is expanded.  On a linear subject a strength-t
+    claim holds iff A_1..A_t vanish, and check_strength counts only to find
+    a failure's witness; on any other subject it counts.  A group's one
+    reading serves its strength claim and its stored pattern, and it is
+    the full pattern only when one is stored.  The strength checked is the
+    larger of the claimed and the stored one; like annotate, it is recorded
+    as verified on each subject where it holds.
     """
     checks: list[ClaimCheck] = []
     design, s = gd.design, gd.design.s
     basis = _linear_basis(s, design.matrix)
+    known = basis is not None or None  # a group of a linear array is linear
 
     if gd.generator is not None:
         gen, field = gd.generator.matrix, gflib.level_field(s)
@@ -490,19 +512,21 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
         checks.append(ClaimCheck("array", "generator reproduces rows", same))
 
     t0 = max(gd.claimed_t0, gd.verified_t0 or 0)
-    if t0 < 1 or _strength_claim(checks, "array", design, t0, basis is not None):
+    whole = functools.partial(_reading, s, design.matrix, basis is not None, t0)
+    if t0 < 1 or _strength_claim(checks, "array", s, design.matrix, t0, whole):
         gd.verified_t0 = t0
 
     for idx, grp in enumerate(gd.groups):
         name = f"group {idx + 1} ({grp.size} cols)"
         rows = design.matrix[:, grp.columns]
-        linear = basis is not None or _linear_basis(s, rows) is not None
         t = max(grp.claimed_strength, grp.verified_strength or 0)
-        if t < 1 or _strength_claim(checks, name, subset_design(design, grp.columns), t, linear):
+        read = functools.cache(functools.partial(
+            _reading, s, rows, known, t if grp.wlp is None else None))
+        if t < 1 or _strength_claim(checks, name, s, rows, t, read):
             grp.verified_strength = t
         if grp.wlp is not None:
-            _stored_claim(checks, name, "wordlength pattern", tuple(grp.wlp),
-                          wlp_of_rows(s, rows) if linear else None, "recomputed")
+            _stored_claim(checks, name, "wordlength pattern", tuple(grp.wlp), read(),
+                          "recomputed")
         if grp.p is not None:
             _stored_claim(checks, name, "triple proportion p", grp.p,
                           p_of_d(design, grp.columns) if grp.size >= 3 else None, "measured")

@@ -25,10 +25,6 @@ class RankDeficientError(GoaError):
     """A generator matrix does not have full row rank."""
 
 
-class BudgetExceededError(GoaError):
-    """An enumeration would exceed the configured budget."""
-
-
 class TooFewColumnsError(GoaError):
     """The design has too few columns for the requested measure."""
 

@@ -159,10 +159,12 @@ def save_json(gd: GroupedDesign, path) -> None:
 
 
 def load_json(path) -> GroupedDesign:
-    text = Path(path).read_text()
+    """A design JSON file; one that cannot be read, decoded as UTF-8 or
+    parsed (nesting too deep for the parser included) is a FileFormatError
+    that names the path."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     return grouped_from_dict(doc)
 
@@ -179,7 +181,7 @@ def load_csv(path, s: int) -> Design:
             if not line.strip():
                 continue
             rows.append([int(tok) for tok in line.split(",")])
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
         raise FileFormatError(f"{path}: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise FileFormatError(f"{path}: ragged or empty CSV")
@@ -199,7 +201,8 @@ def load_design_file(path, s: int | None = None) -> GroupedDesign:
     return load_json(path)
 
 
-def real_to_dict(matrix: np.ndarray, origin: str, int_matrix: np.ndarray | None = None) -> dict:
+def save_real_json(matrix: np.ndarray, origin: str, path,
+                   int_matrix: np.ndarray | None = None) -> None:
     doc = {
         "runs": int(matrix.shape[0]),
         "cols": int(matrix.shape[1]),
@@ -208,12 +211,6 @@ def real_to_dict(matrix: np.ndarray, origin: str, int_matrix: np.ndarray | None 
     }
     if int_matrix is not None:
         doc["int_matrix"] = int_matrix.tolist()
-    return doc
-
-
-def save_real_json(matrix: np.ndarray, origin: str, path,
-                   int_matrix: np.ndarray | None = None) -> None:
-    doc = real_to_dict(matrix, origin, int_matrix)
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -285,4 +286,42 @@ def oracle_best_restart(gen: dz.GeneratorMatrix, cfg, exts) -> tuple[int, int, l
                 groups.append(translate)
         if best is None or len(groups) > best[0]:
             best = (len(groups), which, groups)
+    return best
+
+
+def oracle_shift_exponents(ext: gf.ExtField, exps, j: int) -> tuple[int, ...]:
+    """Translate PG exponents by j, reduced to representatives mod v."""
+    v = (ext.order - 1) // (ext.s - 1)
+    return tuple((e + j) % v for e in exps)
+
+
+def oracle_prop2_i(h: gf.Poly) -> bool:
+    """All of b_0, ..., b_{k-1} nonzero (minimum aberration at m = k+1)."""
+    return all(c != 0 for c in h.coeffs[:-1])
+
+
+def oracle_prop2_ii(h: gf.Poly) -> bool:
+    """f_star = 0 and the f counts differ by at most 1 (MA at m = k+2)."""
+    st = cx.f_statistics(h)
+    vals = (*st.f, st.f_s)
+    return st.f_star == 0 and max(vals) - min(vals) <= 1
+
+
+def oracle_wlp_rank_key(pattern: tuple[int, ...]):
+    """Sequential-minimization key over (A_3, A_4, ...)."""
+    return tuple(pattern[2:])
+
+
+def oracle_ma_regular_oa(s: int, k: int, m: int) -> tuple[dz.GeneratorMatrix, tuple[int, ...]]:
+    """Minimum-aberration regular OA(s^k, m, s, 2) by exhausting all
+    m-subsets of the PG(k-1, s) points; at most 500,000 of them."""
+    ext = gf.ext_field(s, k, gf.find_primitive_polys(s, k)[0])
+    points = dz.pg_points(ext)
+    assert math.comb(len(points), m) <= 500_000, "too many subsets to exhaust"
+    best = None
+    for subset in itertools.combinations(range(len(points)), m):
+        gen = dz.GeneratorMatrix(s, points[list(subset)].T)
+        pattern = dz.wlp(gen)
+        if best is None or pattern < best[1]:
+            best = (gen, pattern)
     return best

@@ -321,6 +321,19 @@ class TestCertifyOnce:
         assert [(c.args[0].runs, c.args[0].cols, c.args[1]) for c in check.call_args_list] == [
             (486, 240, 2)] + [(486, 60, 2)] * 4 + [(486, 20, 3)] * 8
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "ebert", "--s", "3", "--out", "e.json"],
+        ["verify", "e.json"],
+    ], ids=lambda a: a[0])
+    def test_one_pattern_per_subject(self, workdir, argv):
+        # GOA(81, (10,10,10,10), (3,3,3,3), 3, 2): the whole array and each
+        # of its four groups are read once, groups + 1 readings in all
+        if argv[0] == "verify":
+            main(["construct", "ebert", "--s", "3", "--out", "e.json"])
+        with mock.patch.object(dz, "wlp_of_rows", wraps=dz.wlp_of_rows) as read:
+            assert main(argv) == 0
+        assert read.call_count == 5
+
     def test_verify_records_proven_strengths(self, workdir, capsys):
         main(["construct", "thm1", "--s", "2", "--out", "t.json"])
         doc = json.loads((workdir / "t.json").read_text())
@@ -501,6 +514,55 @@ class TestCliEdgeCases:
 
     def test_search_needs_a_seed(self, workdir):
         assert main(["search", "alg42", "--restarts", "10"]) == 2
+
+    def test_search_takes_one_seed(self, workdir, capsys):
+        main(["construct", "thm1", "--s", "2", "--out", "t.json"])
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "alg42", "--builtin", "oa16-5-ma", "--seed-design", "t.json",
+                  "--restarts", "5", "--out", "a.json"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (workdir / "a.json").exists()
+
+    @pytest.mark.parametrize("group", ["4", "-1"])
+    def test_base_group_out_of_range(self, workdir, capsys, group):
+        # ebert --s 3 has groups 0..3; -1 must not pick the last one
+        main(["construct", "ebert", "--s", "3", "--out", "e.json"])
+        capsys.readouterr()
+        assert main(["construct", "prop1", "--s", "3", "--ds-shape", "6,6", "--blocks", "2",
+                     "--base", "e.json", "--base-group", group, "--out", "p.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --base-group {group}: e.json has 4 groups\n")
+        assert not (workdir / "p.json").exists()
+
+    @pytest.mark.parametrize("flag,shape", [
+        ("--ds-shape", "6"), ("--ds-search", "6"), ("--ds-shape", "6,6,6"),
+        ("--ds-search", "a,b"), ("--ds-shape", "0,6"),
+    ])
+    def test_malformed_scheme_shape(self, workdir, capsys, flag, shape):
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        capsys.readouterr()
+        assert main(["construct", "thm2", "--s", "3", flag, shape, "--base", "t.json",
+                     "--out", "x.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} {shape}: expected two positive integers r,c\n")
+        assert not (workdir / "x.json").exists()
+
+    @pytest.mark.parametrize("name", ["binary.json", "deep.json", "folder.json",
+                                      "missing.json", "binary.csv", "missing.csv"])
+    def test_unreadable_file_exits_2(self, workdir, capsys, name):
+        # a file that cannot be read, decoded or parsed is one error line
+        # from main itself, not only from the console entry point
+        if name.startswith("binary"):
+            (workdir / name).write_bytes(b"\xff\xfe{\x00")
+        elif name == "deep.json":
+            (workdir / name).write_text("[" * 100_000 + "]" * 100_000)
+        elif name == "folder.json":
+            (workdir / name).mkdir()
+        assert main(["verify", name, "--s", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
+        assert "Traceback" not in out + err
 
     def test_search_rejects_constant_column_seed(self, workdir):
         main(["construct", "thm1", "--s", "2", "--out", "t.json"])

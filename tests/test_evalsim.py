@@ -8,6 +8,8 @@ from goa import designs as dz
 from goa import evalsim as ev
 from goa.errors import WrongLevelCountError
 
+from conftest import oracle_ma_regular_oa
+
 
 @pytest.fixture(scope="module")
 def goa81(oa_27_4_3_3):
@@ -88,7 +90,7 @@ class TestBiasStudy:
         assert np.array_equal(a[0].values, b[0].values)
 
     def test_goa_beats_ma_at_large_sigma(self, thm1_3):
-        gen, _ = cx.ma_regular_oa(3, 3, 10)
+        gen, _ = oracle_ma_regular_oa(3, 3, 10)
         d = dz.expand_generator(gen, origin="ma-oa-27-10")
         perm = np.random.default_rng(0).permutation(10)
         d = dz.subset_design(d, perm.tolist())

@@ -233,7 +233,8 @@ class TestDualDistance:
             with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
                 assert dz.has_strength(d, t) == want.ok
                 # a failure is counted once more, for check_strength's witness
-                assert_same_check(dz._strength_at(d, t, True), want)
+                pattern = dz.wlp_of_rows(d.s, d.matrix, t)
+                assert_same_check(dz._strength_at(d.s, d.matrix, t, pattern), want)
             assert spy.call_count == 2 * (not want.ok)
 
     @settings(deadline=None)
@@ -244,7 +245,8 @@ class TestDualDistance:
         for t in range(1, d.cols + 1):
             want = oracle_check_strength(d, t)
             with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
-                assert_same_check(dz._strength_at(d, t, linear), want)
+                pattern = dz.wlp_of_rows(d.s, d.matrix, t) if linear else None
+                assert_same_check(dz._strength_at(d.s, d.matrix, t, pattern), want)
                 assert dz.has_strength(d, t) == want.ok
             if not linear:
                 assert spy.call_count == 2
