@@ -382,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, required=True)
             p.add_argument("--m", type=int, required=True)
         if what in ("prop1", "thm2"):
-            p.add_argument("--ds-shape", help="r,c for a catalogued scheme")
-            p.add_argument("--ds-search", help="r,c to search for a scheme")
+            scheme = p.add_mutually_exclusive_group()
+            scheme.add_argument("--ds-shape", help="r,c for a catalogued scheme")
+            scheme.add_argument("--ds-search", help="r,c to search for a scheme")
             p.add_argument("--base", required=True, help="base design JSON file")
             p.add_argument("--base-group", type=int, help="use only this group of the base")
         if what == "prop1":

@@ -84,7 +84,8 @@ def is_difference_scheme(matrix: np.ndarray, s: int) -> bool:
     if c < 2:
         return True
     u, v = np.array(list(itertools.combinations(range(c), 2))).T
-    diffs = gflib.level_field(s).sub(matrix[:, u], matrix[:, v])
+    field = gflib.level_field(s)
+    diffs = field.add_t[matrix[:, u], field.neg_t[matrix[:, v]]]
     return check_strength(Design(s, diffs), 1).ok
 
 
@@ -198,7 +199,7 @@ def kronecker_sum(a: DifferenceScheme, b: Design, origin: str | None = None) -> 
         raise LevelMismatchError(f"level mismatch: {a.s} vs {b.s}")
     r, c = a.matrix.shape
     n_runs, n_cols = b.matrix.shape
-    blocks = gflib.level_field(b.s).add(a.matrix[:, None, :, None], b.matrix[None, :, None, :])
+    blocks = gflib.level_field(b.s).add_t[a.matrix[:, None, :, None], b.matrix[None, :, None, :]]
     return Design(b.s, blocks.reshape(r * n_runs, c * n_cols),
                   origin or f"kronecker({r}x{c} (+) {n_runs}x{n_cols})")
 
@@ -314,11 +315,11 @@ def construct_thm1(s: int) -> GroupedDesign:
     w_i = beta^(i-1).
     """
     field = gflib.level_field(s)  # raises NotPrimePowerError
-    cols = [(1, w, int(field.mul(w, w))) for w in range(s)] + [(0, 0, 1)]
+    cols = [(1, w, int(field.mul_t[w, w])) for w in range(s)] + [(0, 0, 1)]
     groups = [list(range(s + 1))]
     for i in range(1, s):
         start = len(cols)
-        cols += [(1, w, int(field.add(i, field.mul(w, w)))) for w in range(s)]
+        cols += [(1, w, int(field.add_t[i, field.mul_t[w, w]])) for w in range(s)]
         groups.append(list(range(start, start + s)))
     gen = GeneratorMatrix(s, np.array(cols, dtype=np.int64).T)
     return regular_goa(gen, [Group(g, claimed_strength=min(3, len(g))) for g in groups],
@@ -413,7 +414,7 @@ def f_statistics(h: gflib.Poly) -> FStats:
         elif prev == 0:
             f_s += 1
         else:
-            f[field.mul(cur, field.inv(prev))] += 1
+            f[field.mul_t[cur, field.inv_t[prev]]] += 1
     return FStats(tuple(f), f_s, f_star)
 
 
@@ -445,8 +446,9 @@ def group_wlp_for_poly(s: int, k: int, h: gflib.Poly, m: int) -> tuple[int, ...]
         return tuple(int(a) // (s - 1) for a in np.bincount(weights, minlength=m + 1)[1:])
     rows = np.zeros((s**k, m), dtype=np.int64)
     rows[:, :k] = gflib.span(field, np.eye(k, dtype=np.int64))
+    low = np.array(h.coeffs[:k])[:, None]
     for j in range(k, m):
-        rows[:, j] = -rows[:, j - k:j] @ np.array(h.coeffs[:k]) % s
+        rows[:, j] = field.neg_t[gflib.mat_mul(field, rows[:, j - k:j], low)[:, 0]]
     return wlp_of_rows(s, rows)
 
 

@@ -284,9 +284,9 @@ def _linear_basis(s: int, matrix: np.ndarray) -> np.ndarray | None:
     pivot of b_i depend on c_1..c_(i-1) alone, and the pivot entry is c_i.
     So b_i is distinct row s^(r-i), and the rows are linear iff those r
     rows have rank r and every distinct row lies in their span.  The span
-    test runs over chunks of about _CHUNK_CELLS cells, each row minus the
-    basis rows at its pivot entries, and stops at the first chunk with a
-    nonzero residue.  A matrix with no field on its s levels is not linear.
+    test runs over chunks of about _CHUNK_CELLS cells, each row against the
+    basis rows at its pivot entries, and stops at the first chunk with a row
+    outside the span.  A matrix with no field on its s levels is not linear.
     """
     try:
         field = gflib.level_field(s)
@@ -308,7 +308,7 @@ def _linear_basis(s: int, matrix: np.ndarray) -> np.ndarray | None:
     step = max(1, _CHUNK_CELLS // max(1, matrix.shape[1]))
     for start in range(0, len(first), step):
         chunk = matrix[first[start:start + step]]
-        if field.sub(chunk, gflib.mat_mul(field, chunk[:, pivots], basis)).any():
+        if (chunk != gflib.mat_mul(field, chunk[:, pivots], basis)).any():
             return None
     return basis
 

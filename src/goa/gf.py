@@ -1,9 +1,9 @@
-"""Exact arithmetic in prime fields GF(s) and extension fields GF(s^k).
+"""Exact arithmetic in level fields GF(s), s = p^j, and extensions GF(s^k).
 
 Elements of GF(s) are the integer labels 0..s-1.  A nonzero element of an
 extension GF(s^k) is carried either in power format (the exponent i of
 beta^i for a primitive element beta) or in vector format, the length-k
-row (a_0, ..., a_{k-1}) with
+row of labels (a_0, ..., a_{k-1}) with
 
     beta^i = a_0 + a_1*beta + ... + a_{k-1}*beta^{k-1},
 
@@ -13,8 +13,8 @@ the integer code a_0 + a_1 s + ... of a vector.
 
 A monic h of degree k is primitive iff x has order s^k - 1 modulo h
 (Lidl and Niederreiter, Finite Fields, Thm 3.16); one square-and-multiply
-over the companion matrices of all candidates decides it.  antilog is
-filled by doubling: rows beta^0..beta^(2^i - 1) times the matrix of
+over the lifted companion matrices of all candidates decides it.  antilog
+is filled by doubling: rows beta^0..beta^(2^i - 1) times the matrix of
 beta^(2^i) are the next 2^i rows.
 
 Prime-power level sets (s = p^j with j > 1) are handled by relabelling the
@@ -23,7 +23,10 @@ elements of GF(p^j) as 0..s-1 with 0 -> 0 and i -> beta^(i-1) for i >= 1.
 add/mul tables on the labels so that callers can stay label-based
 regardless of whether s is prime, and multiplies matrices of labels as
 one integer matmul mod p through the regular representation, in which
-each element of GF(p^j) acts as a j x j matrix over GF(p).
+each element of GF(p^j) acts as a j x j matrix over GF(p).  `_lift` maps
+a matrix of labels to its matrix over GF(p) that way, an injective ring
+homomorphism (the identity for prime s), so every product, order test and
+antilog walk over any level field runs as integer matmuls mod p.
 """
 
 from __future__ import annotations
@@ -55,10 +58,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
-
-
-def is_prime(n: int) -> bool:
-    return factorize(n) == {n: 1}
 
 
 def factor_prime_power(s: int) -> tuple[int, int]:
@@ -120,10 +119,9 @@ class GF:
 
     vec[a] holds the GF(p) coordinates of label a and lab[code(p, x)] is
     the label of the vector x.  mat[a] is the j x j matrix over GF(p) of
-    multiplication by a, so vec[a*b] = mat[a] @ vec[b] mod p.  The add, neg
-    and inv tables are derived from vec and mul_t.  Methods accept plain
-    ints or numpy arrays of labels; table lookups broadcast like any numpy
-    indexing.
+    multiplication by a, so vec[a*b] = mat[a] @ vec[b] mod p.  The add_t,
+    neg_t and inv_t tables are derived from vec and mul_t (inv_t[0] is 0);
+    callers index them with ints or numpy arrays of labels.
     """
 
     def __init__(self, p: int, vec: np.ndarray, mul_table: np.ndarray):
@@ -142,90 +140,86 @@ class GF:
             raise NonPrimeError(f"{s} levels do not form a field")
         self.inv_t = np.concatenate(([0], hits.argmax(axis=1)))
 
-    def add(self, a, b):
-        return self.add_t[a, b]
 
-    def sub(self, a, b):
-        return self.add_t[a, self.neg_t[b]]
+def _lift(gf: GF, m: np.ndarray) -> np.ndarray:
+    """The (..., r j, c j) matrices over GF(p) of a (..., r, c) stack of labels.
 
-    def neg(self, a):
-        return self.neg_t[a]
-
-    def mul(self, a, b):
-        return self.mul_t[a, b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.inv_t[a])
+    Block (a, b) is mat[m[a, b]] transposed, so the GF(p) coordinates of a
+    row of labels times the lift are the coordinates of the row times m.
+    The map is an injective ring homomorphism, the identity for prime s.
+    """
+    *batch, r, c = m.shape
+    return np.moveaxis(gf.mat[m], -1, -3).reshape(*batch, r * gf.j, c * gf.j)
 
 
-def _check_order(s: int, k: int) -> None:
-    if not is_prime(s):
-        raise NonPrimeError(f"{s} is not prime")
+def _check_order(s: int, k: int) -> GF:
+    """The level field of s, once GF(s^k) is known to be of desk scale."""
+    gf = level_field(s)
     if k < 1:
         raise ValueError("extension degree must be >= 1")
     if s**k > DESK_ORDER_LIMIT:
         raise ValueError(f"field order {s**k} above desk-scale limit")
+    return gf
 
 
-def _companion(s: int, coeffs: np.ndarray) -> np.ndarray:
-    """Companion matrix M of x^k + b_{k-1} x^{k-1} + ... + b_0 for each row
-    b_0..b_{k-1} of coeffs: row i is x^(i+1) mod h, so v @ M is x v."""
+def _companion(gf: GF, coeffs: np.ndarray) -> np.ndarray:
+    """Lifted companion matrix M of x^k + b_{k-1} x^{k-1} + ... + b_0 for
+    each row b_0..b_{k-1} of coeffs: row i is x^(i+1) mod h, so v @ M is x v."""
     mats = np.repeat(np.eye(coeffs.shape[1], k=1, dtype=np.int64)[None], len(coeffs), axis=0)
-    mats[:, -1] = -coeffs % s
-    return mats
+    mats[:, -1] = gf.neg_t[coeffs]
+    return _lift(gf, mats)
 
 
-def _primitive(s: int, coeffs: np.ndarray) -> np.ndarray:
-    """Which rows b_0..b_{k-1} of coeffs give a primitive h over prime GF(s).
+def _primitive(gf: GF, coeffs: np.ndarray) -> np.ndarray:
+    """Which rows b_0..b_{k-1} of coeffs give a primitive h over GF(gf.s).
 
     x has order n = s^k - 1 modulo h iff the companion matrix has M^n = I
     and M^(n/q) != I for each prime q | n; a reducible h, or b_0 = 0,
-    leaves fewer than n units.  One square-and-multiply pass raises the
-    whole stack to all these exponents.
+    leaves fewer than n units.  One square-and-multiply pass mod p raises
+    the whole stack of lifted matrices to all these exponents.
     """
     k = coeffs.shape[1]
-    n = s**k - 1
+    n = gf.s**k - 1
     exps = [n] + [n // q for q in factorize(n)]
-    step = _companion(s, coeffs)
-    eye = np.eye(k, dtype=np.int64)
+    step = _companion(gf, coeffs)
+    eye = np.eye(k * gf.j, dtype=np.int64)
     powers = np.broadcast_to(eye, (len(exps), *step.shape)).copy()
     for bit in range(n.bit_length()):
         odd = [i for i, e in enumerate(exps) if e >> bit & 1]
-        powers[odd] = powers[odd] @ step % s
-        step = step @ step % s
+        powers[odd] = powers[odd] @ step % gf.p
+        step = step @ step % gf.p
     is_one = (powers == eye).all(axis=(2, 3))
     return is_one[0] & ~is_one[1:].any(axis=0)
 
 
 class ExtField:
-    """GF(s^k) presented by a primitive polynomial h(x) over prime GF(s).
+    """GF(s^k) presented by a primitive polynomial h(x) over level field GF(s).
 
-    antilog[i] is the vector of beta^i, an (s^k - 1) x k array; log is
-    indexed by code(s, vector) and holds i, or -1 at the zero vector.
-    Both are read-only, since fields are cached and shared.  h must pass
-    the order test of _primitive (else NotPrimitiveError); antilog is
-    filled by doubling, as the module docstring says.
+    antilog[i] is the vector of labels of beta^i, an (s^k - 1) x k array;
+    log is indexed by code(s, vector) and holds i, or -1 at the zero
+    vector.  Both are read-only, since fields are cached and shared.  h
+    must pass the order test of _primitive (else NotPrimitiveError);
+    antilog is filled by doubling on lifted rows mod p, as the module
+    docstring says, and mapped back to labels once.
     """
 
     def __init__(self, s: int, k: int, h):
-        _check_order(s, k)
+        gf = _check_order(s, k)
         if not isinstance(h, Poly):
             h = Poly(s, tuple(h))
         if h.s != s or h.degree != k or h.coeffs[-1] != 1:
             raise ValueError(f"need a monic degree-{k} polynomial over GF({s})")
         low = np.array([h.coeffs[:k]], dtype=np.int64)
-        if not _primitive(s, low)[0]:
+        if not _primitive(gf, low)[0]:
             raise NotPrimitiveError(f"x does not have order {s**k - 1} modulo h = {h}")
         self.s, self.k, self.h, self.order = s, k, h, s**k
-        antilog, step = np.eye(1, k, dtype=np.int64), _companion(s, low)[0]
-        while len(antilog) < self.period:
-            antilog = np.concatenate([antilog, antilog[:self.period - len(antilog)] @ step % s])
-            step = step @ step % s
-        self.antilog = antilog
+        rows, step = np.eye(1, k * gf.j, dtype=np.int64), _companion(gf, low)[0]
+        while len(rows) < self.period:
+            rows = np.concatenate([rows, rows[:self.period - len(rows)] @ step % gf.p])
+            step = step @ step % gf.p
+        self.antilog = gf.lab[code(gf.p, rows.reshape(-1, k, gf.j))]
         self.log = np.full(self.order, -1, dtype=np.int64)
-        self.log[code(s, antilog)] = np.arange(self.period)
+        self.log[code(s, self.antilog)] = np.arange(self.period)
         self.antilog.flags.writeable = self.log.flags.writeable = False
 
     @property
@@ -255,14 +249,14 @@ def find_primitive_polys(s: int, k: int) -> tuple[Poly, ...]:
     lexicographic by (b_{k-1}, ..., b_0); _primitive tests them in blocks
     and no field is built.
     """
-    _check_order(s, k)
-    block = max(1, _PRIMITIVE_CELLS // (k * k))
+    gf = _check_order(s, k)
+    block = max(1, _PRIMITIVE_CELLS // (k * gf.j) ** 2)
     digits = s ** np.arange(k)
     found = []
     for start in range(0, s**k, block):
         coeffs = np.arange(start, min(start + block, s**k))[:, None] // digits % s
         coeffs = coeffs[coeffs[:, 0] > 0]  # b_0 = 0 makes x no unit
-        found += coeffs[_primitive(s, coeffs)].tolist()
+        found += coeffs[_primitive(gf, coeffs)].tolist()
     return tuple(Poly(s, (*c, 1)) for c in found)
 
 
@@ -354,17 +348,16 @@ def mat_rank(gf: GF, m) -> int | np.ndarray:
 def mat_mul(gf: GF, a, b) -> np.ndarray:
     """a @ b over the level field, as one integer matmul mod p.
 
-    Cell (i, l) is the label of sum_m mat[b[m, l]] @ vec[a[i, m]] mod p;
-    the mat blocks go on b, the short side in span.
+    Cell (i, l) is the label of sum_m mat[b[m, l]] @ vec[a[i, m]] mod p:
+    the coordinates of each row of a times the lift of b, the short side
+    in span.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     (n, r), q = a.shape, b.shape[1]
-    j = gf.j
-    left = gf.vec[a].reshape(n, r * j)
-    right = gf.mat[b].transpose(0, 3, 1, 2).reshape(r * j, q * j)
+    left = gf.vec[a].reshape(n, r * gf.j)
     # the product stays unnamed, so at most two n x q arrays are alive at once
-    return gf.lab[code(gf.p, (left @ right).reshape(n, q, j) % gf.p)]
+    return gf.lab[code(gf.p, (left @ _lift(gf, b)).reshape(n, q, gf.j) % gf.p)]
 
 
 def null_space(gf: GF, m) -> np.ndarray:
@@ -372,7 +365,7 @@ def null_space(gf: GF, m) -> np.ndarray:
     r, pivots = row_reduce(gf, m)
     free = [c for c in range(r.shape[1]) if c not in pivots]
     basis = np.eye(r.shape[1], dtype=np.int64)[free]
-    basis[:, pivots] = gf.neg(r[:len(pivots)][:, free]).T
+    basis[:, pivots] = gf.neg_t[r[:len(pivots)][:, free]].T
     return basis
 
 

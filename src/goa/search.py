@@ -93,8 +93,6 @@ def algorithm_42(gen: GeneratorMatrix, cfg: SearchConfig) -> GroupedDesign:
     is built.
     """
     s, k = gen.s, gen.k
-    if not gflib.is_prime(s):
-        raise gflib.NonPrimeError(f"grouping search needs a prime level count, got {s}")
     if cfg.restarts < 1:
         raise GoaError(f"restarts must be at least 1, got {cfg.restarts}")
     if gflib.mat_rank(gflib.level_field(s), gen.matrix) != k:

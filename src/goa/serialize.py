@@ -192,13 +192,18 @@ def load_csv(path, s: int) -> Design:
 
 
 def load_design_file(path, s: int | None = None) -> GroupedDesign:
-    """Load either container; CSV needs the level count supplied."""
+    """Load either container; CSV needs the level count supplied, and a
+    JSON file must agree with one that is."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         if s is None:
             raise FileFormatError("loading CSV requires the level count (--s)")
         return GroupedDesign(load_csv(path, s), [], claimed_t0=0)
-    return load_json(path)
+    gd = load_json(path)
+    if s is not None and s != gd.design.s:
+        raise FileFormatError(f"{path}: the level count given is {s}, "
+                              f"the file's s is {gd.design.s}")
+    return gd
 
 
 def save_real_json(matrix: np.ndarray, origin: str, path,

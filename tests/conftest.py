@@ -65,7 +65,7 @@ def oracle_wlp(gen: dz.GeneratorMatrix) -> tuple[int, ...]:
     coeffs = np.array(list(itertools.product(range(gen.s), repeat=m)), dtype=np.int64)
     acc = np.zeros((len(coeffs), gen.k), dtype=np.int64)
     for j in range(m):
-        acc = field.add(acc, field.mul(coeffs[:, j][:, None], gen.matrix[:, j][None, :]))
+        acc = field.add_t[acc, field.mul_t[coeffs[:, j][:, None], gen.matrix[:, j][None, :]]]
     words = coeffs[1:][~acc[1:].any(axis=1)]
     counts = np.bincount(np.count_nonzero(words, axis=1), minlength=m + 1)
     pattern = []
@@ -85,7 +85,7 @@ def oracle_mat_mul(field: gf.GF, a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for i in range(a.shape[1]):
-        out = field.add(out, field.mul(a[:, i][:, None], b[i][None, :]))
+        out = field.add_t[out, field.mul_t[a[:, i][:, None], b[i][None, :]]]
     return out
 
 
@@ -106,9 +106,10 @@ def oracle_row_reduce(field: gf.GF, m) -> tuple[np.ndarray, list[int]]:
         if sel is None:
             continue
         r[[rank, sel]] = r[[sel, rank]]
-        r[rank] = field.mul(field.inv(int(r[rank, c])), r[rank])
+        r[rank] = field.mul_t[field.inv_t[r[rank, c]], r[rank]]
         others = np.arange(rows) != rank
-        r[others] = field.sub(r[others], field.mul(r[others, c][:, None], r[rank][None, :]))
+        r[others] = field.add_t[r[others],
+                                field.neg_t[field.mul_t[r[others, c][:, None], r[rank][None, :]]]]
         pivots.append(c)
         rank += 1
         if rank == rows:
@@ -118,14 +119,17 @@ def oracle_row_reduce(field: gf.GF, m) -> tuple[np.ndarray, list[int]]:
 
 def oracle_ext_field_walk(s: int, k: int, coeffs) -> np.ndarray | None:
     """beta^0, ..., beta^(s^k - 2) for beta = x modulo the monic h with
-    ascending coeffs, one multiplication by x at a time; None unless beta
-    first returns to 1 after s^k - 1 steps.
+    ascending coeffs over the level field of s, one multiplication by x at
+    a time through the label add/mul tables; None unless beta first
+    returns to 1 after s^k - 1 steps.
 
     The reference for the library's batched order test and for the
-    doubling that fills ExtField.antilog.
+    doubling on lifted matrices that fills ExtField.antilog.
     """
+    field = gf.level_field(s)
+    add, mul = field.add_t.tolist(), field.mul_t.tolist()
     # x^k = -(b_0 + b_1 x + ... + b_{k-1} x^{k-1}) since h is monic
-    red = [(-c) % s for c in coeffs[:k]]
+    red = [int(field.neg_t[c]) for c in coeffs[:k]]
     one = [1] + [0] * (k - 1)
     v = one
     powers = []
@@ -134,7 +138,7 @@ def oracle_ext_field_walk(s: int, k: int, coeffs) -> np.ndarray | None:
             return None
         powers.append(v)
         carry = v[k - 1]
-        v = [((v[j - 1] if j else 0) + carry * red[j]) % s for j in range(k)]
+        v = [add[v[j - 1] if j else 0][mul[carry][red[j]]] for j in range(k)]
     return np.array(powers, dtype=np.int64) if v == one else None
 
 
@@ -172,9 +176,9 @@ def oracle_is_linear(design: dz.Design) -> bool:
     if (counts != counts[0]).any():
         return False
     present = {tuple(row) for row in rows.tolist()}
-    scaled = field.mul(np.arange(1, design.s)[:, None, None], rows[None])
+    scaled = field.mul_t[np.arange(1, design.s)[:, None, None], rows[None]]
     return all(tuple(v) in present
-               for a in rows for v in field.add(a, scaled).reshape(-1, design.cols).tolist())
+               for a in rows for v in field.add_t[a, scaled].reshape(-1, design.cols).tolist())
 
 
 def oracle_max_strength(design: dz.Design, cap: int | None = None) -> int:
@@ -233,7 +237,7 @@ def oracle_ds_search(s: int, r: int, c: int) -> np.ndarray | None:
     candidates = np.array(cols, dtype=np.int64)
 
     def viable_after(viable, col):
-        diff = field.sub(candidates[viable], col[None, :])
+        diff = field.add_t[candidates[viable], field.neg_t[col[None, :]]]
         ok = np.ones(viable.shape[0], dtype=bool)
         for e in range(s):
             ok &= (diff == e).sum(axis=1) == want

@@ -30,7 +30,9 @@ from goa.errors import FormatMismatchError
 
 from conftest import oracle_best_restart, oracle_row_reduce
 
-SEEDS = {**sx.SEED_GENERATORS, "s5": dz.GeneratorMatrix(5, [[1, 0, 1], [0, 1, 1]])}
+# s4: the first group of `construct consecutive --s 4 --k 3 --m 5`, over GF(4)
+SEEDS = {**sx.SEED_GENERATORS, "s5": dz.GeneratorMatrix(5, [[1, 0, 1], [0, 1, 1]]),
+         "s4": dz.GeneratorMatrix(4, [[1, 0, 0, 2, 2], [0, 1, 0, 1, 3], [0, 0, 1, 1, 0]])}
 # rng seeds of one to ten 32-bit words (the SeedSequence pool holds four)
 RNG_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**320))
 # restart indices of one and two 32-bit words

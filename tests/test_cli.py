@@ -121,6 +121,16 @@ class TestConstruct:
         assert main(["construct", "thm1", "--s", "8", "--out", "t.json"]) == 0
         assert main(["verify", "t.json"]) == 0
 
+    @pytest.mark.parametrize("argv,label", [
+        (["ebert", "--s", "4"], "GOA(256, (17,17,17,17,17), (3,3,3,3,3), 4, 2)"),
+        (["consecutive", "--s", "4", "--k", "3", "--m", "5"], "GOA(64, (5,5,5,5), (2,2,2,2), 4, 2)"),
+    ], ids=["ebert", "consecutive"])
+    def test_extension_of_gf4_verifies(self, workdir, capsys, argv, label):
+        assert main(["construct", *argv, "--out", "d.json"]) == 0
+        assert f"{label} -> d.json" in capsys.readouterr().out
+        assert main(["verify", "d.json"]) == 0
+        assert f"array: {label}\nall claims hold" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=lambda a: f"{a[1]} {a[-2]}")
     def test_unread_flag_exits_2_without_writing(self, workdir, argv):
         main(["construct", "thm1", "--s", "3", "--out", "t.json"])
@@ -224,6 +234,30 @@ class TestVerify:
     def test_csv_verify(self, workdir, capsys):
         main(["construct", "thm1", "--s", "3", "--out", "t.json", "--format", "both"])
         assert main(["verify", "t.csv", "--s", "3"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "t.json"],
+        ["expand", "lhd", "--design", "t.json", "--out", "x.json"],
+        ["eval", "clarity", "--design", "t.json"],
+    ], ids=lambda a: a[0])
+    def test_level_count_must_agree_with_the_file(self, workdir, capsys, argv):
+        # --s is read for a CSV file; a JSON file carries its own s
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        capsys.readouterr()
+        assert main([*argv, "--s", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: t.json: the level count given is 5, the file's s is 3\n")
+        assert not (workdir / "x.json").exists()
+        assert main([*argv, "--s", "3"]) == 0
+
+    def test_base_level_count_must_agree(self, workdir, capsys):
+        main(["construct", "thm1", "--s", "2", "--out", "t.json"])
+        capsys.readouterr()
+        assert main(["construct", "thm2", "--s", "3", "--ds-shape", "3,3", "--base", "t.json",
+                     "--out", "x.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: t.json: the level count given is 3, the file's s is 2\n")
+        assert not (workdir / "x.json").exists()
 
     def test_parse_error_exits_2(self, workdir):
         (workdir / "junk.json").write_text("{")
@@ -370,6 +404,30 @@ class TestSearchCli:
         assert lines[0].startswith("s,k,m,t,g")
         assert len(lines) > 1
 
+    def test_survey_of_gf4_rows_verify(self, workdir, capsys):
+        # each row's polynomial builds the consecutive design the row describes
+        assert main(["survey", "--s", "4", "--k", "3"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[:3] for row in rows] == [["4", "3", str(m)] for m in (4, 5, 6, 7)]
+        for _, _, m, t, g, *_, h in rows:
+            assert main(["construct", "consecutive", "--s", "4", "--k", "3", "--m", m,
+                         "--h", h, "--out", "c.json"]) == 0
+            assert main(["verify", "c.json"]) == 0
+            gd = io.load_json(workdir / "c.json")
+            assert len(gd.groups) == int(g)
+            assert {grp.verified_strength for grp in gd.groups} == {int(t)}
+
+    def test_alg42_over_gf4(self, workdir):
+        # the seed is the first 3 x 5 group of the consecutive GF(4) design;
+        # PG(2, 4) has v = 21 points, so four disjoint groups of 5 is the most
+        main(["construct", "consecutive", "--s", "4", "--k", "3", "--m", "5", "--out", "c.json"])
+        gd = io.load_json(workdir / "c.json")
+        io.save_json(dz.subset_columns(gd, gd.groups[0].columns), workdir / "seed.json")
+        assert main(["search", "alg42", "--seed-design", "seed.json", "--restarts", "1000",
+                     "--out", "a.json"]) == 0
+        assert main(["verify", "a.json"]) == 0
+        assert len(io.load_json(workdir / "a.json").groups) == 4
+
     def test_search_survey_alias_removed(self):
         # `goa survey` is the one survey command
         with pytest.raises(SystemExit) as exc:
@@ -511,6 +569,21 @@ class TestCliEdgeCases:
         assert time.perf_counter() - start < 1
         assert code == 2 and not enumerate_polys.called
         assert not (workdir / "a.json").exists()
+
+    @pytest.mark.parametrize("what,extra", [
+        ("prop1", ["--blocks", "2", "--base-group", "0"]),
+        ("thm2", []),
+    ], ids=["prop1", "thm2"])
+    def test_scheme_flags_exclude_each_other(self, workdir, capsys, what, extra):
+        # no DS(6, 7, 3) exists, so --ds-search 6,7 must not give way to --ds-shape 6,6
+        main(["construct", "ebert", "--s", "3", "--out", "ebert-s3.json"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", what, "--s", "3", "--ds-shape", "6,6", "--ds-search", "6,7",
+                  "--base", "ebert-s3.json", *extra])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert [p.name for p in workdir.iterdir()] == ["ebert-s3.json"]
 
     def test_search_needs_a_seed(self, workdir):
         assert main(["search", "alg42", "--restarts", "10"]) == 2

@@ -170,7 +170,7 @@ def generators(draw, max_k=4):
     rows = draw(st.lists(row, min_size=1, max_size=max_k))
     if draw(st.booleans()):
         c = draw(st.integers(0, s - 1))
-        rows.append(gf.level_field(s).mul(c, np.array(rows[0])).tolist())
+        rows.append(gf.level_field(s).mul_t[c, np.array(rows[0])].tolist())
     return dz.GeneratorMatrix(s, rows)
 
 

@@ -19,32 +19,28 @@ LEVELS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81]
 class TestPrimeField:
     def test_mod3_arithmetic(self):
         f = gf.level_field(3)
-        assert f.add(2, 2) == 1
-        assert f.mul(2, 2) == 1
-        assert f.inv(2) == 2
+        assert f.add_t[2, 2] == 1
+        assert f.mul_t[2, 2] == 1
+        assert f.inv_t[2] == 2
 
     def test_mod5_inverse(self):
-        assert gf.level_field(5).inv(3) == 2
+        assert gf.level_field(5).inv_t[3] == 2
 
     def test_mod2_addition(self):
-        assert gf.level_field(2).add(1, 1) == 0
+        assert gf.level_field(2).add_t[1, 1] == 0
 
     def test_composite_rejected(self):
         with pytest.raises(NotPrimePowerError):
             gf.level_field(6)
 
-    def test_inverse_of_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            gf.level_field(5).inv(0)
-
     @pytest.mark.parametrize("s", [2, 3, 5, 7])
     def test_field_axioms(self, s):
         f = gf.level_field(s)
         els = range(s)
-        assert all(f.add(a, b) == f.add(b, a) for a, b in itertools.product(els, repeat=2))
-        assert all(f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
+        assert all(f.add_t[a, b] == f.add_t[b, a] for a, b in itertools.product(els, repeat=2))
+        assert all(f.mul_t[a, f.mul_t[b, c]] == f.mul_t[f.mul_t[a, b], c]
                    for a, b, c in itertools.product(els, repeat=3))
-        assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, s))
+        assert all(f.mul_t[a, f.inv_t[a]] == 1 for a in range(1, s))
 
 
 class TestPoly:
@@ -105,9 +101,9 @@ class TestExtField:
     def test_mul_exponents(self):
         # label i + 1 of level_field(81) is beta^i: exponents add mod 80
         f = gf.level_field(81)
-        assert f.mul(5, 5) == 9
-        assert f.mul(40, 3) == 42
-        assert f.mul(80, 2) == 1
+        assert f.mul_t[5, 5] == 9
+        assert f.mul_t[40, 3] == 42
+        assert f.mul_t[80, 2] == 1
 
     def test_mul_vectors_and_zero(self):
         # vec[a * b] = mat[a] @ vec[b] mod p; label 5 is beta^4
@@ -135,7 +131,8 @@ class TestPrimitiveEnumeration:
     def test_contains_x4_plus_x_plus_2(self):
         assert (2, 1, 0, 0, 1) in {p.coeffs for p in gf.find_primitive_polys(3, 4)}
 
-    @pytest.mark.parametrize("s,k", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)])
+    @pytest.mark.parametrize("s,k", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2),
+                                     (4, 2), (4, 3), (4, 4), (8, 2), (9, 2)])
     def test_totient_identity(self, s, k):
         n = s**k - 1
         phi = sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
@@ -152,9 +149,10 @@ class TestPrimitiveEnumeration:
         assert gf.find_primitive_polys(2, 5) is polys
 
 
-# every prime s <= 13 with s^k <= 2,500, then s = 97
+# every prime s <= 13 with s^k <= 2,500, extensions of GF(4), GF(8) and
+# GF(9), then s = 97
 ORACLE_FIELDS = [(s, k) for s in (2, 3, 5, 7, 11, 13) for k in range(1, 12)
-                 if s**k <= 2500] + [(97, 1), (97, 2)]
+                 if s**k <= 2500] + [(4, 2), (4, 3), (4, 4), (8, 2), (9, 2), (97, 1), (97, 2)]
 
 
 class TestPrimitivityOracle:
@@ -199,7 +197,7 @@ class TestPrimitivityOracle:
         (1_000_003, True, (1_000_003, 1)),
     ])
     def test_is_prime_and_factor_prime_power(self, n, prime, power):
-        assert gf.is_prime(n) is prime
+        assert (gf.factorize(n) == {n: 1}) is prime
         if power is None:
             with pytest.raises(NotPrimePowerError):
                 gf.factor_prime_power(n)
@@ -211,9 +209,9 @@ class TestLevelField:
     def test_gf4_labels(self):
         f = gf.level_field(4)
         # label 1 is beta^0 = 1; multiplication cycles the nonzero labels
-        assert f.mul(2, 2) == 3
-        assert f.mul(2, 3) == 1
-        assert f.add(2, 3) == 1  # beta + beta^2 = 1 under x^2 + x + 1
+        assert f.mul_t[2, 2] == 3
+        assert f.mul_t[2, 3] == 1
+        assert f.add_t[2, 3] == 1  # beta + beta^2 = 1 under x^2 + x + 1
 
     def test_non_prime_power_rejected(self):
         with pytest.raises(Exception):
@@ -223,6 +221,14 @@ class TestLevelField:
         # 128 = 2^7 would fill two 128 x 128 tables cell by cell
         with pytest.raises(ValueError):
             gf.level_field(128)
+
+    def test_extension_of_a_prime_above_bound_rejected(self):
+        # an extension field multiplies through level_field(s), and no
+        # design has more than LEVEL_ORDER_LIMIT levels to use it on
+        with pytest.raises(ValueError):
+            gf.find_primitive_polys(101, 1)
+        with pytest.raises(ValueError):
+            gf.ext_field(101, 1, (99, 1))
 
     @pytest.mark.parametrize("module", [designs, constructions, search])
     def test_no_caller_picks_the_labelling(self, module):
@@ -281,15 +287,15 @@ class TestPrimePowerLevelFields:
         assert not f.vec[0].any()
         assert f.vec[1:].tolist() == ext.antilog.tolist()  # label i is beta^(i-1)
         els = range(s)
-        assert all(f.add(a, b) == f.add(b, a) for a in els for b in els)
-        assert all(f.mul(a, b) == f.mul(b, a) for a in els for b in els)
+        assert all(f.add_t[a, b] == f.add_t[b, a] for a in els for b in els)
+        assert all(f.mul_t[a, b] == f.mul_t[b, a] for a in els for b in els)
         for a in els:
             for b in els:
                 for c in (0, 1, s - 1):
-                    assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-                    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, s))
-        assert all(f.add(a, f.neg(a)) == 0 for a in els)
+                    assert f.mul_t[a, f.mul_t[b, c]] == f.mul_t[f.mul_t[a, b], c]
+                    assert f.mul_t[a, f.add_t[b, c]] == f.add_t[f.mul_t[a, b], f.mul_t[a, c]]
+        assert all(f.mul_t[a, f.inv_t[a]] == 1 for a in range(1, s))
+        assert all(f.add_t[a, f.neg_t[a]] == 0 for a in els)
 
 
 class TestSpanOracle:
@@ -300,7 +306,7 @@ class TestSpanOracle:
         rows = []
         for c1 in range(4):
             for c2 in range(4):
-                row = [f.add(f.mul(c1, basis[0][j]), f.mul(c2, basis[1][j]))
+                row = [f.add_t[f.mul_t[c1, basis[0][j]], f.mul_t[c2, basis[1][j]]]
                        for j in range(3)]
                 rows.append(row)
         assert fast.tolist() == rows
