@@ -121,19 +121,20 @@ def ds_search(s: int, r: int, c: int) -> DifferenceScheme:
     balanced against it, and is pruned when fewer remain than columns are
     still needed.  Deterministic; raises SearchExhaustedError when the
     tree holds no scheme, and ValueError, before any work, above
-    DS_SEARCH_CELL_LIMIT cells or DS_SEARCH_COLUMN_LIMIT balanced columns.
+    DS_SEARCH_CELL_LIMIT cells or, when c > 2 needs the balanced columns
+    enumerated, above DS_SEARCH_COLUMN_LIMIT of them.
     """
     if r * c > DS_SEARCH_CELL_LIMIT:
         raise ValueError(f"search shape {r}x{c} above desk-scale cell limit")
     if r % s or c < 1:
         raise SearchExhaustedError(f"no DS({r},{c},{s}): need s | r")
-    if math.factorial(r) // math.factorial(r // s) ** s > DS_SEARCH_COLUMN_LIMIT:
-        raise ValueError(f"search shape {r}x{c} above desk-scale column limit")
     field = gflib.level_field(s)
     want = r // s
     zero = np.zeros((r, 1), dtype=np.int64)
     if c <= 2:
         return _certified(np.hstack([zero, np.repeat(np.arange(s), want)[:, None]])[:, :c], s)
+    if math.factorial(r) // math.factorial(r // s) ** s > DS_SEARCH_COLUMN_LIMIT:
+        raise ValueError(f"search shape {r}x{c} above desk-scale column limit")
     candidates = _balanced_columns(s, r)  # row 0 is the sorted column
     add = field.add_t.astype(np.uint8)
 

@@ -79,8 +79,11 @@ class GeneratorMatrix:
         return self.matrix.shape[1]
 
     def row_strings(self) -> list[str]:
-        """Rows as digit strings, the shape design tables are printed in."""
-        return ["".join(str(int(x)) for x in row) for row in self.matrix]
+        """Rows as digit strings, the shape design tables are printed in;
+        for s > 10, where a level can take two digits, the cells are
+        separated by commas."""
+        sep = "," if self.s > 10 else ""
+        return [sep.join(str(int(x)) for x in row) for row in self.matrix]
 
 
 @dataclass
@@ -154,10 +157,9 @@ def expand_generator(gen: GeneratorMatrix, origin: str | None = None) -> Design:
 def _level_bitsets(matrix: np.ndarray, s: int) -> np.ndarray:
     """n x s x W uint64 words; bit r of [c, a] is set iff matrix[r, c] == a.
     The rows are zero-padded to whole words."""
-    packed = np.packbits(matrix[:, :, None] == np.arange(s), axis=0)
-    words = np.zeros((matrix.shape[1], s, -(-packed.shape[0] // 8) * 8), dtype=np.uint8)
-    words[:, :, :packed.shape[0]] = packed.transpose(1, 2, 0)
-    return words.view(np.uint64)
+    rows = np.zeros((matrix.shape[1], s, -(-matrix.shape[0] // 64) * 64), dtype=bool)
+    rows[:, :, :matrix.shape[0]] = matrix.T[:, None, :] == np.arange(s)[:, None]
+    return np.packbits(rows, axis=-1).view(np.uint64)
 
 
 def _projection_tables(matrix: np.ndarray, s: int, t: int, cols):

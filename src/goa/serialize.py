@@ -3,6 +3,11 @@
 The JSON container stores only integers, strings and "num/den" rational
 strings, so a load/save round trip is byte identical.  CSV files carry one
 run per line as comma-separated levels with no header.
+
+Integer matrices never pass through json on the way out: _int_text writes
+them from the array.  On the way in, a level matrix in the canonical form
+dumps writes for s <= 10 is read straight from the file's bytes, and any
+other document is left to json.loads.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ def fraction_from_str(text: str) -> Fraction:
 
 
 def grouped_to_dict(gd: GroupedDesign) -> dict:
+    """The fields of a design document; "matrix" is the level array itself,
+    which dumps writes with _int_text."""
     groups = []
     for grp in gd.groups:
         groups.append(
@@ -51,7 +58,7 @@ def grouped_to_dict(gd: GroupedDesign) -> dict:
         "verified_t0": gd.verified_t0,
         "groups": groups,
         "generator": gd.generator.matrix.tolist() if gd.generator is not None else None,
-        "matrix": gd.design.matrix.tolist(),
+        "matrix": gd.design.matrix,
         "origin": gd.design.origin,
     }
 
@@ -105,7 +112,10 @@ def _opt_int(value, name: str) -> int | None:
 
 
 def _int_matrix(rows, name: str) -> np.ndarray:
-    """A list of integer rows; one boolean, float or string cell rejects it."""
+    """A list of integer rows, or the int64 array _canonical_doc read from
+    the bytes; one boolean, float or string cell rejects a list."""
+    if type(rows) is np.ndarray and rows.dtype == np.int64:
+        return rows
     if set(map(type, itertools.chain.from_iterable(rows))) - {int}:
         raise FileFormatError(f"{name}: every cell must be an integer")
     return np.array(rows, dtype=np.int64)
@@ -150,8 +160,54 @@ def _check_claims(cols: int, claimed_t0: int, verified_t0: int | None,
                 raise FileFormatError(f"{where}.{name} {t} outside 0..{grp.size}")
 
 
+def _int_text(matrix: np.ndarray, csv: bool = False) -> bytes:
+    """An integer matrix as ASCII: byte for byte
+    json.dumps(matrix.tolist(), separators=(",", ":")), or with csv one line
+    of comma-separated cells per row.
+
+    Every cell gets one slot of sign, digits (most significant first) and
+    separator, as wide as the widest cell needs.  Slot bytes that a cell
+    leaves unused, a plus sign, leading zeros and the separator after a
+    row's last cell, stay NUL and are dropped at the end, as are the
+    brackets of csv rows.
+    """
+    matrix = np.asarray(matrix, dtype=np.int64)
+    runs, cols = matrix.shape
+    mag = np.abs(matrix).view(np.uint64)  # |min int64| reads 2**63 as uint64
+    width = len(str(mag.max())) if matrix.size else 1
+    sign = int(bool(matrix.size) and matrix.min() < 0)
+    cells = np.zeros((runs, cols, sign + width + 1), dtype=np.uint8)
+    if sign:
+        cells[..., 0] = np.where(matrix < 0, ord("-"), 0)
+    for place in range(width):
+        digit = (mag % 10).astype(np.uint8) + ord("0")
+        if place:
+            digit[mag == 0] = 0
+        cells[..., -2 - place] = digit
+        mag = mag // 10
+    cells[..., -1] = ord(",")
+    cells[:, -1:, -1] = 0
+    opening, closing, row_end = b"\0\0\n" if csv else b"[],"
+    grid = np.concatenate([np.full((runs, 1), opening, np.uint8),
+                           cells.reshape(runs, cols * cells.shape[2]),
+                           np.full((runs, 2), [closing, row_end], np.uint8)], axis=1)
+    if runs and not csv:
+        grid[-1, -1] = 0
+    text = grid[grid != 0].tobytes()
+    return text if csv else b"[" + text + b"]"
+
+
+def _compact_json(doc: dict, key: str) -> str:
+    """json.dumps(doc, separators=(",", ":")), the integer matrix doc[key]
+    written by _int_text and never handed to json."""
+    items = [json.dumps(k) + ":" + _int_text(v).decode() if k == key
+             else json.dumps({k: v}, separators=(",", ":"))[1:-1]
+             for k, v in doc.items()]
+    return "{" + ",".join(items) + "}"
+
+
 def dumps(gd: GroupedDesign) -> str:
-    return json.dumps(grouped_to_dict(gd), separators=(",", ":")) + "\n"
+    return _compact_json(grouped_to_dict(gd), "matrix") + "\n"
 
 
 def save_json(gd: GroupedDesign, path) -> None:
@@ -163,15 +219,67 @@ def load_json(path) -> GroupedDesign:
     parsed (nesting too deep for the parser included) is a FileFormatError
     that names the path."""
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        doc = _canonical_doc(text)
+        if doc is None:
+            doc = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     return grouped_from_dict(doc)
 
 
+_MATRIX_KEY = b',"matrix":['
+
+
+def _canonical_doc(text: str) -> dict | None:
+    """The document of text, its level matrix read straight from the bytes
+    as an int64 array, when that matrix is in the form dumps writes for
+    s <= 10; None for any other text, which json.loads then decides.
+
+    That form is an ASCII text whose first ',"matrix":[' is followed by rows
+    '[d,...,d]' joined by ',' and a closing ']', every cell one digit and
+    every row laid out byte for byte like the first, so that each holds as
+    many cells.  Whitespace, a leading zero, a cell of two digits, a sign
+    or a ragged row leave it.  json decodes the rest of the text with the
+    constant NaN in the matrix's place, and the array counts only if that
+    NaN, the one constant json met, came back as the top-level "matrix":
+    not one nested in a group, and not one that a later "matrix" key
+    overrides.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")  # so offsets in raw are offsets in text
+    start = raw.find(_MATRIX_KEY)
+    first = start + len(_MATRIX_KEY)
+    end = raw.find(b"]]", first) + 2
+    row = raw.find(b"]", first) - first + 2  # '[d,...,d],' of the first row
+    if start < 0 or end < 2 or row < 4 or row % 2 or (end - first) % row:
+        return None
+    grid = np.frombuffer(raw, np.uint8, end - first, first).reshape(-1, row)
+    marks = np.frombuffer(b"[" + b"," * (row // 2 - 2) + b"]", np.uint8)
+    cells = grid[:, 1:row - 2:2].astype(np.int64)
+    cells -= ord("0")  # a byte below '0' wraps past 9 as uint64
+    if not ((cells.view(np.uint64) <= 9).all() and (grid[:, 0:row - 1:2] == marks).all()
+            and (grid[:-1, -1] == ord(",")).all() and grid[-1, -1] == ord("]")):
+        return None
+    marker, constants = object(), []
+
+    def constant(name):
+        constants.append(name)
+        return marker
+
+    try:
+        doc = json.loads(text[:start] + ',"matrix":NaN' + text[end:], parse_constant=constant)
+    except (ValueError, RecursionError):
+        return None
+    if constants != ["NaN"] or type(doc) is not dict or doc.get("matrix") is not marker:
+        return None
+    doc["matrix"] = cells
+    return doc
+
+
 def save_csv(design: Design, path) -> None:
-    lines = [",".join(str(int(x)) for x in row) for row in design.matrix]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_int_text(design.matrix, csv=True).decode())
 
 
 def load_csv(path, s: int) -> Design:
@@ -215,8 +323,8 @@ def save_real_json(matrix: np.ndarray, origin: str, path,
         "origin": origin,
     }
     if int_matrix is not None:
-        doc["int_matrix"] = int_matrix.tolist()
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        doc["int_matrix"] = int_matrix
+    Path(path).write_text(_compact_json(doc, "int_matrix") + "\n")
 
 
 def save_real_csv(matrix: np.ndarray, path) -> None:

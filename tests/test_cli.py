@@ -139,6 +139,30 @@ class TestConstruct:
         assert "unrecognized arguments" in proc.stderr
         assert not (workdir / "new.json").exists()
 
+    @pytest.mark.parametrize("s", [3, 13])
+    def test_generator_rows_split_back_into_columns(self, workdir, capsys, s):
+        # two-digit levels (s > 10) are comma-separated; one-digit ones are not
+        assert main(["construct", "thm1", "--s", str(s), "--out", "t.json"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith("GOA(")]
+        gd = io.load_json(workdir / "t.json")
+        assert len(lines) == len(gd.groups)
+        for idx, (line, grp) in enumerate(zip(lines, gd.groups)):
+            label, rows = line.split(": ")
+            cells = [row.split(",") if s > 10 else list(row) for row in rows.split(" ")]
+            assert label == f"G{idx}"
+            assert np.array_equal(np.array(cells, dtype=np.int64),
+                                  gd.generator.matrix[:, grp.columns])
+
+    def test_two_column_scheme_search_above_column_limit(self, workdir, capsys):
+        # DS(15, 2, 5) needs no balanced column enumerated, so the limit on
+        # them (15!/(3!)^5 of them) must not refuse it
+        assert main(["construct", "thm1", "--s", "5", "--out", "t.json"]) == 0
+        assert main(["construct", "thm2", "--s", "5", "--ds-search", "15,2",
+                     "--base", "t.json", "--out", "o.json"]) == 0
+        assert "GOA(1875, (12,10,10,10,10)" in capsys.readouterr().out
+        assert main(["verify", "o.json"]) == 0
+
     def test_csv_output(self, workdir):
         assert main(["construct", "thm1", "--s", "2", "--out", "t.json",
                      "--format", "both"]) == 0

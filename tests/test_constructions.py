@@ -183,14 +183,22 @@ class TestDifferenceSchemes:
         assert (np.diff(got[:, 1:2], axis=0) >= 0).all()
         assert [tuple(col) for col in got.T[1:]] == sorted(set(map(tuple, got.T[1:])))
 
-    @pytest.mark.parametrize("s,r,c", [(4, 16, 4), (2, 32, 2), (3, 21, 3)])
+    @pytest.mark.parametrize("s,r,c", [(4, 16, 4), (5, 15, 3), (3, 21, 3)])
     def test_search_refuses_too_many_columns(self, s, r, c):
-        # 63,063,000 / 601,080,390 / 399,072,960 balanced columns, each shape
+        # 63,063,000 / 168,168,000 / 399,072,960 balanced columns, each shape
         # inside the cell limit: refused before one column is enumerated
         enumerated = AssertionError("balanced columns were enumerated")
         with mock.patch.object(cx, "_balanced_columns", side_effect=enumerated), \
                 pytest.raises(ValueError, match="desk-scale column limit"):
             cx.ds_search(s, r, c)
+
+    @pytest.mark.parametrize("s,r,c", [(5, 15, 2), (2, 32, 2), (5, 15, 1)])
+    def test_two_columns_need_no_column_limit(self, s, r, c):
+        # above the column limit, but c <= 2 enumerates no balanced column
+        enumerated = AssertionError("balanced columns were enumerated")
+        with mock.patch.object(cx, "_balanced_columns", side_effect=enumerated):
+            got = cx.ds_search(s, r, c).matrix
+        assert got.shape == (r, c) and cx.is_difference_scheme(got, s)
 
     def test_search_admits_369600_columns(self):
         # (4, 12, 5): 12!/(3!)^4 balanced columns, under the limit

@@ -1,11 +1,34 @@
+import contextlib
+import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from goa import constructions as cx
 from goa import designs as dz
 from goa import serialize as io
 from goa.errors import FileFormatError
+
+COMPACT = (",", ":")
+
+
+def read_both(path) -> list:
+    """load_json of path through the matrix codec and through json.loads
+    alone: each the design's dumps text or the FileFormatError message."""
+    outcomes = []
+    for forced in (contextlib.nullcontext(),
+                   mock.patch.object(io, "_canonical_doc", return_value=None)):
+        with forced:
+            try:
+                outcomes.append(io.dumps(io.load_json(path)))
+            except FileFormatError as exc:
+                outcomes.append(f"FileFormatError: {exc}")
+    return outcomes
 
 
 class TestJsonRoundTrip:
@@ -93,3 +116,95 @@ class TestRealDesign:
         doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["real_matrix"][0][0] == 0.25
         assert doc["int_matrix"][1] == [2, 0]
+
+
+def in_matrix(change):
+    """An edit of a design text that applies change to its matrix."""
+    def edit(text):
+        start = text.index(',"matrix":[') + len(',"matrix":')
+        end = text.index("]]", start) + 2
+        return text[:start] + change(text[start:end]) + text[end:]
+    return edit
+
+
+def move_cell(matrix: str) -> str:
+    """The last cell of row 1 moved to the front of row 2: the same bytes,
+    rows of different lengths."""
+    rows = matrix.split("],[")
+    rows[1], cell = rows[1].rsplit(",", 1)
+    rows[2] = f"{cell},{rows[2]}"
+    return "],[".join(rows)
+
+
+class TestMatrixCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                      elements=st.one_of(st.integers(-1000, 1000),
+                                         st.integers(-2**63, 2**63 - 1))))
+    def test_writer_matches_json(self, m):
+        assert io._int_text(m) == json.dumps(m.tolist(), separators=COMPACT).encode()
+        if m.size:
+            lines = [",".join(str(int(x)) for x in row) for row in m]
+            assert io._int_text(m, csv=True) == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("s", [2, 3, 13])
+    def test_csv_and_int_matrix_bytes_pinned(self, tmp_path, s):
+        # the per-cell writers these files had before the matrix codec
+        matrix = cx.construct_thm1(s).design.matrix
+        io.save_csv(dz.Design(s, matrix), tmp_path / "d.csv")
+        lines = [",".join(str(int(x)) for x in row) for row in matrix]
+        assert (tmp_path / "d.csv").read_text() == "\n".join(lines) + "\n"
+        centered = matrix - s // 2
+        io.save_real_json(centered / s, "test", tmp_path / "r.json", centered)
+        doc = {"runs": int(matrix.shape[0]), "cols": int(matrix.shape[1]),
+               "real_matrix": [[float(x) for x in row] for row in centered / s],
+               "origin": "test", "int_matrix": centered.tolist()}
+        assert (tmp_path / "r.json").read_text() == json.dumps(doc, separators=COMPACT) + "\n"
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 11, 13, 16])
+    def test_round_trip(self, tmp_path, s):
+        # one-digit levels take the byte path in, two-digit ones json.loads
+        text = io.dumps(cx.construct_thm1(s))
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        assert (io._canonical_doc(text) is not None) == (s <= 10)
+        fast, forced = read_both(path)
+        assert fast == forced == text
+
+    def test_catalog_files_take_the_byte_path(self, catalog_dir):
+        for path in sorted(catalog_dir.glob("*.json")):
+            text = path.read_text()
+            doc = io._canonical_doc(text)
+            assert doc is not None, path.name
+            assert doc["matrix"].dtype == np.int64
+            assert io.dumps(io.load_json(path)) == text
+
+    @pytest.mark.parametrize("edit", [
+        in_matrix(lambda m: m.replace("],[", "], [", 1)),
+        in_matrix(lambda m: m.replace("[[0,", "[[00,", 1)),
+        in_matrix(lambda m: m.replace("[[0,", "[[", 1)),
+        in_matrix(move_cell),
+        in_matrix(lambda m: m.replace("[[0,", "[[-0,", 1)),
+        in_matrix(lambda m: m.replace("[[0,", "[[10,", 1)),
+        # a second top-level "matrix" after the first, canonical or spaced
+        lambda t: t.replace(',"origin"', ',"matrix":[[0]],"origin"'),
+        lambda t: t.replace(',"origin"', ', "matrix": [[0]],"origin"'),
+        # the top-level matrix spaced, a canonical one nested in a group
+        lambda t: t.replace(',"matrix":[', ',"matrix": [').replace(
+            '"claimed_strength"', '"matrix":[[0,1]],"claimed_strength"', 1),
+        # another JSON constant, and json errors, outside the matrix
+        lambda t: t.replace('"claimed_t0":2', '"claimed_t0":NaN'),
+        lambda t: t.replace('"claimed_t0":2', '"claimed_t0":'),
+        lambda t: t.rstrip()[:-1],
+    ], ids=["whitespace", "leading-zero", "short-row", "ragged-same-length", "sign",
+            "two-digit", "duplicate", "duplicate-spaced", "nested", "nan", "json-error",
+            "unclosed"])
+    def test_every_other_form_reads_as_json_does(self, tmp_path, thm1_3, edit):
+        text = io.dumps(thm1_3)
+        changed = edit(text)
+        assert changed != text
+        assert io._canonical_doc(changed) is None
+        path = tmp_path / "d.json"
+        path.write_text(changed)
+        fast, forced = read_both(path)
+        assert fast == forced
