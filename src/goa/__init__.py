@@ -17,7 +17,6 @@ from .designs import (
 from .gf import ExtField, GF, Poly, ext_field, find_primitive_polys, level_field
 from .constructions import (
     DifferenceScheme,
-    FStats,
     construct_consecutive,
     construct_ebert,
     construct_prop1,
@@ -25,7 +24,6 @@ from .constructions import (
     construct_thm2,
     ds_catalog,
     ds_search,
-    f_statistics,
     kronecker_sum,
     p_bound,
     rank_primitive_polys,
@@ -40,7 +38,6 @@ __all__ = [
     "Design",
     "DifferenceScheme",
     "ExtField",
-    "FStats",
     "GF",
     "GeneratorMatrix",
     "Group",
@@ -61,7 +58,6 @@ __all__ = [
     "ds_search",
     "expand_generator",
     "ext_field",
-    "f_statistics",
     "find_primitive_polys",
     "kronecker_sum",
     "level_field",

@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import gf as gflib
@@ -53,12 +54,14 @@ def _add_out_flags(p: argparse.ArgumentParser):
 
 
 def _write_design(gd: GroupedDesign, out: str | None, fmt: str, default_name: str) -> Path:
+    """Write gd beside out as JSON, CSV or both; return the JSON file's
+    path, or the CSV file's when only that is written."""
     path = Path(out) if out else Path(f"{default_name}.json")
     if fmt in ("json", "both"):
-        serialize.save_json(gd, path if path.suffix == ".json" else path.with_suffix(".json"))
+        serialize.save_json(gd, path.with_suffix(".json"))
     if fmt in ("csv", "both"):
         serialize.save_csv(gd.design, path.with_suffix(".csv"))
-    return path
+    return path.with_suffix(".csv" if fmt == "csv" else ".json")
 
 
 def _load_base(args) -> GroupedDesign:
@@ -118,7 +121,7 @@ def cmd_construct(args) -> int:
         result = construct_thm2(ds, base)
         gd = result.grouped
         for grp, bound in zip(gd.groups, result.bounds):
-            print(f"group of {grp.size}: p = {grp.p} (bound {bound})")
+            print(f"group of {grp.size}: p = {_group_p(gd, grp)} (bound {bound})")
         name = f"thm2-s{s}"
 
     if gd.generator is not None:
@@ -141,6 +144,16 @@ def _verdict(gd: GroupedDesign) -> int:
     return EXIT_CLAIM
 
 
+def _group_p(gd: GroupedDesign, grp) -> Fraction | int | None:
+    """A checked group's p: the stored value, 1 once strength 3 is verified,
+    else measured; None for a group of fewer than three columns."""
+    if grp.p is not None:
+        return grp.p
+    if grp.verified_strength >= 3:
+        return 1
+    return p_of_d(gd.design, grp.columns) if grp.size >= 3 else None
+
+
 def cmd_verify(args) -> int:
     gd = serialize.load_design_file(args.file, args.s)
     report = verify_claims(gd)
@@ -151,12 +164,9 @@ def cmd_verify(args) -> int:
             line = [f"group {idx + 1}: {grp.size} cols, verified strength {grp.verified_strength}"]
             if grp.wlp is not None:
                 line.append(f"wlp {tuple(grp.wlp)}")
-            if grp.p is not None:
-                line.append(f"p {grp.p}")
-            elif grp.verified_strength >= 3:
-                line.append("p 1")  # verify_claims just proved strength >= 3
-            elif grp.size >= 3:
-                line.append(f"p {p_of_d(gd.design, grp.columns)}")
+            p = _group_p(gd, grp)
+            if p is not None:
+                line.append(f"p {p}")
             print(", ".join(line))
         print(f"array: {gd.label()}")
         print("all claims hold")
@@ -216,10 +226,12 @@ def cmd_expand(args) -> int:
     else:
         real = rotate_columns(gd)
     out = Path(args.out) if args.out else Path(f"{args.what}-of-{Path(args.design).stem}.json")
-    serialize.save_real_json(real.matrix, real.origin, out, real.int_matrix)
+    csv_out = out.with_suffix(".csv")
+    if args.format in ("json", "both"):
+        serialize.save_real_json(real.matrix, real.origin, out, real.int_matrix)
     if args.format in ("csv", "both"):
-        serialize.save_real_csv(real.matrix, out.with_suffix(".csv"))
-    print(f"{real.runs}x{real.cols} real design -> {out}")
+        serialize.save_real_csv(real.matrix, csv_out)
+    print(f"{real.runs}x{real.cols} real design -> {csv_out if args.format == 'csv' else out}")
     return EXIT_OK
 
 

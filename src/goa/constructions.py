@@ -3,10 +3,10 @@
 Covers the oval-based s^3-run construction, the Ebert cap partition of
 PG(3, s) for s^4 runs, difference-scheme Kronecker recursions with the
 exact strength-3 triple-proportion bound, consecutive-powers groupings with
-their defining relations, and the f-statistic ranking of primitive
-polynomials.  Every output's claims are checked from its matrix, once,
-before it is labelled (see goa.designs.annotate); no construction is
-trusted.
+their defining relations, and the ranking of primitive polynomials by the
+wordlength pattern of their groups.  Every output's claims are checked from
+its matrix, once, before it is labelled (see goa.designs.annotate); no
+construction is trusted.
 """
 
 from __future__ import annotations
@@ -288,14 +288,17 @@ def construct_thm2(ds: DifferenceScheme, b: GroupedDesign) -> Thm2Result:
 
     Group i of the output is A (+) B_i with c*m_i columns; its measured
     p(D_i) is stored next to the bound 1 - (c-1)(c-2)/((cm_i-1)(cm_i-2)).
-    The nested regrouping pairs scheme columns (the last odd one alone).
+    A scheme of one or two columns has bound 1: its groups are claimed at
+    strength 3, as in construct_prop1, and store no p.  The nested
+    regrouping pairs scheme columns (the last odd one alone).
     """
     for grp in b.groups:
         _require_strength3(b.design, grp.columns, what=f"group {grp.columns}")
     bounds = [p_bound(ds.c, grp.size) for grp in b.groups]
     origin = f"thm2(ds={ds.r}x{ds.c}x{ds.s}, b={b.design.origin})"
+    t = 3 if ds.c <= 2 else 2
     coarse = _kronecker_goa(ds, b.design,
-                            [(range(ds.c), grp.columns, 2) for grp in b.groups], origin)
+                            [(range(ds.c), grp.columns, t) for grp in b.groups], origin)
     blocks = [range(j, min(j + 2, ds.c)) for j in range(0, ds.c, 2)]
     nested = _kronecker_goa(ds, b.design, [(block, grp.columns, 3)
                                            for grp in b.groups for block in blocks], origin,
@@ -381,53 +384,7 @@ def shifted_word_basis(h: gflib.Poly, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# f-statistics and primitive-polynomial ranking
-
-
-@dataclass(frozen=True)
-class FStats:
-    """Adjacent-coefficient statistics of a primitive polynomial.
-
-    With sentinels b_{-1} = b_{k+1} = 0 there are k+2 adjacent pairs; f[i]
-    counts pairs with ratio b_j/b_{j-1} equal to element i, f_s counts
-    zero-to-nonzero steps and f_star counts zero pairs, so the counts sum
-    to k+2.
-    """
-
-    f: tuple[int, ...]
-    f_s: int
-    f_star: int
-
-    @property
-    def total(self) -> int:
-        return sum(self.f) + self.f_s + self.f_star
-
-
-def f_statistics(h: gflib.Poly) -> FStats:
-    field = gflib.level_field(h.s)
-    padded = (0,) + tuple(h.coeffs) + (0,)
-    f = [0] * h.s
-    f_s = 0
-    f_star = 0
-    for prev, cur in zip(padded, padded[1:]):
-        if prev == 0 and cur == 0:
-            f_star += 1
-        elif prev == 0:
-            f_s += 1
-        else:
-            f[field.mul_t[cur, field.inv_t[prev]]] += 1
-    return FStats(tuple(f), f_s, f_star)
-
-
-def _proxy_key(h: gflib.Poly, m: int):
-    k = h.degree
-    if m == k + 1:
-        return (-sum(1 for c in h.coeffs[:k] if c), )
-    if m == k + 2:
-        st = f_statistics(h)
-        ordered = sorted((*st.f, st.f_s), reverse=True)
-        return tuple(st.f_star + x for x in ordered)
-    return None
+# Primitive-polynomial ranking
 
 
 def group_wlp_for_poly(s: int, k: int, h: gflib.Poly, m: int) -> tuple[int, ...]:
@@ -456,17 +413,11 @@ def group_wlp_for_poly(s: int, k: int, h: gflib.Poly, m: int) -> tuple[int, ...]
 def rank_primitive_polys(s: int, k: int, m: int) -> list[tuple[gflib.Poly, tuple[int, ...]]]:
     """Primitive polynomials ranked by group aberration at group size m.
 
-    m = k+1 ranks by the count of nonzero low coefficients (descending),
-    m = k+2 by the sequential f-statistic criterion, anything else by the
-    brute-force group wordlength pattern.  Ties keep the lexicographic
-    enumeration order of the coefficients.
+    The key is the group wordlength pattern's (A_3, A_4, ...), minimised
+    sequentially; ties keep the lexicographic enumeration order of the
+    coefficients.  At m = k+1 and m = k+2 this is the order the paper's
+    Prop. 2 reads off the coefficients.
     """
-    ranked = []
-    for h in gflib.find_primitive_polys(s, k):
-        pattern = group_wlp_for_poly(s, k, h, m)
-        key = _proxy_key(h, m)
-        if key is None:
-            key = pattern[2:]
-        ranked.append((key, h, pattern))
-    ranked.sort(key=lambda item: item[0])
-    return [(h, pattern) for _, h, pattern in ranked]
+    ranked = [(h, group_wlp_for_poly(s, k, h, m)) for h in gflib.find_primitive_polys(s, k)]
+    ranked.sort(key=lambda item: item[1][2:])
+    return ranked

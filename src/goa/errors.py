@@ -6,7 +6,7 @@ class GoaError(Exception):
 
 
 class NonPrimeError(GoaError):
-    """A prime modulus was required but a composite number was given."""
+    """The level labels do not form a field."""
 
 
 class NotPrimitiveError(GoaError):
@@ -62,11 +62,11 @@ class TooFewGroupsError(GoaError):
 
 
 class SearchExhaustedError(GoaError):
-    """The randomized search ran out of restarts without success."""
+    """No difference scheme of the shape exists; the exhaustive search proved it."""
 
 
 class NoGroupingError(GoaError):
-    """The algorithm could not find more than one disjoint group."""
+    """The best grouping found has fewer groups than --min-groups asks for."""
 
 
 class ShapeMismatchError(GoaError):

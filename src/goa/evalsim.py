@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Design, GroupedDesign
-from .errors import SingularModelMatrixError, WrongLevelCountError
+from .errors import GoaError, SingularModelMatrixError, WrongLevelCountError
 
 _SQ6 = math.sqrt(6.0)
 _SQ2 = math.sqrt(2.0)
@@ -90,6 +90,8 @@ def run_bias_study(designs, sigmas, model: SimModel | None = None) -> list[SimRe
     across sigmas and designs is paired.
     """
     model = model or SimModel()
+    if model.reps < 2:
+        raise GoaError(f"the bias study needs at least 2 replicates, got {model.reps}")
     prepared = []
     for label, gd in designs:
         groups = _group_columns(gd)

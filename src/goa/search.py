@@ -339,13 +339,17 @@ def survey(s: int, k: int, m_values=None) -> list[SurveyRow]:
     For each m the primitive polynomials are ranked and the winner's group
     parameters are reported; rows whose group count would be zero are
     skipped.  The group count is the ceiling floor(v/m), which the
-    consecutive construction attains by design.
+    consecutive construction attains by design.  An empty m_values gives
+    no rows; s must be a level count and k at least 1.
     """
+    if k < 1:
+        raise GoaError(f"survey needs k >= 1, got {k}")
     if s**k >= 1000:
-        raise ValueError("survey covers run sizes below 1000")
+        raise GoaError("survey covers run sizes below 1000")
+    gflib.level_field(s)  # raises NotPrimePowerError
     v = (s**k - 1) // (s - 1)
     rows = []
-    for m in m_values or range(k + 1, k + 5):
+    for m in range(k + 1, k + 5) if m_values is None else m_values:
         g = v // m
         if g < 1:
             continue

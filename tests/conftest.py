@@ -304,11 +304,45 @@ def oracle_prop2_i(h: gf.Poly) -> bool:
     return all(c != 0 for c in h.coeffs[:-1])
 
 
+def oracle_f_statistics(h: gf.Poly) -> tuple[tuple[int, ...], int, int]:
+    """Prop. 2's adjacent-coefficient statistics (f, f_s, f_star) of h.
+
+    With sentinels b_{-1} = b_{k+1} = 0 there are k+2 adjacent pairs; f[i]
+    counts pairs with ratio b_j/b_{j-1} equal to element i, f_s counts
+    zero-to-nonzero steps and f_star counts zero pairs, so the counts sum
+    to k+2.
+    """
+    field = gf.level_field(h.s)
+    padded = (0,) + tuple(h.coeffs) + (0,)
+    f = [0] * h.s
+    f_s = 0
+    f_star = 0
+    for prev, cur in zip(padded, padded[1:]):
+        if prev == 0 and cur == 0:
+            f_star += 1
+        elif prev == 0:
+            f_s += 1
+        else:
+            f[field.mul_t[cur, field.inv_t[prev]]] += 1
+    return tuple(f), f_s, f_star
+
+
+def oracle_proxy_key(h: gf.Poly, m: int) -> tuple[int, ...]:
+    """Prop. 2's ranking key at m = k+1 (more nonzero low coefficients
+    first) and m = k+2 (the sorted f-statistics shifted by f_star)."""
+    k = h.degree
+    if m == k + 1:
+        return (-sum(1 for c in h.coeffs[:k] if c),)
+    assert m == k + 2, "Prop. 2 ranks group sizes k+1 and k+2 only"
+    f, f_s, f_star = oracle_f_statistics(h)
+    return tuple(f_star + x for x in sorted((*f, f_s), reverse=True))
+
+
 def oracle_prop2_ii(h: gf.Poly) -> bool:
     """f_star = 0 and the f counts differ by at most 1 (MA at m = k+2)."""
-    st = cx.f_statistics(h)
-    vals = (*st.f, st.f_s)
-    return st.f_star == 0 and max(vals) - min(vals) <= 1
+    f, f_s, f_star = oracle_f_statistics(h)
+    vals = (*f, f_s)
+    return f_star == 0 and max(vals) - min(vals) <= 1
 
 
 def oracle_wlp_rank_key(pattern: tuple[int, ...]):

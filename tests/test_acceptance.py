@@ -29,6 +29,7 @@ from conftest import (
     oracle_ma_regular_oa,
     oracle_prop2_i,
     oracle_prop2_ii,
+    oracle_proxy_key,
     oracle_shift_exponents,
     oracle_wlp_rank_key,
 )
@@ -119,7 +120,7 @@ def test_c07_prop2_vs_oracle():
     with criterion(7, "f-statistic ranking = brute-force WLP ranking at m=k+1, k+2", 120.0):
         polys = gf.find_primitive_polys(3, 5)
         for m in (6, 7):
-            proxy = {h.coeffs: cx._proxy_key(h, m) for h in polys}
+            proxy = {h.coeffs: oracle_proxy_key(h, m) for h in polys}
             brute = {
                 h.coeffs: oracle_wlp_rank_key(cx.group_wlp_for_poly(3, 5, h, m)) for h in polys
             }

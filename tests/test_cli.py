@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +14,7 @@ import goa
 from goa import cli
 from goa import designs as dz
 from goa import gf
+from goa import search as sx
 from goa import serialize as io
 from goa.cli import main
 
@@ -160,8 +162,22 @@ class TestConstruct:
         assert main(["construct", "thm1", "--s", "5", "--out", "t.json"]) == 0
         assert main(["construct", "thm2", "--s", "5", "--ds-search", "15,2",
                      "--base", "t.json", "--out", "o.json"]) == 0
-        assert "GOA(1875, (12,10,10,10,10)" in capsys.readouterr().out
+        assert "GOA(1875, (12,10,10,10,10), (3,3,3,3,3), 5, 2)" in capsys.readouterr().out
         assert main(["verify", "o.json"]) == 0
+
+    def test_thm2_two_column_scheme_claims_strength_3(self, workdir, capsys):
+        # a scheme of c <= 2 columns has p bound 1: each A (+) B_i is of strength 3
+        assert main(["construct", "thm1", "--s", "3", "--out", "thm1-s3.json"]) == 0
+        capsys.readouterr()
+        assert main(["construct", "thm2", "--s", "3", "--ds-search", "6,2",
+                     "--base", "thm1-s3.json", "--out", "o.json"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == [f"group of {n}: p = 1 (bound 1)" for n in (8, 6, 6)]
+        assert out[-1] == "GOA(162, (8,6,6), (3,3,3), 3, 2) -> o.json"
+        gd = io.load_json(workdir / "o.json")
+        assert [(grp.claimed_strength, grp.p) for grp in gd.groups] == [(3, None)] * 3
+        assert main(["verify", "o.json"]) == 0
+        assert "group 1: 8 cols, verified strength 3, p 1" in capsys.readouterr().out
 
     def test_csv_output(self, workdir):
         assert main(["construct", "thm1", "--s", "2", "--out", "t.json",
@@ -441,6 +457,24 @@ class TestSearchCli:
             assert len(gd.groups) == int(g)
             assert {grp.verified_strength for grp in gd.groups} == {int(t)}
 
+    def test_survey_empty_m_range(self, workdir, capsys):
+        # --mmax at k leaves no group size: the header alone, not the default m
+        assert main(["survey", "--s", "2", "--k", "3", "--mmax", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [sx.survey_table([])]
+
+    @pytest.mark.parametrize("s,k,message", [
+        ("1", "2", "1 is not a prime power"),
+        ("6", "2", "6 is not a prime power"),
+        ("2", "0", "survey needs k >= 1, got 0"),
+        ("2", "10", "survey covers run sizes below 1000"),
+    ], ids=["s1", "s6", "k0", "large"])
+    def test_survey_refusals_exit_2(self, workdir, capsys, s, k, message):
+        assert main(["survey", "--s", s, "--k", k, "--out", "s.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (workdir / "s.csv").exists()
+
     def test_alg42_over_gf4(self, workdir):
         # the seed is the first 3 x 5 group of the consecutive GF(4) design;
         # PG(2, 4) has v = 21 points, so four disjoint groups of 5 is the most
@@ -474,6 +508,16 @@ class TestExpandEval:
         doc = json.loads((workdir / "r.json").read_text())
         assert doc["cols"] == 24
 
+    def test_expand_csv_writes_no_json(self, workdir, capsys):
+        assert main(["construct", "consecutive", "--s", "2", "--k", "5", "--m", "8",
+                     "--out", "g.json"]) == 0
+        capsys.readouterr()
+        assert main(["expand", "rotate", "--design", "g.json", "--format", "csv",
+                     "--out", "r.json"]) == 0
+        assert capsys.readouterr().out == "32x24 real design -> r.csv\n"
+        assert not (workdir / "r.json").exists()
+        assert len((workdir / "r.csv").read_text().splitlines()) == 32
+
     def test_rotate_refuses_rng_seed(self, workdir):
         # rotation draws nothing at random; only lhd reads --rng-seed
         main(["construct", "consecutive", "--s", "2", "--k", "5", "--m", "8",
@@ -491,6 +535,19 @@ class TestExpandEval:
         lines = (workdir / "b.csv").read_text().splitlines()
         assert lines[0] == "design,sigma,mean,se"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    def test_eval_bias_needs_two_reps(self, workdir, capsys, reps):
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "bias", "--design", "t.json", "--reps", reps,
+                         "--out", "b.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: the bias study needs at least 2 replicates, got {reps}\n"
+        assert "nan" not in captured.out
+        assert not (workdir / "b.csv").exists()
 
     def test_eval_clarity(self, workdir, capsys):
         main(["construct", "thm1", "--s", "3", "--out", "t.json"])

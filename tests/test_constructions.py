@@ -23,9 +23,11 @@ from goa.errors import (
 
 from conftest import (
     oracle_ds_search,
+    oracle_f_statistics,
     oracle_ma_regular_oa,
     oracle_prop2_i,
     oracle_prop2_ii,
+    oracle_proxy_key,
     oracle_wlp,
     oracle_wlp_rank_key,
 )
@@ -279,8 +281,12 @@ class TestProp1:
 
 class TestThm2:
     def test_trivial_scheme_keeps_p_one(self, ebert3):
+        # p = 1 is strength 3: the groups claim and verify it, and store no p
         res = cx.construct_thm2(cx.DifferenceScheme(3, [[0]]), ebert3)
-        assert all(g.p == 1 for g in res.grouped.groups)
+        design = res.grouped.design
+        for g in res.grouped.groups:
+            assert (g.claimed_strength, g.verified_strength, g.p) == (3, 3, None)
+            assert dz.p_of_d(design, g.columns) == 1
 
     def test_measured_p_equals_bound(self, ebert3):
         keep = (ebert3.groups[0].columns[:5] + ebert3.groups[1].columns[:5]
@@ -381,10 +387,10 @@ class TestConsecutive:
 
 class TestFStats:
     def test_known_balanced_polynomial(self):
-        st = cx.f_statistics(gf.Poly.parse("1,0,1,2,2,1", 3))
-        assert st.f == (2, 1, 2)
-        assert st.f_s == 2
-        assert st.f_star == 0
+        f, f_s, f_star = oracle_f_statistics(gf.Poly.parse("1,0,1,2,2,1", 3))
+        assert f == (2, 1, 2)
+        assert f_s == 2
+        assert f_star == 0
 
     def test_part_i_polynomial_all_nonzero(self):
         h = gf.Poly.parse("1,1,1,1,2,1", 3)
@@ -392,7 +398,8 @@ class TestFStats:
 
     def test_counts_sum_to_k_plus_2(self):
         for h in gf.find_primitive_polys(3, 5):
-            assert cx.f_statistics(h).total == 7
+            f, f_s, f_star = oracle_f_statistics(h)
+            assert sum(f) + f_s + f_star == 7
 
     def test_ma_condition_counts(self):
         polys = gf.find_primitive_polys(3, 5)
@@ -400,17 +407,39 @@ class TestFStats:
         assert sum(oracle_prop2_ii(h) for h in polys) == 6
 
 
+# Prop. 2's grid: (s, k) with the group sizes k+1 and k+2 it ranks
+PROP2_GRID = ([(2, k) for k in range(3, 9)] + [(3, k) for k in range(2, 6)]
+              + [(4, k) for k in range(2, 5)] + [(5, 2), (5, 3), (7, 2), (8, 2), (9, 2)])
+
+
 class TestRanking:
     @pytest.mark.parametrize("m", [6, 7])
     def test_proxy_matches_wlp_preorder(self, m):
         polys = gf.find_primitive_polys(3, 5)
-        proxy = {h.coeffs: cx._proxy_key(h, m) for h in polys}
+        proxy = {h.coeffs: oracle_proxy_key(h, m) for h in polys}
         pattern = {h.coeffs: oracle_wlp_rank_key(cx.group_wlp_for_poly(3, 5, h, m)) for h in polys}
         for a in polys:
             for b in polys:
                 assert (proxy[a.coeffs] < proxy[b.coeffs]) == (
                     pattern[a.coeffs] < pattern[b.coeffs]
                 )
+
+    @pytest.mark.parametrize("s,k", PROP2_GRID)
+    def test_prop2_order_is_the_ranking(self, s, k):
+        # the ranking sorts by the pattern alone; Prop. 2's coefficient key
+        # must give the same preorder and, sorted stably, the same list
+        polys = gf.find_primitive_polys(s, k)
+        for m in (k + 1, k + 2):
+            ranked = cx.rank_primitive_polys(s, k, m)
+            proxy = {h.coeffs: oracle_proxy_key(h, m) for h in polys}
+            key = {h.coeffs: oracle_wlp_rank_key(pat) for h, pat in ranked}
+            for a in polys:
+                for b in polys:
+                    assert (proxy[a.coeffs] < proxy[b.coeffs]) == (
+                        key[a.coeffs] < key[b.coeffs]
+                    ), f"m={m}: {a} vs {b}"
+            by_proxy = sorted(polys, key=lambda h: proxy[h.coeffs])
+            assert [h.coeffs for h, _ in ranked] == [h.coeffs for h in by_proxy]
 
     def test_best_m6_satisfies_prop2i(self):
         best, head = cx.rank_primitive_polys(3, 5, 6)[0]

@@ -6,7 +6,7 @@ import pytest
 from goa import constructions as cx
 from goa import designs as dz
 from goa import evalsim as ev
-from goa.errors import WrongLevelCountError
+from goa.errors import GoaError, WrongLevelCountError
 
 from conftest import oracle_ma_regular_oa
 
@@ -88,6 +88,12 @@ class TestBiasStudy:
         a = ev.run_bias_study([("x", goa81)], [5.0], ev.SimModel(reps=10, seed=4))
         b = ev.run_bias_study([("x", goa81)], [5.0], ev.SimModel(reps=10, seed=4))
         assert np.array_equal(a[0].values, b[0].values)
+
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_needs_two_replicates(self, goa81, reps):
+        # a standard error needs two replicates; fewer would report nan
+        with pytest.raises(GoaError, match="at least 2 replicates"):
+            ev.run_bias_study([("x", goa81)], [5.0], ev.SimModel(reps=reps))
 
     def test_goa_beats_ma_at_large_sigma(self, thm1_3):
         gen, _ = oracle_ma_regular_oa(3, 3, 10)

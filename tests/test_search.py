@@ -3,7 +3,7 @@ import pytest
 
 from goa import designs as dz
 from goa import search as sx
-from goa.errors import NoGroupingError, RankDeficientError
+from goa.errors import GoaError, NoGroupingError, RankDeficientError
 
 
 class TestAlgorithm42:
@@ -63,8 +63,12 @@ class TestSurvey:
                 assert row.g <= v // row.m
 
     def test_run_size_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GoaError):
             sx.survey(2, 10)
+
+    def test_empty_m_values_give_no_rows(self):
+        assert sx.survey(2, 3, range(4, 4)) == []
+        assert sx.survey(2, 3, []) == []
 
     def test_table_renders(self):
         text = sx.survey_table(sx.survey(2, 4))
