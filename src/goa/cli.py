@@ -20,9 +20,9 @@ from . import serialize
 from .designs import (
     GeneratorMatrix,
     GroupedDesign,
-    _linear_basis,
     claims_ok,
     p_of_d,
+    read_subjects,
     subset_columns,
     subset_design,
     verify_claims,
@@ -185,7 +185,7 @@ def cmd_search(args) -> int:
         gen = seed_design.generator
         if gen is None:
             design = seed_design.design
-            basis = _linear_basis(design.s, design.matrix)
+            basis = read_subjects(design.s, design.matrix, [range(design.cols)])[0].basis
             if basis is None:
                 raise GoaError(f"{args.seed_design}: its rows are not a linear space "
                                f"over GF({design.s}), so no generator seeds alg42")

@@ -30,10 +30,10 @@ from .designs import (
     has_strength,
     p_of_d,
     pg_points,
+    read_subjects,
     regular_goa,
     strength_from_wlp,
     subset_design,
-    wlp_of_rows,
 )
 from .errors import (
     BadBlockSizeError,
@@ -407,7 +407,7 @@ def group_wlp_for_poly(s: int, k: int, h: gflib.Poly, m: int) -> tuple[int, ...]
     low = np.array(h.coeffs[:k])[:, None]
     for j in range(k, m):
         rows[:, j] = field.neg_t[gflib.mat_mul(field, rows[:, j - k:j], low)[:, 0]]
-    return wlp_of_rows(s, rows)
+    return read_subjects(s, rows, [range(m)], linear=True)[0].pattern
 
 
 def rank_primitive_polys(s: int, k: int, m: int) -> list[tuple[gflib.Poly, tuple[int, ...]]]:

@@ -9,23 +9,25 @@ array that is not linear is checked combinatorially, by projecting onto
 column subsets and counting level combinations; the same count finds the
 lexicographically first failing columns of any failed claim.  Wordlength
 patterns are read off the weights of the rows themselves by the MacWilliams
-transform, and the strength-3 triple proportion p(D) is an exact rational
-from exhaustive triple counting.
+transform, for a whole stack of subjects (the array, or all its groups) at
+once by read_subjects, and the strength-3 triple proportion p(D) is an
+exact rational from exhaustive triple counting.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gf as gflib
 from .errors import (
     EmptySelectionError,
+    LevelLimitError,
     NotPrimePowerError,
     RankDeficientError,
     TooFewColumnsError,
@@ -234,40 +236,149 @@ def max_strength(design: Design, cap: int | None = None) -> int:
     return 0
 
 
-def wlp_of_rows(s: int, rows: np.ndarray, t: int | None = None) -> tuple[int, ...]:
-    """Wordlength pattern (A_1, ..., A_t) of the N rows of a linear space
-    over GF(s), each vector of the space repeated equally often; t defaults
-    to the m columns, and A_1..A_t alone decide strength t.
+class Reading(NamedTuple):
+    """One subject's reading.  pattern is its wordlength pattern A_1..A_t,
+    None when its rows are not a linear space over GF(s); basis is the row
+    space's RREF basis when the rows were tested and found linear, None
+    otherwise (also when linearity was given, not tested)."""
 
-    With B_i rows of weight i, the defining words of length j number
-    sum_i B_i K_j(i) / N (MacWilliams), K_j the Krawtchouk polynomial, one
-    per scalar multiple, so each sum divides by N (s - 1).  The sums run
-    over the weights that occur, by the recurrence (j + 1) K_{j+1}(i) =
-    ((s - 1)(m - j) + j - s i) K_j(i) - (s - 1)(m - j + 1) K_{j-1}(i) in
-    exact integers: O(m t) in all.
+    pattern: tuple[int, ...] | None
+    basis: np.ndarray | None
+
+
+def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
+                  linear: bool = False) -> list[Reading]:
+    """Read a stack of subjects of one N x n level matrix at once.
+
+    A subject is a list of columns: the whole array or one group.  Subject
+    g's pattern stops at A_tops[g] (all of it when tops or tops[g] is
+    None).  linear=True says the subjects' rows are known to be linear, as
+    every projection of an array found linear is, and skips the test.  A
+    level count with no field has no linear subjects.
+
+    The G subjects are one zero-padded (N, G, M) uint8 stack, M the widest
+    subject; trailing zero columns change neither the row order, nor
+    linearity, nor the weights.
+
+    Linear test.  Sorted, the s^r vectors sum_i c_i b_i of a space with
+    RREF basis b_1..b_r come in the order of (c_1, ..., c_r): the entries
+    before the pivot of b_i depend on c_1..c_(i-1) alone, and the pivot
+    entry is c_i.  So one sort of each subject's rows, as byte-string keys,
+    decides it: the distinct rows must number c = s^r, begin exactly at
+    the multiples of N/c (equal multiplicities), and be the span of the
+    distinct rows s^(r-1), ..., s, 1 in the order of its coefficient
+    tuples.  That equality also proves those r rows independent, and makes
+    them the RREF basis.  The span check lays the bases of all candidates
+    with one r side by side and multiplies the base-s digit rows of
+    0..c-1 against them, in chunks of about _CHUNK_CELLS cells by subjects
+    and by digit rows, and stops for a subject at its first failed chunk.
+
+    Patterns.  With B_i rows of weight i, the defining words of length j
+    number sum_i B_i K_j(i) / N (MacWilliams), K_j the Krawtchouk
+    polynomial, one per scalar multiple, so each sum divides by N (s - 1).
+    One bincount makes the (G, M + 1) weight histogram, and one recurrence
+    (j + 1) K_{j+1}(i) = ((s - 1)(m - j) + j - s i) K_j(i)
+    - (s - 1)(m - j + 1) K_{j-1}(i), in exact integers over the weights
+    that occur, with each subject's own m, reads every pattern: O(M t) per
+    subject.
     """
-    n, m = rows.shape
-    hist = np.bincount(np.count_nonzero(rows, axis=1), minlength=m + 1)
-    weights = np.flatnonzero(hist)
-    counts = hist[weights].astype(object)
-    i = weights.astype(object)
-    prev, cur = np.zeros_like(i), np.ones_like(i)  # K_{-1}, K_0
-    sums = []
-    for j in range(m if t is None else t):
-        prev, cur = cur, (((s - 1) * (m - j) + j - s * i) * cur
-                          - (s - 1) * (m - j + 1) * prev) // (j + 1)
-        sums.append(int((counts * cur).sum()))
+    cols = [list(c) for c in subjects]
+    count, n = len(cols), len(matrix)
+    try:
+        field = gflib.level_field(s)
+    except (LevelLimitError, NotPrimePowerError):
+        return [Reading(None, None)] * count
+    if not count:
+        return []
+    widths = np.array([len(c) for c in cols], dtype=np.intp)
+    width = max(1, int(widths.max()))
+    pad = np.arange(width) >= widths[:, None]
+    index = np.zeros((count, width), dtype=np.intp)
+    index[~pad] = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.intp,
+                              count=int(widths.sum()))
+    stack = np.take(matrix.astype(np.uint8), index, axis=1)  # (N, G, M): row axis first
+    stack[:, pad] = 0
+    if linear:
+        ok, bases = np.ones(count, dtype=bool), [None] * count
+    else:
+        ok, bases = _span_test(field, stack, widths)
+
+    caps = widths if tops is None else np.minimum(
+        widths, [w if top is None else top for top, w in zip(tops, widths.tolist())])
+    found = np.flatnonzero(ok)
+    m, t = widths[found], caps[found]
+    weights = (stack if len(found) == count else stack[:, found]).astype(bool).sum(axis=2)
+    weights += (width + 1) * np.arange(len(found))
+    hist = np.bincount(weights.ravel(), minlength=len(found) * (width + 1)).reshape(-1, width + 1)
+    present = np.flatnonzero(hist.any(axis=0))
+    counts = hist[:, present].astype(object)
+    i = present.astype(object)
+    mo = m.astype(object)[:, None]
+    prev, cur = np.zeros_like(counts), np.ones_like(counts)  # K_{-1}, K_0
+    sums = np.zeros((len(found), int(t.max(initial=0))), dtype=object)
+    for j in range(sums.shape[1]):
+        prev, cur = cur, (((s - 1) * (mo - j) + j - s * i) * cur
+                          - (s - 1) * (mo - j + 1) * prev) // (j + 1)
+        sums[:, j] = (counts * cur).sum(axis=1)
     scale = n * (s - 1)
-    if any(total % scale for total in sums):
+    if ((sums % scale != 0) & (np.arange(sums.shape[1]) < t[:, None])).any():
         raise AssertionError("weight count not divisible by N(s-1)")
-    return tuple(total // scale for total in sums)
+    out = [Reading(None, None)] * count
+    for g, row, top in zip(found.tolist(), (sums // scale).tolist(), t.tolist()):
+        out[g] = Reading(tuple(row[:top]), bases[g])
+    return out
+
+
+def _span_test(field: gflib.GF, stack: np.ndarray,
+               widths: np.ndarray) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """Which subjects of the (N, G, M) stack have linear rows (see
+    read_subjects), and the RREF basis of each that has, else None.  Each
+    subject's rows are sorted in place."""
+    s = field.s
+    n, count, width = stack.shape
+    bases: list[np.ndarray | None] = [None] * count
+    keys = stack.view(np.dtype((np.void, width)))[..., 0]
+    keys.sort(axis=0)
+    new = np.ones((n, count), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    distinct = new.sum(axis=0)
+    rank, power = np.zeros_like(distinct), np.ones_like(distinct)
+    while (below := power < distinct).any():
+        rank += below
+        power[below] *= s
+    step = n // distinct  # distinct row i of subject g is row i * step[g]
+    ok = ((power == distinct) & (n % distinct == 0)
+          & (new == (np.arange(n)[:, None] % step == 0)).all(axis=0))
+    for r in sorted(set(rank[ok].tolist())):
+        members = np.flatnonzero(ok & (rank == r))
+        c, places = s**r, s ** np.arange(r - 1, -1, -1)
+        basis = stack[places[:, None] * step[members], members]  # (r, G_r, M)
+        span_rows = min(c, max(1, _CHUNK_CELLS // width))
+        per = max(1, _CHUNK_CELLS // (span_rows * width))
+        good = np.zeros(len(members), dtype=bool)
+        for lo in range(0, len(members), per):
+            live = np.arange(lo, min(lo + per, len(members)))
+            for start in range(0, c, span_rows):
+                at = np.arange(start, min(start + span_rows, c))
+                side = basis[:, live].reshape(r, len(live) * width)
+                got = gflib.mat_mul(field, at[:, None] // places % s, side)
+                want = stack[at[:, None] * step[members[live]], members[live]]
+                live = live[(got.reshape(want.shape) == want).all(axis=(0, 2))]
+                if not len(live):
+                    break
+            good[live] = True
+        ok[members[~good]] = False
+        for g, b in zip(members[good].tolist(), basis.transpose(1, 0, 2)[good]):
+            bases[g] = b[:, :widths[g]].astype(np.int64)
+    return ok, bases
 
 
 def wlp(gen: GeneratorMatrix) -> tuple[int, ...]:
     """Wordlength pattern (A_1, ..., A_m) of a regular design, read off the
     s^k rows the generator spans; a rank-deficient generator repeats each
-    row equally often, which wlp_of_rows allows."""
-    return wlp_of_rows(gen.s, gflib.span(gflib.level_field(gen.s), gen.matrix))
+    row equally often, which read_subjects allows."""
+    rows = gflib.span(gflib.level_field(gen.s), gen.matrix)
+    return read_subjects(gen.s, rows, [range(gen.m)], linear=True)[0].pattern
 
 
 def strength_from_wlp(pattern: tuple[int, ...]) -> int:
@@ -277,70 +388,14 @@ def strength_from_wlp(pattern: tuple[int, ...]) -> int:
     return len(pattern)
 
 
-def _linear_basis(s: int, matrix: np.ndarray) -> np.ndarray | None:
-    """RREF basis of the row space when the distinct rows of matrix form a
-    linear space over GF(s), each repeated equally often; None otherwise.
-
-    Sorted, the s^r vectors sum_i c_i b_i of a space with RREF basis
-    b_1..b_r come in the order of (c_1, ..., c_r): the entries before the
-    pivot of b_i depend on c_1..c_(i-1) alone, and the pivot entry is c_i.
-    So b_i is distinct row s^(r-i), and the rows are linear iff those r
-    rows have rank r and every distinct row lies in their span.  The span
-    test runs over chunks of about _CHUNK_CELLS cells, each row against the
-    basis rows at its pivot entries, and stops at the first chunk with a row
-    outside the span.  A matrix with no field on its s levels is not linear.
-    """
-    try:
-        field = gflib.level_field(s)
-    except (ValueError, NotPrimePowerError):
-        return None
-    # each row as one byte string (s <= 97), so np.unique sorts the rows
-    # lexicographically; a leading zero byte keeps the key one byte wide
-    # when there are no columns
-    cells = np.zeros((len(matrix), matrix.shape[1] + 1), dtype=np.uint8)
-    cells[:, 1:] = matrix
-    keys = cells.view(np.dtype((np.void, cells.shape[1])))[:, 0]
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    r = round(math.log(len(first), s))
-    if len(first) != s**r or (counts != counts[0]).any():
-        return None
-    basis, pivots = gflib.row_reduce(field, matrix[first[s ** np.arange(r - 1, -1, -1)]])
-    if len(pivots) < r:
-        return None
-    step = max(1, _CHUNK_CELLS // max(1, matrix.shape[1]))
-    for start in range(0, len(first), step):
-        chunk = matrix[first[start:start + step]]
-        if (chunk != gflib.mat_mul(field, chunk[:, pivots], basis)).any():
-            return None
-    return basis
-
-
-def _reading(s: int, rows: np.ndarray, linear: bool | None,
-             t: int | None = None) -> tuple[int, ...] | None:
-    """One subject's wordlength pattern, A_1..A_t (all of it by default),
-    or None when its rows are not a linear space over GF(s).
-
-    A subject is the whole array or one group of it, and this is the one
-    place that decides whether it has a pattern.  linear says what is
-    already known of the rows: True for a projection of an array found
-    linear (every projection of a linear array is linear), False for rows
-    found not linear, None when _linear_basis must decide.
-    """
-    if linear is None:
-        linear = _linear_basis(s, rows) is not None
-    if not linear:
-        return None
-    return wlp_of_rows(s, rows, None if t is None else min(t, rows.shape[1]))
-
-
 def wlp_of_columns(design: Design, columns) -> tuple[int, ...] | None:
     """Wordlength pattern recovered from the design matrix itself.
 
     Returns None when the projected rows do not form a linear space (see
-    _linear_basis), i.e. the projection is not regular and has no
+    read_subjects), i.e. the projection is not regular and has no
     wordlength pattern.
     """
-    return _reading(design.s, design.matrix[:, list(columns)], None)
+    return read_subjects(design.s, design.matrix, [columns])[0].pattern
 
 
 def p_of_d(design: Design, columns=None) -> Fraction:
@@ -381,8 +436,8 @@ def _strength_at(s: int, rows: np.ndarray, t: int,
 def has_strength(design: Design, t: int) -> bool:
     """Whether the design has strength t: read off the dual distance when
     its rows are linear, counted by check_strength otherwise."""
-    return _strength_at(design.s, design.matrix, t,
-                        _reading(design.s, design.matrix, None, t)).ok
+    whole = read_subjects(design.s, design.matrix, [range(design.cols)], [t])[0]
+    return _strength_at(design.s, design.matrix, t, whole.pattern).ok
 
 
 def annotate(gd: GroupedDesign, verified_t0: int | None = None) -> GroupedDesign:
@@ -390,9 +445,10 @@ def annotate(gd: GroupedDesign, verified_t0: int | None = None) -> GroupedDesign
     recorded, not raised.  A regular design, one that carries a generator,
     also gets each group's wordlength pattern as grp.wlp.
 
-    Each subject is read once (_reading).  The whole array is tested for
-    linear rows, and its A_1..A_t0 alone are read; a projection of a
-    linear array is linear, so then no group is tested again.  A linear
+    Two readings (read_subjects) serve every subject.  The first tests the
+    whole array for linear rows and reads its A_1..A_t0 alone; the second
+    reads all the groups at once, and tests them only when the array is
+    not linear, since a projection of a linear array is linear.  A linear
     subject's strength is min(claim, d⊥ - 1), read off its pattern; a
     subject that is not linear is credited only what check_strength
     confirms (max_strength).  A group's full pattern is read only when it
@@ -401,19 +457,21 @@ def annotate(gd: GroupedDesign, verified_t0: int | None = None) -> GroupedDesign
     the same array, and is not found again.
     """
     design, s = gd.design, gd.design.s
-    top = _reading(s, design.matrix, None, gd.claimed_t0)
-    known = top is not None or None  # a group of a linear array is linear
+    regular = gd.generator is not None
+    whole = read_subjects(s, design.matrix, [range(design.cols)], [gd.claimed_t0])[0].pattern
     if verified_t0 is None:
-        verified_t0 = (max_strength(design, gd.claimed_t0) if top is None
-                       else strength_from_wlp(top))
+        verified_t0 = (max_strength(design, gd.claimed_t0) if whole is None
+                       else strength_from_wlp(whole))
     gd.verified_t0 = verified_t0
-    for grp in gd.groups:
-        rows = design.matrix[:, grp.columns]
+    readings = read_subjects(s, design.matrix, [grp.columns for grp in gd.groups],
+                             None if regular else [grp.claimed_strength for grp in gd.groups],
+                             linear=whole is not None)
+    for grp, (pattern, _) in zip(gd.groups, readings):
         cap = grp.claimed_strength
-        pattern = _reading(s, rows, known, None if gd.generator is not None else cap)
-        grp.verified_strength = (max_strength(Design(s, rows), cap) if pattern is None
-                                 else strength_from_wlp(pattern[:cap]))
-        if gd.generator is not None:
+        grp.verified_strength = (
+            max_strength(Design(s, design.matrix[:, grp.columns]), cap) if pattern is None
+            else strength_from_wlp(pattern[:cap]))
+        if regular:
             grp.wlp = pattern
     return gd
 
@@ -457,15 +515,15 @@ class VerifyReport:
 
 
 def _strength_claim(checks: list[ClaimCheck], subject: str, s: int, rows: np.ndarray,
-                    t: int, read) -> bool:
+                    t: int, pattern: tuple[int, ...] | None) -> bool:
     """Append the check of a strength-t claim on rows and return whether it
     holds.  It fails uncounted when s^t does not divide N, so a large t
-    never sizes s^t-cell tables or reads A_1..A_t; else read() gives the
-    subject's pattern, which decides it when the rows are linear."""
+    never sizes s^t-cell tables; else the subject's pattern decides it when
+    the rows are linear."""
     if len(rows) % s**t:
         ok, detail = False, "s^t does not divide N"
     else:
-        res = _strength_at(s, rows, t, read())
+        res = _strength_at(s, rows, t, pattern)
         ok, detail = res.ok, "" if res.ok else f"witness columns {res.witness}"
     checks.append(ClaimCheck(subject, f"strength {t}", ok, detail))
     return ok
@@ -487,47 +545,53 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     form a linear space) and the stored p value.  Any mismatch makes the
     report fail; recomputation stops early only within a failed check.
 
-    Each subject is read once (_reading).  The whole array is tested for
-    linear rows, and each group alone only when it fails; its A_1..A_t0
-    are read only after the s^t0 | N test.  The span of a k-row generator
-    is a linear space with each row once, so it is the row multiset iff
-    the rows are linear, N = s^k and G, the row basis and both stacked all
-    have rank k; nothing is expanded.  On a linear subject a strength-t
-    claim holds iff A_1..A_t vanish, and check_strength counts only to find
-    a failure's witness; on any other subject it counts.  A group's one
-    reading serves its strength claim and its stored pattern, and it is
-    the full pattern only when one is stored.  The strength checked is the
-    larger of the claimed and the stored one; like annotate, it is recorded
-    as verified on each subject where it holds.
+    Two readings (read_subjects) serve every subject: one of the whole
+    array, and one of all the groups at once, which tests them for linear
+    rows only when the array is not linear.  A strength-t claim reads
+    A_1..A_t only when s^t | N, else it fails uncounted.  The span of a
+    k-row generator is a linear space with each row once, so it is the
+    row multiset iff the rows are linear, N = s^k and G, the row basis and
+    both stacked all have rank k; nothing is expanded.  On a linear subject
+    a strength-t claim holds iff A_1..A_t vanish, and check_strength counts
+    only to find a failure's witness; on any other subject it counts.  A
+    group's one reading serves its strength claim and its stored pattern,
+    and it is the full pattern only when one is stored.  The strength
+    checked is the larger of the claimed and the stored one; like
+    annotate, it is recorded as verified on each subject where it holds.
     """
     checks: list[ClaimCheck] = []
     design, s = gd.design, gd.design.s
-    basis = _linear_basis(s, design.matrix)
-    known = basis is not None or None  # a group of a linear array is linear
+
+    def top(t: int) -> int:
+        """How much of the pattern a strength-t claim reads."""
+        return t if t >= 1 and design.runs % s**t == 0 else 0
+
+    t0 = max(gd.claimed_t0, gd.verified_t0 or 0)
+    whole = read_subjects(s, design.matrix, [range(design.cols)], [top(t0)])[0]
 
     if gd.generator is not None:
-        gen, field = gd.generator.matrix, gflib.level_field(s)
+        gen, field, basis = gd.generator.matrix, gflib.level_field(s), whole.basis
         k = len(gen)
         same = (basis is not None and len(basis) == k and s**k == design.runs
                 and gen.shape[1] == design.cols and gflib.mat_rank(field, gen) == k
                 and gflib.mat_rank(field, np.vstack([gen, basis])) == k)
         checks.append(ClaimCheck("array", "generator reproduces rows", same))
 
-    t0 = max(gd.claimed_t0, gd.verified_t0 or 0)
-    whole = functools.partial(_reading, s, design.matrix, basis is not None, t0)
-    if t0 < 1 or _strength_claim(checks, "array", s, design.matrix, t0, whole):
+    if t0 < 1 or _strength_claim(checks, "array", s, design.matrix, t0, whole.pattern):
         gd.verified_t0 = t0
 
-    for idx, grp in enumerate(gd.groups):
+    strengths = [max(grp.claimed_strength, grp.verified_strength or 0) for grp in gd.groups]
+    readings = read_subjects(
+        s, design.matrix, [grp.columns for grp in gd.groups],
+        [top(t) if grp.wlp is None else None for grp, t in zip(gd.groups, strengths)],
+        linear=whole.pattern is not None)
+    for idx, (grp, t, (pattern, _)) in enumerate(zip(gd.groups, strengths, readings)):
         name = f"group {idx + 1} ({grp.size} cols)"
         rows = design.matrix[:, grp.columns]
-        t = max(grp.claimed_strength, grp.verified_strength or 0)
-        read = functools.cache(functools.partial(
-            _reading, s, rows, known, t if grp.wlp is None else None))
-        if t < 1 or _strength_claim(checks, name, s, rows, t, read):
+        if t < 1 or _strength_claim(checks, name, s, rows, t, pattern):
             grp.verified_strength = t
         if grp.wlp is not None:
-            _stored_claim(checks, name, "wordlength pattern", tuple(grp.wlp), read(),
+            _stored_claim(checks, name, "wordlength pattern", tuple(grp.wlp), pattern,
                           "recomputed")
         if grp.p is not None:
             _stored_claim(checks, name, "triple proportion p", grp.p,

@@ -17,6 +17,10 @@ class NotPrimePowerError(GoaError):
     """The level count is not a prime power."""
 
 
+class LevelLimitError(GoaError, ValueError):
+    """The level count is above the desk-scale bound of a level field."""
+
+
 class FormatMismatchError(GoaError):
     """A seed generator column is no point of PG(k-1, s)."""
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPrimeError, NotPrimePowerError, NotPrimitiveError
+from .errors import LevelLimitError, NonPrimeError, NotPrimePowerError, NotPrimitiveError
 
 DESK_ORDER_LIMIT = 10**6
 LEVEL_ORDER_LIMIT = 97  # largest level count s; level_field builds s x s tables
@@ -269,7 +269,7 @@ def level_field(s: int) -> GF:
     and relabelled as described in the module docstring.
     """
     if s > LEVEL_ORDER_LIMIT:
-        raise ValueError(f"level count {s} above desk-scale bound {LEVEL_ORDER_LIMIT}")
+        raise LevelLimitError(f"level count {s} above desk-scale bound {LEVEL_ORDER_LIMIT}")
     p, j = factor_prime_power(s)
     idx = np.arange(s)
     if j == 1:
@@ -288,7 +288,7 @@ def level_field(s: int) -> GF:
 # row_reduce runs it on a stack of one, mat_rank on a (..., rows, cols) stack.
 
 
-def _eliminate(gf: GF, r: np.ndarray) -> np.ndarray:
+def _eliminate(gf: GF, r: np.ndarray, rank_only: bool = False) -> np.ndarray:
     """Gauss-Jordan elimination of each matrix in a (B, rows, cols) stack.
 
     Row by row: the pivot of row i is its first nonzero entry once the
@@ -298,9 +298,13 @@ def _eliminate(gf: GF, r: np.ndarray) -> np.ndarray:
     A zero row has pivot entry 0, so inv_t scales it to zero and it clears
     nothing.  The result's nonzero rows are the pivot rows, each with its
     pivot as its leading entry; the input is not written to.
+
+    rank_only skips the last row's step: it only scales that row and clears
+    its pivot column from rows that each keep their own leading 1, so it
+    does not change which rows end nonzero.
     """
     at = np.arange(len(r))
-    for i in range(r.shape[1] if r.shape[2] else 0):  # no columns, no pivots
+    for i in range(r.shape[1] - rank_only if r.shape[2] else 0):  # no columns, no pivots
         row = r[:, i]
         c = (row != 0).argmax(axis=1)
         row = gf.mul_t[gf.inv_t[row[at, c, None]], row]
@@ -331,9 +335,9 @@ def mat_rank(gf: GF, m) -> int | np.ndarray:
     a (..., rows, cols) stack (an int array of the batch shape).
 
     Row rank equals column rank, so matrices taller than wide are reduced
-    as their transposes and _eliminate steps through min(rows, cols) rows;
-    the rank is the number of nonzero rows it leaves.  Raises ValueError
-    when m has fewer than 2 axes.
+    as their transposes and _eliminate steps through all but the last of
+    min(rows, cols) rows; the rank is the number of nonzero rows it leaves.
+    Raises ValueError when m has fewer than 2 axes.
     """
     m = np.asarray(m, dtype=np.int64)
     if m.ndim < 2:
@@ -341,7 +345,8 @@ def mat_rank(gf: GF, m) -> int | np.ndarray:
     if m.shape[-2] > m.shape[-1]:
         m = m.swapaxes(-1, -2)
     *batch, rows, cols = m.shape
-    ranks = _eliminate(gf, m.reshape(math.prod(batch), rows, cols)).any(axis=2).sum(axis=1)
+    stack = m.reshape(math.prod(batch), rows, cols)
+    ranks = _eliminate(gf, stack, rank_only=True).any(axis=2).sum(axis=1)
     return ranks.reshape(batch) if batch else int(ranks[0])
 
 

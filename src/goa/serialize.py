@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gf as gflib
 from .designs import Design, GeneratorMatrix, Group, GroupedDesign
-from .errors import FileFormatError, NotPrimePowerError
+from .errors import FileFormatError, LevelLimitError, NotPrimePowerError
 
 
 def fraction_to_str(p: Fraction) -> str:
@@ -134,7 +134,7 @@ def _level_count(value) -> int:
     s = _typed(value, int, "s")
     try:
         gflib.level_field(s)
-    except (ValueError, NotPrimePowerError) as exc:
+    except (LevelLimitError, NotPrimePowerError) as exc:
         raise FileFormatError(f"s: {exc}") from exc
     return s
 

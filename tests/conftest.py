@@ -10,6 +10,7 @@ from goa import constructions as cx
 from goa import designs as dz
 from goa import gf
 from goa.cli import main as cli_main
+from goa.errors import LevelLimitError, NotPrimePowerError
 
 # `pytest --hypothesis-profile=ci` replays the same examples on every run
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -179,6 +180,56 @@ def oracle_is_linear(design: dz.Design) -> bool:
     scaled = field.mul_t[np.arange(1, design.s)[:, None, None], rows[None]]
     return all(tuple(v) in present
                for a in rows for v in field.add_t[a, scaled].reshape(-1, design.cols).tolist())
+
+
+def oracle_linear_basis(s: int, matrix: np.ndarray) -> np.ndarray | None:
+    """RREF basis of the row space when the distinct rows of matrix form a
+    linear space over GF(s), each repeated equally often; None otherwise.
+
+    One subject at a time: the distinct rows must number s^r with equal
+    counts, the rows s^(r-1), ..., s, 1 of their sorted list must have
+    rank r, and every distinct row must lie in the span of those rows'
+    RREF.  The reference for the batched linear test of
+    designs.read_subjects.
+    """
+    try:
+        field = gf.level_field(s)
+    except (LevelLimitError, NotPrimePowerError):
+        return None
+    matrix = np.asarray(matrix, dtype=np.int64).reshape(len(matrix), -1)
+    rows, counts = np.unique(matrix, axis=0, return_counts=True)
+    r = round(math.log(len(rows), s))
+    if len(rows) != s**r or (counts != counts[0]).any():
+        return None
+    basis, pivots = oracle_row_reduce(field, rows[s ** np.arange(r - 1, -1, -1)])
+    if len(pivots) < r:
+        return None
+    if (rows != oracle_mat_mul(field, rows[:, pivots], basis)).any():
+        return None
+    return basis
+
+
+def oracle_wlp_of_rows(s: int, rows: np.ndarray, t: int | None = None) -> tuple[int, ...]:
+    """Wordlength pattern (A_1, ..., A_t) of the N rows of a linear space
+    over GF(s), each vector repeated equally often, by the MacWilliams
+    transform of the row weights: A_j = sum_i B_i K_j(i) / N(s - 1), the
+    Krawtchouk values summed term by term as
+    K_j(i) = sum_h (-1)^h (s-1)^(j-h) C(i, h) C(m-i, j-h).
+
+    One subject at a time; the reference for the batched Krawtchouk
+    recurrence of designs.read_subjects.
+    """
+    n, m = rows.shape
+    hist = np.bincount(np.count_nonzero(rows, axis=1), minlength=m + 1).tolist()
+    pattern = []
+    for j in range(1, (m if t is None else t) + 1):
+        krawtchouk = [sum((-1) ** h * (s - 1) ** (j - h) * math.comb(i, h) * math.comb(m - i, j - h)
+                          for h in range(j + 1)) for i in range(m + 1)]
+        total = sum(b * k for b, k in zip(hist, krawtchouk))
+        q, r = divmod(total, n * (s - 1))
+        assert r == 0, "weight count not divisible by N(s-1)"
+        pattern.append(q)
+    return tuple(pattern)
 
 
 def oracle_max_strength(design: dz.Design, cap: int | None = None) -> int:

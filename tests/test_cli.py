@@ -400,13 +400,13 @@ class TestCertifyOnce:
         ["verify", "e.json"],
     ], ids=lambda a: a[0])
     def test_one_pattern_per_subject(self, workdir, argv):
-        # GOA(81, (10,10,10,10), (3,3,3,3), 3, 2): the whole array and each
-        # of its four groups are read once, groups + 1 readings in all
+        # GOA(81, (10,10,10,10), (3,3,3,3), 3, 2): two readings, one of the
+        # whole array and one of its four groups at once
         if argv[0] == "verify":
             main(["construct", "ebert", "--s", "3", "--out", "e.json"])
-        with mock.patch.object(dz, "wlp_of_rows", wraps=dz.wlp_of_rows) as read:
+        with mock.patch.object(dz, "read_subjects", wraps=dz.read_subjects) as read:
             assert main(argv) == 0
-        assert read.call_count == 5
+        assert [len(call.args[2]) for call in read.call_args_list] == [1, 4]
 
     def test_verify_records_proven_strengths(self, workdir, capsys):
         main(["construct", "thm1", "--s", "2", "--out", "t.json"])
@@ -623,6 +623,15 @@ class TestCliEdgeCases:
         # only the console entry point turns a crash into exit 2
         with pytest.raises(ValueError):
             main(["construct", "ebert", "--s", "3", "--h", "9,9", "--out", "e.json"])
+
+    @pytest.mark.parametrize("argv", [
+        ["survey", "--s", "101", "--k", "1"],
+        ["construct", "thm1", "--s", "101"],
+        ["construct", "ebert", "--s", "101"],
+    ], ids=["survey", "thm1", "ebert"])
+    def test_level_count_above_bound_exits_2(self, workdir, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: level count 101 above desk-scale bound 97\n"
 
     def test_search_rejects_negative_rng_seed(self, workdir):
         proc = run_goa("search", "alg42", "--builtin", "oa16-5-ma", "--restarts", "5",

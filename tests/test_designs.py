@@ -15,7 +15,7 @@ from goa.errors import (
     TooFewColumnsError,
 )
 
-from conftest import oracle_shift_exponents, oracle_wlp
+from conftest import oracle_shift_exponents, oracle_wlp, oracle_wlp_of_rows
 
 
 class TestExpandGenerator:
@@ -182,7 +182,8 @@ class TestWlpOracle:
         assert dz.wlp(gen) == want
         rows = gf.span(gf.level_field(gen.s), gen.matrix)
         for t in range(gen.m + 1):
-            assert dz.wlp_of_rows(gen.s, rows, t) == want[:t]
+            got = dz.read_subjects(gen.s, rows, [range(gen.m)], [t], linear=True)[0].pattern
+            assert got == oracle_wlp_of_rows(gen.s, rows, t) == want[:t]
 
     @settings(deadline=None)
     @given(generators(max_k=3), st.data())

@@ -401,6 +401,19 @@ class TestRowReduceOracle:
             rank = gf.mat_rank(f, m)
             assert type(rank) is int and one.tolist() == [rank]
 
+    @pytest.mark.parametrize("s", [2, 3, 4, 8, 9])
+    def test_square_stack_ranks_match_oracle(self, s):
+        # alg42's shape: stacks of small square matrices, where the last
+        # row's elimination step, which mat_rank skips, is much of the work
+        f = gf.level_field(s)
+        rng = np.random.default_rng(s)
+        for k in range(1, 6):
+            stack = rng.integers(0, s, size=(300, k, k))
+            stack[::3, -1] = stack[::3, 0]  # a repeated row: singular for k > 1
+            stack[1::7, :, -1] = 0  # a zero column
+            want = [len(oracle_row_reduce(f, m)[1]) for m in stack]
+            assert gf.mat_rank(f, stack).tolist() == want
+
     # the 3-d case of mat_rank is a stack: test_stack_ranks_match_oracle
     @pytest.mark.parametrize("fn, m", [
         pytest.param(gf.row_reduce, [1, 0, 2], id="m0-row_reduce"),

@@ -5,7 +5,8 @@ kernel; these properties compare each with the exhaustive one-tuple-at-a-time
 loop in conftest on random small designs, at chunk caps down to one tuple
 per chunk so that chunk boundaries fall everywhere.  The strength of a
 linear design is read off its dual distance instead, and is compared with
-the same oracle.
+the same oracle; the batched reading behind it, read_subjects, is compared
+subject by subject with the one-subject linear test and pattern oracles.
 """
 
 from unittest import mock
@@ -21,8 +22,10 @@ from goa import gf
 from conftest import (
     oracle_check_strength,
     oracle_is_linear,
+    oracle_linear_basis,
     oracle_max_strength,
     oracle_p_of_d,
+    oracle_wlp_of_rows,
 )
 
 # s <= 8 counts pairs by popcount and s = 9 by bincount
@@ -212,6 +215,95 @@ def broken_linear_designs(draw):
     return dz.Design(d.s, rows)
 
 
+@st.composite
+def reading_cases(draw):
+    """A design and a stack of subjects of it, with a cap on each pattern.
+
+    The design is linear, broken-linear, linear with some rows repeated,
+    or linear with the levels of one or two columns permuted, which keeps
+    s^r distinct rows each repeated equally often yet is usually not
+    linear; a constant column is sometimes appended.  Subjects are random
+    column lists, one-column and empty ones included."""
+    kind = draw(st.sampled_from(["linear", "broken", "repeated", "permuted"]))
+    d = draw(broken_linear_designs() if kind == "broken" else linear_designs())
+    rows, s = d.matrix, d.s
+    if kind == "repeated":
+        picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3))
+        rows = np.vstack([rows, rows[picks]])
+    elif kind == "permuted":
+        for c in draw(st.lists(st.integers(0, d.cols - 1), min_size=1, max_size=2)):
+            rows[:, c] = np.array(draw(st.permutations(range(s))))[rows[:, c]]
+    if draw(st.booleans()):
+        rows = np.column_stack([rows, np.full(len(rows), draw(st.integers(0, s - 1)))])
+    cols = st.lists(st.integers(0, rows.shape[1] - 1), max_size=rows.shape[1], unique=True)
+    subjects = draw(st.lists(st.one_of(cols, st.integers(0, rows.shape[1] - 1).map(lambda c: [c])),
+                             min_size=1, max_size=5))
+    tops = draw(st.none() | st.lists(st.none() | st.integers(0, 6),
+                                     min_size=len(subjects), max_size=len(subjects)))
+    return dz.Design(s, rows), subjects, tops
+
+
+class TestReadSubjects:
+    """The batched reading of a stack of subjects against the one-subject
+    oracles: the linear test and RREF basis, and the MacWilliams pattern."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reading_cases(), CHUNK_CAPS)
+    def test_matches_oracles(self, case, cells):
+        d, subjects, tops = case
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            readings = dz.read_subjects(d.s, d.matrix, subjects, tops)
+        assert len(readings) == len(subjects)
+        every = tops or [None] * len(subjects)
+        for cols, top, (pattern, basis) in zip(subjects, every, readings):
+            rows = d.matrix[:, cols]
+            want = oracle_linear_basis(d.s, rows)
+            if want is None:
+                assert pattern is None and basis is None
+                continue
+            assert np.array_equal(basis, want)
+            assert pattern == oracle_wlp_of_rows(d.s, rows, None if top is None
+                                                 else min(top, len(cols)))
+
+    @settings(deadline=None)
+    @given(reading_cases())
+    def test_given_linear_reads_the_same_patterns(self, case):
+        d, subjects, tops = case
+        if oracle_linear_basis(d.s, d.matrix) is None:
+            return
+        tested = dz.read_subjects(d.s, d.matrix, subjects, tops)
+        assumed = dz.read_subjects(d.s, d.matrix, subjects, tops, linear=True)
+        assert [r.pattern for r in assumed] == [r.pattern for r in tested]
+        assert all(r.basis is None for r in assumed)
+
+    @pytest.mark.parametrize("s", [101, 6])
+    def test_no_field_no_pattern(self, s):
+        assert dz.read_subjects(s, np.zeros((4, 2), dtype=np.int64), [[0], [1], []]) == [
+            dz.Reading(None, None)] * 3
+
+    def test_power_of_s_rows_not_linear(self):
+        # {(a, a)} over GF(5) with levels 1 and 2 of column 1 swapped: five
+        # distinct rows, each once, yet (1, 2) + (1, 2) = (2, 4) is no row
+        rows = np.array([[a, [0, 2, 1, 3, 4][a]] for a in range(5)] * 2)
+        assert oracle_linear_basis(5, rows) is None
+        both, first, second = dz.read_subjects(5, rows, [[0, 1], [0], [1]])
+        assert both == dz.Reading(None, None)
+        assert first.pattern == second.pattern == (0,)
+
+    def test_constant_subjects(self):
+        # a zero column is the space {0}, r = 0; a nonzero constant is its coset
+        m = np.array([[0, 1], [0, 1], [0, 1]])
+        (zero, ones, empty) = dz.read_subjects(3, m, [[0], [1], []])
+        assert zero.pattern == (1,) and zero.basis.shape == (0, 1)
+        assert ones == dz.Reading(None, None)
+        assert empty.pattern == () and empty.basis.shape == (0, 0)
+
+
+def read_all(d: dz.Design, t: int | None = None, linear: bool = False) -> dz.Reading:
+    """The reading of the whole design as one subject."""
+    return dz.read_subjects(d.s, d.matrix, [range(d.cols)], [t], linear=linear)[0]
+
+
 class TestDualDistance:
     """A linear design's strength is d⊥ - 1, read off its wordlength
     pattern with nothing counted; any other design is counted."""
@@ -219,8 +311,9 @@ class TestDualDistance:
     @settings(deadline=None)
     @given(linear_designs())
     def test_linear_strength_matches_oracle(self, d):
-        basis = dz._linear_basis(d.s, d.matrix)
+        basis = read_all(d).basis
         assert basis is not None
+        assert np.array_equal(basis, oracle_linear_basis(d.s, d.matrix))
         assert d.s ** len(basis) == len(np.unique(d.matrix, axis=0))
         assert gf.mat_rank(gf.level_field(d.s), np.vstack([basis, d.matrix])) == len(basis)
         with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
@@ -233,7 +326,8 @@ class TestDualDistance:
             with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
                 assert dz.has_strength(d, t) == want.ok
                 # a failure is counted once more, for check_strength's witness
-                pattern = dz.wlp_of_rows(d.s, d.matrix, t)
+                pattern = read_all(d, t, linear=True).pattern
+                assert pattern == oracle_wlp_of_rows(d.s, d.matrix, t)
                 assert_same_check(dz._strength_at(d.s, d.matrix, t, pattern), want)
             assert spy.call_count == 2 * (not want.ok)
 
@@ -241,11 +335,13 @@ class TestDualDistance:
     @given(broken_linear_designs())
     def test_nonlinear_design_is_counted(self, d):
         linear = oracle_is_linear(d)
-        assert (dz._linear_basis(d.s, d.matrix) is not None) == linear
+        assert (read_all(d).basis is not None) == linear
+        assert (oracle_linear_basis(d.s, d.matrix) is not None) == linear
         for t in range(1, d.cols + 1):
             want = oracle_check_strength(d, t)
             with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
-                pattern = dz.wlp_of_rows(d.s, d.matrix, t) if linear else None
+                pattern = read_all(d, t).pattern
+                assert pattern == (oracle_wlp_of_rows(d.s, d.matrix, t) if linear else None)
                 assert_same_check(dz._strength_at(d.s, d.matrix, t, pattern), want)
                 assert dz.has_strength(d, t) == want.ok
             if not linear:
