@@ -392,9 +392,10 @@ def group_wlp_for_poly(s: int, k: int, h: gflib.Poly, m: int) -> tuple[int, ...]
 
     The group's defining words are spanned by shifted_word_basis(h, m);
     its rows are the length-m sequences with
-    c_(j+k) = -(b_0 c_j + ... + b_(k-1) c_(j+k-1)), since x^(j+k) is that
-    combination of x^j, ..., x^(j+k-1) modulo h.  Whichever of the two
-    spaces is smaller is enumerated, and no field is built.
+    c_(j+k) = (-b_0) c_j + ... + (-b_(k-1)) c_(j+k-1), since x^(j+k) is
+    that combination of x^j, ..., x^(j+k-1) modulo h, summed through the
+    label tables.  Whichever of the two spaces is smaller is enumerated,
+    and no field is built.
     """
     if m <= k:
         return (0,) * m
@@ -404,9 +405,10 @@ def group_wlp_for_poly(s: int, k: int, h: gflib.Poly, m: int) -> tuple[int, ...]
         return tuple(int(a) // (s - 1) for a in np.bincount(weights, minlength=m + 1)[1:])
     rows = np.zeros((s**k, m), dtype=np.int64)
     rows[:, :k] = gflib.span(field, np.eye(k, dtype=np.int64))
-    low = np.array(h.coeffs[:k])[:, None]
+    minus = field.neg_t[list(h.coeffs[:k])]  # -b_0, ..., -b_(k-1)
     for j in range(k, m):
-        rows[:, j] = field.neg_t[gflib.mat_mul(field, rows[:, j - k:j], low)[:, 0]]
+        for i in range(k):
+            rows[:, j] = field.add_t[rows[:, j], field.mul_t[rows[:, j - k + i], minus[i]]]
     return read_subjects(s, rows, [range(m)], linear=True)[0].pattern
 
 

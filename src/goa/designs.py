@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -268,10 +268,12 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     the multiples of N/c (equal multiplicities), and be the span of the
     distinct rows s^(r-1), ..., s, 1 in the order of its coefficient
     tuples.  That equality also proves those r rows independent, and makes
-    them the RREF basis.  The span check lays the bases of all candidates
-    with one r side by side and multiplies the base-s digit rows of
-    0..c-1 against them, in chunks of about _CHUNK_CELLS cells by subjects
-    and by digit rows, and stops for a subject at its first failed chunk.
+    them the RREF basis.  The span check runs through the label tables
+    alone: in that order, distinct row a = d s^e + a', d its leading base-s
+    digit, is d times row s^e plus row a', and row 0 is zero.  It checks
+    all candidates with one r at once, in chunks of about _CHUNK_CELLS
+    cells by subjects and by distinct rows, and stops for a subject at its
+    first failed chunk.
 
     Patterns.  With B_i rows of weight i, the defining words of length j
     number sum_i B_i K_j(i) / N (MacWilliams), K_j the Krawtchouk
@@ -349,28 +351,47 @@ def _span_test(field: gflib.GF, stack: np.ndarray,
     step = n // distinct  # distinct row i of subject g is row i * step[g]
     ok = ((power == distinct) & (n % distinct == 0)
           & (new == (np.arange(n)[:, None] % step == 0)).all(axis=0))
+    add = field.add_t.ravel()  # add_t[x, y] is add[x * s + y]
     for r in sorted(set(rank[ok].tolist())):
         members = np.flatnonzero(ok & (rank == r))
-        c, places = s**r, s ** np.arange(r - 1, -1, -1)
-        basis = stack[places[:, None] * step[members], members]  # (r, G_r, M)
-        span_rows = min(c, max(1, _CHUNK_CELLS // width))
-        per = max(1, _CHUNK_CELLS // (span_rows * width))
-        good = np.zeros(len(members), dtype=bool)
-        for lo in range(0, len(members), per):
-            live = np.arange(lo, min(lo + per, len(members)))
-            for start in range(0, c, span_rows):
-                at = np.arange(start, min(start + span_rows, c))
-                side = basis[:, live].reshape(r, len(live) * width)
-                got = gflib.mat_mul(field, at[:, None] // places % s, side)
-                want = stack[at[:, None] * step[members[live]], members[live]]
-                live = live[(got.reshape(want.shape) == want).all(axis=(0, 2))]
-                if not len(live):
-                    break
-            good[live] = True
-        ok[members[~good]] = False
-        for g, b in zip(members[good].tolist(), basis.transpose(1, 0, 2)[good]):
-            bases[g] = b[:, :widths[g]].astype(np.int64)
+        rows = stack[::n // s**r]  # (s^r, G, M): distinct row a of subject g is rows[a, g]
+        live = members[~rows[0, members].any(axis=1)]
+        for q, digits, rest in _doubling_steps(s, r, max(1, _CHUNK_CELLS // width)):
+            if not len(live):
+                break
+            run = slice(digits[0] * q + rest.start, digits[-1] * q + rest.stop)
+            per = max(1, _CHUNK_CELLS // ((run.stop - run.start) * width))
+            keep = np.ones(len(live), dtype=bool)
+            for lo in range(0, len(live), per):
+                g = live[lo:lo + per]
+                shift = field.mul_t[digits[:, None, None, None], rows[q, g]] * s
+                got = add.take(shift + rows[rest, g]).reshape(-1, len(g), width)
+                keep[lo:lo + per] = (got == rows[run, g]).all(axis=(0, 2))
+            live = live[keep]
+        ok[members] = False
+        ok[live] = True
+        for g in live.tolist():
+            bases[g] = rows[s ** np.arange(r - 1, -1, -1), g, :widths[g]].astype(np.int64)
     return ok, bases
+
+
+def _doubling_steps(s: int, r: int, most: int) -> Iterator[tuple[int, np.ndarray, slice]]:
+    """The span check of rank r in steps of at most `most` distinct rows,
+    in the order of the rows they check.
+
+    Distinct row a = d s^e + a', d its leading base-s digit, must be
+    d times row s^e plus row a'.  Step (q, digits, rest) checks the rows
+    d q + a' for q = s^e, d in digits and a' in rest: one run of rows,
+    against the run rest below q.
+    """
+    for q in (s**e for e in range(r)):
+        if q >= most:
+            for d in range(1, s):
+                for lo in range(0, q, most):
+                    yield q, np.array([d]), slice(lo, min(lo + most, q))
+        else:
+            for d in range(1, s, most // q):
+                yield q, np.arange(d, min(d + most // q, s)), slice(0, q)
 
 
 def wlp(gen: GeneratorMatrix) -> tuple[int, ...]:
@@ -538,26 +559,29 @@ def _stored_claim(checks: list[ClaimCheck], subject: str, claim: str, stored, fo
 def verify_claims(gd: GroupedDesign) -> VerifyReport:
     """Re-verify every claim a design file carries, from the matrix alone.
 
-    Checks, in order: generator consistency (when a generator is stored,
-    its span must be the row multiset), the whole-array strength claim,
-    then per group the strength claim, the stored wordlength pattern (the
-    MacWilliams transform of the weights of the projected rows, which must
-    form a linear space) and the stored p value.  Any mismatch makes the
-    report fail; recomputation stops early only within a failed check.
+    Checks, in order: generator consistency (a stored generator has k
+    independent rows and N = s^k, and its span must be the row multiset),
+    the whole-array strength claim, then per group the strength claim, the
+    stored wordlength pattern (the MacWilliams transform of the weights of
+    the projected rows, which must form a linear space) and the stored p
+    value.  Any mismatch makes the report fail; recomputation stops early
+    only within a failed check.
 
     Two readings (read_subjects) serve every subject: one of the whole
     array, and one of all the groups at once, which tests them for linear
     rows only when the array is not linear.  A strength-t claim reads
-    A_1..A_t only when s^t | N, else it fails uncounted.  The span of a
-    k-row generator is a linear space with each row once, so it is the
-    row multiset iff the rows are linear, N = s^k and G, the row basis and
-    both stacked all have rank k; nothing is expanded.  On a linear subject
-    a strength-t claim holds iff A_1..A_t vanish, and check_strength counts
-    only to find a failure's witness; on any other subject it counts.  A
-    group's one reading serves its strength claim and its stored pattern,
-    and it is the full pattern only when one is stored.  The strength
-    checked is the larger of the claimed and the stored one; like
-    annotate, it is recorded as verified on each subject where it holds.
+    A_1..A_t only when s^t | N, else it fails uncounted.  A generator of
+    k independent rows spans a linear space with each row once, so it
+    passes iff the rows are linear, N = s^k and G, the row basis and both
+    stacked all have rank k; nothing is expanded.  A generator whose rows
+    are dependent fails, even where its combinations, each repeated, are
+    the stored rows.  On a linear subject a strength-t claim holds iff
+    A_1..A_t vanish, and check_strength counts only to find a failure's
+    witness; on any other subject it counts.  A group's one reading serves
+    its strength claim and its stored pattern, and it is the full pattern
+    only when one is stored.  The strength checked is the larger of the
+    claimed and the stored one; like annotate, it is recorded as verified
+    on each subject where it holds.
     """
     checks: list[ClaimCheck] = []
     design, s = gd.design, gd.design.s

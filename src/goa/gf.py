@@ -21,17 +21,18 @@ Prime-power level sets (s = p^j with j > 1) are handled by relabelling the
 elements of GF(p^j) as 0..s-1 with 0 -> 0 and i -> beta^(i-1) for i >= 1.
 `level_field` maps each label to its GF(p) coordinates, derives total
 add/mul tables on the labels so that callers can stay label-based
-regardless of whether s is prime, and multiplies matrices of labels as
-one integer matmul mod p through the regular representation, in which
-each element of GF(p^j) acts as a j x j matrix over GF(p).  `_lift` maps
-a matrix of labels to its matrix over GF(p) that way, an injective ring
-homomorphism (the identity for prime s), so every product, order test and
-antilog walk over any level field runs as integer matmuls mod p.
+regardless of whether s is prime.  A row space is built and checked
+through those tables alone: span doubles its rows one basis row at a
+time, each step one mul_t and one add_t gather.  Products of matrices go
+through the regular representation, in which each element of GF(p^j)
+acts as a j x j matrix over GF(p).  `_lift` maps a matrix of labels to
+its matrix over GF(p) that way, an injective ring homomorphism (the
+identity for prime s), so mat_mul, the order test and the antilog walk
+over any level field run as integer matmuls mod p.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -354,8 +355,7 @@ def mat_mul(gf: GF, a, b) -> np.ndarray:
     """a @ b over the level field, as one integer matmul mod p.
 
     Cell (i, l) is the label of sum_m mat[b[m, l]] @ vec[a[i, m]] mod p:
-    the coordinates of each row of a times the lift of b, the short side
-    in span.
+    the coordinates of each row of a times the lift of b.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -375,10 +375,16 @@ def null_space(gf: GF, m) -> np.ndarray:
 
 
 def span(gf: GF, basis) -> np.ndarray:
-    """All GF-linear combinations of the basis rows.
+    """All GF-linear combinations of the (d, m) basis rows, as s^d int64 rows.
 
     Rows come out in lexicographic order of the coefficient tuple
-    (c_1, ..., c_d), the first coefficient most significant.
+    (c_1, ..., c_d), the first coefficient most significant.  By doubling
+    from the zero row: the span of b_i, ..., b_d lists c b_i plus the span
+    of b_(i+1), ..., b_d for c = 0, ..., s-1, one mul_t and one add_t
+    gather per basis row, from the last row to the first.
     """
-    d = len(basis)
-    return mat_mul(gf, list(itertools.product(range(gf.s), repeat=d)), basis)
+    basis = np.asarray(basis, dtype=np.int64)
+    rows = np.zeros((1, basis.shape[1]), dtype=np.int64)
+    for row in basis[::-1]:
+        rows = gf.add_t[gf.mul_t[:, row][:, None], rows].reshape(-1, basis.shape[1])
+    return rows

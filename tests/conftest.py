@@ -90,6 +90,15 @@ def oracle_mat_mul(field: gf.GF, a, b) -> np.ndarray:
     return out
 
 
+def oracle_span(field: gf.GF, basis) -> np.ndarray:
+    """All s^d combinations of the d basis rows, as the product of every
+    coefficient tuple, in lexicographic order, with the basis through
+    gf.mat_mul.  The reference for the library's doubling through the
+    label tables."""
+    coeffs = list(itertools.product(range(field.s), repeat=len(basis)))
+    return gf.mat_mul(field, coeffs, basis)
+
+
 def oracle_row_reduce(field: gf.GF, m) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form, one pivot column at a time through the
     add/mul tables; returns (R, pivot column list).
@@ -230,6 +239,22 @@ def oracle_wlp_of_rows(s: int, rows: np.ndarray, t: int | None = None) -> tuple[
         assert r == 0, "weight count not divisible by N(s-1)"
         pattern.append(q)
     return tuple(pattern)
+
+
+def oracle_group_wlp_for_poly(s: int, k: int, h: gf.Poly, m: int) -> tuple[int, ...]:
+    """Wordlength pattern of the consecutive-powers group of size m under
+    h: its s^k rows are the length-m sequences whose first k entries run
+    over GF(s)^k and whose later entries follow
+    c_(j+k) = -(b_0 c_j + ... + b_(k-1) c_(j+k-1)), one gf.mat_mul per
+    column; the pattern is the term-by-term MacWilliams transform.  The
+    reference for constructions.group_wlp_for_poly at any m."""
+    field = gf.level_field(s)
+    rows = np.zeros((s**k, m), dtype=np.int64)
+    rows[:, :k] = oracle_span(field, np.eye(k, dtype=np.int64))[:, :m]
+    low = np.array(h.coeffs[:k])[:, None]
+    for j in range(k, m):
+        rows[:, j] = field.neg_t[gf.mat_mul(field, rows[:, j - k:j], low)[:, 0]]
+    return oracle_wlp_of_rows(s, rows)
 
 
 def oracle_max_strength(design: dz.Design, cap: int | None = None) -> int:

@@ -249,6 +249,19 @@ class TestVerify:
         assert not span.called
         assert "array: generator reproduces rows: FAIL" in capsys.readouterr().out
 
+    def test_dependent_generator_exits_2(self, workdir):
+        # three generator rows of rank 2 over GF(3), stored with the 27 rows
+        # they combine to: k rows must be independent, so the check fails
+        gen = dz.GeneratorMatrix(3, [[1, 0], [0, 1], [1, 1]])
+        design = dz.Design(3, gf.span(gf.level_field(3), gen.matrix))
+        io.save_json(dz.GroupedDesign(design, [dz.Group([0, 1], 2)], generator=gen),
+                     workdir / "dep.json")
+        proc = run_goa("verify", "dep.json")
+        assert proc.returncode == 2
+        assert "array: generator reproduces rows: FAIL" in proc.stdout
+        assert "group 1 (2 cols): strength 2: PASS" in proc.stdout
+        assert "Traceback" not in proc.stdout + proc.stderr
+
     def test_linear_file_verifies_unexpanded(self, workdir):
         main(["construct", "consecutive", "--s", "2", "--k", "5", "--m", "6", "--out", "c.json"])
         with mock.patch.object(gf, "span", side_effect=AssertionError("span was called")):

@@ -24,6 +24,7 @@ from goa.errors import (
 from conftest import (
     oracle_ds_search,
     oracle_f_statistics,
+    oracle_group_wlp_for_poly,
     oracle_ma_regular_oa,
     oracle_prop2_i,
     oracle_prop2_ii,
@@ -467,6 +468,16 @@ class TestRanking:
                 break
             gen = dz.generator_from_exponents(ext, range(m))
             assert cx.group_wlp_for_poly(s, k, h, m) == oracle_wlp(gen)
+
+    @pytest.mark.parametrize("s,k", [(2, k) for k in range(2, 9)] + [(3, k) for k in range(2, 6)]
+                             + [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (7, 2), (8, 2), (8, 3),
+                                (9, 2), (9, 3)])
+    def test_wlp_against_recurrence_oracle(self, s, k):
+        # every primitive polynomial at m = k+1..k+4, where the shifted
+        # words are enumerated, and at m = 2k+1, where the rows are
+        for h in gf.find_primitive_polys(s, k):
+            for m in sorted({k + 1, k + 2, k + 3, k + 4, 2 * k + 1}):
+                assert cx.group_wlp_for_poly(s, k, h, m) == oracle_group_wlp_for_poly(s, k, h, m)
 
     def test_ranking_builds_no_field(self):
         with mock.patch.object(gf, "ext_field", side_effect=AssertionError("field built")):

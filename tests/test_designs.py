@@ -343,6 +343,20 @@ class TestVerifyClaims:
         assert [(c.claim, c.ok) for c in report.checks if not c.ok] == [
             ("generator reproduces rows", False)]
 
+    def test_dependent_generator_rows_fail(self):
+        # a stored generator has k independent rows and N = s^k: these three
+        # rows over GF(3) have rank 2, so their 27 combinations are the nine
+        # vectors of GF(3)^2 three times each, the very rows stored, and
+        # still the generator does not reproduce them
+        gen = dz.GeneratorMatrix(3, [[1, 0], [0, 1], [1, 1]])
+        rows = gf.span(gf.level_field(3), gen.matrix)
+        distinct, counts = np.unique(rows, axis=0, return_counts=True)
+        assert len(rows) == 27 and len(distinct) == 9 and (counts == 3).all()
+        gd = dz.GroupedDesign(dz.Design(3, rows), [dz.Group([0, 1], 2)], generator=gen)
+        report = dz.verify_claims(gd)
+        assert [(c.claim, c.ok) for c in report.checks if not c.ok] == [
+            ("generator reproduces rows", False)]
+
     def test_inflated_claim_fails(self, oa_27_4_3_3):
         gd = dz.GroupedDesign(oa_27_4_3_3, [dz.Group([0, 1, 2, 3], claimed_strength=4)],
                               claimed_t0=2)

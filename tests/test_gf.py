@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from goa import constructions, designs, gf, search
 from goa.errors import NotPrimePowerError, NotPrimitiveError
 
-from conftest import oracle_ext_field_walk, oracle_mat_mul, oracle_row_reduce
+from conftest import oracle_ext_field_walk, oracle_mat_mul, oracle_row_reduce, oracle_span
 
 LEVELS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81]
 
@@ -339,6 +339,42 @@ class TestMatMulOracle:
         basis = label_matrix(data, s, d, m)
         coeffs = list(itertools.product(range(s), repeat=d))
         assert np.array_equal(gf.span(f, basis), oracle_mat_mul(f, coeffs, basis))
+
+
+@st.composite
+def span_bases(draw):
+    """(s, basis): d in 0..5 rows of labels, some of them zero, repeats of
+    another row, or combinations of two others."""
+    s = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    f = gf.level_field(s)
+    d, m = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    basis = np.array(draw(st.lists(st.lists(st.integers(0, s - 1), min_size=m, max_size=m),
+                                   min_size=d, max_size=d)), dtype=np.int64).reshape(d, m)
+    for i in range(d):
+        kind = draw(st.sampled_from(["free", "zero", "repeat", "combination"]))
+        a, b = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if kind == "zero":
+            basis[i] = 0
+        elif kind == "repeat":
+            basis[i] = basis[a]
+        elif kind == "combination":
+            c, e = draw(st.integers(0, s - 1)), draw(st.integers(0, s - 1))
+            basis[i] = f.add_t[f.mul_t[c, basis[a]], f.mul_t[e, basis[b]]]
+    return s, basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_bases())
+def test_span_matches_oracle(case):
+    # the same rows in the same order and dtype as every coefficient tuple times the basis
+    s, basis = case
+    f = gf.level_field(s)
+    got, want = gf.span(f, basis), oracle_span(f, basis)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape == (s ** len(basis), basis.shape[1])
+    assert np.array_equal(got, want)
+    if len(basis):  # a list of rows spans the same
+        assert np.array_equal(gf.span(f, basis.tolist()), want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -276,6 +276,27 @@ class TestReadSubjects:
         assert [r.pattern for r in assumed] == [r.pattern for r in tested]
         assert all(r.basis is None for r in assumed)
 
+    @pytest.mark.parametrize("cells", [1, 16, 256, dz._CHUNK_CELLS])
+    def test_last_distinct_row_decides(self, cells):
+        # the span of two rows over GF(3), and a copy whose last sorted
+        # distinct row (2, 2, 1) is moved off the space to (2, 2, 2): both
+        # have nine distinct rows, each once, so only the span check, in
+        # its last step, tells them apart, at every chunk size
+        space = gf.span(gf.level_field(3), [[1, 0, 1], [0, 1, 1]])
+        broken = space.copy()
+        assert broken[-1].tolist() == [2, 2, 1]
+        broken[-1, 2] = 2
+        matrix = np.hstack([space, broken, space])
+        subjects = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        assert [oracle_linear_basis(3, matrix[:, c]) is None for c in subjects] == [
+            False, True, False]
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            first, middle, last = dz.read_subjects(3, matrix, subjects)
+        assert middle == dz.Reading(None, None)
+        for reading in (first, last):
+            assert np.array_equal(reading.basis, [[1, 0, 1], [0, 1, 1]])
+            assert reading.pattern == (0, 0, 1)
+
     @pytest.mark.parametrize("s", [101, 6])
     def test_no_field_no_pattern(self, s):
         assert dz.read_subjects(s, np.zeros((4, 2), dtype=np.int64), [[0], [1], []]) == [
