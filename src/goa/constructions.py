@@ -6,7 +6,10 @@ exact strength-3 triple-proportion bound, consecutive-powers groupings with
 their defining relations, and the ranking of primitive polynomials by the
 wordlength pattern of their groups.  Every output's claims are checked from
 its matrix, once, before it is labelled (see goa.designs.annotate); no
-construction is trusted.
+construction is trusted.  The strength-3 prerequisites of the Kronecker
+constructions, on the base or on each base group, are one annotate of a
+throwaway grouping of the input, so a group too narrow for strength 3 is
+refused like any weak one.
 """
 
 from __future__ import annotations
@@ -27,13 +30,11 @@ from .designs import (
     annotate,
     check_strength,
     generator_from_exponents,
-    has_strength,
     p_of_d,
     pg_points,
     read_subjects,
     regular_goa,
     strength_from_wlp,
-    subset_design,
 )
 from .errors import (
     BadBlockSizeError,
@@ -216,12 +217,6 @@ def p_bound(c: int, n: int) -> Fraction:
     return 1 - Fraction((c - 1) * (c - 2), (c * n - 1) * (c * n - 2))
 
 
-def _require_strength3(design: Design, columns=None, what="input design"):
-    sub = design if columns is None else subset_design(design, columns)
-    if not has_strength(sub, 3):
-        raise StrengthPrereqError(f"{what} is not of strength 3")
-
-
 def _kronecker_goa(ds: DifferenceScheme, b: Design, parts, origin: str | None,
                    same_sum: GroupedDesign | None = None) -> GroupedDesign:
     """A (+) B grouped by parts, one (scheme columns js, base columns ws,
@@ -256,7 +251,8 @@ def construct_prop1(ds: DifferenceScheme, blocks, b: Design) -> GroupedDesign:
     covered = sorted(c for block in blocks for c in block)
     if covered != list(range(ds.c)):
         raise BadBlockSizeError("blocks must partition the scheme's columns")
-    _require_strength3(b)
+    if annotate(GroupedDesign(b, [], claimed_t0=3)).verified_t0 < 3:
+        raise StrengthPrereqError("input design is not of strength 3")
     return _kronecker_goa(ds, b, [(block, range(b.cols), 3) for block in blocks],
                           f"prop1(ds={ds.r}x{ds.c}x{ds.s}, b={b.origin})")
 
@@ -292,8 +288,11 @@ def construct_thm2(ds: DifferenceScheme, b: GroupedDesign) -> Thm2Result:
     strength 3, as in construct_prop1, and store no p.  The nested
     regrouping pairs scheme columns (the last odd one alone).
     """
-    for grp in b.groups:
-        _require_strength3(b.design, grp.columns, what=f"group {grp.columns}")
+    prereq = annotate(GroupedDesign(b.design, [Group(grp.columns, 3) for grp in b.groups],
+                                    claimed_t0=0))
+    for grp in prereq.groups:
+        if grp.verified_strength < 3:
+            raise StrengthPrereqError(f"group {grp.columns} is not of strength 3")
     bounds = [p_bound(ds.c, grp.size) for grp in b.groups]
     origin = f"thm2(ds={ds.r}x{ds.c}x{ds.s}, b={b.design.origin})"
     t = 3 if ds.c <= 2 else 2

@@ -454,13 +454,6 @@ def _strength_at(s: int, rows: np.ndarray, t: int,
     return check_strength(Design(s, rows), t)
 
 
-def has_strength(design: Design, t: int) -> bool:
-    """Whether the design has strength t: read off the dual distance when
-    its rows are linear, counted by check_strength otherwise."""
-    whole = read_subjects(design.s, design.matrix, [range(design.cols)], [t])[0]
-    return _strength_at(design.s, design.matrix, t, whole.pattern).ok
-
-
 def annotate(gd: GroupedDesign, verified_t0: int | None = None) -> GroupedDesign:
     """Fill verified strengths, capped at the claims; shortfalls are
     recorded, not raised.  A regular design, one that carries a generator,
@@ -636,7 +629,8 @@ def subset_columns(obj, keep):
 
     For a grouped design the groups are intersected with the kept set
     (empty intersections vanish), claims are capped at the new group sizes
-    and verified strengths are recomputed.
+    and verified strengths are recomputed.  A generator is projected too,
+    and dropped when the projection loses rank k.
     """
     keep = list(keep)
     if isinstance(obj, Design):
@@ -652,6 +646,8 @@ def subset_columns(obj, keep):
         groups.append(Group(cols, min(grp.claimed_strength, len(cols))))
     gen = None
     if gd.generator is not None:
-        gen = GeneratorMatrix(gd.generator.s, gd.generator.matrix[:, keep])
+        block = gd.generator.matrix[:, keep]
+        if gflib.mat_rank(gflib.level_field(gd.generator.s), block) == gd.generator.k:
+            gen = GeneratorMatrix(gd.generator.s, block)
     out = GroupedDesign(design, groups, min(gd.claimed_t0, len(keep)), None, gen)
     return annotate(out)

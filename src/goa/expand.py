@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, GroupedDesign, has_strength
+from .designs import Design, Group, GroupedDesign, annotate
 from .errors import ShapeMismatchError, StrengthPrereqError
 
 
@@ -89,8 +89,10 @@ def rotate_columns(gd: GroupedDesign) -> RealDesign:
     for grp in gd.groups:
         if grp.size != 8:
             raise ShapeMismatchError(f"group of {grp.size} columns; need 8")
-        if not has_strength(Design(2, design.matrix[:, grp.columns]), 3):
-            raise StrengthPrereqError("every group must have strength 3")
+    prereq = annotate(GroupedDesign(design, [Group(grp.columns, 3) for grp in gd.groups],
+                                    claimed_t0=0))
+    if any(grp.verified_strength < 3 for grp in prereq.groups):
+        raise StrengthPrereqError("every group must have strength 3")
     doubled = 2 * design.matrix - 1  # levels +-1 = twice the centered +-1/2
     pieces = []
     for grp in gd.groups:

@@ -603,6 +603,47 @@ class TestCatalogContent:
         assert pattern[:2] == (0, 0) and sum(pattern) == 2**498 - 1
 
 
+class TestStrengthPrereqs:
+    """A base group that lacks strength 3, or has fewer than three columns,
+    is refused on one error line with exit 2, and nothing is written."""
+
+    @pytest.fixture
+    def two(self, workdir):
+        # thm1-s3 regrouped as a 2-column group and a 3-column one
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        doc = json.loads((workdir / "t.json").read_text())
+        doc["groups"] = [{"columns": cols, "claimed_strength": t, "verified_strength": t,
+                          "wlp": None, "p": None} for cols, t in (([0, 1], 2), ([2, 3, 4], 3))]
+        (workdir / "two.json").write_text(json.dumps(doc))
+        assert main(["verify", "two.json"]) == 0
+
+    @pytest.mark.parametrize("argv,subject", [
+        (["thm2", "--ds-shape", "3,3"], "group [0, 1]"),
+        (["thm2", "--ds-search", "6,3"], "group [0, 1]"),
+        (["prop1", "--ds-shape", "3,3", "--blocks", "1", "--base-group", "0"], "input design"),
+    ], ids=["thm2", "thm2-search", "prop1"])
+    def test_narrow_group_exits_2(self, workdir, two, capsys, argv, subject):
+        capsys.readouterr()
+        assert main(["construct", *argv[:1], "--s", "3", *argv[1:], "--base", "two.json",
+                     "--out", "x.json"]) == 2
+        assert capsys.readouterr().err == f"error: {subject} is not of strength 3\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["t.json", "two.json"]
+
+    def test_rotate_refuses_strength2_groups(self, workdir, capsys):
+        # 8 pairwise-independent columns with a dependent triple: strength 2 only
+        d = dz.expand_generator(dz.GeneratorMatrix(2, [
+            [1, 0, 1, 0, 1, 0, 1, 0],
+            [0, 1, 1, 0, 0, 1, 1, 0],
+            [0, 0, 0, 1, 1, 1, 1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1],
+        ]))
+        io.save_json(dz.annotate(dz.GroupedDesign(d, [dz.Group(list(range(8)), 2)])),
+                     workdir / "w.json")
+        assert main(["expand", "rotate", "--design", "w.json", "--out", "r.json"]) == 2
+        assert capsys.readouterr().err == "error: every group must have strength 3\n"
+        assert [p.name for p in workdir.iterdir()] == ["w.json"]
+
+
 class TestCliEdgeCases:
     def test_prop1_needs_a_scheme_source(self, workdir):
         main(["construct", "thm1", "--s", "3", "--out", "t.json"])

@@ -289,6 +289,14 @@ class TestSubset:
             assert grp.wlp == dz.wlp_of_columns(out.design, grp.columns)
         assert out.groups[1].wlp == ebert3.groups[2].wlp
 
+    def test_rank_losing_projection_stores_no_generator(self, thm1_3):
+        # two columns of a rank-3 generator have rank 2: they span 9 of the
+        # 27 rows, so the projection keeps no generator, and verifies
+        out = dz.subset_columns(thm1_3, [0, 1])
+        assert out.generator is None and out.groups[0].wlp is None
+        report = dz.verify_claims(out)
+        assert report.ok, report.lines()
+
     def test_projection_monotonicity(self, thm1_3):
         rng = np.random.default_rng(11)
         parent = dz.max_strength(thm1_3.design)

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goa import constructions as cx
 from goa import designs as dz
 from goa import gf
+from goa.errors import StrengthPrereqError
 
 from conftest import (
     oracle_check_strength,
@@ -345,12 +347,11 @@ class TestDualDistance:
         for t in range(1, d.cols + 1):
             want = oracle_check_strength(d, t)
             with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
-                assert dz.has_strength(d, t) == want.ok
-                # a failure is counted once more, for check_strength's witness
+                # a failure is counted, for check_strength's witness
                 pattern = read_all(d, t, linear=True).pattern
                 assert pattern == oracle_wlp_of_rows(d.s, d.matrix, t)
                 assert_same_check(dz._strength_at(d.s, d.matrix, t, pattern), want)
-            assert spy.call_count == 2 * (not want.ok)
+            assert spy.call_count == (not want.ok)
 
     @settings(deadline=None)
     @given(broken_linear_designs())
@@ -364,11 +365,50 @@ class TestDualDistance:
                 pattern = read_all(d, t).pattern
                 assert pattern == (oracle_wlp_of_rows(d.s, d.matrix, t) if linear else None)
                 assert_same_check(dz._strength_at(d.s, d.matrix, t, pattern), want)
-                assert dz.has_strength(d, t) == want.ok
             if not linear:
-                assert spy.call_count == 2
+                assert spy.call_count == 1
         with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
             gd = dz.annotate(dz.GroupedDesign(d, [], claimed_t0=d.cols))
         assert gd.verified_t0 == oracle_max_strength(d, d.cols)
         if linear:
             assert not spy.called
+
+
+@st.composite
+def grouped_bases(draw):
+    """A linear, broken-linear or thm1 design cut into disjoint groups of
+    one to six columns, which need not cover every column.  Few random
+    linear designs reach strength 3; the thm1 arrays, whose groups have it
+    and whose other triples often lack it, supply the groups that pass."""
+    d = draw(st.one_of(linear_designs(), broken_linear_designs(),
+                       st.sampled_from([2, 3, 4]).map(lambda s: cx.construct_thm1(s).design)))
+    cols = draw(st.permutations(range(d.cols)))
+    groups, at = [], 0
+    for width in draw(st.lists(st.integers(1, 6), min_size=1, max_size=d.cols)):
+        if at < d.cols:
+            groups.append(cols[at:at + width])
+            at += width
+    return dz.GroupedDesign(d, [dz.Group(g, min(3, len(g))) for g in groups], claimed_t0=0)
+
+
+def refused(build) -> bool:
+    try:
+        build()
+    except StrengthPrereqError:
+        return True
+    return False
+
+
+class TestStrengthPrereqs:
+    """prop1 and thm2 take a base, or each base group, only at strength 3:
+    a group narrower than three columns is refused like any weak one."""
+
+    @settings(deadline=None)
+    @given(grouped_bases())
+    def test_refused_exactly_below_strength3(self, b):
+        bases = [dz.Design(b.design.s, b.design.matrix[:, g.columns]) for g in b.groups]
+        weak = [base.cols < 3 or not oracle_check_strength(base, 3).ok for base in bases]
+        one = cx.DifferenceScheme(b.design.s, [[0]])  # A (+) B is B itself
+        assert refused(lambda: cx.construct_thm2(one, b)) == any(weak)
+        for base, want in zip(bases, weak):
+            assert refused(lambda: cx.construct_prop1(one, [[0]], base)) == want
