@@ -286,8 +286,11 @@ def construct_thm2(ds: DifferenceScheme, b: GroupedDesign) -> Thm2Result:
     p(D_i) is stored next to the bound 1 - (c-1)(c-2)/((cm_i-1)(cm_i-2)).
     A scheme of one or two columns has bound 1: its groups are claimed at
     strength 3, as in construct_prop1, and store no p.  The nested
-    regrouping pairs scheme columns (the last odd one alone).
+    regrouping pairs scheme columns (the last odd one alone).  A base with
+    no groups has none to build on and is refused.
     """
+    if not b.groups:
+        raise StrengthPrereqError("the base has no groups")
     prereq = annotate(GroupedDesign(b.design, [Group(grp.columns, 3) for grp in b.groups],
                                     claimed_t0=0))
     for grp in prereq.groups:

@@ -10,8 +10,9 @@ column subsets and counting level combinations; the same count finds the
 lexicographically first failing columns of any failed claim.  Wordlength
 patterns are read off the weights of the rows themselves by the MacWilliams
 transform, for a whole stack of subjects (the array, or all its groups) at
-once by read_subjects, and the strength-3 triple proportion p(D) is an
-exact rational from exhaustive triple counting.
+once by read_subjects.  The strength-3 triple proportion p(D) is an exact
+rational: read off A_3 where the rows are linear with A_1 = A_2 = 0, else
+counted triple by triple.
 """
 
 from __future__ import annotations
@@ -170,16 +171,16 @@ def _projection_tables(matrix: np.ndarray, s: int, t: int, cols):
 
     One walk serves every t and s: each chunk is the next
     _CHUNK_CELLS // per column tuples, per being what one tuple costs to
-    count, and only the count step forks.  For t = 2 and s^2 <= 64 each
-    (column, level) is a bitset of the rows, and the count of levels (a, b)
-    in columns (i, j) is the popcount of bits[i, a] & bits[j, b]: per is
-    the s^2 W words of the AND block.  A pair then costs s^2 words per 64
-    rows against one bincount cell per row, so for larger s, and for any
-    other t, row i of a chunk is coded with an offset of i * s^t and one
+    count, and only the count step forks.  While s^t <= 64 each (column,
+    level) is a bitset of the rows, and the count of levels (a_1, ..., a_t)
+    in columns (c_1, ..., c_t) is the popcount of bits[c_1, a_1] & ... &
+    bits[c_t, a_t]: per is the s^t W words of the AND block.  A tuple then
+    costs s^t words per 64 rows against one bincount cell per row, so for
+    larger s^t row i of a chunk is coded with an offset of i * s^t and one
     bincount counts the chunk: per is max(N, s^t) cells.
     """
     cells = s**t
-    popcount = t == 2 and cells <= 64
+    popcount = cells <= 64
     if popcount:
         bits = _level_bitsets(matrix, s)
         per = cells * bits.shape[2]
@@ -193,8 +194,11 @@ def _projection_tables(matrix: np.ndarray, s: int, t: int, cols):
         if not len(tuples):
             return
         if popcount:
-            both = bits[tuples[:, 0], :, None] & bits[tuples[:, 1], None, :]
-            tables = np.bitwise_count(both).sum(-1, dtype=np.int64)
+            block = bits[tuples[:, 0]]
+            for i in range(1, t):
+                block = (block[:, :, None] & bits[tuples[:, i], None]).reshape(
+                    len(tuples), s ** (i + 1), -1)
+            tables = np.bitwise_count(block).sum(-1, dtype=np.int64)
         else:
             enc = np.arange(len(tuples))
             for i in range(t):
@@ -420,17 +424,28 @@ def wlp_of_columns(design: Design, columns) -> tuple[int, ...] | None:
 
 
 def p_of_d(design: Design, columns=None) -> Fraction:
-    """Exact proportion of column triples that form a strength-3 subarray,
-    counted by the same projection kernel as check_strength."""
+    """Exact proportion of column triples that form a strength-3 subarray.
+
+    The columns are read once (read_subjects).  When their rows are linear
+    and A_1 = A_2 = 0, a triple lacks strength 3 iff a word of length 3
+    lives on it, and that word is unique up to scalars (two that are not
+    would combine into a shorter one), so p = 1 - A_3 / C(m, 3) and nothing
+    is counted.  Any other subject is counted by the same projection kernel
+    as check_strength.
+    """
     cols = list(range(design.cols)) if columns is None else list(columns)
     if len(cols) < 3:
         raise TooFewColumnsError("p(D) needs at least three columns")
     want, rem = divmod(design.runs, design.s**3)
     if rem:
         return Fraction(0)
+    triples = math.comb(len(cols), 3)
+    pattern = read_subjects(design.s, design.matrix, [cols], [3])[0].pattern
+    if pattern is not None and not any(pattern[:2]):
+        return 1 - Fraction(pattern[2], triples)
     hits = sum(int((tables == want).all(axis=1).sum())
                for _, tables in _projection_tables(design.matrix, design.s, 3, cols))
-    return Fraction(hits, math.comb(len(cols), 3))
+    return Fraction(hits, triples)
 
 
 def pg_points(ext: gflib.ExtField) -> np.ndarray:

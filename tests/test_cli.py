@@ -602,6 +602,19 @@ class TestCatalogContent:
         assert time.perf_counter() - start < 2
         assert pattern[:2] == (0, 0) and sum(pattern) == 2**498 - 1
 
+    @pytest.mark.parametrize("p,code", [("21549864/21592285", 0), ("1/2", 2)])
+    def test_stored_p_on_every_column(self, catalog_dir, workdir, capsys, p, code):
+        # one group of all 507 columns: 21,592,285 triples, read off A_3
+        # (the rows are linear with A_1 = A_2 = 0) rather than counted
+        doc = json.loads((catalog_dir / "survey-s2-k9-m13.json").read_text())
+        doc["groups"] = [{"columns": list(range(507)), "claimed_strength": 2,
+                          "verified_strength": 2, "wlp": None, "p": p}]
+        (workdir / "wide.json").write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["verify", "wide.json"]) == code
+        assert time.perf_counter() - start < 1
+        assert "21549864/21592285" in capsys.readouterr().out
+
 
 class TestStrengthPrereqs:
     """A base group that lacks strength 3, or has fewer than three columns,
@@ -628,6 +641,19 @@ class TestStrengthPrereqs:
                      "--out", "x.json"]) == 2
         assert capsys.readouterr().err == f"error: {subject} is not of strength 3\n"
         assert sorted(p.name for p in workdir.iterdir()) == ["t.json", "two.json"]
+
+    @pytest.mark.parametrize("argv", [["--ds-shape", "3,3"], ["--ds-search", "6,3"]],
+                             ids=["shape", "search"])
+    def test_thm2_base_without_groups_exits_2(self, workdir, capsys, argv):
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        doc = json.loads((workdir / "t.json").read_text())
+        doc["groups"] = []
+        (workdir / "none.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["construct", "thm2", "--s", "3", *argv, "--base", "none.json",
+                     "--out", "x.json"]) == 2
+        assert capsys.readouterr().err == "error: the base has no groups\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["none.json", "t.json"]
 
     def test_rotate_refuses_strength2_groups(self, workdir, capsys):
         # 8 pairwise-independent columns with a dependent triple: strength 2 only

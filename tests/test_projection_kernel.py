@@ -30,7 +30,9 @@ from conftest import (
     oracle_wlp_of_rows,
 )
 
-# s <= 8 counts pairs by popcount and s = 9 by bincount
+# a t-tuple counts by popcount while s^t <= 64 and by bincount above: pairs
+# by popcount for s <= 8 and by bincount for s = 9, triples by popcount for
+# s <= 4
 MAX_K = {2: 4, 3: 3, 4: 2, 5: 2, 7: 2, 8: 2, 9: 2}
 CHUNK_CAPS = st.sampled_from([1, 16, 256, dz._CHUNK_CELLS])
 
@@ -118,6 +120,28 @@ class TestCheckStrength:
             assert_same_check(res, oracle_check_strength(d, 1))
 
 
+def assert_matches_oracle_at_caps(d: dz.Design, t: int):
+    """check_strength at t against the oracle, at chunk caps of one
+    tuple, of 16 cells and the default; each run counts by popcount
+    exactly when s^t <= 64."""
+    want = oracle_check_strength(d, t)
+    for cells in (1, 16, dz._CHUNK_CELLS):
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells), \
+                mock.patch.object(dz, "_level_bitsets", wraps=dz._level_bitsets) as spy:
+            assert_same_check(dz.check_strength(d, t), want)
+        assert spy.called == (d.s**t <= 64)
+
+
+def tiled(base: np.ndarray, runs: int, s: int) -> list[np.ndarray]:
+    """base tiled and cut to the run count (balanced when len(base)
+    divides it), and a copy with the last cell of the last column
+    corrupted."""
+    rows = np.tile(base, (-(-runs // len(base)), 1))[:runs]
+    corrupt = rows.copy()
+    corrupt[-1, -1] = (corrupt[-1, -1] + 1) % s
+    return [rows, corrupt]
+
+
 class TestPairBitsetWords:
     """t = 2 counts popcounts of 64-row words while s^2 <= 64 and bincounts
     above; run counts on both sides of the byte and word boundaries, each
@@ -126,22 +150,29 @@ class TestPairBitsetWords:
     @pytest.mark.parametrize("s", [2, 3, 5, 7, 9, 11, 13])
     @pytest.mark.parametrize("runs", [1, 7, 8, 9, 63, 64, 65, 129])
     def test_matches_oracle(self, runs, s):
-        # the s + 1 columns of OA(s^2, s + 1, s, 2), tiled and cut to the
-        # run count (balanced when s^2 divides it), then with the last cell
-        # of the last column corrupted
+        # the s + 1 columns of OA(s^2, s + 1, s, 2)
         field = gf.level_field(s)
         points = np.vstack([[[0, 1]], np.column_stack([np.ones(s, dtype=np.int64),
                                                        np.arange(s)])])
-        base = gf.span(field, points.T)
-        rows = np.tile(base, (-(-runs // len(base)), 1))[:runs]
-        corrupt = rows.copy()
-        corrupt[-1, -1] = (corrupt[-1, -1] + 1) % s
-        for matrix in (rows, corrupt):
-            d = dz.Design(s, matrix)
-            want = oracle_check_strength(d, 2)
-            for cells in (1, 16, dz._CHUNK_CELLS):
-                with mock.patch.object(dz, "_CHUNK_CELLS", cells):
-                    assert_same_check(dz.check_strength(d, 2), want)
+        for matrix in tiled(gf.span(field, points.T), runs, s):
+            assert_matches_oracle_at_caps(dz.Design(s, matrix), 2)
+
+
+class TestBitsetWords:
+    """Every t counts popcounts of the AND of t level bitsets while
+    s^t <= 64 and bincounts above; (s, t) on both sides of 64 cells, run
+    counts on both sides of the word boundaries."""
+
+    @pytest.mark.parametrize("s,t", [(2, 1), (8, 1), (2, 4), (2, 6), (2, 7),
+                                     (3, 3), (4, 3), (5, 3)])
+    @pytest.mark.parametrize("runs", [1, 7, 8, 63, 64, 65, 129])
+    def test_matches_oracle(self, runs, s, t):
+        # the t + 1 columns of OA(s^t, t + 1, s, t): the t coordinates of
+        # GF(s)^t and their sum
+        field = gf.level_field(s)
+        points = np.vstack([np.eye(t, dtype=np.int64), np.ones((1, t), dtype=np.int64)])
+        for matrix in tiled(gf.span(field, points.T), runs, s):
+            assert_matches_oracle_at_caps(dz.Design(s, matrix), t)
 
 
 class TestMaxStrength:
@@ -165,6 +196,25 @@ class TestMaxStrength:
         assert all(2 ** call.args[1] <= d.runs for call in spy.call_args_list)
 
 
+@st.composite
+def linear_designs(draw, max_k=MAX_K, min_k=1):
+    """The span of a random, possibly rank-deficient basis of min_k to
+    max_k[s] rows over GF(s), with up to two columns zeroed and up to two
+    copied onto others, stacked one to three times."""
+    s = draw(st.sampled_from(sorted(max_k)))
+    k = draw(st.integers(min_k, max_k[s]))
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, s - 1), min_size=n, max_size=n)
+    basis = np.array(draw(st.lists(row, min_size=k, max_size=k)), dtype=np.int64)
+    col = st.integers(0, n - 1)
+    for c in draw(st.lists(col, max_size=2)):
+        basis[:, c] = 0
+    for a, b in draw(st.lists(st.tuples(col, col), max_size=2)):
+        basis[:, b] = basis[:, a]
+    rows = gf.span(gf.level_field(s), basis)
+    return dz.Design(s, np.tile(rows, (draw(st.integers(1, 3)), 1)))
+
+
 class TestPofD:
     @settings(deadline=None)
     @given(designs(min_cols=3), CHUNK_CAPS)
@@ -179,24 +229,21 @@ class TestPofD:
                                   max_size=d.cols, unique=True))
         assert dz.p_of_d(d, cols) == oracle_p_of_d(d, cols)
 
-
-@st.composite
-def linear_designs(draw):
-    """The span of a random, possibly rank-deficient basis over GF(s), with
-    up to two columns zeroed and up to two copied onto others, stacked one
-    to three times."""
-    s = draw(st.sampled_from(sorted(MAX_K)))
-    k = draw(st.integers(1, MAX_K[s]))
-    n = draw(st.integers(1, 6))
-    row = st.lists(st.integers(0, s - 1), min_size=n, max_size=n)
-    basis = np.array(draw(st.lists(row, min_size=k, max_size=k)), dtype=np.int64)
-    col = st.integers(0, n - 1)
-    for c in draw(st.lists(col, max_size=2)):
-        basis[:, c] = 0
-    for a, b in draw(st.lists(st.tuples(col, col), max_size=2)):
-        basis[:, b] = basis[:, a]
-    rows = gf.span(gf.level_field(s), basis)
-    return dz.Design(s, np.tile(rows, (draw(st.integers(1, 3)), 1)))
+    @settings(deadline=None)
+    @given(linear_designs({2: 5, 3: 4, 4: 3, 5: 3}, min_k=3).filter(lambda d: d.cols >= 3),
+           st.data(), CHUNK_CAPS)
+    def test_linear_read_off_pattern(self, d, data, cells):
+        # k >= 3, so that s^3 divides N and triples can have strength 3:
+        # p = 1 - A_3 / C(m, 3) with nothing counted where A_1 = A_2 = 0,
+        # while a zero or a copied column among the subset makes it count
+        cols = data.draw(st.lists(st.integers(0, d.cols - 1), min_size=3,
+                                  max_size=d.cols, unique=True))
+        counted = any(oracle_wlp_of_rows(d.s, d.matrix[:, cols], 2))
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells), \
+                mock.patch.object(dz, "_projection_tables",
+                                  wraps=dz._projection_tables) as spy:
+            assert dz.p_of_d(d, cols) == oracle_p_of_d(d, cols)
+        assert spy.called == counted
 
 
 @st.composite
