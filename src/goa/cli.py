@@ -243,7 +243,10 @@ def cmd_eval(args) -> int:
         print(f"max |main x interaction| overall: {rep.max_abs:.3e}")
         print(f"max |main x interaction| within own group: {rep.max_abs_same_group:.3e}")
         return EXIT_OK
-    sigmas = [float(x) for x in args.sigma.split(",")]
+    try:
+        sigmas = [float(x) for x in args.sigma.split(",")]
+    except ValueError:
+        raise GoaError(f"--sigma {args.sigma}: expected comma-separated numbers") from None
     model = SimModel(reps=args.reps, seed=args.rng_seed)
     results = run_bias_study([(Path(args.design).stem, gd)], sigmas, model)
     lines = ["design,sigma,mean,se"]

@@ -10,7 +10,6 @@ model recovers the main effects despite those interactions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,26 +36,21 @@ def _group_columns(gd: GroupedDesign) -> list[list[int]]:
 def model_matrix(design: Design, groups=None, interactions: bool = False) -> np.ndarray:
     """Intercept + (linear, quadratic) per factor, optionally followed by
     the four interaction contrasts (ll, lq, ql, qq) for every factor pair
-    inside a group."""
+    inside a group, each group's pairs in lexicographic order."""
     if design.s != 3:
         raise WrongLevelCountError("the simulation model is three-level")
-    n = design.cols
-    lin = np.empty((design.runs, n))
-    quad = np.empty((design.runs, n))
-    for j in range(n):
-        lin[:, j], quad[:, j] = contrast_columns(design.matrix[:, j])
-    cols = [np.ones((design.runs, 1))]
-    for j in range(n):
-        cols.append(lin[:, j : j + 1])
-        cols.append(quad[:, j : j + 1])
+    runs, n = design.matrix.shape
+    lin, quad = contrast_columns(design.matrix)
+    blocks = [np.ones((runs, 1)), np.stack([lin, quad], axis=2).reshape(runs, 2 * n)]
     if interactions:
-        for group in groups if groups is not None else [list(range(n))]:
-            for j1, j2 in itertools.combinations(group, 2):
-                cols.append((lin[:, j1] * lin[:, j2])[:, None])
-                cols.append((lin[:, j1] * quad[:, j2])[:, None])
-                cols.append((quad[:, j1] * lin[:, j2])[:, None])
-                cols.append((quad[:, j1] * quad[:, j2])[:, None])
-    return np.hstack(cols)
+        # np.triu_indices walks a group's pairs in lexicographic order
+        pairs = [np.asarray(group, dtype=np.intp)[np.array(np.triu_indices(len(group), 1))]
+                 for group in (groups if groups is not None else [range(n)])]
+        a, b = np.hstack([np.empty((2, 0), dtype=np.intp), *pairs])
+        blocks.append(np.stack([lin[:, a] * lin[:, b], lin[:, a] * quad[:, b],
+                                quad[:, a] * lin[:, b], quad[:, a] * quad[:, b]],
+                               axis=2).reshape(runs, 4 * len(a)))
+    return np.hstack(blocks)
 
 
 @dataclass
@@ -94,10 +88,9 @@ def run_bias_study(designs, sigmas, model: SimModel | None = None) -> list[SimRe
         raise GoaError(f"the bias study needs at least 2 replicates, got {model.reps}")
     prepared = []
     for label, gd in designs:
-        groups = _group_columns(gd)
-        x_main = model_matrix(gd.design, groups, interactions=False)
-        x_full = model_matrix(gd.design, groups, interactions=True)
-        n_main = x_main.shape[1]
+        x_full = model_matrix(gd.design, _group_columns(gd), interactions=True)
+        n_main = 1 + 2 * gd.design.cols
+        x_main = x_full[:, :n_main]
         if np.linalg.matrix_rank(x_main) < n_main:
             raise SingularModelMatrixError(f"{label}: main-effects matrix is singular")
         solver = np.linalg.inv(x_main.T @ x_main) @ x_main.T
@@ -158,16 +151,11 @@ def clarity_check(gd: GroupedDesign) -> ClarityReport:
         return ClarityReport(0.0, 0.0, mains.shape[1], 0)
     cross = np.abs(mains.T @ inters)
 
-    group_of = {}
-    for gi, group in enumerate(groups):
-        for col in group:
-            group_of[col] = gi
-    inter_group = []
-    for gi, group in enumerate(groups):
-        inter_group += [gi] * (4 * len(list(itertools.combinations(group, 2))))
-    main_group = [group_of.get(j // 2, -1) for j in range(2 * n)]
-    same = np.array(
-        [[mg == ig for ig in inter_group] for mg in main_group], dtype=bool
-    )
+    sizes = np.array([len(group) for group in groups])
+    labels = np.arange(len(groups))
+    group_of = np.full(n, -1)
+    group_of[np.concatenate(groups)] = np.repeat(labels, sizes)
+    inter_group = np.repeat(labels, 2 * sizes * (sizes - 1))  # 4 C(m_i, 2) columns each
+    same = np.repeat(group_of, 2)[:, None] == inter_group
     max_same = float(cross[same].max()) if same.any() else 0.0
     return ClarityReport(float(cross.max()), max_same, mains.shape[1], inters.shape[1])

@@ -94,12 +94,10 @@ def rotate_columns(gd: GroupedDesign) -> RealDesign:
     if any(grp.verified_strength < 3 for grp in prereq.groups):
         raise StrengthPrereqError("every group must have strength 3")
     doubled = 2 * design.matrix - 1  # levels +-1 = twice the centered +-1/2
-    pieces = []
-    for grp in gd.groups:
-        block = doubled[:, grp.columns]
-        pieces.append(block[:, :4] @ ROTATION_Q)
-        pieces.append(block[:, 4:] @ ROTATION_Q)
-    int2 = np.hstack(pieces)  # twice the rotated levels; odd integers in -7..7
+    halves = doubled[:, np.concatenate([grp.columns for grp in gd.groups])]
+    runs, width = halves.shape
+    # twice the rotated levels; odd integers in -7..7
+    int2 = (halves.reshape(runs, width // 4, 4) @ ROTATION_Q).reshape(runs, width)
     return RealDesign(
         int2 / 2.0,
         f"rotate of {design.origin}",

@@ -300,13 +300,14 @@ def load_csv(path, s: int) -> Design:
 
 
 def load_design_file(path, s: int | None = None) -> GroupedDesign:
-    """Load either container; CSV needs the level count supplied, and a
-    JSON file must agree with one that is."""
+    """Load either container.  CSV needs the level count supplied, and it
+    must be one, as a JSON file's s must; a JSON file must agree with a
+    level count that is supplied."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         if s is None:
             raise FileFormatError("loading CSV requires the level count (--s)")
-        return GroupedDesign(load_csv(path, s), [], claimed_t0=0)
+        return GroupedDesign(load_csv(path, _level_count(s)), [], claimed_t0=0)
     gd = load_json(path)
     if s is not None and s != gd.design.s:
         raise FileFormatError(f"{path}: the level count given is {s}, "

@@ -8,6 +8,8 @@ from hypothesis import settings
 
 from goa import constructions as cx
 from goa import designs as dz
+from goa import evalsim as ev
+from goa import expand as ex
 from goa import gf
 from goa.cli import main as cli_main
 from goa.errors import LevelLimitError, NotPrimePowerError
@@ -439,3 +441,107 @@ def oracle_ma_regular_oa(s: int, k: int, m: int) -> tuple[dz.GeneratorMatrix, tu
         if best is None or pattern < best[1]:
             best = (gen, pattern)
     return best
+
+
+def oracle_model_matrix(design: dz.Design, groups=None, interactions: bool = False) -> np.ndarray:
+    """The main-effects model matrix, one column and one pair at a time:
+    the intercept, then (linear, quadratic) per factor, then for each pair
+    of each group, in itertools.combinations order, its ll, lq, ql and qq
+    products.  The reference for evalsim.model_matrix's array blocks."""
+    n = design.cols
+    lin = np.empty((design.runs, n))
+    quad = np.empty((design.runs, n))
+    for j in range(n):
+        lin[:, j], quad[:, j] = ev.contrast_columns(design.matrix[:, j])
+    cols = [np.ones((design.runs, 1))]
+    for j in range(n):
+        cols.append(lin[:, j : j + 1])
+        cols.append(quad[:, j : j + 1])
+    if interactions:
+        for group in groups if groups is not None else [list(range(n))]:
+            for j1, j2 in itertools.combinations(group, 2):
+                cols.append((lin[:, j1] * lin[:, j2])[:, None])
+                cols.append((lin[:, j1] * quad[:, j2])[:, None])
+                cols.append((quad[:, j1] * lin[:, j2])[:, None])
+                cols.append((quad[:, j1] * quad[:, j2])[:, None])
+    return np.hstack(cols)
+
+
+def oracle_clarity_check(gd: dz.GroupedDesign) -> ev.ClarityReport:
+    """The clarity report with its same-group mask filled entry by entry
+    from a column -> group dict and a list of interaction labels.  The
+    reference for evalsim.clarity_check's broadcast mask."""
+    groups = [list(g.columns) for g in gd.groups] or [list(range(gd.design.cols))]
+    full = oracle_model_matrix(gd.design, groups, interactions=True)
+    n = gd.design.cols
+    mains = full[:, 1:1 + 2 * n]
+    inters = full[:, 1 + 2 * n:]
+    if inters.shape[1] == 0:
+        return ev.ClarityReport(0.0, 0.0, mains.shape[1], 0)
+    cross = np.abs(mains.T @ inters)
+    group_of = {}
+    for gi, group in enumerate(groups):
+        for col in group:
+            group_of[col] = gi
+    inter_group = []
+    for gi, group in enumerate(groups):
+        inter_group += [gi] * (4 * len(list(itertools.combinations(group, 2))))
+    main_group = [group_of.get(j // 2, -1) for j in range(2 * n)]
+    same = np.array([[mg == ig for ig in inter_group] for mg in main_group], dtype=bool)
+    max_same = float(cross[same].max()) if same.any() else 0.0
+    return ev.ClarityReport(float(cross.max()), max_same, mains.shape[1], inters.shape[1])
+
+
+def oracle_rotate_columns(gd: dz.GroupedDesign) -> np.ndarray:
+    """Twice the rotated levels, one 4-column half at a time: each group's
+    doubled +-1 columns split in two, each half times ROTATION_Q, the
+    pieces joined in group order.  The reference for expand.rotate_columns'
+    one (N, 2g, 4) product."""
+    doubled = 2 * gd.design.matrix - 1
+    pieces = []
+    for grp in gd.groups:
+        block = doubled[:, grp.columns]
+        pieces.append(block[:, :4] @ ex.ROTATION_Q)
+        pieces.append(block[:, 4:] @ ex.ROTATION_Q)
+    return np.hstack(pieces)
+
+
+def oracle_verify_claims(gd: dz.GroupedDesign) -> list[bool]:
+    """The verdict of each check designs.verify_claims makes, in its order,
+    decided by the exhaustive oracles alone; gd is only read.
+
+    - A stored generator has k independent rows and N = s^k, and its span
+      is the row multiset: its s^k combinations (oracle_span) are distinct
+      and, sorted, are the sorted rows.
+    - A strength-t claim, t the larger of the claimed and the verified
+      strength and at least 1, on the whole array and then on each group:
+      oracle_check_strength.
+    - A group's stored pattern: its rows are linear (oracle_is_linear) and
+      oracle_wlp_of_rows reads that pattern.
+    - A group's stored p: the group has three columns or more and
+      oracle_p_of_d measures that p.
+    """
+    design, s = gd.design, gd.design.s
+    verdicts = []
+    if gd.generator is not None:
+        gen = gd.generator.matrix
+        ok = gen.shape[1] == design.cols and s ** len(gen) == design.runs
+        if ok:
+            spanned = sorted(map(tuple, oracle_span(gf.level_field(s), gen).tolist()))
+            ok = (len(set(spanned)) == len(spanned)
+                  and spanned == sorted(map(tuple, design.matrix.tolist())))
+        verdicts.append(ok)
+    t0 = max(gd.claimed_t0, gd.verified_t0 or 0)
+    if t0 >= 1:
+        verdicts.append(oracle_check_strength(design, t0).ok)
+    for grp in gd.groups:
+        sub = dz.Design(s, design.matrix[:, grp.columns])
+        t = max(grp.claimed_strength, grp.verified_strength or 0)
+        if t >= 1:
+            verdicts.append(oracle_check_strength(sub, t).ok)
+        if grp.wlp is not None:
+            verdicts.append(oracle_is_linear(sub)
+                            and oracle_wlp_of_rows(s, sub.matrix) == tuple(grp.wlp))
+        if grp.p is not None:
+            verdicts.append(grp.size >= 3 and oracle_p_of_d(design, grp.columns) == grp.p)
+    return verdicts

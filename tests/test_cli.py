@@ -303,6 +303,23 @@ class TestVerify:
         assert not (workdir / "x.json").exists()
         assert main([*argv, "--s", "3"]) == 0
 
+    @pytest.mark.parametrize("s, message", [
+        ("6", "s: 6 is not a prime power"),
+        ("200", "s: level count 200 above desk-scale bound 97"),
+    ], ids=["6", "200"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "a.csv"],
+        ["expand", "lhd", "--design", "a.csv", "--out", "x.json"],
+        ["eval", "clarity", "--design", "a.csv"],
+    ], ids=lambda a: a[0])
+    def test_csv_level_count_is_a_level_field(self, workdir, capsys, argv, s, message):
+        # every cell lies below both, yet neither is a level count, as a
+        # JSON file's s would not be
+        (workdir / "a.csv").write_text("0,1\n1,2\n2,0\n")
+        assert main([*argv, "--s", s]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in workdir.iterdir()] == ["a.csv"]
+
     def test_base_level_count_must_agree(self, workdir, capsys):
         main(["construct", "thm1", "--s", "2", "--out", "t.json"])
         capsys.readouterr()
@@ -560,6 +577,16 @@ class TestExpandEval:
         captured = capsys.readouterr()
         assert captured.err == f"error: the bias study needs at least 2 replicates, got {reps}\n"
         assert "nan" not in captured.out
+        assert not (workdir / "b.csv").exists()
+
+    @pytest.mark.parametrize("sigma", ["x", "", "1,,5"])
+    def test_eval_bias_refuses_a_bad_sigma(self, workdir, capsys, sigma):
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        capsys.readouterr()
+        assert main(["eval", "bias", "--design", "t.json", "--sigma", sigma,
+                     "--out", "b.csv"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --sigma {sigma}: expected comma-separated numbers\n")
         assert not (workdir / "b.csv").exists()
 
     def test_eval_clarity(self, workdir, capsys):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goa import constructions as cx
 from goa import designs as dz
 from goa import evalsim as ev
 from goa.errors import GoaError, WrongLevelCountError
 
-from conftest import oracle_ma_regular_oa
+from conftest import oracle_clarity_check, oracle_ma_regular_oa, oracle_model_matrix
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,46 @@ class TestModelMatrix:
         direct = x.T @ y / 27
         lstsq = np.linalg.lstsq(x, y, rcond=None)[0]
         assert np.allclose(direct, lstsq, atol=1e-10)
+
+
+@st.composite
+def grouped_three_level(draw):
+    """A random three-level design of 9, 27 or 81 runs and 1-8 columns, and
+    a random disjoint grouping of some of its columns: singletons and
+    ungrouped columns included, and no groups at all."""
+    runs = draw(st.sampled_from([9, 27, 81]))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = dz.Design(3, rng.integers(0, 3, size=(runs, n)))
+    labels = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))  # -1: ungrouped
+    order = draw(st.permutations(range(n)))
+    groups = [[c for c in order if labels[c] == g] for g in range(4)]
+    return design, [g for g in groups if g]
+
+
+ARRAY_BLOCKS = settings(max_examples=150, deadline=None)
+
+
+class TestArrayBlocks:
+    """model_matrix and clarity_check against their per-column, per-pair
+    oracles, bit for bit."""
+
+    @ARRAY_BLOCKS
+    @given(case=grouped_three_level(), given_groups=st.booleans())
+    def test_model_matrix_matches_oracle(self, case, given_groups):
+        design, groups = case
+        groups = groups if given_groups else None
+        for interactions in (False, True):
+            got = ev.model_matrix(design, groups, interactions=interactions)
+            want = oracle_model_matrix(design, groups, interactions=interactions)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @ARRAY_BLOCKS
+    @given(case=grouped_three_level())
+    def test_clarity_check_matches_oracle(self, case):
+        design, groups = case
+        gd = dz.GroupedDesign(design, [dz.Group(g, len(g)) for g in groups])
+        assert ev.clarity_check(gd) == oracle_clarity_check(gd)
 
 
 class TestClarity:

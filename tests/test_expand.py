@@ -1,13 +1,19 @@
 from unittest import mock
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goa import constructions as cx
 from goa import designs as dz
 from goa import expand as ex
 from goa import gf
 from goa.errors import ShapeMismatchError, StrengthPrereqError
+
+from conftest import oracle_rotate_columns
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +47,43 @@ class TestLhd:
         cell = real.int_matrix[:, [0, 4]] // 9
         enc = cell[:, 0] * 3 + cell[:, 1]
         assert np.all(np.bincount(enc, minlength=9) == 3)
+
+
+@functools.cache
+def eight_column_bases() -> tuple[dz.GroupedDesign, ...]:
+    """Two-level designs whose groups are 8 columns of strength 3: 32 runs
+    with 3 groups and 64 runs with 7."""
+    return tuple(cx.construct_consecutive(gf.ext_field(2, k, cx.rank_primitive_polys(2, k, 8)[0][0]), 8)
+                 for k in (5, 6))
+
+
+@st.composite
+def rotatable(draw):
+    """Some groups of a base, in random order, each with its columns
+    shuffled, placed among the base's other columns at random positions,
+    with the rows shuffled and some columns' levels swapped: all of which
+    keep each group's strength 3."""
+    base = draw(st.sampled_from(eight_column_bases()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    picked = draw(st.lists(st.sampled_from(base.groups), min_size=1, unique_by=id))
+    matrix = base.design.matrix[rng.permutation(base.design.runs)]
+    matrix = np.where(rng.integers(0, 2, size=base.design.cols).astype(bool), 1 - matrix, matrix)
+    perm = rng.permutation(base.design.cols)  # new position -> base column
+    where = np.argsort(perm)  # base column -> new position
+    groups = [dz.Group(where[rng.permutation(grp.columns)].tolist(), 3) for grp in picked]
+    return dz.GroupedDesign(dz.Design(2, matrix[:, perm]), groups, claimed_t0=0)
+
+
+class TestRotationMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(gd=rotatable())
+    def test_one_product_matches_per_half_loop(self, gd):
+        real = ex.rotate_columns(gd)
+        want = oracle_rotate_columns(gd)
+        assert real.int_matrix.shape == want.shape
+        assert real.int_matrix.tobytes() == want.tobytes()
+        assert real.matrix.tobytes() == (want / 2.0).tobytes()
+        assert real.normalized.tobytes() == (want / 14.0).tobytes()
 
 
 class TestRotation:
