@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,7 @@ from .constructions import (
     grouped_kronecker,
     rank_primitive_polys,
 )
-from .errors import GoaError
+from .errors import GoaError, ParameterRangeError
 from .evalsim import SimModel, clarity_check, run_bias_study
 from .expand import oa_to_lhd, rotate_columns
 from .search import SEED_GENERATORS, SearchConfig, algorithm_42, survey, survey_table
@@ -65,8 +66,8 @@ def _write_design(gd: GroupedDesign, out: str | None, fmt: str, default_name: st
 
 
 def _load_base(args) -> GroupedDesign:
-    gd = serialize.load_design_file(args.base, getattr(args, "s", None))
-    idx = getattr(args, "base_group", None)
+    gd = serialize.load_design_file(args.base, args.s)
+    idx = args.base_group
     if idx is not None:
         if not 0 <= idx < len(gd.groups):
             raise GoaError(f"--base-group {idx}: {args.base} has {len(gd.groups)} groups")
@@ -93,8 +94,31 @@ def _get_ds(args, s: int):
     raise GoaError("need --ds-shape or --ds-search")
 
 
+def _refuse_above_desk(args) -> None:
+    """Refuse an ebert or consecutive design above gflib.DESK_CELL_LIMIT cells
+    from its flags alone, before any primitive polynomial is enumerated or
+    any field built; construct_thm1 builds no field and checks its own
+    s^3 x (s^2 + 1) first.  ebert is s^4 x (s + 1)(s^2 + 1), after the level
+    count.  consecutive is s^k x floor(v/m) m, its groups of m taken from the
+    v = (s^k - 1)/(s - 1) points of PG(k - 1, s), after GF(s^k) and m; with
+    m > v it is s^k x m, the one group the ranking reads."""
+    s = args.s
+    if args.what == "ebert":
+        gflib.level_field(s)
+        gflib.check_cells(f"ebert(s={s})", s**4, (s + 1) * (s * s + 1))
+        return
+    k, m = args.k, args.m
+    gflib.check_order(s, k)
+    if m < 2:
+        raise ParameterRangeError(f"need m >= 2, got {m}")
+    v = (s**k - 1) // (s - 1)
+    gflib.check_cells(f"consecutive(s={s},k={k},m={m})", s**k, max(m, v // m * m))
+
+
 def cmd_construct(args) -> int:
     s = args.s
+    if args.what in ("ebert", "consecutive"):
+        _refuse_above_desk(args)
     if args.what == "thm1":
         gd = construct_thm1(s)
         name = f"thm1-s{s}"
@@ -245,6 +269,8 @@ def cmd_eval(args) -> int:
         return EXIT_OK
     try:
         sigmas = [float(x) for x in args.sigma.split(",")]
+        if not all(map(math.isfinite, sigmas)):
+            raise ValueError(args.sigma)
     except ValueError:
         raise GoaError(f"--sigma {args.sigma}: expected comma-separated numbers") from None
     model = SimModel(reps=args.reps, seed=args.rng_seed)

@@ -40,6 +40,7 @@ from .errors import (
     BadBlockSizeError,
     DegenerateSizeError,
     LevelMismatchError,
+    ParameterRangeError,
     SearchExhaustedError,
     StrengthPrereqError,
     TooFewGroupsError,
@@ -201,6 +202,7 @@ def kronecker_sum(a: DifferenceScheme, b: Design, origin: str | None = None) -> 
         raise LevelMismatchError(f"level mismatch: {a.s} vs {b.s}")
     r, c = a.matrix.shape
     n_runs, n_cols = b.matrix.shape
+    gflib.check_cells("Kronecker sum", r * n_runs, c * n_cols)
     blocks = gflib.level_field(b.s).add_t[a.matrix[:, None, :, None], b.matrix[None, :, None, :]]
     return Design(b.s, blocks.reshape(r * n_runs, c * n_cols),
                   origin or f"kronecker({r}x{c} (+) {n_runs}x{n_cols})")
@@ -217,18 +219,12 @@ def p_bound(c: int, n: int) -> Fraction:
     return 1 - Fraction((c - 1) * (c - 2), (c * n - 1) * (c * n - 2))
 
 
-def _kronecker_goa(ds: DifferenceScheme, b: Design, parts, origin: str | None,
-                   same_sum: GroupedDesign | None = None) -> GroupedDesign:
-    """A (+) B grouped by parts, one (scheme columns js, base columns ws,
-    claimed strength) per group: the group takes the columns j*n + w for j in
-    js and w in ws.  The claims are annotated, and p is measured exactly for
-    the groups claimed below strength 3.  same_sum, an earlier grouping of
-    this A (+) B, lends its array and its whole-array verdict."""
-    if same_sum is None:
-        design, verified_t0 = kronecker_sum(ds, b, origin=origin), None
-    else:
-        design, verified_t0 = same_sum.design, same_sum.verified_t0
-    n = b.cols
+def _kronecker_goa(design: Design, n: int, parts, verified_t0: int | None = None) -> GroupedDesign:
+    """A Kronecker sum A (+) B over an n-column base, grouped by parts, one
+    (scheme columns js, base columns ws, claimed strength) per group: the
+    group takes the columns j*n + w for j in js and w in ws.  The claims are
+    annotated, the whole array's strength read as verified_t0 when another
+    grouping has proven it, and p is measured for groups claimed below 3."""
     groups = [Group([j * n + w for j in js for w in ws], claimed_strength=t)
               for js, ws, t in parts]
     gd = annotate(GroupedDesign(design, groups, claimed_t0=2), verified_t0)
@@ -253,8 +249,8 @@ def construct_prop1(ds: DifferenceScheme, blocks, b: Design) -> GroupedDesign:
         raise BadBlockSizeError("blocks must partition the scheme's columns")
     if annotate(GroupedDesign(b, [], claimed_t0=3)).verified_t0 < 3:
         raise StrengthPrereqError("input design is not of strength 3")
-    return _kronecker_goa(ds, b, [(block, range(b.cols), 3) for block in blocks],
-                          f"prop1(ds={ds.r}x{ds.c}x{ds.s}, b={b.origin})")
+    design = kronecker_sum(ds, b, f"prop1(ds={ds.r}x{ds.c}x{ds.s}, b={b.origin})")
+    return _kronecker_goa(design, b.cols, [(block, range(b.cols), 3) for block in blocks])
 
 
 def grouped_kronecker(ds: DifferenceScheme, blocks, b: Design,
@@ -265,8 +261,8 @@ def grouped_kronecker(ds: DifferenceScheme, blocks, b: Design,
     this generalises construct_prop1 to blocks wider than two columns,
     where groups are only of near strength 3.
     """
-    return _kronecker_goa(
-        ds, b, [(block, range(b.cols), min(2, len(block) * b.cols)) for block in blocks], origin)
+    parts = [(block, range(b.cols), min(2, len(block) * b.cols)) for block in blocks]
+    return _kronecker_goa(kronecker_sum(ds, b, origin), b.cols, parts)
 
 
 @dataclass
@@ -297,14 +293,14 @@ def construct_thm2(ds: DifferenceScheme, b: GroupedDesign) -> Thm2Result:
         if grp.verified_strength < 3:
             raise StrengthPrereqError(f"group {grp.columns} is not of strength 3")
     bounds = [p_bound(ds.c, grp.size) for grp in b.groups]
-    origin = f"thm2(ds={ds.r}x{ds.c}x{ds.s}, b={b.design.origin})"
+    design = kronecker_sum(ds, b.design, f"thm2(ds={ds.r}x{ds.c}x{ds.s}, b={b.design.origin})")
     t = 3 if ds.c <= 2 else 2
-    coarse = _kronecker_goa(ds, b.design,
-                            [(range(ds.c), grp.columns, t) for grp in b.groups], origin)
+    coarse = _kronecker_goa(design, b.design.cols,
+                            [(range(ds.c), grp.columns, t) for grp in b.groups])
     blocks = [range(j, min(j + 2, ds.c)) for j in range(0, ds.c, 2)]
-    nested = _kronecker_goa(ds, b.design, [(block, grp.columns, 3)
-                                           for grp in b.groups for block in blocks], origin,
-                            same_sum=coarse)
+    nested = _kronecker_goa(design, b.design.cols,
+                            [(block, grp.columns, 3) for grp in b.groups for block in blocks],
+                            coarse.verified_t0)
     return Thm2Result(coarse, nested, bounds)
 
 
@@ -321,6 +317,7 @@ def construct_thm1(s: int) -> GroupedDesign:
     w_i = beta^(i-1).
     """
     field = gflib.level_field(s)  # raises NotPrimePowerError
+    gflib.check_cells(f"thm1(s={s})", s**3, s * s + 1)
     cols = [(1, w, int(field.mul_t[w, w])) for w in range(s)] + [(0, 0, 1)]
     groups = [list(range(s + 1))]
     for i in range(1, s):
@@ -343,6 +340,7 @@ def construct_ebert(ext: gflib.ExtField) -> GroupedDesign:
         raise WrongDegreeError(f"need GF(s^4), got degree {ext.k}")
     s = ext.s
     m, g = s * s + 1, s + 1
+    gflib.check_cells(f"ebert(s={s})", ext.order, g * m)
     exps = [i + j * g for i in range(g) for j in range(m)]
     if sorted(exps) != list(range(len(pg_points(ext)))):
         raise AssertionError("cap blocks do not partition PG(3, s)")
@@ -363,12 +361,13 @@ def construct_consecutive(ext: gflib.ExtField, m: int) -> GroupedDesign:
     m - k shifted copies of the primitive polynomial's coefficients.
     """
     if m < 2:
-        raise ValueError("need m >= 2")
+        raise ParameterRangeError(f"need m >= 2, got {m}")
     s, k = ext.s, ext.k
     v = (ext.order - 1) // (s - 1)
     g = v // m
     if g < 1:
         raise TooFewGroupsError(f"group size {m} exceeds the {v} PG points")
+    gflib.check_cells(f"consecutive(s={s},k={k},m={m})", ext.order, g * m)
     gen = generator_from_exponents(ext, range(g * m))
     claimed = strength_from_wlp(group_wlp_for_poly(s, k, ext.h, m))
     groups = [Group(list(range(i * m, (i + 1) * m)), claimed_strength=claimed)

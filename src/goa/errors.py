@@ -21,6 +21,11 @@ class LevelLimitError(GoaError, ValueError):
     """The level count is above the desk-scale bound of a level field."""
 
 
+class ParameterRangeError(GoaError, ValueError):
+    """A numeric parameter, or the size of the array it asks for, lies
+    outside the range the operation accepts."""
+
+
 class FormatMismatchError(GoaError):
     """A seed generator column is no point of PG(k-1, s)."""
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf as gflib
 from .designs import Design, GroupedDesign
-from .errors import GoaError, SingularModelMatrixError, WrongLevelCountError
+from .errors import GoaError, ParameterRangeError, SingularModelMatrixError, WrongLevelCountError
 
 _SQ6 = math.sqrt(6.0)
 _SQ2 = math.sqrt(2.0)
@@ -33,19 +34,28 @@ def _group_columns(gd: GroupedDesign) -> list[list[int]]:
     return [list(range(gd.design.cols))]
 
 
+def _interaction_count(groups) -> int:
+    """4 C(m_i, 2) interaction contrasts for each group of m_i factors."""
+    return sum(2 * len(group) * (len(group) - 1) for group in groups)
+
+
 def model_matrix(design: Design, groups=None, interactions: bool = False) -> np.ndarray:
     """Intercept + (linear, quadratic) per factor, optionally followed by
     the four interaction contrasts (ll, lq, ql, qq) for every factor pair
-    inside a group, each group's pairs in lexicographic order."""
+    inside a group, each group's pairs in lexicographic order.  A matrix
+    above gflib.DESK_CELL_LIMIT cells is refused before it is built."""
     if design.s != 3:
         raise WrongLevelCountError("the simulation model is three-level")
     runs, n = design.matrix.shape
+    groups = groups if groups is not None else [range(n)]
+    gflib.check_cells("model matrix", runs,
+                      1 + 2 * n + (_interaction_count(groups) if interactions else 0))
     lin, quad = contrast_columns(design.matrix)
     blocks = [np.ones((runs, 1)), np.stack([lin, quad], axis=2).reshape(runs, 2 * n)]
     if interactions:
         # np.triu_indices walks a group's pairs in lexicographic order
         pairs = [np.asarray(group, dtype=np.intp)[np.array(np.triu_indices(len(group), 1))]
-                 for group in (groups if groups is not None else [range(n)])]
+                 for group in groups]
         a, b = np.hstack([np.empty((2, 0), dtype=np.intp), *pairs])
         blocks.append(np.stack([lin[:, a] * lin[:, b], lin[:, a] * quad[:, b],
                                 quad[:, a] * lin[:, b], quad[:, a] * quad[:, b]],
@@ -86,6 +96,8 @@ def run_bias_study(designs, sigmas, model: SimModel | None = None) -> list[SimRe
     model = model or SimModel()
     if model.reps < 2:
         raise GoaError(f"the bias study needs at least 2 replicates, got {model.reps}")
+    if model.seed < 0:
+        raise ParameterRangeError(f"the rng seed must be non-negative, got {model.seed}")
     prepared = []
     for label, gd in designs:
         x_full = model_matrix(gd.design, _group_columns(gd), interactions=True)
@@ -140,10 +152,12 @@ class ClarityReport:
 def clarity_check(gd: GroupedDesign) -> ClarityReport:
     """Cross-Gram between all main-effect contrasts and all within-group
     interaction contrasts; zero everywhere means every main effect is clear
-    of every modelled two-factor interaction."""
+    of every modelled two-factor interaction.  A cross-Gram or model matrix
+    above gflib.DESK_CELL_LIMIT cells is refused before either is built."""
     groups = _group_columns(gd)
-    full = model_matrix(gd.design, groups, interactions=True)
     n = gd.design.cols
+    gflib.check_cells("clarity cross-Gram", 2 * n, _interaction_count(groups))
+    full = model_matrix(gd.design, groups, interactions=True)
     n_main = 1 + 2 * n
     mains = full[:, 1:n_main]
     inters = full[:, n_main:]

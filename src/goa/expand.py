@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Design, Group, GroupedDesign, annotate
-from .errors import ShapeMismatchError, StrengthPrereqError
+from .errors import ParameterRangeError, ShapeMismatchError, StrengthPrereqError
 
 
 @dataclass
@@ -44,6 +44,8 @@ def oa_to_lhd(design: Design, seed: int = 0) -> RealDesign:
     up to the parent's strength.  Reported coordinates are the centered
     values (pos + 0.5)/N - 0.5 on [-0.5, 0.5].
     """
+    if seed < 0:
+        raise ParameterRangeError(f"the rng seed must be non-negative, got {seed}")
     n_runs, s = design.runs, design.s
     per, rem = divmod(n_runs, s)
     if rem:

@@ -39,9 +39,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LevelLimitError, NonPrimeError, NotPrimePowerError, NotPrimitiveError
+from .errors import (
+    LevelLimitError,
+    NonPrimeError,
+    NotPrimePowerError,
+    NotPrimitiveError,
+    ParameterRangeError,
+)
 
 DESK_ORDER_LIMIT = 10**6
+DESK_CELL_LIMIT = 2**27  # largest array, runs x columns, that goa builds
 LEVEL_ORDER_LIMIT = 97  # largest level count s; level_field builds s x s tables
 # companion-matrix cells per block of candidates in find_primitive_polys
 _PRIMITIVE_CELLS = 1 << 14
@@ -153,14 +160,23 @@ def _lift(gf: GF, m: np.ndarray) -> np.ndarray:
     return np.moveaxis(gf.mat[m], -1, -3).reshape(*batch, r * gf.j, c * gf.j)
 
 
-def _check_order(s: int, k: int) -> GF:
-    """The level field of s, once GF(s^k) is known to be of desk scale."""
+def check_order(s: int, k: int) -> GF:
+    """The level field of s, once GF(s^k) is known to be of desk scale.
+    Since s >= 2, a k of DESK_ORDER_LIMIT's bit length or more is refused
+    before s^k is computed."""
     gf = level_field(s)
     if k < 1:
-        raise ValueError("extension degree must be >= 1")
-    if s**k > DESK_ORDER_LIMIT:
-        raise ValueError(f"field order {s**k} above desk-scale limit")
+        raise ParameterRangeError(f"extension degree must be >= 1, got {k}")
+    if k >= DESK_ORDER_LIMIT.bit_length() or s**k > DESK_ORDER_LIMIT:
+        raise ParameterRangeError(f"field order {s}^{k} above desk-scale limit")
     return gf
+
+
+def check_cells(what: str, runs: int, cols: int) -> None:
+    """Refuse, before it is built, an array of more than DESK_CELL_LIMIT cells."""
+    if runs * cols > DESK_CELL_LIMIT:
+        raise ParameterRangeError(f"{what}: {runs} x {cols} cells, above the desk-scale "
+                                  f"limit of {DESK_CELL_LIMIT}")
 
 
 def _companion(gf: GF, coeffs: np.ndarray) -> np.ndarray:
@@ -205,7 +221,7 @@ class ExtField:
     """
 
     def __init__(self, s: int, k: int, h):
-        gf = _check_order(s, k)
+        gf = check_order(s, k)
         if not isinstance(h, Poly):
             h = Poly(s, tuple(h))
         if h.s != s or h.degree != k or h.coeffs[-1] != 1:
@@ -250,7 +266,7 @@ def find_primitive_polys(s: int, k: int) -> tuple[Poly, ...]:
     lexicographic by (b_{k-1}, ..., b_0); _primitive tests them in blocks
     and no field is built.
     """
-    gf = _check_order(s, k)
+    gf = check_order(s, k)
     block = max(1, _PRIMITIVE_CELLS // (k * gf.j) ** 2)
     digits = s ** np.arange(k)
     found = []

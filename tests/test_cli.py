@@ -579,7 +579,7 @@ class TestExpandEval:
         assert "nan" not in captured.out
         assert not (workdir / "b.csv").exists()
 
-    @pytest.mark.parametrize("sigma", ["x", "", "1,,5"])
+    @pytest.mark.parametrize("sigma", ["x", "", "1,,5", "nan", "inf", "1,-inf"])
     def test_eval_bias_refuses_a_bad_sigma(self, workdir, capsys, sigma):
         main(["construct", "thm1", "--s", "3", "--out", "t.json"])
         capsys.readouterr()
@@ -739,6 +739,45 @@ class TestCliEdgeCases:
     def test_level_count_above_bound_exits_2(self, workdir, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: level count 101 above desk-scale bound 97\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "thm1", "--s", "97", "--out", "o.json"],
+        ["construct", "ebert", "--s", "31", "--out", "o.json"],
+        ["construct", "consecutive", "--s", "2", "--k", "16", "--m", "17", "--out", "o.json"],
+        ["construct", "consecutive", "--s", "2", "--k", "0", "--m", "5", "--out", "o.json"],
+        ["construct", "consecutive", "--s", "2", "--k", "4", "--m", "1", "--out", "o.json"],
+        ["eval", "clarity", "--design", "wide.csv", "--s", "3"],
+        ["eval", "bias", "--design", "t.json", "--sigma", "nan", "--out", "o.csv"],
+        ["eval", "bias", "--design", "t.json", "--rng-seed", "-1", "--out", "o.csv"],
+        ["expand", "lhd", "--design", "t.json", "--rng-seed", "-1", "--out", "o.json"],
+    ], ids=["thm1-s97", "ebert-s31", "consecutive-k16-m17", "consecutive-k0",
+            "consecutive-m1", "clarity-ungrouped", "sigma-nan", "bias-seed", "lhd-seed"])
+    def test_refused_before_any_work(self, workdir, capsys, catalog_dir, argv):
+        # a size past gflib.DESK_CELL_LIMIT or a number out of range is one
+        # goa error from main, before a polynomial is enumerated or an array built
+        main(["construct", "thm1", "--s", "3", "--out", "t.json"])
+        wide = io.load_json(catalog_dir / "survey-s3-k6-m7.json").design
+        io.save_csv(wide, workdir / "wide.csv")  # 729 x 364, read ungrouped
+        before = sorted(workdir.iterdir())
+        capsys.readouterr()
+        refuse = mock.Mock(side_effect=AssertionError("enumerated or built a field"))
+        start = time.perf_counter()
+        with mock.patch.object(gf, "find_primitive_polys", refuse), \
+                mock.patch.object(cli, "rank_primitive_polys", refuse), \
+                mock.patch.object(gf, "ext_field", refuse):
+            code = main(argv)
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(workdir.iterdir()) == before
+
+    def test_grouped_wide_design_passes_clarity(self, catalog_dir, capsys):
+        # the same 729 x 364 matrix in 52 groups of 7: 729 x 5,097 model cells
+        assert main(["eval", "clarity", "--design",
+                     str(catalog_dir / "survey-s3-k6-m7.json")]) == 0
+        assert capsys.readouterr().out.startswith(
+            "main-effect columns: 728; interaction columns: 4368\n")
 
     def test_search_rejects_negative_rng_seed(self, workdir):
         proc = run_goa("search", "alg42", "--builtin", "oa16-5-ma", "--restarts", "5",

@@ -14,6 +14,7 @@ from goa.errors import (
     DegenerateSizeError,
     LevelMismatchError,
     NotPrimePowerError,
+    ParameterRangeError,
     SearchExhaustedError,
     StrengthPrereqError,
     TooFewGroupsError,
@@ -346,6 +347,44 @@ class TestKroneckerGrouping:
                     assert grp.p is None
         assert [g.claimed_strength for g in wide.groups + thm2.grouped.groups] == [2] * 5
         assert np.array_equal(thm2.grouped.design.matrix, thm2.nested.design.matrix)
+
+    def test_one_sum_per_construction(self, ebert3, oa_27_4_3_3):
+        # each construction builds its A (+) B once; thm2's groupings share it
+        ds = cx.ds_catalog(3, 3, 3)
+        for build in (lambda: cx.construct_prop1(ds, [[0], [1, 2]], oa_27_4_3_3),
+                      lambda: cx.grouped_kronecker(ds, [[0, 1, 2]], oa_27_4_3_3),
+                      lambda: cx.construct_thm2(ds, ebert3)):
+            with mock.patch.object(cx, "kronecker_sum", wraps=cx.kronecker_sum) as kron:
+                built = build()
+            assert kron.call_count == 1
+        assert built.grouped.design is built.nested.design
+
+
+class TestDeskLimit:
+    """Sizes past gf.DESK_CELL_LIMIT are refused from their shape, unbuilt."""
+
+    @pytest.mark.parametrize("build,args", [
+        (cx.construct_thm1, lambda: [97]),
+        (cx.construct_consecutive,  # h = x^16 + x^12 + x^3 + x + 1
+         lambda: [gf.ext_field(2, 16, gf.Poly.parse("1,0,0,0,1,0,0,0,0,0,0,0,0,1,0,1,1", 2)),
+                  17]),
+        (cx.kronecker_sum, lambda: [cx.DifferenceScheme(97, np.zeros((97, 97))),
+                                    dz.Design(97, np.zeros((200, 200), dtype=np.int64))]),
+    ], ids=["thm1-s97", "consecutive-k16-m17", "kronecker-sum"])
+    def test_refused_unbuilt(self, build, args):
+        args = args()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterRangeError, match="desk-scale limit"):
+                build(*args)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_consecutive_needs_two_columns_a_group(self):
+        ext = gf.ext_field(2, 4, gf.find_primitive_polys(2, 4)[0])
+        with pytest.raises(ParameterRangeError, match="need m >= 2, got 1"):
+            cx.construct_consecutive(ext, 1)
 
 
 class TestConsecutive:

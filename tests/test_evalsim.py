@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from goa import constructions as cx
 from goa import designs as dz
 from goa import evalsim as ev
-from goa.errors import GoaError, WrongLevelCountError
+from goa.errors import GoaError, ParameterRangeError, WrongLevelCountError
 
 from conftest import oracle_clarity_check, oracle_ma_regular_oa, oracle_model_matrix
 
@@ -112,6 +113,22 @@ class TestClarity:
         d = dz.expand_generator(dz.GeneratorMatrix(3, np.eye(3, dtype=int)))
         gd = dz.GroupedDesign(d, [dz.Group([0, 1, 2], claimed_strength=3)])
         assert ev.clarity_check(gd).max_abs <= 1e-12
+
+    @pytest.mark.parametrize("runs,what", [(3, "clarity cross-Gram"), (729, "model matrix")])
+    def test_wide_ungrouped_design_refused_unbuilt(self, runs, what):
+        # 364 columns in one group: 264,264 interaction contrasts, so the
+        # cross-Gram is 728 x 264,264 cells and the model 729 x 264,993
+        gd = dz.GroupedDesign(dz.Design(3, np.zeros((runs, 364), dtype=np.int64)), [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterRangeError, match=what):
+                if what == "model matrix":
+                    ev.model_matrix(gd.design, None, interactions=True)
+                else:
+                    ev.clarity_check(gd)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
 
 class TestBiasStudy:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from goa import constructions, designs, gf, search
-from goa.errors import NotPrimePowerError, NotPrimitiveError
+from goa.errors import NotPrimePowerError, NotPrimitiveError, ParameterRangeError
 
 from conftest import oracle_ext_field_walk, oracle_mat_mul, oracle_row_reduce, oracle_span
 
@@ -229,6 +229,12 @@ class TestLevelField:
             gf.find_primitive_polys(101, 1)
         with pytest.raises(ValueError):
             gf.ext_field(101, 1, (99, 1))
+
+    @pytest.mark.parametrize("k", [0, 20, 10**12], ids=["k0", "k20", "k1e12"])
+    def test_order_refused_before_it_is_computed(self, k):
+        # 2^20 is past DESK_ORDER_LIMIT, so no k of 20 or more computes s^k
+        with pytest.raises(ParameterRangeError):
+            gf.find_primitive_polys(2, k)
 
     @pytest.mark.parametrize("module", [designs, constructions, search])
     def test_no_caller_picks_the_labelling(self, module):
