@@ -128,8 +128,9 @@ class GF:
     vec[a] holds the GF(p) coordinates of label a and lab[code(p, x)] is
     the label of the vector x.  mat[a] is the j x j matrix over GF(p) of
     multiplication by a, so vec[a*b] = mat[a] @ vec[b] mod p.  The add_t,
-    neg_t and inv_t tables are derived from vec and mul_t (inv_t[0] is 0);
-    callers index them with ints or numpy arrays of labels.
+    neg_t, negmul_t (negmul_t[a, b] = -(a b)) and inv_t tables are derived
+    from vec and mul_t (inv_t[0] is 0), none larger than s x s; callers
+    index them with ints or numpy arrays of labels.
     """
 
     def __init__(self, p: int, vec: np.ndarray, mul_table: np.ndarray):
@@ -141,6 +142,7 @@ class GF:
         self.add_t = self.lab[code(p, (vec[:, None] + vec[None, :]) % p)]
         self.neg_t = self.lab[code(p, -vec % p)]
         self.mul_t = mul_table
+        self.negmul_t = self.neg_t[mul_table]
         # column c of mat[a] is vec[a * beta^c]; beta^c has label c + 1
         self.mat = vec[mul_table[:, 1:j + 1]].transpose(0, 2, 1)
         hits = mul_table[1:] == 1
@@ -301,8 +303,10 @@ def level_field(s: int) -> GF:
 # ---------------------------------------------------------------------------
 # Linear algebra over a GF table
 #
-# One Gauss-Jordan loop, _eliminate, serves a matrix and a stack of them:
-# row_reduce runs it on a stack of one, mat_rank on a (..., rows, cols) stack.
+# One elimination loop, _eliminate, serves a matrix and a stack of them:
+# row_reduce runs it to the reduced form on a stack of one, mat_rank to a
+# row echelon form on a (..., rows, cols) stack.  Each clearing step is two
+# flat takes, one in negmul_t and one in add_t, over the whole stack.
 
 
 def _eliminate(gf: GF, r: np.ndarray, rank_only: bool = False) -> np.ndarray:
@@ -310,24 +314,30 @@ def _eliminate(gf: GF, r: np.ndarray, rank_only: bool = False) -> np.ndarray:
 
     Row by row: the pivot of row i is its first nonzero entry once the
     earlier pivot rows have been cleared out of it.  The row is scaled to a
-    leading 1 and its column cleared from every other row, as gathers in
-    mul_t and add_t against the negated row, for all B matrices in one step.
-    A zero row has pivot entry 0, so inv_t scales it to zero and it clears
-    nothing.  The result's nonzero rows are the pivot rows, each with its
-    pivot as its leading entry; the input is not written to.
+    leading 1 and its column cleared from every other row, x -> x + (-(a b))
+    for pivot-column entry a and pivot-row entry b, as flat takes in
+    negmul_t and add_t for all B matrices in one step.  A zero row has
+    pivot entry 0, so inv_t scales it to zero and it clears nothing.  The
+    result's nonzero rows are the pivot rows, each with its pivot as its
+    leading entry; the input is not written to.
 
-    rank_only skips the last row's step: it only scales that row and clears
-    its pivot column from rows that each keep their own leading 1, so it
-    does not change which rows end nonzero.
+    rank_only stops at a row echelon form: the pivot column is cleared only
+    from the rows below the pivot row, which is all a later pivot reads, and
+    the last row, with no rows below it, takes no step.  The nonzero rows
+    then have distinct pivots, each zero in the rows after it, so they are
+    independent and still number the rank.
     """
-    at = np.arange(len(r))
-    for i in range(r.shape[1] - rank_only if r.shape[2] else 0):  # no columns, no pivots
-        row = r[:, i]
-        c = (row != 0).argmax(axis=1)
-        row = gf.mul_t[gf.inv_t[row[at, c, None]], row]
-        r = gf.add_t[r, gf.mul_t[r[at, :, c, None], gf.neg_t[row[:, None]]]]
-        r[:, i] = row  # row i cleared itself to zero above
-    return r
+    s, at = gf.s, np.arange(len(r))
+    r = r.transpose(1, 2, 0).copy()  # the batch axis last, for long inner loops
+    for i in range(r.shape[0] - rank_only if r.shape[1] else 0):  # no columns, no pivots
+        row = r[i]
+        c = (row != 0).argmax(axis=0)
+        row = gf.mul_t.take(gf.inv_t[row[c, at]] * s + row)
+        rest = r[i + 1:] if rank_only else r
+        step = gf.negmul_t.take(rest[:, c, at][:, None] * s + row)
+        rest[...] = gf.add_t.take(rest * s + step)
+        r[i] = row  # row i cleared itself to zero above
+    return r.transpose(2, 0, 1)
 
 
 def row_reduce(gf: GF, m) -> tuple[np.ndarray, list[int]]:
@@ -352,8 +362,8 @@ def mat_rank(gf: GF, m) -> int | np.ndarray:
     a (..., rows, cols) stack (an int array of the batch shape).
 
     Row rank equals column rank, so matrices taller than wide are reduced
-    as their transposes and _eliminate steps through all but the last of
-    min(rows, cols) rows; the rank is the number of nonzero rows it leaves.
+    as their transposes, and _eliminate takes each stack to a row echelon
+    form; the rank is the number of nonzero rows it leaves.
     Raises ValueError when m has fewer than 2 axes.
     """
     m = np.asarray(m, dtype=np.int64)

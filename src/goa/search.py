@@ -148,19 +148,22 @@ def _best_restart(gen: GeneratorMatrix, cfg: SearchConfig,
         hg = gflib.mat_mul(field, h_mats.reshape(-1, k), gen.matrix).reshape(n, k, -1)
         exps = logs[which[:, None], gflib.code(s, hg.transpose(0, 2, 1))] % v
         pairs = (exps[:, :, None] - exps[:, None, :]).reshape(n, -1) % v
-        diffs = np.zeros((n, v), dtype=bool)
-        diffs[np.arange(n)[:, None], pairs] = True
-        wrapped = np.tile(diffs, 2)  # wrapped[:, v-j:2v-j] is diffs shifted by j
+        diffs = np.zeros((v, n), dtype=bool)
+        diffs[pairs, np.arange(n)[:, None]] = True
+        # bit r % 64 of word r // 64 in each row is restart r; pad bits are never blocked
+        diffs = np.packbits(diffs, axis=1, bitorder="little")
+        diffs = np.pad(diffs, ((0, 0), (0, -n % 64 // 8))).view("<u8")
         blocked = np.zeros_like(diffs)
-        kept = np.zeros_like(diffs)
+        kept = np.empty_like(diffs)
         for j in range(v):
-            kept[:, j] = keep = ~blocked[:, j]
-            blocked |= wrapped[:, v - j:2 * v - j] & keep[:, None]
-        g = kept.sum(axis=1)
+            kept[j] = keep = ~blocked[j]
+            blocked[j + 1:] |= diffs[1:v - j] & keep  # only shifts after j read blocked again
+        kept = np.unpackbits(kept.view(np.uint8), axis=1, count=n, bitorder="little")
+        g = kept.sum(axis=0)
         r = int(np.argmax(g))
         if best is None or g[r] > best[0]:
             base = exps[r].tolist()
-            groups = [tuple((e + j) % v for e in base) for j in np.flatnonzero(kept[r]).tolist()]
+            groups = [tuple((e + j) % v for e in base) for j in np.flatnonzero(kept[:, r]).tolist()]
             best = (int(g[r]), int(which[r]), groups)
     return best
 
@@ -172,13 +175,19 @@ def _chunking(s: int, k: int) -> tuple[int, int]:
     1 - prod_i (1 - s^-i); the attempts leave at most _REDRAW_SHARE of
     restarts without a non-singular one.  A restart holds about 24 bytes
     per 32-bit word drawn (the word, its Lemire product and mask, the cell
-    kept), 32 per cell of the H whose rank is taken (the gathered attempt
-    and the elimination's stacks) and 6 per shift.
+    kept), 46 per cell of H and 3 per shift.  A rank call stacks
+    ceil(chunk / open) attempts of each open restart at 32 bytes a cell
+    (the gathered attempt and the elimination's stacks): one per restart
+    at first, then q ceil(1/q) per restart with a share q of restarts
+    still open, about 1.4 at most (over GF(2), where q is about 0.7; 1.3
+    over GF(3), where q is about 0.44).  The sweep holds the
+    difference rows and kept as bytes, and its packed words at an eighth
+    of a byte each.
     """
     singular = 1 - np.prod(1 - float(s) ** -np.arange(1, k + 1))
     attempts = max(1, int(np.ceil(np.log(_REDRAW_SHARE) / np.log(singular))))
     v = (s**k - 1) // (s - 1)
-    return attempts, max(1, _CHUNK_BYTES // (24 * (2 + attempts * k * k) + 32 * k * k + 6 * v))
+    return attempts, max(1, _CHUNK_BYTES // (24 * (2 + attempts * k * k) + 46 * k * k + 3 * v))
 
 
 def _draw_restarts(field: gflib.GF, k: int, polys: int,
@@ -188,10 +197,12 @@ def _draw_restarts(field: gflib.GF, k: int, polys: int,
     A restart's first word block holds the index and `attempts` H draws.
     The cell words Lemire's rule keeps after the index word are gathered
     at one cumsum offset per restart, and attempt a is kept cells
-    a k^2, ..., (a + 1) k^2 - 1.  Attempt a of the restarts still open is
-    kept iff gf.mat_rank of their stack of k x k matrices is k.  A restart
-    whose attempts are all singular draws a block twice as long and tests
-    the attempts it adds.
+    a k^2, ..., (a + 1) k^2 - 1.  Each gf.mat_rank call tests the next
+    ceil(len(seeds) / open) attempts of every restart still open, so it
+    holds about a chunk of k x k matrices, and a restart keeps its first
+    attempt of rank k in stream order; later attempts tested in the same
+    call are dropped.  A restart whose attempts are all singular draws a
+    block twice as long and tests the attempts it adds.
     The 32-bit halves are read low half first, as numpy's PCG64 hands
     them to Generator.integers.
     """
@@ -213,17 +224,21 @@ def _draw_restarts(field: gflib.GF, k: int, polys: int,
         ok &= np.arange(u.shape[1]) >= start[:, None]
         count = ok.sum(axis=1)
         flat, offset = value[ok], np.cumsum(count) - count
-        del value, ok
+        del u, value, ok  # free the block before the rank calls' stacks
+        drawn = np.minimum(count // cells, attempts)
+        done = tested[todo]
         open_ = np.ones(len(todo), dtype=bool)
-        for a in range(int(tested[todo].min()), min(attempts, int(count.max()) // cells)):
-            test = np.flatnonzero(open_ & (count >= (a + 1) * cells) & (tested[todo] <= a))
-            h = flat[offset[test, None] + a * cells + np.arange(cells)]
-            ok = gflib.mat_rank(field, h.reshape(-1, k, k)) == k
-            h_mats[todo[test[ok]]] = h[ok]
-            open_[test[ok]] = False
-            if not open_.any():
-                break
-        tested[todo] = np.minimum(count // cells, attempts)
+        while len(test := np.flatnonzero(open_ & (done < drawn))):
+            b = np.minimum(-(-len(seeds) // open_.sum()), drawn[test] - done[test])
+            of = np.repeat(test, b)  # the restart of each attempt tested, in stream order
+            a = done[of] + np.arange(len(of)) - np.repeat(np.cumsum(b) - b, b)
+            h = flat[offset[of, None] + a[:, None] * cells + np.arange(cells)]
+            ok = np.flatnonzero(gflib.mat_rank(field, h.reshape(-1, k, k)) == k)
+            first = ok[np.diff(of[ok], prepend=-1) != 0]  # each restart's first non-singular H
+            h_mats[todo[of[first]]] = h[first]
+            open_[of[first]] = False
+            done[test] += b
+        tested[todo] = drawn
         todo = todo[open_]
         attempts *= 2
     return which, h_mats.reshape(-1, k, k)

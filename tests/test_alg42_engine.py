@@ -74,6 +74,42 @@ def rejected(n: int) -> list[int]:
             if (j << 32 | d) % n == 0]
 
 
+def per_attempt_draw(field: gf.GF, k: int, polys: int, seeds, attempts: int):
+    """(polynomial index, H) of each seeded restart, with one rank call per
+    attempt index over the restarts still open: the reference for
+    _draw_restarts, whose rank calls take several attempts of a restart."""
+    s, cells = field.s, k * k
+    which = np.zeros(len(seeds), dtype=np.int64)
+    h_mats = np.empty((len(seeds), cells), dtype=np.int64)
+    todo = np.arange(len(seeds))
+    tested = np.zeros(len(seeds), dtype=np.int64)
+    while len(todo):
+        u = sx._stream_words([seeds[i] for i in todo], (2 + attempts * cells) // 2).view("<u4")
+        start = np.zeros(len(todo), dtype=np.int64)
+        if polys > 1:
+            value, ok = sx._bounded(u, polys)
+            first = ok.argmax(axis=1)
+            which[todo] = value[np.arange(len(todo)), first]
+            start = np.where(ok.any(axis=1), first + 1, u.shape[1])
+        value, ok = sx._bounded(u, s)
+        ok &= np.arange(u.shape[1]) >= start[:, None]
+        count = ok.sum(axis=1)
+        flat, offset = value[ok], np.cumsum(count) - count
+        open_ = np.ones(len(todo), dtype=bool)
+        for a in range(int(tested[todo].min()), min(attempts, int(count.max()) // cells)):
+            test = np.flatnonzero(open_ & (count >= (a + 1) * cells) & (tested[todo] <= a))
+            h = flat[offset[test, None] + a * cells + np.arange(cells)]
+            ok = gf.mat_rank(field, h.reshape(-1, k, k)) == k
+            h_mats[todo[test[ok]]] = h[ok]
+            open_[test[ok]] = False
+            if not open_.any():
+                break
+        tested[todo] = np.minimum(count // cells, attempts)
+        todo = todo[open_]
+        attempts *= 2
+    return which, h_mats.reshape(-1, k, k)
+
+
 def assert_same_file(gen: dz.GeneratorMatrix, cfg: sx.SearchConfig):
     got = serialize.dumps(sx.algorithm_42(gen, cfg))
     with mock.patch.object(sx, "_best_restart", oracle_best_restart):
@@ -88,6 +124,44 @@ def test_winner_at_chunk_boundary(name, offset):
     cfg = sx.SearchConfig(restarts=chunk_size(gen) + offset, seed=3)
     exts = all_exts(gen)
     assert sx._best_restart(gen, cfg, exts) == oracle_best_restart(gen, cfg, exts)
+
+
+@pytest.mark.parametrize("name", ["oa16-5-ma", "oa243-6-ma"])
+@pytest.mark.parametrize("restarts", [1, 63, 64, 65, "chunk + 1"])
+def test_winner_at_word_boundary(name, restarts):
+    # the sweep packs 64 restarts to a word: a chunk of 63, 64 or 65 fills
+    # a word but for one bit, exactly, or spills one bit into a second
+    gen = SEEDS[name]
+    if restarts == "chunk + 1":
+        restarts = chunk_size(gen) + 1
+    cfg = sx.SearchConfig(restarts=restarts, seed=11)
+    exts = all_exts(gen)
+    assert sx._best_restart(gen, cfg, exts) == oracle_best_restart(gen, cfg, exts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_draw_batches_rank_calls(seed):
+    # one full chunk of oa16-5-ma, where each H is singular with probability
+    # 0.69: a handful of rank calls, each holding about a chunk of attempts,
+    # and the same draw as one rank call per attempt index
+    gen = SEEDS["oa16-5-ma"]
+    field = gf.level_field(gen.s)
+    polys = len(gf.find_primitive_polys(gen.s, gen.k))
+    attempts, size = sx._chunking(gen.s, gen.k)
+    seeds = sx._pcg_seeds(seed, range(size))
+    calls = []
+    rank = gf.mat_rank
+
+    def counted(f, m):
+        calls.append(len(m))
+        return rank(f, m)
+
+    with mock.patch.object(sx.gflib, "mat_rank", counted):
+        which, h_mats = sx._draw_restarts(field, gen.k, polys, seeds, attempts)
+    assert len(calls) <= 8
+    want_which, want_h = per_attempt_draw(field, gen.k, polys, seeds, attempts)
+    assert np.array_equal(which, want_which)
+    assert np.array_equal(h_mats, want_h)
 
 
 @pytest.mark.parametrize("name", sorted(SEEDS))
@@ -108,7 +182,8 @@ def test_same_file_past_first_chunk(name):
 @pytest.mark.parametrize("kib", [1, 64])
 @pytest.mark.parametrize("name", sorted(SEEDS))
 def test_small_chunk_caps(name, kib):
-    # 1 KiB holds one restart of each seed (two of s5), 64 KiB from 16 (oa243-6-ma) to 162 (s5)
+    # 1 KiB holds one restart of each seed (two of s5), 64 KiB from 16 (oa16-5-ma, oa243-6-ma)
+    # to 148 (s5)
     gen = SEEDS[name]
     cfg = sx.SearchConfig(restarts=40, seed=1)
     exts = all_exts(gen)

@@ -443,10 +443,10 @@ class TestRowReduceOracle:
             rank = gf.mat_rank(f, m)
             assert type(rank) is int and one.tolist() == [rank]
 
-    @pytest.mark.parametrize("s", [2, 3, 4, 8, 9])
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 8, 9, 16, 27, 97])
     def test_square_stack_ranks_match_oracle(self, s):
-        # alg42's shape: stacks of small square matrices, where the last
-        # row's elimination step, which mat_rank skips, is much of the work
+        # alg42's shape: stacks of small square matrices, which mat_rank
+        # takes only to a row echelon form
         f = gf.level_field(s)
         rng = np.random.default_rng(s)
         for k in range(1, 6):
@@ -455,6 +455,13 @@ class TestRowReduceOracle:
             stack[1::7, :, -1] = 0  # a zero column
             want = [len(oracle_row_reduce(f, m)[1]) for m in stack]
             assert gf.mat_rank(f, stack).tolist() == want
+
+    def test_tables_hold_at_most_s_squared_cells(self):
+        # the elimination reads -(a b) from an s x s table, not x - a b from an s^3 one
+        f = gf.level_field(97)
+        tables = {name: a.size for name, a in vars(f).items() if isinstance(a, np.ndarray)}
+        assert "negmul_t" in tables
+        assert max(tables.values()) <= 97**2
 
     # the 3-d case of mat_rank is a stack: test_stack_ranks_match_oracle
     @pytest.mark.parametrize("fn, m", [
