@@ -21,6 +21,7 @@ from . import serialize
 from .designs import (
     GeneratorMatrix,
     GroupedDesign,
+    Reading,
     claims_ok,
     p_of_d,
     read_subjects,
@@ -168,14 +169,16 @@ def _verdict(gd: GroupedDesign) -> int:
     return EXIT_CLAIM
 
 
-def _group_p(gd: GroupedDesign, grp) -> Fraction | int | None:
+def _group_p(gd: GroupedDesign, grp, reading: Reading | None = None) -> Fraction | int | None:
     """A checked group's p: the stored value, 1 once strength 3 is verified,
-    else measured; None for a group of fewer than three columns."""
+    else measured from reading, the group's reading when the caller holds
+    one (VerifyReport.readings); None for a group of fewer than three
+    columns."""
     if grp.p is not None:
         return grp.p
     if grp.verified_strength >= 3:
         return 1
-    return p_of_d(gd.design, grp.columns) if grp.size >= 3 else None
+    return p_of_d(gd.design, grp.columns, reading) if grp.size >= 3 else None
 
 
 def cmd_verify(args) -> int:
@@ -184,11 +187,11 @@ def cmd_verify(args) -> int:
     for line in report.lines():
         print(line)
     if report.ok:
-        for idx, grp in enumerate(gd.groups):
+        for idx, (grp, reading) in enumerate(zip(gd.groups, report.readings)):
             line = [f"group {idx + 1}: {grp.size} cols, verified strength {grp.verified_strength}"]
             if grp.wlp is not None:
                 line.append(f"wlp {tuple(grp.wlp)}")
-            p = _group_p(gd, grp)
+            p = _group_p(gd, grp, reading)
             if p is not None:
                 line.append(f"p {p}")
             print(", ".join(line))

@@ -267,8 +267,10 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     Linear test.  Sorted, the s^r vectors sum_i c_i b_i of a space with
     RREF basis b_1..b_r come in the order of (c_1, ..., c_r): the entries
     before the pivot of b_i depend on c_1..c_(i-1) alone, and the pivot
-    entry is c_i.  So one sort of each subject's rows, as byte-string keys,
-    decides it: the distinct rows must number c = s^r, begin exactly at
+    entry is c_i.  So one sort of each subject's rows decides it, keyed by
+    each row's base-s integer code, first column most significant, while
+    s^M < 2^63, and by its bytes above (_row_keys): both orders are that
+    of the digits.  The distinct rows must number c = s^r, begin exactly at
     the multiples of N/c (equal multiplicities), and be the span of the
     distinct rows s^(r-1), ..., s, 1 in the order of its coefficient
     tuples.  That equality also proves those r rows independent, and makes
@@ -286,7 +288,8 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     (j + 1) K_{j+1}(i) = ((s - 1)(m - j) + j - s i) K_j(i)
     - (s - 1)(m - j + 1) K_{j-1}(i), in exact integers over the weights
     that occur, with each subject's own m, reads every pattern: O(M t) per
-    subject.
+    subject.  It runs in int64 where a bound shows that no value it forms
+    can overflow (_krawtchouk_fits), else in Python ints.
     """
     cols = [list(c) for c in subjects]
     count, n = len(cols), len(matrix)
@@ -317,11 +320,13 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     weights += (width + 1) * np.arange(len(found))
     hist = np.bincount(weights.ravel(), minlength=len(found) * (width + 1)).reshape(-1, width + 1)
     present = np.flatnonzero(hist.any(axis=0))
-    counts = hist[:, present].astype(object)
-    i = present.astype(object)
-    mo = m.astype(object)[:, None]
+    steps = int(t.max(initial=0))
+    exact = np.int64 if _krawtchouk_fits(s, n, int(m.max(initial=0)), steps) else object
+    counts = hist[:, present].astype(exact)
+    i = present.astype(exact)
+    mo = m.astype(exact)[:, None]
     prev, cur = np.zeros_like(counts), np.ones_like(counts)  # K_{-1}, K_0
-    sums = np.zeros((len(found), int(t.max(initial=0))), dtype=object)
+    sums = np.zeros((len(found), steps), dtype=exact)
     for j in range(sums.shape[1]):
         prev, cur = cur, (((s - 1) * (mo - j) + j - s * i) * cur
                           - (s - 1) * (mo - j + 1) * prev) // (j + 1)
@@ -335,31 +340,59 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     return out
 
 
+def _krawtchouk_fits(s: int, n: int, m: int, steps: int) -> bool:
+    """Whether the Krawtchouk pass of read_subjects runs in int64: every
+    product and sum it forms is at most s m (s - 1)^j C(m, j) N for some
+    j <= steps, m the widest subject, since |K_j(i)| <= (s - 1)^j C(m, j)
+    and each recurrence coefficient is at most s m; below 2^62 that leaves
+    room for the sum of the recurrence's two terms.  (s - 1)^j C(m, j)
+    grows while (s - 1)(m - j + 1) >= j, so over j <= steps it is largest
+    at j = min(steps, (s - 1)(m + 1) // s), which is at most m."""
+    j = min(steps, (s - 1) * (m + 1) // s)
+    return s * m * (s - 1) ** j * math.comb(m, j) * n < 1 << 62
+
+
+def _row_keys(stack: np.ndarray, s: int) -> np.ndarray:
+    """(G, N) sort keys of the rows of the (N, G, M) stack, in the order of
+    their digits, first column first: each row's base-s integer code while
+    s^M < 2^63, else its M bytes as one np.void."""
+    width = stack.shape[2]
+    if s**width < 1 << 63:
+        return np.einsum("ngm,m->gn", stack, s ** np.arange(width - 1, -1, -1, dtype=np.int64))
+    return np.ascontiguousarray(stack.transpose(1, 0, 2)).view(np.dtype((np.void, width)))[..., 0]
+
+
 def _span_test(field: gflib.GF, stack: np.ndarray,
                widths: np.ndarray) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """Which subjects of the (N, G, M) stack have linear rows (see
-    read_subjects), and the RREF basis of each that has, else None.  Each
-    subject's rows are sorted in place."""
+    read_subjects), and the RREF basis of each that has, else None.  The
+    stack is left as it is: each subject's rows are ordered by argsort of
+    their keys (_row_keys), and only the s^r sampled distinct rows are
+    gathered from it."""
     s = field.s
     n, count, width = stack.shape
     bases: list[np.ndarray | None] = [None] * count
-    keys = stack.view(np.dtype((np.void, width)))[..., 0]
-    keys.sort(axis=0)
-    new = np.ones((n, count), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    distinct = new.sum(axis=0)
+    keys = _row_keys(stack, s)
+    order = np.argsort(keys, axis=1)
+    keys = np.take_along_axis(keys, order, axis=1)
+    new = np.ones((count, n), dtype=bool)
+    new[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    distinct = new.sum(axis=1)
     rank, power = np.zeros_like(distinct), np.ones_like(distinct)
     while (below := power < distinct).any():
         rank += below
         power[below] *= s
-    step = n // distinct  # distinct row i of subject g is row i * step[g]
+    step = n // distinct  # distinct row i of subject g is sorted row i * step[g]
     ok = ((power == distinct) & (n % distinct == 0)
-          & (new == (np.arange(n)[:, None] % step == 0)).all(axis=0))
-    add = field.add_t.ravel()  # add_t[x, y] is add[x * s + y]
+          & (new == (np.arange(n) % step[:, None] == 0)).all(axis=1))
+    add, mul = field.add_t.ravel(), field.mul_t.ravel()  # add_t[x, y] is add[x * s + y]
     for r in sorted(set(rank[ok].tolist())):
         members = np.flatnonzero(ok & (rank == r))
-        rows = stack[::n // s**r]  # (s^r, G, M): distinct row a of subject g is rows[a, g]
-        live = members[~rows[0, members].any(axis=1)]
+        # (s^r, G', M): distinct row a of subject live[g] is rows[a, g]
+        rows = stack.reshape(-1, width).take(order[members, ::n // s**r].T * count + members,
+                                             axis=0)
+        zero = ~rows[0].any(axis=1)
+        live, rows = members[zero], rows[:, zero]
         for q, digits, rest in _doubling_steps(s, r, max(1, _CHUNK_CELLS // width)):
             if not len(live):
                 break
@@ -367,15 +400,16 @@ def _span_test(field: gflib.GF, stack: np.ndarray,
             per = max(1, _CHUNK_CELLS // ((run.stop - run.start) * width))
             keep = np.ones(len(live), dtype=bool)
             for lo in range(0, len(live), per):
-                g = live[lo:lo + per]
-                shift = field.mul_t[digits[:, None, None, None], rows[q, g]] * s
-                got = add.take(shift + rows[rest, g]).reshape(-1, len(g), width)
-                keep[lo:lo + per] = (got == rows[run, g]).all(axis=(0, 2))
-            live = live[keep]
+                block = rows[:, lo:lo + per]
+                shift = mul.take(digits[:, None, None, None] * s + block[q]) * s
+                got = add.take(shift + block[rest]).reshape(-1, *block.shape[1:])
+                keep[lo:lo + per] = (got == block[run]).all(axis=(0, 2))
+            if not keep.all():
+                live, rows = live[keep], rows[:, keep]
         ok[members] = False
         ok[live] = True
-        for g in live.tolist():
-            bases[g] = rows[s ** np.arange(r - 1, -1, -1), g, :widths[g]].astype(np.int64)
+        for at, g in enumerate(live.tolist()):
+            bases[g] = rows[s ** np.arange(r - 1, -1, -1), at, :widths[g]].astype(np.int64)
     return ok, bases
 
 
@@ -423,15 +457,17 @@ def wlp_of_columns(design: Design, columns) -> tuple[int, ...] | None:
     return read_subjects(design.s, design.matrix, [columns])[0].pattern
 
 
-def p_of_d(design: Design, columns=None) -> Fraction:
+def p_of_d(design: Design, columns=None, reading: Reading | None = None) -> Fraction:
     """Exact proportion of column triples that form a strength-3 subarray.
 
-    The columns are read once (read_subjects).  When their rows are linear
-    and A_1 = A_2 = 0, a triple lacks strength 3 iff a word of length 3
-    lives on it, and that word is unique up to scalars (two that are not
-    would combine into a shorter one), so p = 1 - A_3 / C(m, 3) and nothing
-    is counted.  Any other subject is counted by the same projection kernel
-    as check_strength.
+    reading is the columns' reading when the caller holds one that runs
+    to A_3 (read_subjects with a top of at least 3, or None); else the
+    columns are read here.  When their rows are linear and A_1 = A_2 = 0,
+    a triple lacks strength 3 iff a word of length 3 lives on it, and that
+    word is unique up to scalars (two that are not would combine into a
+    shorter one), so p = 1 - A_3 / C(m, 3) and nothing is counted.  Any
+    other subject is counted by the same projection kernel as
+    check_strength.
     """
     cols = list(range(design.cols)) if columns is None else list(columns)
     if len(cols) < 3:
@@ -440,7 +476,9 @@ def p_of_d(design: Design, columns=None) -> Fraction:
     if rem:
         return Fraction(0)
     triples = math.comb(len(cols), 3)
-    pattern = read_subjects(design.s, design.matrix, [cols], [3])[0].pattern
+    if reading is None or reading.pattern is not None and len(reading.pattern) < 3:
+        reading = read_subjects(design.s, design.matrix, [cols], [3])[0]
+    pattern = reading.pattern
     if pattern is not None and not any(pattern[:2]):
         return 1 - Fraction(pattern[2], triples)
     hits = sum(int((tables == want).all(axis=1).sum())
@@ -531,8 +569,13 @@ class ClaimCheck:
 
 @dataclass
 class VerifyReport:
+    """The checks of verify_claims, and the reading of each group they
+    were made from (read_subjects), from which a caller can go on to
+    measure p (p_of_d) without reading the group again."""
+
     ok: bool
     checks: list[ClaimCheck]
+    readings: list[Reading]
 
     def lines(self) -> list[str]:
         out = []
@@ -586,10 +629,13 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     the stored rows.  On a linear subject a strength-t claim holds iff
     A_1..A_t vanish, and check_strength counts only to find a failure's
     witness; on any other subject it counts.  A group's one reading serves
-    its strength claim and its stored pattern, and it is the full pattern
-    only when one is stored.  The strength checked is the larger of the
-    claimed and the stored one; like annotate, it is recorded as verified
-    on each subject where it holds.
+    its strength claim, its stored pattern and its p (p_of_d): it is the
+    full pattern when one is stored, else it runs to A_t, and to at least
+    A_3 when s^3 | N.  The report
+    returns the group readings, so a caller that goes on to measure p does
+    not read again.  The strength checked is the larger of the claimed and
+    the stored one; like annotate, it is recorded as verified on each
+    subject where it holds.
     """
     checks: list[ClaimCheck] = []
     design, s = gd.design, gd.design.s
@@ -615,21 +661,23 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     strengths = [max(grp.claimed_strength, grp.verified_strength or 0) for grp in gd.groups]
     readings = read_subjects(
         s, design.matrix, [grp.columns for grp in gd.groups],
-        [top(t) if grp.wlp is None else None for grp, t in zip(gd.groups, strengths)],
+        [None if grp.wlp is not None else max(top(t), top(3))
+         for grp, t in zip(gd.groups, strengths)],
         linear=whole.pattern is not None)
-    for idx, (grp, t, (pattern, _)) in enumerate(zip(gd.groups, strengths, readings)):
+    for idx, (grp, t, reading) in enumerate(zip(gd.groups, strengths, readings)):
         name = f"group {idx + 1} ({grp.size} cols)"
         rows = design.matrix[:, grp.columns]
-        if t < 1 or _strength_claim(checks, name, s, rows, t, pattern):
+        if t < 1 or _strength_claim(checks, name, s, rows, t, reading.pattern):
             grp.verified_strength = t
         if grp.wlp is not None:
-            _stored_claim(checks, name, "wordlength pattern", tuple(grp.wlp), pattern,
+            _stored_claim(checks, name, "wordlength pattern", tuple(grp.wlp), reading.pattern,
                           "recomputed")
         if grp.p is not None:
             _stored_claim(checks, name, "triple proportion p", grp.p,
-                          p_of_d(design, grp.columns) if grp.size >= 3 else None, "measured")
+                          p_of_d(design, grp.columns, reading) if grp.size >= 3 else None,
+                          "measured")
 
-    return VerifyReport(all(c.ok for c in checks), checks)
+    return VerifyReport(all(c.ok for c in checks), checks, readings)
 
 
 def subset_design(design: Design, keep) -> Design:

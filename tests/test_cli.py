@@ -73,6 +73,14 @@ def run_goa(*argv):
                           capture_output=True, text=True, env=env)
 
 
+def strip_wlp(src: str, dst: str):
+    """Copy the design file src to dst with no stored group patterns."""
+    doc = json.loads(Path(src).read_text())
+    for grp in doc["groups"]:
+        grp["wlp"] = None
+    Path(dst).write_text(json.dumps(doc))
+
+
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -425,18 +433,38 @@ class TestCertifyOnce:
         assert [(c.args[0].runs, c.args[0].cols, c.args[1]) for c in check.call_args_list] == [
             (486, 240, 2)] + [(486, 60, 2)] * 4 + [(486, 20, 3)] * 8
 
-    @pytest.mark.parametrize("argv", [
-        ["construct", "ebert", "--s", "3", "--out", "e.json"],
-        ["verify", "e.json"],
-    ], ids=lambda a: a[0])
-    def test_one_pattern_per_subject(self, workdir, argv):
-        # GOA(81, (10,10,10,10), (3,3,3,3), 3, 2): two readings, one of the
-        # whole array and one of its four groups at once
-        if argv[0] == "verify":
-            main(["construct", "ebert", "--s", "3", "--out", "e.json"])
+    @pytest.mark.parametrize("setup, argv, groups, printed", [
+        pytest.param([], ["construct", "ebert", "--s", "3", "--out", "e.json"], 4, "",
+                     id="construct"),
+        pytest.param([["construct", "ebert", "--s", "3", "--out", "e.json"]],
+                     ["verify", "e.json"], 4, "", id="verify"),
+        # groups verified at strength 2 print a measured p
+        pytest.param([["construct", "consecutive", "--s", "3", "--k", "4", "--m", "6",
+                       "--out", "c.json"]],
+                     ["verify", "c.json"], 6, "p 19/20", id="verify-p-measured"),
+        # linear groups that store no pattern: their reading runs to A_3
+        pytest.param([["construct", "consecutive", "--s", "3", "--k", "4", "--m", "6",
+                       "--out", "c.json"], lambda: strip_wlp("c.json", "n.json")],
+                     ["verify", "n.json"], 6, "p 19/20", id="verify-p-no-wlp"),
+        # groups that store p, checked against the one reading
+        pytest.param([["construct", "ebert", "--s", "3", "--out", "e.json"],
+                      ["construct", "thm2", "--s", "3", "--ds-shape", "6,6", "--base", "e.json",
+                       "--out", "t.json"]],
+                     ["verify", "t.json"], 4, "triple proportion p: PASS", id="verify-p-stored"),
+    ])
+    def test_one_pattern_per_subject(self, workdir, capsys, setup, argv, groups, printed):
+        # two readings, one of the whole array and one of its groups at
+        # once; a printed or stored p is measured from the second
+        for step in setup:
+            if callable(step):
+                step()
+            else:
+                assert main(step) == 0
+        capsys.readouterr()
         with mock.patch.object(dz, "read_subjects", wraps=dz.read_subjects) as read:
             assert main(argv) == 0
-        assert [len(call.args[2]) for call in read.call_args_list] == [1, 4]
+        assert [len(call.args[2]) for call in read.call_args_list] == [1, groups]
+        assert printed in capsys.readouterr().out
 
     def test_verify_records_proven_strengths(self, workdir, capsys):
         main(["construct", "thm1", "--s", "2", "--out", "t.json"])

@@ -9,6 +9,7 @@ the same oracle; the batched reading behind it, read_subjects, is compared
 subject by subject with the one-subject linear test and pattern oracles.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -245,6 +246,36 @@ class TestPofD:
             assert dz.p_of_d(d, cols) == oracle_p_of_d(d, cols)
         assert spy.called == counted
 
+    @settings(deadline=None)
+    @given(st.one_of(designs(min_cols=3),
+                     st.deferred(lambda: broken_linear_designs()).filter(lambda d: d.cols >= 3),
+                     linear_designs({2: 5, 3: 4, 4: 3, 5: 3}, min_k=3).filter(
+                         lambda d: d.cols >= 3)),
+           st.data())
+    def test_held_reading(self, d, data):
+        # the reading a caller holds, to A_3 or whole, is used as it is:
+        # linear rows, rows that are not linear, and linear rows whose
+        # zero or copied columns give A_1 or A_2 > 0 (then p is counted)
+        cols = data.draw(st.lists(st.integers(0, d.cols - 1), min_size=3,
+                                  max_size=d.cols, unique=True))
+        top = data.draw(st.sampled_from([3, None]))
+        reading = dz.read_subjects(d.s, d.matrix, [cols], [top])[0]
+        with mock.patch.object(dz, "read_subjects", wraps=dz.read_subjects) as read:
+            assert dz.p_of_d(d, cols, reading) == oracle_p_of_d(d, cols)
+        assert not read.called
+
+    def test_short_reading_is_read_again(self):
+        # a reading that stops before A_3 cannot give p; the columns are
+        # read again, to A_3
+        d = dz.Design(3, gf.span(gf.level_field(3),
+                                 [[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 2, 1]]))
+        cols = list(range(5))
+        short = dz.read_subjects(d.s, d.matrix, [cols], [2])[0]
+        assert short.pattern is not None and len(short.pattern) == 2
+        with mock.patch.object(dz, "read_subjects", wraps=dz.read_subjects) as read:
+            assert dz.p_of_d(d, cols, short) == oracle_p_of_d(d, cols)
+        assert [call.args[3] for call in read.call_args_list] == [[3]]
+
 
 @st.composite
 def broken_linear_designs(draw):
@@ -367,6 +398,120 @@ class TestReadSubjects:
         assert zero.pattern == (1,) and zero.basis.shape == (0, 1)
         assert ones == dz.Reading(None, None)
         assert empty.pattern == () and empty.basis.shape == (0, 0)
+
+
+def random_basis(s: int, width: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k random independent rows of GF(s)^width."""
+    while gf.mat_rank(gf.level_field(s), basis := rng.integers(0, s, (k, width))) < k:
+        pass
+    return basis
+
+
+def boundary_matrix(s: int, width: int, k: int, seed: int) -> np.ndarray:
+    """Four blocks of `width` columns and 2 s^k rows over one random rank-k
+    space: linear (each row twice); uneven (one row three times, another
+    once); a coset (a vector off the space added to every row, so row 0 is
+    not zero); and the space with its last sorted distinct row moved by
+    one cell, which keeps s^k distinct rows, each twice, in the draws the
+    tests make."""
+    rng = np.random.default_rng(seed)
+    field = gf.level_field(s)
+    basis = random_basis(s, width, k + 1, rng)
+    space = gf.span(field, basis[:k])
+    linear = np.vstack([space, space])
+    uneven = linear.copy()
+    uneven[len(space) + 1] = space[2]
+    coset = field.add_t[linear, basis[k]]
+    last = linear.copy()
+    top = np.lexsort(space.T[::-1])[-1]
+    last[[top, len(space) + top], -1] = field.add_t[space[top, -1], 1]
+    return np.hstack([linear, uneven, coset, last])
+
+
+class TestRowKeys:
+    """The linear test keys each row by its base-s integer code while
+    s^M < 2^63 for a stack M columns wide, and by its bytes above; both
+    sort the rows in the order of their digits, and the readings match
+    the oracles on either side of the limit."""
+
+    @pytest.mark.parametrize("s, width, k, kind", [
+        (2, 62, 4, "i"), (2, 63, 4, "V"), (2, 64, 4, "V"),
+        (3, 39, 3, "i"), (3, 40, 3, "V"),
+        (97, 9, 2, "i"), (97, 10, 2, "V"),
+    ])
+    def test_either_side_of_the_code_limit(self, s, width, k, kind):
+        matrix = boundary_matrix(s, width, k, seed=width)
+        coset = matrix[:, 2 * width:3 * width]
+        keys = dz._row_keys(coset[:, None, :].astype(np.uint8), s)
+        assert keys.dtype.kind == kind
+        assert np.array_equal(coset[np.argsort(keys[0])], coset[np.lexsort(coset.T[::-1])])
+        # one zero-padded stack `width` wide: the four whole blocks, and
+        # narrower projections of the linear and uneven blocks
+        blocks = [list(range(b * width, (b + 1) * width)) for b in range(4)]
+        subjects = blocks + [blocks[0][:-1], blocks[0][:3], blocks[1][:5], []]
+        tops = [None, 3, 3, 3, 4, None, None, None]
+        readings = dz.read_subjects(s, matrix, subjects, tops)
+        verdicts = []
+        for cols, top, (pattern, basis) in zip(subjects, tops, readings):
+            rows = matrix[:, cols]
+            want = oracle_linear_basis(s, rows)
+            verdicts.append(want is not None)
+            if want is None:
+                assert pattern is None and basis is None
+                continue
+            assert np.array_equal(basis, want)
+            assert pattern == oracle_wlp_of_rows(s, rows, None if top is None
+                                                 else min(top, len(cols)))
+        assert verdicts[:4] == [True, False, False, False]
+
+
+class TestKrawtchoukDtype:
+    """The Krawtchouk pass of read_subjects runs in int64 only where
+    _krawtchouk_fits shows that nothing it forms can reach 2^63, and its
+    patterns match the oracle on either side of that bound."""
+
+    @settings(deadline=None)
+    @given(st.sampled_from([2, 3, 4, 5, 7, 97]), st.integers(0, 70), st.data())
+    def test_bound_covers_every_value(self, s, m, data):
+        # the bound is max over j <= steps of s m (s - 1)^j C(m, j) N < 2^62,
+        # and where it holds no value of the pass reaches 2^63
+        steps = data.draw(st.integers(0, m))
+        n = data.draw(st.integers(1, 1 << 20))
+        stated = max(s * m * (s - 1) ** j * math.comb(m, j) * n for j in range(steps + 1))
+        assert dz._krawtchouk_fits(s, n, m, steps) == (stated < 1 << 62)
+        if stated >= 1 << 62:
+            return
+        weights = range(m + 1)
+        prev, cur = [0] * (m + 1), [1] * (m + 1)
+        most = n
+        for j in range(steps):
+            a = [((s - 1) * (m - j) + j - s * i) * c for i, c in zip(weights, cur)]
+            b = [(s - 1) * (m - j + 1) * c for c in prev]
+            prev, cur = cur, [(x - y) // (j + 1) for x, y in zip(a, b)]
+            # the weighted sums are at most n max |K_j(i)|
+            most = max(most, *map(abs, a), *map(abs, b),
+                       *(abs(x - y) for x, y in zip(a, b)), n * max(map(abs, cur)))
+        assert most < 1 << 63
+
+    @pytest.mark.parametrize("s, k, sizes", [
+        # a wide binary subject's full pattern, where (s - 1)^j C(m, j)
+        # peaks at C(m, m/2), crosses the bound at some width m
+        (2, 4, [(m, m) for m in range(1, 100)]),
+        # a 40-column ternary subject's pattern crosses it at some top t
+        (3, 3, [(40, t) for t in range(1, 41)]),
+    ], ids=["binary-full", "ternary-top"])
+    def test_patterns_either_side_of_the_bound(self, s, k, sizes):
+        n = s**k
+        fits = [dz._krawtchouk_fits(s, n, m, t) for m, t in sizes]
+        edge = fits.index(False)
+        assert edge and not any(fits[edge:])
+        rng = np.random.default_rng(s)
+        for m, t in sizes[edge - 1:edge + 1]:
+            rows = gf.span(gf.level_field(s), random_basis(s, m, k, rng))
+            with mock.patch.object(dz, "_krawtchouk_fits", wraps=dz._krawtchouk_fits) as spy:
+                pattern = dz.read_subjects(s, rows, [range(m)], [t], linear=True)[0].pattern
+            assert spy.call_args.args == (s, n, m, t)
+            assert pattern == oracle_wlp_of_rows(s, rows, t)
 
 
 def read_all(d: dz.Design, t: int | None = None, linear: bool = False) -> dz.Reading:
