@@ -40,7 +40,7 @@ from .constructions import (
     grouped_kronecker,
     rank_primitive_polys,
 )
-from .errors import GoaError, ParameterRangeError
+from .errors import GoaError, ParameterRangeError, TooFewGroupsError
 from .evalsim import SimModel, clarity_check, run_bias_study
 from .expand import oa_to_lhd, rotate_columns
 from .search import SEED_GENERATORS, SearchConfig, algorithm_42, survey, survey_table
@@ -101,8 +101,8 @@ def _refuse_above_desk(args) -> None:
     any field built; construct_thm1 builds no field and checks its own
     s^3 x (s^2 + 1) first.  ebert is s^4 x (s + 1)(s^2 + 1), after the level
     count.  consecutive is s^k x floor(v/m) m, its groups of m taken from the
-    v = (s^k - 1)/(s - 1) points of PG(k - 1, s), after GF(s^k) and m; with
-    m > v it is s^k x m, the one group the ranking reads."""
+    v = (s^k - 1)/(s - 1) points of PG(k - 1, s), after GF(s^k) and m; an
+    m > v leaves no group and is refused as construct_consecutive refuses it."""
     s = args.s
     if args.what == "ebert":
         gflib.level_field(s)
@@ -113,7 +113,9 @@ def _refuse_above_desk(args) -> None:
     if m < 2:
         raise ParameterRangeError(f"need m >= 2, got {m}")
     v = (s**k - 1) // (s - 1)
-    gflib.check_cells(f"consecutive(s={s},k={k},m={m})", s**k, max(m, v // m * m))
+    if m > v:
+        raise TooFewGroupsError(f"group size {m} exceeds the {v} PG points")
+    gflib.check_cells(f"consecutive(s={s},k={k},m={m})", s**k, v // m * m)
 
 
 def cmd_construct(args) -> int:

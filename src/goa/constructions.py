@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,14 +33,15 @@ from .designs import (
     generator_from_exponents,
     p_of_d,
     pg_points,
-    read_subjects,
     regular_goa,
     strength_from_wlp,
+    wlp_from_weights,
 )
 from .errors import (
     BadBlockSizeError,
     DegenerateSizeError,
     LevelMismatchError,
+    NotPrimitiveError,
     ParameterRangeError,
     SearchExhaustedError,
     StrengthPrereqError,
@@ -356,9 +358,10 @@ def construct_consecutive(ext: gflib.ExtField, m: int) -> GroupedDesign:
     """GOA whose groups are consecutive blocks of m points of PG(k-1, s).
 
     All groups share one wordlength pattern (translation by a power of
-    beta preserves it).  For m <= k each group is a full factorial of
-    strength m; for m > k the group's defining words are spanned by the
-    m - k shifted copies of the primitive polynomial's coefficients.
+    beta preserves it), which group_wlp_for_poly reads for the claim.  For
+    m <= k each group is a full factorial of strength m; for m > k the
+    group's defining words are spanned by the m - k shifted copies of the
+    primitive polynomial's coefficients.
     """
     if m < 2:
         raise ParameterRangeError(f"need m >= 2, got {m}")
@@ -375,42 +378,71 @@ def construct_consecutive(ext: gflib.ExtField, m: int) -> GroupedDesign:
     return regular_goa(gen, groups, f"consecutive(s={s},k={k},h={ext.h},m={m})")
 
 
-def shifted_word_basis(h: gflib.Poly, m: int) -> np.ndarray:
-    """The m-k shifted copies of h's coefficient vector as length-m words."""
-    k = h.degree
-    words = np.zeros((m - k, m), dtype=np.int64)
-    for r in range(m - k):
-        words[r, r : r + k + 1] = h.coeffs
-    return words
-
-
 # ---------------------------------------------------------------------------
 # Primitive-polynomial ranking
+#
+# The rows of a consecutive-powers group are the values of the linear maps
+# L: GF(s^k) -> GF(s) at gamma^0, ..., gamma^(m-1), gamma a root of h.
+# Every nonzero L is x -> L_0(gamma^e x) for one e mod n = s^k - 1, L_0
+# the first coordinate, so the nonzero rows are the n cyclic windows of
+# length m of the m-sequence L_0(gamma^i).  For gamma = beta^d, beta the
+# root of the first primitive polynomial, that sequence is the first
+# column of its antilog decimated by d (Golomb, Shift Register Sequences;
+# Lidl and Niederreiter, Finite Fields, ch. 8): one field serves every
+# polynomial of degree k.
+
+_WINDOW_CELLS = 1 << 20  # decimated-sequence cells per block of _window_wlps
+
+
+@lru_cache(maxsize=None)
+def _window_wlps(s: int, k: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Wordlength pattern of the consecutive-powers group of size m of each
+    primitive polynomial of degree k over GF(s), in the order of
+    find_primitive_polys; cached, as the ranking and the construction of
+    its winner both read it.
+
+    Row weights are the nonzero counts of the cyclic windows of the
+    decimated m-sequence (see above), one cumsum per block of about
+    _WINDOW_CELLS cells, plus the zero row; wlp_from_weights reads the
+    patterns off their histograms.
+    """
+    polys = gflib.find_primitive_polys(s, k)
+    nonzero = gflib.ext_field(s, k, polys[0]).antilog[:, 0] != 0
+    n = len(nonzero)
+    # d s^i reads the same windows from another start, and -d reads them
+    # backwards (the reciprocal polynomial): one pass per class of d
+    orbit = np.array(polys.decimations, dtype=np.int64)[:, None] * s ** np.arange(k) % n
+    least, which = np.unique(np.minimum(orbit, -orbit % n).min(axis=1), return_inverse=True)
+    at = np.arange(n + m - 1)
+    per = max(1, _WINDOW_CELLS // max(1, len(at)))
+    patterns: list[tuple[int, ...]] = []
+    for lo in range(0, len(least), per):
+        d = least[lo:lo + per]
+        ones = np.zeros((len(d), n + m), dtype=np.int64)
+        np.cumsum(nonzero[d[:, None] * at % n], axis=1, out=ones[:, 1:])
+        weights = ones[:, m:] - ones[:, :n] + (m + 1) * np.arange(len(d))[:, None]
+        hist = np.bincount(weights.ravel(), minlength=len(d) * (m + 1)).reshape(-1, m + 1)
+        hist[:, 0] += 1  # the zero row
+        patterns += wlp_from_weights(s, n + 1, hist, [m] * len(d), [m] * len(d))
+    return tuple(patterns[i] for i in which.tolist())
 
 
 def group_wlp_for_poly(s: int, k: int, h: gflib.Poly, m: int) -> tuple[int, ...]:
     """Wordlength pattern of one consecutive-powers group under h.
 
-    The group's defining words are spanned by shifted_word_basis(h, m);
-    its rows are the length-m sequences with
-    c_(j+k) = (-b_0) c_j + ... + (-b_(k-1)) c_(j+k-1), since x^(j+k) is
-    that combination of x^j, ..., x^(j+k-1) modulo h, summed through the
-    label tables.  Whichever of the two spaces is smaller is enumerated,
-    and no field is built.
+    The group's rows satisfy c_(j+k) = -(b_0 c_j + ... + b_(k-1) c_(j+k-1)),
+    since x^(j+k) is that combination of x^j, ..., x^(j+k-1) modulo h.  h
+    must be primitive (else NotPrimitiveError): its nonzero rows are then
+    the windows of its m-sequence, the sequence of the first primitive
+    polynomial decimated by h's d (_window_wlps).
     """
-    if m <= k:
-        return (0,) * m
-    field = gflib.level_field(s)
-    if m - k <= k:
-        weights = np.count_nonzero(gflib.span(field, shifted_word_basis(h, m)), axis=1)
-        return tuple(int(a) // (s - 1) for a in np.bincount(weights, minlength=m + 1)[1:])
-    rows = np.zeros((s**k, m), dtype=np.int64)
-    rows[:, :k] = gflib.span(field, np.eye(k, dtype=np.int64))
-    minus = field.neg_t[list(h.coeffs[:k])]  # -b_0, ..., -b_(k-1)
-    for j in range(k, m):
-        for i in range(k):
-            rows[:, j] = field.add_t[rows[:, j], field.mul_t[rows[:, j - k + i], minus[i]]]
-    return read_subjects(s, rows, [range(m)], linear=True)[0].pattern
+    polys = gflib.find_primitive_polys(s, k)
+    try:
+        at = polys.index(h)
+    except ValueError:
+        raise NotPrimitiveError(
+            f"{h} is no primitive polynomial of degree {k} over GF({s})") from None
+    return _window_wlps(s, k, m)[at]
 
 
 def rank_primitive_polys(s: int, k: int, m: int) -> list[tuple[gflib.Poly, tuple[int, ...]]]:
@@ -419,8 +451,10 @@ def rank_primitive_polys(s: int, k: int, m: int) -> list[tuple[gflib.Poly, tuple
     The key is the group wordlength pattern's (A_3, A_4, ...), minimised
     sequentially; ties keep the lexicographic enumeration order of the
     coefficients.  At m = k+1 and m = k+2 this is the order the paper's
-    Prop. 2 reads off the coefficients.
+    Prop. 2 reads off the coefficients.  Every pattern comes from one
+    window pass over the decimations of one m-sequence (_window_wlps), in
+    the field find_primitive_polys built.
     """
-    ranked = [(h, group_wlp_for_poly(s, k, h, m)) for h in gflib.find_primitive_polys(s, k)]
+    ranked = list(zip(gflib.find_primitive_polys(s, k), _window_wlps(s, k, m)))
     ranked.sort(key=lambda item: item[1][2:])
     return ranked

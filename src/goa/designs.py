@@ -37,6 +37,8 @@ from .errors import (
 # int64 cells per projection-counting chunk; for a popcount chunk, uint64
 # words of the AND block
 _CHUNK_CELLS = 1 << 14
+# subject x weight (or x pattern length) cells per block of wlp_from_weights
+_KRAWTCHOUK_CELLS = 1 << 16
 
 
 @dataclass
@@ -284,12 +286,11 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     Patterns.  With B_i rows of weight i, the defining words of length j
     number sum_i B_i K_j(i) / N (MacWilliams), K_j the Krawtchouk
     polynomial, one per scalar multiple, so each sum divides by N (s - 1).
-    One bincount makes the (G, M + 1) weight histogram, and one recurrence
+    One bincount makes the (G, M + 1) weight histogram, and
+    wlp_from_weights reads every pattern off it by one recurrence
     (j + 1) K_{j+1}(i) = ((s - 1)(m - j) + j - s i) K_j(i)
     - (s - 1)(m - j + 1) K_{j-1}(i), in exact integers over the weights
-    that occur, with each subject's own m, reads every pattern: O(M t) per
-    subject.  It runs in int64 where a bound shows that no value it forms
-    can overflow (_krawtchouk_fits), else in Python ints.
+    that occur, with each subject's own m: O(M t) per subject.
     """
     cols = [list(c) for c in subjects]
     count, n = len(cols), len(matrix)
@@ -315,35 +316,61 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     caps = widths if tops is None else np.minimum(
         widths, [w if top is None else top for top, w in zip(tops, widths.tolist())])
     found = np.flatnonzero(ok)
-    m, t = widths[found], caps[found]
     weights = (stack if len(found) == count else stack[:, found]).astype(bool).sum(axis=2)
     weights += (width + 1) * np.arange(len(found))
     hist = np.bincount(weights.ravel(), minlength=len(found) * (width + 1)).reshape(-1, width + 1)
-    present = np.flatnonzero(hist.any(axis=0))
-    steps = int(t.max(initial=0))
-    exact = np.int64 if _krawtchouk_fits(s, n, int(m.max(initial=0)), steps) else object
-    counts = hist[:, present].astype(exact)
-    i = present.astype(exact)
-    mo = m.astype(exact)[:, None]
-    prev, cur = np.zeros_like(counts), np.ones_like(counts)  # K_{-1}, K_0
-    sums = np.zeros((len(found), steps), dtype=exact)
-    for j in range(sums.shape[1]):
-        prev, cur = cur, (((s - 1) * (mo - j) + j - s * i) * cur
-                          - (s - 1) * (mo - j + 1) * prev) // (j + 1)
-        sums[:, j] = (counts * cur).sum(axis=1)
-    scale = n * (s - 1)
-    if ((sums % scale != 0) & (np.arange(sums.shape[1]) < t[:, None])).any():
-        raise AssertionError("weight count not divisible by N(s-1)")
     out = [Reading(None, None)] * count
-    for g, row, top in zip(found.tolist(), (sums // scale).tolist(), t.tolist()):
-        out[g] = Reading(tuple(row[:top]), bases[g])
+    patterns = wlp_from_weights(s, n, hist, widths[found], caps[found])
+    for g, pattern in zip(found.tolist(), patterns):
+        out[g] = Reading(pattern, bases[g])
+    return out
+
+
+def wlp_from_weights(s: int, n: int, hist: np.ndarray, widths, tops) -> list[tuple[int, ...]]:
+    """Wordlength patterns from row weights, the MacWilliams transform of
+    read_subjects: subject g has n rows, a linear space over GF(s) with
+    each vector repeated equally often, widths[g] columns, and
+    hist[g, i] rows of weight i; its pattern stops at A_tops[g].
+
+    Subjects of one width share their Krawtchouk values: the recurrence
+    runs once per width, over the weights that occur, for blocks of about
+    _KRAWTCHOUK_CELLS cells of subjects, each step one product with the
+    block's counts.  It runs in int64 where _krawtchouk_fits shows that no
+    value it forms can overflow, else in Python ints.
+    """
+    widths, tops = np.asarray(widths), np.asarray(tops)
+    out: list[tuple[int, ...]] = [()] * len(hist)
+    scale = n * (s - 1)
+    per = max(1, _KRAWTCHOUK_CELLS // max(hist.shape[1], int(tops.max(initial=0))))
+    for m in sorted(set(widths.tolist())):
+        run = np.flatnonzero(widths == m)
+        for lo in range(0, len(run), per):
+            at = run[lo:lo + per]
+            block, t = hist[at], tops[at]
+            steps = int(t.max())
+            exact = np.int64 if _krawtchouk_fits(s, n, m, steps) else object
+            present = np.flatnonzero(block.any(axis=0))
+            counts = block[:, present].astype(exact)
+            # (j + 1) K_{j+1}(i) = grow[j] K_j(i) - (s - 1)(m - j + 1) K_{j-1}(i)
+            grow = (((s - 1) * m - s * present).astype(exact)
+                    + (2 - s) * np.arange(steps, dtype=exact)[:, None])
+            prev, cur = np.zeros(len(present), dtype=exact), np.ones(len(present), dtype=exact)
+            sums = np.zeros((len(at), steps), dtype=exact)
+            for j in range(steps):
+                prev, cur = cur, (grow[j] * cur - (s - 1) * (m - j + 1) * prev) // (j + 1)
+                sums[:, j] = counts @ cur
+            # every A_j of a linear subject is a count, also past its top
+            if (sums % scale).any():
+                raise AssertionError("weight count not divisible by N(s-1)")
+            for g, row, top in zip(at.tolist(), (sums // scale).tolist(), t.tolist()):
+                out[g] = tuple(row[:top])
     return out
 
 
 def _krawtchouk_fits(s: int, n: int, m: int, steps: int) -> bool:
-    """Whether the Krawtchouk pass of read_subjects runs in int64: every
+    """Whether the Krawtchouk pass of wlp_from_weights runs in int64: every
     product and sum it forms is at most s m (s - 1)^j C(m, j) N for some
-    j <= steps, m the widest subject, since |K_j(i)| <= (s - 1)^j C(m, j)
+    j <= steps, m the subjects' width, since |K_j(i)| <= (s - 1)^j C(m, j)
     and each recurrence coefficient is at most s m; below 2^62 that leaves
     room for the sum of the recurrence's two terms.  (s - 1)^j C(m, j)
     grows while (s - 1)(m - j + 1) >= j, so over j <= steps it is largest

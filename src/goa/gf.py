@@ -13,9 +13,12 @@ the integer code a_0 + a_1 s + ... of a vector.
 
 A monic h of degree k is primitive iff x has order s^k - 1 modulo h
 (Lidl and Niederreiter, Finite Fields, Thm 3.16); one square-and-multiply
-over the lifted companion matrices of all candidates decides it.  antilog
-is filled by doubling: rows beta^0..beta^(2^i - 1) times the matrix of
-beta^(2^i) are the next 2^i rows.
+over the lifted companion matrices of a block of candidates decides it.
+Only the first primitive polynomial is found that way: the others are the
+minimal polynomials of the powers beta^d of its root with d a unit mod
+s^k - 1, read off its field by elimination.  antilog is filled by
+doubling: rows beta^0..beta^(2^i - 1) times the matrix of beta^(2^i) are
+the next 2^i rows, and ExtField reads the order test off them.
 
 Prime-power level sets (s = p^j with j > 1) are handled by relabelling the
 elements of GF(p^j) as 0..s-1 with 0 -> 0 and i -> beta^(i-1) for i >= 1.
@@ -50,7 +53,8 @@ from .errors import (
 DESK_ORDER_LIMIT = 10**6
 DESK_CELL_LIMIT = 2**27  # largest array, runs x columns, that goa builds
 LEVEL_ORDER_LIMIT = 97  # largest level count s; level_field builds s x s tables
-# companion-matrix cells per block of candidates in find_primitive_polys
+# companion-matrix cells per block of candidates, and system cells per
+# block of eliminations, in find_primitive_polys
 _PRIMITIVE_CELLS = 1 << 14
 
 
@@ -216,10 +220,12 @@ class ExtField:
 
     antilog[i] is the vector of labels of beta^i, an (s^k - 1) x k array;
     log is indexed by code(s, vector) and holds i, or -1 at the zero
-    vector.  Both are read-only, since fields are cached and shared.  h
-    must pass the order test of _primitive (else NotPrimitiveError);
+    vector.  Both are read-only, since fields are cached and shared.
     antilog is filled by doubling on lifted rows mod p, as the module
-    docstring says, and mapped back to labels once.
+    docstring says, and mapped back to labels once.  The rows x^0, ...,
+    x^(n-1) mod h, n = s^k - 1, then hold the order test of _primitive: h
+    is primitive iff x^n = 1 and x^(n/q) != 1 for each prime q | n (else
+    NotPrimitiveError).
     """
 
     def __init__(self, s: int, k: int, h):
@@ -228,14 +234,15 @@ class ExtField:
             h = Poly(s, tuple(h))
         if h.s != s or h.degree != k or h.coeffs[-1] != 1:
             raise ValueError(f"need a monic degree-{k} polynomial over GF({s})")
-        low = np.array([h.coeffs[:k]], dtype=np.int64)
-        if not _primitive(gf, low)[0]:
-            raise NotPrimitiveError(f"x does not have order {s**k - 1} modulo h = {h}")
         self.s, self.k, self.h, self.order = s, k, h, s**k
-        rows, step = np.eye(1, k * gf.j, dtype=np.int64), _companion(gf, low)[0]
-        while len(rows) < self.period:
-            rows = np.concatenate([rows, rows[:self.period - len(rows)] @ step % gf.p])
+        n, x = self.period, _companion(gf, np.array([h.coeffs[:k]], dtype=np.int64))[0]
+        rows, step = np.eye(1, k * gf.j, dtype=np.int64), x
+        while len(rows) < n:
+            rows = np.concatenate([rows, rows[:n - len(rows)] @ step % gf.p])
             step = step @ step % gf.p
+        if (rows[-1] @ x % gf.p != rows[0]).any() or any(
+                (rows[n // q] == rows[0]).all() for q in factorize(n)):
+            raise NotPrimitiveError(f"x does not have order {n} modulo h = {h}")
         self.antilog = gf.lab[code(gf.p, rows.reshape(-1, k, gf.j))]
         self.log = np.full(self.order, -1, dtype=np.int64)
         self.log[code(s, self.antilog)] = np.arange(self.period)
@@ -260,23 +267,66 @@ def ext_field(s: int, k: int, h) -> ExtField:
     return _ext_field_cached(s, k, coeffs)
 
 
+class PrimitivePolys(tuple):
+    """The Polys find_primitive_polys returns, a tuple in lexicographic
+    order.  decimations[i] is the d for which the i-th is the minimal
+    polynomial of beta^d, beta the root x of the first."""
+
+    decimations: tuple[int, ...]
+
+    def __new__(cls, polys=(), decimations=()):
+        out = super().__new__(cls, polys)
+        out.decimations = tuple(decimations)
+        return out
+
+
 @lru_cache(maxsize=None)
-def find_primitive_polys(s: int, k: int) -> tuple[Poly, ...]:
+def find_primitive_polys(s: int, k: int) -> PrimitivePolys:
     """All monic degree-k primitive polynomials over GF(s), count phi(s^k - 1)/k.
 
     Candidate c has the base-s digits of c as b_0..b_{k-1}, so the order is
-    lexicographic by (b_{k-1}, ..., b_0); _primitive tests them in blocks
-    and no field is built.
+    lexicographic by (b_{k-1}, ..., b_0).  _primitive tests candidates in
+    blocks until the first primitive h_0, and one field, ext_field(s, k,
+    h_0), gives all the others: with beta its root x and n = s^k - 1, the
+    primitive polynomials are the minimal polynomials of beta^d, one per
+    cyclotomic coset {d, ds, ds^2, ...} of the units d mod n, taken at its
+    least member d.  Each is solved from beta^(dk) = -(b_0 + b_1 beta^d +
+    ... + b_(k-1) beta^(d(k-1))) by _eliminate, in blocks of systems.
     """
     gf = check_order(s, k)
-    block = max(1, _PRIMITIVE_CELLS // (k * gf.j) ** 2)
+    most = max(1, _PRIMITIVE_CELLS // (k * gf.j) ** 2)
     digits = s ** np.arange(k)
-    found = []
-    for start in range(0, s**k, block):
+    start, block = 0, min(8, most)  # h_0 comes early: blocks double from 8 candidates
+    while True:
         coeffs = np.arange(start, min(start + block, s**k))[:, None] // digits % s
         coeffs = coeffs[coeffs[:, 0] > 0]  # b_0 = 0 makes x no unit
-        found += coeffs[_primitive(gf, coeffs)].tolist()
-    return tuple(Poly(s, (*c, 1)) for c in found)
+        hits = coeffs[_primitive(gf, coeffs)]
+        if len(hits):
+            break
+        start, block = start + block, min(2 * block, most)
+    antilog = ext_field(s, k, (*hits[0].tolist(), 1)).antilog
+    n = len(antilog)
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)  # [0] when n = 1
+    least, orbit = units.copy(), units.copy()
+    for _ in range(k - 1):
+        orbit = orbit * s % n
+        np.minimum(least, orbit, out=least)
+    ds = units[least == units]
+    per = max(1, _PRIMITIVE_CELLS // (k * (k + 1)))
+    found = []
+    for lo in range(0, len(ds), per):
+        d = ds[lo:lo + per]
+        # row c of each system is coordinate c of beta^0, beta^d, ..., beta^(dk)
+        system = antilog[d[:, None] * np.arange(k + 1) % n].transpose(0, 2, 1)
+        system[:, :, k] = gf.neg_t[system[:, :, k]]
+        solved = _eliminate(gf, system)  # k pivots: row with pivot c ends in b_c
+        coeffs = np.empty((len(d), k), dtype=np.int64)
+        np.put_along_axis(coeffs, (solved[:, :, :k] != 0).argmax(axis=2), solved[:, :, k], axis=1)
+        found.append(coeffs)
+    coeffs = np.concatenate(found)
+    order = np.argsort(coeffs @ digits)
+    return PrimitivePolys((Poly(s, (*c, 1)) for c in coeffs[order].tolist()),
+                          ds[order].tolist())
 
 
 @lru_cache(maxsize=None)

@@ -243,6 +243,16 @@ def oracle_wlp_of_rows(s: int, rows: np.ndarray, t: int | None = None) -> tuple[
     return tuple(pattern)
 
 
+def shifted_word_basis(h: gf.Poly, m: int) -> np.ndarray:
+    """The m-k shifted copies of h's coefficient vector as length-m words,
+    a basis of the defining words of h's consecutive-powers group of size m."""
+    k = h.degree
+    words = np.zeros((m - k, m), dtype=np.int64)
+    for r in range(m - k):
+        words[r, r : r + k + 1] = h.coeffs
+    return words
+
+
 def oracle_group_wlp_for_poly(s: int, k: int, h: gf.Poly, m: int) -> tuple[int, ...]:
     """Wordlength pattern of the consecutive-powers group of size m under
     h: its s^k rows are the length-m sequences whose first k entries run

@@ -32,6 +32,7 @@ from conftest import (
     oracle_proxy_key,
     oracle_shift_exponents,
     oracle_wlp_rank_key,
+    shifted_word_basis,
 )
 from test_constructions import CAP_S3_ROWS, OVAL_S5_ROWS, generator_blocks
 
@@ -145,7 +146,7 @@ def test_c08_consecutive_structure():
         assert all(g.verified_strength == 4 for g in gd7.groups)
 
         for gd, h, m in ((gd6, h6, 6), (gd7, h7, 7)):
-            words = cx.shifted_word_basis(h, m)
+            words = shifted_word_basis(h, m)
             assert gf.mat_rank(f3, words) == m - 5
             for grp in gd.groups:
                 sub = gd.generator.matrix[:, grp.columns]

@@ -774,12 +774,14 @@ class TestCliEdgeCases:
         ["construct", "consecutive", "--s", "2", "--k", "16", "--m", "17", "--out", "o.json"],
         ["construct", "consecutive", "--s", "2", "--k", "0", "--m", "5", "--out", "o.json"],
         ["construct", "consecutive", "--s", "2", "--k", "4", "--m", "1", "--out", "o.json"],
+        ["construct", "consecutive", "--s", "2", "--k", "10", "--m", "100000", "--out", "o.json"],
         ["eval", "clarity", "--design", "wide.csv", "--s", "3"],
         ["eval", "bias", "--design", "t.json", "--sigma", "nan", "--out", "o.csv"],
         ["eval", "bias", "--design", "t.json", "--rng-seed", "-1", "--out", "o.csv"],
         ["expand", "lhd", "--design", "t.json", "--rng-seed", "-1", "--out", "o.json"],
     ], ids=["thm1-s97", "ebert-s31", "consecutive-k16-m17", "consecutive-k0",
-            "consecutive-m1", "clarity-ungrouped", "sigma-nan", "bias-seed", "lhd-seed"])
+            "consecutive-m1", "consecutive-m-above-v", "clarity-ungrouped", "sigma-nan",
+            "bias-seed", "lhd-seed"])
     def test_refused_before_any_work(self, workdir, capsys, catalog_dir, argv):
         # a size past gflib.DESK_CELL_LIMIT or a number out of range is one
         # goa error from main, before a polynomial is enumerated or an array built

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goa import constructions as cx
 from goa import designs as dz
@@ -24,6 +26,7 @@ from goa.errors import (
 
 from conftest import (
     oracle_ds_search,
+    oracle_ext_field_walk,
     oracle_f_statistics,
     oracle_group_wlp_for_poly,
     oracle_ma_regular_oa,
@@ -32,6 +35,7 @@ from conftest import (
     oracle_proxy_key,
     oracle_wlp,
     oracle_wlp_rank_key,
+    shifted_word_basis,
 )
 
 OVAL_S5_ROWS = [
@@ -414,7 +418,7 @@ class TestConsecutive:
             ext = gf.ext_field(3, 5, h)
             gd = cx.construct_consecutive(ext, m)
             f3 = gf.level_field(3)
-            words = cx.shifted_word_basis(h, m)
+            words = shifted_word_basis(h, m)
             for grp in gd.groups:
                 sub = gd.generator.matrix[:, grp.columns]
                 assert not gf.mat_mul(f3, sub, words.T).any()
@@ -452,6 +456,20 @@ class TestFStats:
 # Prop. 2's grid: (s, k) with the group sizes k+1 and k+2 it ranks
 PROP2_GRID = ([(2, k) for k in range(3, 9)] + [(3, k) for k in range(2, 6)]
               + [(4, k) for k in range(2, 5)] + [(5, 2), (5, 3), (7, 2), (8, 2), (9, 2)])
+
+
+def _oracle_cost(s, k, m):
+    """About the work of oracle_group_wlp_for_poly: the recurrence rows and
+    the term-by-term transform."""
+    return m * (s**k + m * m)
+
+
+# (s, k) with s^k <= 2,500, each with the m in k < m <= v + k whose oracle
+# pattern is quick; the rank check runs where all the polynomials' oracles are
+CROSS_GRID = {(s, k): [m for m in range(k + 1, (s**k - 1) // (s - 1) + k + 1)
+                       if _oracle_cost(s, k, m) <= 200_000]
+              for s in (2, 3, 4, 5, 7, 8, 9) for k in range(1, 12) if s**k <= 2500}
+RANK_COST = 2_000_000
 
 
 class TestRanking:
@@ -520,10 +538,40 @@ class TestRanking:
             for m in sorted({k + 1, k + 2, k + 3, k + 4, 2 * k + 1}):
                 assert cx.group_wlp_for_poly(s, k, h, m) == oracle_group_wlp_for_poly(s, k, h, m)
 
-    def test_ranking_builds_no_field(self):
-        with mock.patch.object(gf, "ext_field", side_effect=AssertionError("field built")):
+    def test_ranking_builds_one_field(self):
+        # the ranking and the enumeration ask for the first polynomial's
+        # field alone (nothing at all once their results are cached)
+        asked, real = [], gf.ext_field
+
+        def record(s, k, h):
+            asked.append((s, k, tuple(h.coeffs if isinstance(h, gf.Poly) else h)))
+            return real(s, k, h)
+
+        with mock.patch.object(gf, "ext_field", side_effect=record):
             ranked = cx.rank_primitive_polys(2, 8, 10)
-        assert len(ranked) == len(gf.find_primitive_polys(2, 8))
+        polys = gf.find_primitive_polys(2, 8)
+        assert len(ranked) == len(polys)
+        assert set(asked) <= {(2, 8, polys[0].coeffs)}
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 8, 9])
+    def test_degree_one_matches_walk(self, s):
+        # n = s - 1 units, each its own cyclotomic coset; n = 1 at s = 2
+        walks = [(b0, 1) for b0 in range(1, s) if oracle_ext_field_walk(s, 1, (b0, 1)) is not None]
+        assert [h.coeffs for h in gf.find_primitive_polys.__wrapped__(s, 1)] == walks
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(sorted(CROSS_GRID)))
+    def test_windows_match_recurrence_oracle(self, data, field):
+        # m > v repeats PG points in the group, and past n the windows wrap
+        s, k = field
+        m = data.draw(st.sampled_from(CROSS_GRID[field]))
+        polys = gf.find_primitive_polys(s, k)
+        h = data.draw(st.sampled_from(polys))
+        assert cx.group_wlp_for_poly(s, k, h, m) == oracle_group_wlp_for_poly(s, k, h, m)
+        if len(polys) * _oracle_cost(s, k, m) <= RANK_COST:
+            oracle = sorted(((h, oracle_group_wlp_for_poly(s, k, h, m)) for h in polys),
+                            key=lambda item: oracle_wlp_rank_key(item[1]))  # stable: ties in order
+            assert cx.rank_primitive_polys(s, k, m) == oracle
 
 
 class TestMaRegular:

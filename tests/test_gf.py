@@ -185,11 +185,24 @@ class TestPrimitivityOracle:
             log[powers @ weights] = np.arange(s**k - 1)
             assert np.array_equal(ext.log, log)
 
-    def test_enumeration_builds_no_field(self, monkeypatch):
+    def test_enumeration_builds_one_field(self, monkeypatch):
+        # the one field is the first polynomial's, built here unless an
+        # earlier call cached it
+        built, real = [], gf.ExtField
+
+        def record(s, k, h):
+            built.append((s, k, h.coeffs))
+            return real(s, k, h)
+
         cached = gf._ext_field_cached.cache_info().currsize
-        monkeypatch.setattr(gf, "ExtField", None)  # any build would raise
-        assert len(gf.find_primitive_polys.__wrapped__(2, 12)) == 144
-        assert gf._ext_field_cached.cache_info().currsize == cached
+        monkeypatch.setattr(gf, "ExtField", record)
+        polys = gf.find_primitive_polys.__wrapped__(2, 12)
+        assert len(polys) == 144
+        assert set(built) <= {(2, 12, polys[0].coeffs)}
+        assert gf._ext_field_cached.cache_info().currsize == cached + len(built)
+        hits = gf._ext_field_cached.cache_info().hits
+        gf.ext_field(2, 12, polys[0])
+        assert gf._ext_field_cached.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize("n,prime,power", [
         (0, False, None), (1, False, None), (-3, False, None), (2, True, (2, 1)),
