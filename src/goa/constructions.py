@@ -68,6 +68,8 @@ class DifferenceScheme:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.int64)
+        if self.matrix.size and (self.matrix.min() < 0 or self.matrix.max() >= self.s):
+            raise ValueError(f"levels must lie in 0..{self.s - 1}")
 
     @property
     def r(self) -> int:
@@ -205,7 +207,8 @@ def kronecker_sum(a: DifferenceScheme, b: Design, origin: str | None = None) -> 
     r, c = a.matrix.shape
     n_runs, n_cols = b.matrix.shape
     gflib.check_cells("Kronecker sum", r * n_runs, c * n_cols)
-    blocks = gflib.level_field(b.s).add_t[a.matrix[:, None, :, None], b.matrix[None, :, None, :]]
+    left, right = a.matrix.astype(np.uint8), b.matrix.astype(np.uint8)
+    blocks = gflib.level_field(b.s).add(left[:, None, :, None], right[None, :, None, :])
     return Design(b.s, blocks.reshape(r * n_runs, c * n_cols),
                   origin or f"kronecker({r}x{c} (+) {n_runs}x{n_cols})")
 

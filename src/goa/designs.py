@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,8 @@ from .errors import (
 )
 
 # int64 cells per projection-counting chunk; for a popcount chunk, uint64
-# words of the AND block
+# words of the AND block; for the span check of _span_test, bytes of each
+# uint8 temporary
 _CHUNK_CELLS = 1 << 14
 # subject x weight (or x pattern length) cells per block of wlp_from_weights
 _KRAWTCHOUK_CELLS = 1 << 16
@@ -200,7 +201,9 @@ def _projection_tables(matrix: np.ndarray, s: int, t: int, cols):
             for i in range(1, t):
                 block = (block[:, :, None] & bits[tuples[:, i], None]).reshape(
                     len(tuples), s ** (i + 1), -1)
-            tables = np.bitwise_count(block).sum(-1, dtype=np.int64)
+            # summed word slice by word slice in int64: a reduce of the
+            # short inner word axis is slow
+            tables = np.einsum("tcw->tc", np.bitwise_count(block), dtype=np.int64)
         else:
             enc = np.arange(len(tuples))
             for i in range(t):
@@ -276,12 +279,13 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     the multiples of N/c (equal multiplicities), and be the span of the
     distinct rows s^(r-1), ..., s, 1 in the order of its coefficient
     tuples.  That equality also proves those r rows independent, and makes
-    them the RREF basis.  The span check runs through the label tables
-    alone: in that order, distinct row a = d s^e + a', d its leading base-s
-    digit, is d times row s^e plus row a', and row 0 is zero.  It checks
-    all candidates with one r at once, in chunks of about _CHUNK_CELLS
-    cells by subjects and by distinct rows, and stops for a subject at its
-    first failed chunk.
+    them the RREF basis.  The span check runs on the uint8 labels: in that
+    order, distinct row a = d s^e + a', d its leading base-s digit, is d
+    times row s^e plus row a', and row 0 is zero.  Each step (e, d) is one
+    mul_t gather of row s^e and one GF.add against the rows a' < s^e, for
+    all candidates with one r at once, in temporaries of at most
+    _CHUNK_CELLS bytes by subjects and by rows; a subject that fails a
+    step takes no later one.
 
     Patterns.  With B_i rows of weight i, the defining words of length j
     number sum_i B_i K_j(i) / N (MacWilliams), K_j the Krawtchouk
@@ -391,11 +395,15 @@ def _row_keys(stack: np.ndarray, s: int) -> np.ndarray:
 
 def _span_test(field: gflib.GF, stack: np.ndarray,
                widths: np.ndarray) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    """Which subjects of the (N, G, M) stack have linear rows (see
+    """Which subjects of the (N, G, M) uint8 stack have linear rows (see
     read_subjects), and the RREF basis of each that has, else None.  The
     stack is left as it is: each subject's rows are ordered by argsort of
     their keys (_row_keys), and only the s^r sampled distinct rows are
-    gathered from it."""
+    gathered from it, as one (s^r, G', M) uint8 array per rank r.  Step
+    (q, d), q = s^e, checks rows[d q:(d + 1) q] == GF.add(rows[:q],
+    mul_t[d][rows[q]]) in chunks of `run` rows by `per` subjects, each
+    temporary at most _CHUNK_CELLS bytes; the subjects that fail a step
+    are dropped before the next."""
     s = field.s
     n, count, width = stack.shape
     bases: list[np.ndarray | None] = [None] * count
@@ -412,7 +420,7 @@ def _span_test(field: gflib.GF, stack: np.ndarray,
     step = n // distinct  # distinct row i of subject g is sorted row i * step[g]
     ok = ((power == distinct) & (n % distinct == 0)
           & (new == (np.arange(n) % step[:, None] == 0)).all(axis=1))
-    add, mul = field.add_t.ravel(), field.mul_t.ravel()  # add_t[x, y] is add[x * s + y]
+    mul = field.mul_t.astype(np.uint8)
     for r in sorted(set(rank[ok].tolist())):
         members = np.flatnonzero(ok & (rank == r))
         # (s^r, G', M): distinct row a of subject live[g] is rows[a, g]
@@ -420,43 +428,26 @@ def _span_test(field: gflib.GF, stack: np.ndarray,
                                              axis=0)
         zero = ~rows[0].any(axis=1)
         live, rows = members[zero], rows[:, zero]
-        for q, digits, rest in _doubling_steps(s, r, max(1, _CHUNK_CELLS // width)):
-            if not len(live):
-                break
-            run = slice(digits[0] * q + rest.start, digits[-1] * q + rest.stop)
-            per = max(1, _CHUNK_CELLS // ((run.stop - run.start) * width))
-            keep = np.ones(len(live), dtype=bool)
-            for lo in range(0, len(live), per):
-                block = rows[:, lo:lo + per]
-                shift = mul.take(digits[:, None, None, None] * s + block[q]) * s
-                got = add.take(shift + block[rest]).reshape(-1, *block.shape[1:])
-                keep[lo:lo + per] = (got == block[run]).all(axis=(0, 2))
-            if not keep.all():
-                live, rows = live[keep], rows[:, keep]
+        for q in (s**e for e in range(r)):
+            # a' rows by subjects per temporary of at most _CHUNK_CELLS bytes
+            run = min(q, max(1, _CHUNK_CELLS // width))
+            per = max(1, _CHUNK_CELLS // (run * width))
+            for d in range(1, s):
+                keep = np.ones(len(live), dtype=bool)
+                for lo in range(0, len(live), per):
+                    scaled = mul[d].take(rows[q, lo:lo + per])
+                    for a in range(0, q, run):
+                        b = min(a + run, q)
+                        got = field.add(rows[a:b, lo:lo + per], scaled)
+                        keep[lo:lo + per] &= (got == rows[d * q + a:d * q + b, lo:lo + per]
+                                              ).all(axis=(0, 2))
+                if not keep.all():
+                    live, rows = live[keep], rows[:, keep]
         ok[members] = False
         ok[live] = True
         for at, g in enumerate(live.tolist()):
             bases[g] = rows[s ** np.arange(r - 1, -1, -1), at, :widths[g]].astype(np.int64)
     return ok, bases
-
-
-def _doubling_steps(s: int, r: int, most: int) -> Iterator[tuple[int, np.ndarray, slice]]:
-    """The span check of rank r in steps of at most `most` distinct rows,
-    in the order of the rows they check.
-
-    Distinct row a = d s^e + a', d its leading base-s digit, must be
-    d times row s^e plus row a'.  Step (q, digits, rest) checks the rows
-    d q + a' for q = s^e, d in digits and a' in rest: one run of rows,
-    against the run rest below q.
-    """
-    for q in (s**e for e in range(r)):
-        if q >= most:
-            for d in range(1, s):
-                for lo in range(0, q, most):
-                    yield q, np.array([d]), slice(lo, min(lo + most, q))
-        else:
-            for d in range(1, s, most // q):
-                yield q, np.arange(d, min(d + most // q, s)), slice(0, q)
 
 
 def wlp(gen: GeneratorMatrix) -> tuple[int, ...]:
@@ -522,16 +513,17 @@ def generator_from_exponents(ext: gflib.ExtField, exps) -> GeneratorMatrix:
     return GeneratorMatrix(ext.s, ext.antilog[np.asarray(exps, dtype=np.int64) % ext.period].T)
 
 
-def _strength_at(s: int, rows: np.ndarray, t: int,
-                 pattern: tuple[int, ...] | None) -> StrengthCheck:
-    """check_strength of the rows at t.  When pattern, the rows' wordlength
-    pattern, holds A_1..A_t, the claim holds iff they all vanish (strength
-    d⊥ - 1) and nothing is counted; rows that are not linear (pattern None)
+def _strength_at(s: int, matrix: np.ndarray, t: int, pattern: tuple[int, ...] | None,
+                 columns=None) -> StrengthCheck:
+    """check_strength at t of the rows of matrix on columns (all of them
+    when None).  When pattern, the rows' wordlength pattern, holds
+    A_1..A_t, the claim holds iff they all vanish (strength d⊥ - 1) and
+    nothing is counted or gathered; rows that are not linear (pattern None)
     and a failure are counted, the failure for its lexicographically first
     witness."""
     if pattern is not None and t <= len(pattern) and not any(pattern[:t]):
         return StrengthCheck(True, t)
-    return check_strength(Design(s, rows), t)
+    return check_strength(Design(s, matrix if columns is None else matrix[:, columns]), t)
 
 
 def annotate(gd: GroupedDesign, verified_t0: int | None = None) -> GroupedDesign:
@@ -613,16 +605,17 @@ class VerifyReport:
         return out
 
 
-def _strength_claim(checks: list[ClaimCheck], subject: str, s: int, rows: np.ndarray,
-                    t: int, pattern: tuple[int, ...] | None) -> bool:
-    """Append the check of a strength-t claim on rows and return whether it
-    holds.  It fails uncounted when s^t does not divide N, so a large t
-    never sizes s^t-cell tables; else the subject's pattern decides it when
-    the rows are linear."""
-    if len(rows) % s**t:
+def _strength_claim(checks: list[ClaimCheck], subject: str, s: int, matrix: np.ndarray,
+                    t: int, pattern: tuple[int, ...] | None, columns=None) -> bool:
+    """Append the check of a strength-t claim on the rows of matrix on
+    columns (all when None) and return whether it holds.  It fails
+    uncounted when s^t does not divide N, so a large t never sizes
+    s^t-cell tables; else the subject's pattern decides it when the rows
+    are linear, and the columns are gathered only to be counted."""
+    if len(matrix) % s**t:
         ok, detail = False, "s^t does not divide N"
     else:
-        res = _strength_at(s, rows, t, pattern)
+        res = _strength_at(s, matrix, t, pattern, columns)
         ok, detail = res.ok, "" if res.ok else f"witness columns {res.witness}"
     checks.append(ClaimCheck(subject, f"strength {t}", ok, detail))
     return ok
@@ -693,8 +686,8 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
         linear=whole.pattern is not None)
     for idx, (grp, t, reading) in enumerate(zip(gd.groups, strengths, readings)):
         name = f"group {idx + 1} ({grp.size} cols)"
-        rows = design.matrix[:, grp.columns]
-        if t < 1 or _strength_claim(checks, name, s, rows, t, reading.pattern):
+        if t < 1 or _strength_claim(checks, name, s, design.matrix, t, reading.pattern,
+                                    grp.columns):
             grp.verified_strength = t
         if grp.wlp is not None:
             _stored_claim(checks, name, "wordlength pattern", tuple(grp.wlp), reading.pattern,

@@ -25,8 +25,10 @@ elements of GF(p^j) as 0..s-1 with 0 -> 0 and i -> beta^(i-1) for i >= 1.
 `level_field` maps each label to its GF(p) coordinates, derives total
 add/mul tables on the labels so that callers can stay label-based
 regardless of whether s is prime.  A row space is built and checked
-through those tables alone: span doubles its rows one basis row at a
-time, each step one mul_t and one add_t gather.  Products of matrices go
+on uint8 labels: span doubles its rows one basis row at a time, each
+step one small mul_t gather and one GF.add, which sums prime-field labels
+in uint8 arithmetic and takes extension-field sums from a uint8 copy of
+add_t.  Products of matrices go
 through the regular representation, in which each element of GF(p^j)
 acts as a j x j matrix over GF(p).  `_lift` maps a matrix of labels to
 its matrix over GF(p) that way, an injective ring homomorphism (the
@@ -134,7 +136,8 @@ class GF:
     multiplication by a, so vec[a*b] = mat[a] @ vec[b] mod p.  The add_t,
     neg_t, negmul_t (negmul_t[a, b] = -(a b)) and inv_t tables are derived
     from vec and mul_t (inv_t[0] is 0), none larger than s x s; callers
-    index them with ints or numpy arrays of labels.
+    index them with ints or numpy arrays of labels.  add sums uint8 label
+    arrays, the row-space kernels' one addition.
     """
 
     def __init__(self, p: int, vec: np.ndarray, mul_table: np.ndarray):
@@ -147,12 +150,30 @@ class GF:
         self.neg_t = self.lab[code(p, -vec % p)]
         self.mul_t = mul_table
         self.negmul_t = self.neg_t[mul_table]
+        self._add8 = self.add_t.astype(np.uint8).ravel()  # add_t[x, y] at x * s + y
         # column c of mat[a] is vec[a * beta^c]; beta^c has label c + 1
         self.mat = vec[mul_table[:, 1:j + 1]].transpose(0, 2, 1)
         hits = mul_table[1:] == 1
         if (hits.sum(axis=1) != 1).any():
             raise NonPrimeError(f"{s} levels do not form a field")
         self.inv_t = np.concatenate(([0], hits.argmax(axis=1)))
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x + y of uint8 label arrays, broadcast against each other, as uint8.
+
+        Not a wrapper around add_t: for prime s the labels are residues and
+        the sum is formed here, z = x + y in uint8 and then min(z, z - s).
+        That is exact since x + y <= 192 for s <= LEVEL_ORDER_LIMIT, so
+        z - s wraps above z exactly when z < s; each cell moves one byte,
+        where a gather in add_t moves an int64 index.  For s = p^j, j > 1,
+        label c + 1 is beta^c, so labels are no bit vectors and XOR is no
+        sum: one take in a flat uint8 copy of add_t, at the uint16 index
+        x s + y < s^2.
+        """
+        if self.j == 1:
+            z = np.add(x, y, dtype=np.uint8)
+            return np.minimum(z, z - self.s, out=z)
+        return self._add8.take(x.astype(np.uint16) * self.s + y)
 
 
 def _lift(gf: GF, m: np.ndarray) -> np.ndarray:
@@ -456,11 +477,13 @@ def span(gf: GF, basis) -> np.ndarray:
     Rows come out in lexicographic order of the coefficient tuple
     (c_1, ..., c_d), the first coefficient most significant.  By doubling
     from the zero row: the span of b_i, ..., b_d lists c b_i plus the span
-    of b_(i+1), ..., b_d for c = 0, ..., s-1, one mul_t and one add_t
-    gather per basis row, from the last row to the first.
+    of b_(i+1), ..., b_d for c = 0, ..., s-1: per basis row, from the last
+    to the first, one gather of its s multiples mul_t[:, b_i] and one
+    GF.add of uint8 labels.  The rows are widened to int64 once, at the end.
     """
     basis = np.asarray(basis, dtype=np.int64)
-    rows = np.zeros((1, basis.shape[1]), dtype=np.int64)
+    rows = np.zeros((1, basis.shape[1]), dtype=np.uint8)
     for row in basis[::-1]:
-        rows = gf.add_t[gf.mul_t[:, row][:, None], rows].reshape(-1, basis.shape[1])
-    return rows
+        multiples = gf.mul_t[:, row].astype(np.uint8)
+        rows = gf.add(multiples[:, None], rows).reshape(-1, basis.shape[1])
+    return rows.astype(np.int64)

@@ -165,26 +165,35 @@ def _int_text(matrix: np.ndarray, csv: bool = False) -> bytes:
     json.dumps(matrix.tolist(), separators=(",", ":")), or with csv one line
     of comma-separated cells per row.
 
-    Every cell gets one slot of sign, digits (most significant first) and
-    separator, as wide as the widest cell needs.  Slot bytes that a cell
-    leaves unused, a plus sign, leading zeros and the separator after a
-    row's last cell, stay NUL and are dropped at the end, as are the
-    brackets of csv rows.
+    When every cell is one digit 0..9, every row has the same bytes but
+    its digits, and the text is filled in as one grid of such rows.  Else
+    every cell gets one slot of sign, digits (most significant first) and
+    separator, as wide as the widest cell needs, the digits computed in the
+    narrowest unsigned dtype that holds the largest magnitude.  Slot bytes
+    that a cell leaves unused, a plus sign, leading zeros and the separator
+    after a row's last cell, stay NUL and are dropped at the end, as are
+    the brackets of csv rows.
     """
     matrix = np.asarray(matrix, dtype=np.int64)
     runs, cols = matrix.shape
-    mag = np.abs(matrix).view(np.uint64)  # |min int64| reads 2**63 as uint64
-    width = len(str(mag.max())) if matrix.size else 1
-    sign = int(bool(matrix.size) and matrix.min() < 0)
+    low, high = (int(matrix.min()), int(matrix.max())) if matrix.size else (0, 0)
+    if matrix.size and 0 <= low and high <= 9:
+        return _digit_text(matrix, csv)
+    mag = matrix.astype(np.min_scalar_type(max(high, -low)))
+    if low < 0:
+        negative = matrix < 0
+        np.negative(mag, out=mag, where=negative)  # |x|, since it fits the dtype
+    width = len(str(max(high, -low)))
+    sign = int(low < 0)
     cells = np.zeros((runs, cols, sign + width + 1), dtype=np.uint8)
     if sign:
-        cells[..., 0] = np.where(matrix < 0, ord("-"), 0)
+        cells[..., 0] = np.where(negative, ord("-"), 0)
     for place in range(width):
-        digit = (mag % 10).astype(np.uint8) + ord("0")
+        mag, rem = np.divmod(mag, 10)
+        digit = rem.astype(np.uint8) + ord("0")
         if place:
-            digit[mag == 0] = 0
+            digit[(mag == 0) & (rem == 0)] = 0
         cells[..., -2 - place] = digit
-        mag = mag // 10
     cells[..., -1] = ord(",")
     cells[:, -1:, -1] = 0
     opening, closing, row_end = b"\0\0\n" if csv else b"[],"
@@ -195,6 +204,25 @@ def _int_text(matrix: np.ndarray, csv: bool = False) -> bytes:
         grid[-1, -1] = 0
     text = grid[grid != 0].tobytes()
     return text if csv else b"[" + text + b"]"
+
+
+def _digit_text(matrix: np.ndarray, csv: bool) -> bytes:
+    """_int_text of a nonempty matrix of digits 0..9: rows "[d,...,d],"
+    after an opening "[", the last row's "," made the closing "]", or with
+    csv rows "d,...,d\n"."""
+    runs, cols = matrix.shape
+    first = int(not csv)  # the "[" before each json row's digits
+    text = np.empty(runs * (2 * cols + 2 * first) + first, dtype=np.uint8)
+    grid = text[first:].reshape(runs, -1)
+    np.add(matrix, ord("0"), out=grid[:, first:first + 2 * cols:2], casting="unsafe")
+    grid[:, first + 1:first + 2 * cols - 1:2] = ord(",")
+    if csv:
+        grid[:, -1] = ord("\n")
+    else:
+        text[0] = grid[:, 0] = ord("[")
+        grid[:, -2:] = np.frombuffer(b"],", np.uint8)
+        grid[-1, -1] = ord("]")
+    return text.tobytes()
 
 
 def _compact_json(doc: dict, key: str) -> str:

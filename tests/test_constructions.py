@@ -225,6 +225,12 @@ class TestKronecker:
         with pytest.raises(LevelMismatchError):
             cx.kronecker_sum(cx.ds_catalog(2, 2, 2), oa_27_4_3_3)
 
+    @pytest.mark.parametrize("cell", [-1, 3, 4])
+    def test_scheme_cells_are_levels(self, cell):
+        # the sum is formed on uint8 labels, so a cell outside 0..s-1 is refused first
+        with pytest.raises(ValueError, match="levels must lie in 0..2"):
+            cx.DifferenceScheme(3, [[0, cell]])
+
     def test_strength2_product(self):
         gen = dz.GeneratorMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]])
         b = dz.expand_generator(gen)  # OA(9, 4, 3, 2)

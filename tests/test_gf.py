@@ -485,3 +485,50 @@ class TestRowReduceOracle:
     def test_needs_a_2d_matrix(self, fn, m):
         with pytest.raises(ValueError):
             fn(gf.level_field(3), m)
+
+
+# every level field: the prime powers up to LEVEL_ORDER_LIMIT
+LEVEL_FIELDS = [s for s in range(2, gf.LEVEL_ORDER_LIMIT + 1) if len(gf.factorize(s)) == 1]
+
+
+class TestAdd:
+    """GF.add, the uint8 sum of the row-space kernels, against add_t:
+    uint8 arithmetic for prime s, a take in a uint8 table for s = p^j."""
+
+    @pytest.mark.parametrize("s", LEVEL_FIELDS)
+    def test_every_pair_matches_add_t(self, s):
+        f = gf.level_field(s)
+        labels = np.arange(s, dtype=np.uint8)
+        got = f.add(labels[:, None], labels[None, :])
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, f.add_t)
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 8, 9, 97])
+    def test_broadcast_shapes(self, s):
+        f = gf.level_field(s)
+        rng = np.random.default_rng(s)
+        x = rng.integers(0, s, (5, 1, 6), dtype=np.uint8)
+        y = rng.integers(0, s, (4, 6), dtype=np.uint8)
+        got = f.add(x, y)
+        assert got.shape == (5, 4, 6) and got.dtype == np.uint8
+        assert np.array_equal(got, f.add_t[x, y])
+        # strided views, as the span check slices its stack
+        assert np.array_equal(f.add(x[::2, :, 1::2], y[::3, 1::2]), f.add_t[x[::2, :, 1::2],
+                                                                           y[::3, 1::2]])
+
+    def test_largest_sum_stays_in_uint8(self):
+        # 96 + 96 = 192 is the largest sum below LEVEL_ORDER_LIMIT
+        f = gf.level_field(97)
+        got = f.add(np.array([96, 96, 0], dtype=np.uint8), np.array([96, 1, 0], dtype=np.uint8))
+        assert got.tolist() == [95, 0, 0]
+
+
+@pytest.mark.parametrize("s,k", ORACLE_FIELDS + [(8, 3), (9, 3)])
+def test_span_bytes_match_oracle(s, k):
+    # byte for byte, int64 dtype included, on a random k-row basis two columns wider
+    f = gf.level_field(s)
+    basis = np.random.default_rng(s * 100 + k).integers(0, s, (k, k + 2))
+    got, want = gf.span(f, basis), oracle_span(f, basis)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape == (s**k, k + 2)
+    assert got.tobytes() == want.tobytes()

@@ -23,6 +23,7 @@ from goa import gf
 from goa.errors import StrengthPrereqError
 
 from conftest import (
+    _oracle_counts,
     oracle_check_strength,
     oracle_is_linear,
     oracle_linear_basis,
@@ -426,6 +427,89 @@ def boundary_matrix(s: int, width: int, k: int, seed: int) -> np.ndarray:
     top = np.lexsort(space.T[::-1])[-1]
     last[[top, len(space) + top], -1] = field.add_t[space[top, -1], 1]
     return np.hstack([linear, uneven, coset, last])
+
+
+def span_check_blocks(s: int, k: int) -> np.ndarray:
+    """Four blocks of k + 2 columns over one rank-k space whose basis is
+    (I_k | random), so the first k cells fix a row: linear; a coset (row 0
+    nonzero); the space with its last sorted row moved by one cell, which
+    keeps s^k distinct rows and breaks only the span check's last step (e =
+    k - 1, d = s - 1); and the space with rows repeated."""
+    field = gf.level_field(s)
+    rng = np.random.default_rng(s)
+    basis = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, s, (k, 2))])
+    space = gf.span(field, basis)
+    coset = field.add_t[space, rng.integers(1, s, k + 2)]
+    last = space.copy()
+    assert space[-1, :k].tolist() == [s - 1] * k  # the last in sorted order
+    last[-1, -1] = field.add_t[last[-1, -1], 1]
+    doubled = np.vstack([space[::2], space[1::2]])
+    return np.hstack([space, coset, last, doubled])
+
+
+class TestSpanCheck:
+    """The linear test's span check in uint8 over every kind of level
+    field, against the one-subject oracles: verdicts, RREF bases and
+    patterns of a stack that holds failing subjects among passing ones, at
+    chunk caps that split it into one subject (and one row) per temporary,
+    into several subject chunks, and at the default."""
+
+    @pytest.mark.parametrize("cells", [1, 256, dz._CHUNK_CELLS])
+    @pytest.mark.parametrize("s, k", [(2, 5), (3, 3), (4, 3), (5, 2), (8, 2), (9, 2), (97, 2)])
+    def test_matches_oracles(self, s, k, cells):
+        matrix = span_check_blocks(s, k)
+        w = k + 2
+        linear, coset, last, doubled = (list(range(b * w, (b + 1) * w)) for b in range(4))
+        # failing subjects in the middle of the stack, and projections of lower rank
+        kinds = [linear, last, doubled, coset, linear[1:], last, linear[k:] + linear[:1], linear]
+        # enough copies for two or more subject chunks at the last q = s^(k-1),
+        # where a chunk holds `per` subjects of `run` rows each
+        run = min(s ** (k - 1), max(1, cells // w))
+        per = max(1, cells // (run * w))
+        subjects = kinds * (1 + 2 * per // len(kinds))
+        tops = [None if i % 3 else 3 for i in range(len(subjects))]
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            readings = dz.read_subjects(s, matrix, subjects, tops)
+        wants = {}
+        for cols, top, (pattern, basis) in zip(subjects, tops, readings):
+            rows = matrix[:, cols]
+            key = tuple(cols)
+            if key not in wants:
+                wants[key] = oracle_linear_basis(s, rows)
+            want = wants[key]
+            if want is None:
+                assert pattern is None and basis is None
+                continue
+            assert basis.dtype == np.int64 and np.array_equal(basis, want)
+            assert pattern == oracle_wlp_of_rows(s, rows, None if top is None
+                                                 else min(top, len(cols)))
+        assert [wants[tuple(c)] is not None for c in kinds] == [
+            True, False, True, False, True, False, True, True]
+
+
+class TestPopcountWords:
+    """The popcount tables, summed over W = 1, 2, 8 and 10 words of 64
+    rows: every tuple's table against the oracle's count, and
+    check_strength against the oracle, its witness the lexicographically
+    first failing tuple."""
+
+    @pytest.mark.parametrize("runs, s, words", [(64, 2, 1), (65, 2, 2), (486, 3, 8),
+                                                (640, 2, 10), (640, 4, 10)])
+    def test_matches_oracle(self, runs, s, words):
+        # OA(s^3, 4, s, 3), the coordinates of GF(s)^3 and their sum, tiled
+        field = gf.level_field(s)
+        points = np.vstack([np.eye(3, dtype=np.int64), np.ones((1, 3), dtype=np.int64)])
+        base = gf.span(field, points.T)
+        for matrix in tiled(np.hstack([base, base[:, ::-1]]), runs, s):
+            matrix[7, 5] = (matrix[7, 5] + 1) % s
+            assert dz._level_bitsets(matrix, s).shape[2] == words
+            d = dz.Design(s, matrix)
+            for t in (1, 2, 3):
+                assert s**t <= 64
+                for tuples, tables in dz._projection_tables(matrix, s, t, range(d.cols)):
+                    for cols, table in zip(tuples.tolist(), tables):
+                        assert np.array_equal(table, _oracle_counts(matrix, cols, s))
+                assert_matches_oracle_at_caps(d, t)
 
 
 class TestRowKeys:

@@ -147,6 +147,20 @@ class TestMatrixCodec:
             lines = [",".join(str(int(x)) for x in row) for row in m]
             assert io._int_text(m, csv=True) == ("\n".join(lines) + "\n").encode()
 
+    @pytest.mark.parametrize("m", [
+        [[7]], [[0], [3], [9]], [[0, 9, 5], [1, 2, 3]],
+        [[-1]], [[-3], [12], [0]], [[10, 99, 100], [255, 256, -255]],
+        [[2**31, -2**31, 65535]], [[-2**63, 2**63 - 1]],
+    ], ids=["digit-1x1", "digits-Nx1", "digits", "signed-1x1", "signed-Nx1", "multi-digit",
+            "32-bit", "int64-limits"])
+    def test_cells_and_shapes(self, m):
+        # one-digit matrices are written as a grid of rows, all others cell by cell
+        m = np.array(m, dtype=np.int64)
+        lines = [",".join(str(int(x)) for x in row) for row in m]
+        for view in (m, np.asfortranarray(m), np.repeat(m, 2, axis=1)[:, ::2]):
+            assert io._int_text(view) == json.dumps(m.tolist(), separators=COMPACT).encode()
+            assert io._int_text(view, csv=True) == ("\n".join(lines) + "\n").encode()
+
     @pytest.mark.parametrize("s", [2, 3, 13])
     def test_csv_and_int_matrix_bytes_pinned(self, tmp_path, s):
         # the per-cell writers these files had before the matrix codec
