@@ -7,7 +7,12 @@ design, inherited by every column projection): such an array has strength
 d⊥ - 1, one less than the first nonzero A_j of its wordlength pattern.  An
 array that is not linear is checked combinatorially, by projecting onto
 column subsets and counting level combinations; the same count finds the
-lexicographically first failing columns of any failed claim.  Wordlength
+lexicographically first failing columns of any failed claim.  While s^t <=
+64 the count follows the face rule: if every (t - 1)-column face of a
+t-tuple holds each of its cells N / s^(t-1) times, the tuple holds each of
+its s^t cells N / s^t times iff each of its (s - 1)^t top-free cells, those
+with no coordinate at s - 1, does; so only those are counted, and the
+faces, found on demand down to t = 1, decide the rest.  Wordlength
 patterns are read off the weights of the rows themselves by the MacWilliams
 transform, for a whole stack of subjects (the array, or all its groups) at
 once by read_subjects.  The strength-3 triple proportion p(D) is an exact
@@ -38,6 +43,8 @@ from .errors import (
 # words of the AND block; for the span check of _span_test, bytes of each
 # uint8 temporary
 _CHUNK_CELLS = 1 << 14
+# cells of the largest face-verdict memo of _FaceRule, one byte each
+_FACE_MEMO_CELLS = 1 << 22
 # subject x weight (or x pattern length) cells per block of wlp_from_weights
 _KRAWTCHOUK_CELLS = 1 << 16
 
@@ -160,75 +167,199 @@ def expand_generator(gen: GeneratorMatrix, origin: str | None = None) -> Design:
     return Design(gen.s, rows, origin or "expanded")
 
 
-def _level_bitsets(matrix: np.ndarray, s: int) -> np.ndarray:
-    """n x s x W uint64 words; bit r of [c, a] is set iff matrix[r, c] == a.
-    The rows are zero-padded to whole words."""
-    rows = np.zeros((matrix.shape[1], s, -(-matrix.shape[0] // 64) * 64), dtype=bool)
-    rows[:, :, :matrix.shape[0]] = matrix.T[:, None, :] == np.arange(s)[:, None]
+def _level_bitsets(matrix: np.ndarray, levels: int) -> np.ndarray:
+    """n x levels x W uint64 words; bit r of [c, a] is set iff
+    matrix[r, c] == a, for each level a < levels.  The rows are
+    zero-padded to whole words."""
+    rows = np.zeros((matrix.shape[1], levels, -(-matrix.shape[0] // 64) * 64), dtype=bool)
+    rows[:, :, :matrix.shape[0]] = matrix.T[:, None, :] == np.arange(levels)[:, None]
     return np.packbits(rows, axis=-1).view(np.uint64)
 
 
-def _projection_tables(matrix: np.ndarray, s: int, t: int, cols):
-    """Yield (tuples, tables) chunks of t-column projection counts in
-    itertools.combinations order of cols, cell a_1 s^(t-1) + ... + a_t.
-
-    One walk serves every t and s: each chunk is the next
-    _CHUNK_CELLS // per column tuples, per being what one tuple costs to
-    count, and only the count step forks.  While s^t <= 64 each (column,
-    level) is a bitset of the rows, and the count of levels (a_1, ..., a_t)
-    in columns (c_1, ..., c_t) is the popcount of bits[c_1, a_1] & ... &
-    bits[c_t, a_t]: per is the s^t W words of the AND block.  A tuple then
-    costs s^t words per 64 rows against one bincount cell per row, so for
-    larger s^t row i of a chunk is coded with an offset of i * s^t and one
-    bincount counts the chunk: per is max(N, s^t) cells.
-    """
-    cells = s**t
-    popcount = cells <= 64
-    if popcount:
-        bits = _level_bitsets(matrix, s)
-        per = cells * bits.shape[2]
-    else:
-        per = max(matrix.shape[0], cells)
-    size = max(1, _CHUNK_CELLS // per)
-    combos = itertools.combinations(cols, t)
+def _combinations(n: int, t: int, size: int, most: int | None = None):
+    """Yield itertools.combinations(range(n), t) as intp chunks: the first
+    of size tuples, each next one twice as long up to most (size when
+    None), the last one shorter."""
+    most = size if most is None else max(size, most)
+    combos = itertools.combinations(range(n), t)
     while True:
         flat = itertools.chain.from_iterable(itertools.islice(combos, size))
         tuples = np.fromiter(flat, dtype=np.intp).reshape(-1, t)
         if not len(tuples):
             return
-        if popcount:
-            block = bits[tuples[:, 0]]
-            for i in range(1, t):
-                block = (block[:, :, None] & bits[tuples[:, i], None]).reshape(
-                    len(tuples), s ** (i + 1), -1)
-            # summed word slice by word slice in int64: a reduce of the
-            # short inner word axis is slow
-            tables = np.einsum("tcw->tc", np.bitwise_count(block), dtype=np.int64)
-        else:
-            enc = np.arange(len(tuples))
-            for i in range(t):
-                enc = enc * s + matrix[:, tuples[:, i]]
-            tables = np.bincount(enc.ravel(), minlength=enc.shape[1] * cells)
-        yield tuples, tables.reshape(-1, cells)
+        yield tuples
+        size = min(2 * size, most)
+
+
+def _projection_table(matrix: np.ndarray, s: int, cols) -> np.ndarray:
+    """The s^t count table of the t columns cols, cell a_1 s^(t-1) + ...
+    + a_t: one bincount."""
+    enc = np.zeros(len(matrix), dtype=np.intp)
+    for c in cols:
+        enc = enc * s + matrix[:, c]
+    return np.bincount(enc, minlength=s ** len(cols))
+
+
+# _FACE_COLUMNS[j][i]: the columns of a j-tuple that its face i keeps, for
+# the j <= 6 of s^j <= 64
+_FACE_COLUMNS = [np.array([[c for c in range(j) if c != i] for i in range(j)],
+                          dtype=np.intp).reshape(j, max(j - 1, 0)) for j in range(7)]
+
+
+class _FaceRule:
+    """Strength verdicts of the column tuples of an N x n level matrix,
+    decided by the face rule; for tuples of at most t - 1 columns, kept.
+
+    A face of a j-tuple is one of its (j - 1)-column sub-tuples, and a
+    top-free cell is a level combination with no coordinate at s - 1.  If
+    every face holds each of its cells N / s^(j-1) times, the tuple holds
+    each of its cells N / s^j times iff each of its (s - 1)^j top-free
+    cells does: by induction on the number i of coordinates at s - 1, such
+    a cell holds a face's count less s - 1 cells with i - 1 of them, N /
+    s^(j-1) - (s - 1) N / s^j.  So only levels 0..s-2 get row bitsets, the
+    count of top-free cell (a_1, ..., a_j) on columns (c_1, ..., c_j) is
+    the popcount of bits[c_1, a_1] & ... & bits[c_j, a_j], (s - 1)^j W
+    words for W words of 64 rows, and a tuple fails iff a top-free cell is
+    off or a face fails.  The one face of a column, the empty tuple, always
+    holds.  Face verdicts are found on demand: every column's at once the
+    first time a tuple asks (its bitsets are built already), wider faces
+    each distinct one once, in batches of at most _CHUNK_CELLS words, kept
+    by the face's base-n code while n^j <= _FACE_MEMO_CELLS, else found
+    again for each batch of (j + 1)-tuples that asks."""
+
+    def __init__(self, matrix: np.ndarray, s: int, t: int):
+        self.s, self.runs, self.n = s, matrix.shape[0], matrix.shape[1]
+        self.bits = _level_bitsets(matrix, s - 1)
+        # per face width j >= 2: 0 unknown, 1 holds, 2 fails
+        self.memo = [np.zeros(self.n**j, dtype=np.uint8)
+                     if 1 < j and self.n**j <= _FACE_MEMO_CELLS else None for j in range(t)]
+        self.radix = [None if memo is None else self.n ** np.arange(j - 1, -1, -1)
+                      for j, memo in enumerate(self.memo)]
+        self.columns = None  # the verdict of every column, once a tuple has asked
+
+    def size(self, j: int) -> int:
+        """j-tuples per batch: an AND block of at most _CHUNK_CELLS words."""
+        return max(1, _CHUNK_CELLS // ((self.s - 1)**j * self.bits.shape[2]))
+
+    def counts(self, tuples: np.ndarray) -> np.ndarray:
+        """(len(tuples), (s - 1)^j) top-free counts of the j-tuples, cell
+        a_1 (s - 1)^(j-1) + ... + a_j."""
+        block = self.bits[tuples[:, 0]]
+        for i in range(1, tuples.shape[1]):
+            block = (block[:, :, None] & self.bits[tuples[:, i], None]).reshape(
+                len(tuples), -1, block.shape[2])
+        # summed word slice by word slice in int64: a reduce of the short
+        # inner word axis is slow
+        return np.einsum("tcw->tc", np.bitwise_count(block), dtype=np.int64)
+
+    def verdicts(self, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The top-free counts of a batch of j-tuples, and which tuples hold
+        every cell N / s^j times; faces are asked for only when some
+        tuple's top-free cells hold."""
+        j = tuples.shape[1]
+        counts = self.counts(tuples)
+        ok = (counts == self.runs // self.s**j).all(axis=1)
+        if j > 1 and ok.any():
+            faces = tuples[:, _FACE_COLUMNS[j]].reshape(-1, j - 1)
+            ok &= self.holds(faces).reshape(-1, j).all(axis=1)
+        return counts, ok
+
+    def holds(self, tuples: np.ndarray) -> np.ndarray:
+        """Which j-tuples hold every cell N / s^j times: kept verdicts, and
+        each distinct unknown tuple found once."""
+        j = tuples.shape[1]
+        if j == 1:
+            # each column costs s - 1 popcounts of its bitsets, all built already
+            if self.columns is None:
+                self.columns = self.verdicts(np.arange(self.n)[:, None])[1]
+            return self.columns[tuples[:, 0]]
+        memo = self.memo[j]
+        if memo is None:
+            keys = np.ascontiguousarray(tuples).view(np.dtype((np.void, j * tuples.itemsize)))
+            fresh, back = np.unique(keys[:, 0], return_inverse=True)
+            return self._decide(fresh.view(np.intp).reshape(-1, j))[back]
+        radix = self.radix[j]
+        codes = tuples @ radix
+        state = memo[codes]
+        fresh = np.sort(codes[state == 0])
+        if len(fresh):
+            first = np.ones(len(fresh), dtype=bool)
+            np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
+            fresh = fresh[first]
+            memo[fresh] = 2 - self._decide(fresh[:, None] // radix % self.n)
+            state = memo[codes]
+        return state == 1
+
+    def _decide(self, tuples: np.ndarray) -> np.ndarray:
+        """Which j-tuples hold, found by verdicts in batches of size(j)."""
+        size = self.size(tuples.shape[1])
+        if len(tuples) <= size:
+            return self.verdicts(tuples)[1]
+        return np.concatenate([self.verdicts(tuples[lo:lo + size])[1]
+                               for lo in range(0, len(tuples), size)])
+
+
+def _projection_tables(matrix: np.ndarray, s: int, t: int):
+    """Yield (tuples, counts, ok) chunks of the t-column projections of
+    matrix, N x n with s^t dividing N, in itertools.combinations order:
+    ok says which tuples hold each of their s^t level combinations N / s^t
+    times, and counts are what was counted to decide it.
+
+    This one walk serves check_strength, max_strength, p_of_d and
+    verify_claims.  While s^t <= 64 the face rule decides (_FaceRule): a
+    tuple holds iff its (t - 1)-column faces hold and its (s - 1)^t
+    top-free cells, the counts, each hold N / s^t, popcounts of an AND
+    block of (s - 1)^t W words a tuple for W words of 64 rows.  The first
+    chunk is _CHUNK_CELLS // (s^t W) tuples, what full tables would fit in
+    _CHUNK_CELLS words, so that an early failure scans no more tuples than
+    that; each next chunk is twice as long, up to a block of _CHUNK_CELLS
+    words.  For larger s^t, a popcount costs more words per 64 rows than
+    one bincount cell per row, so row i of a chunk of _CHUNK_CELLS //
+    max(N, s^t) tuples is coded with an offset of i * s^t, and one
+    bincount counts every tuple's full table, cell a_1 s^(t-1) + ... +
+    a_t.
+    """
+    runs, n = matrix.shape
+    cells = s**t
+    if cells <= 64:
+        rule = _FaceRule(matrix, s, t)
+        first = max(1, _CHUNK_CELLS // (cells * rule.bits.shape[2]))
+        for tuples in _combinations(n, t, first, rule.size(t)):
+            yield tuples, *rule.verdicts(tuples)
+        return
+    for tuples in _combinations(n, t, max(1, _CHUNK_CELLS // max(runs, cells))):
+        enc = np.arange(len(tuples))
+        for i in range(t):
+            enc = enc * s + matrix[:, tuples[:, i]]
+        tables = np.bincount(enc.ravel(), minlength=enc.shape[1] * cells).reshape(-1, cells)
+        yield tuples, tables, (tables == runs // cells).all(axis=1)
 
 
 def check_strength(design: Design, t: int) -> StrengthCheck:
     """Exhaustive strength-t check.
 
     Passes iff every t-column projection holds each of the s^t level
-    combinations exactly N/s^t times.  Chunks are scanned in lexicographic
-    order, so on failure the witness is still the lexicographically first
-    offending column set with its count table; failure is a value.
+    combinations exactly N/s^t times; while s^t <= 64 that is decided by
+    the face rule (_FaceRule), from each tuple's (s - 1)^t top-free cells
+    and the verdicts of its (t - 1)-column faces.  Chunks are scanned in
+    lexicographic order, so on failure the witness is still the
+    lexicographically first offending column set, with its full count
+    table from one bincount; failure is a value.  When s^t does not divide
+    N, the first column set fails uncounted but for its table.
     """
     if not 1 <= t <= design.cols:
         raise ValueError(f"need 1 <= t <= {design.cols}")
-    want = design.runs // design.s**t
-    for tuples, tables in _projection_tables(design.matrix, design.s, t, range(design.cols)):
-        bad = np.flatnonzero((tables != want).any(axis=1))
-        if len(bad):
-            return StrengthCheck(False, t, tuple(int(c) for c in tuples[bad[0]]),
-                                 tables[bad[0]].copy(), want)
-    return StrengthCheck(True, t)
+    want, rem = divmod(design.runs, design.s**t)
+    if rem:
+        witness = tuple(range(t))
+    else:
+        witness = next((tuple(tuples[np.argmin(ok)].tolist())
+                        for tuples, _, ok in _projection_tables(design.matrix, design.s, t)
+                        if not ok.all()), None)
+        if witness is None:
+            return StrengthCheck(True, t)
+    table = _projection_table(design.matrix, design.s, witness)
+    return StrengthCheck(False, t, witness, table, want)
 
 
 def max_strength(design: Design, cap: int | None = None) -> int:
@@ -485,13 +616,15 @@ def p_of_d(design: Design, columns=None, reading: Reading | None = None) -> Frac
     word is unique up to scalars (two that are not would combine into a
     shorter one), so p = 1 - A_3 / C(m, 3) and nothing is counted.  Any
     other subject is counted by the same projection kernel as
-    check_strength.
+    check_strength: while s^3 <= 64, by the face rule, a triple holds iff
+    its three pairs hold (each pair decided once, from its (s - 1)^2
+    top-free cells and its columns) and its (s - 1)^3 top-free cells hold
+    N / s^3 each.
     """
     cols = list(range(design.cols)) if columns is None else list(columns)
     if len(cols) < 3:
         raise TooFewColumnsError("p(D) needs at least three columns")
-    want, rem = divmod(design.runs, design.s**3)
-    if rem:
+    if design.runs % design.s**3:
         return Fraction(0)
     triples = math.comb(len(cols), 3)
     if reading is None or reading.pattern is not None and len(reading.pattern) < 3:
@@ -499,8 +632,8 @@ def p_of_d(design: Design, columns=None, reading: Reading | None = None) -> Frac
     pattern = reading.pattern
     if pattern is not None and not any(pattern[:2]):
         return 1 - Fraction(pattern[2], triples)
-    hits = sum(int((tables == want).all(axis=1).sum())
-               for _, tables in _projection_tables(design.matrix, design.s, 3, cols))
+    matrix = design.matrix if columns is None else design.matrix[:, cols]
+    hits = sum(int(ok.sum()) for _, _, ok in _projection_tables(matrix, design.s, 3))
     return Fraction(hits, triples)
 
 

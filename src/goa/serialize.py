@@ -12,6 +12,7 @@ other document is left to json.loads.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 from fractions import Fraction
@@ -76,14 +77,12 @@ def grouped_from_dict(doc: dict) -> GroupedDesign:
             where = f"groups[{i}]"
             groups.append(
                 Group(
-                    columns=[_typed(c, int, f"{where}.columns")
-                             for c in _typed(g["columns"], list, f"{where}.columns")],
+                    columns=_int_list(g["columns"], f"{where}.columns"),
                     claimed_strength=_typed(g["claimed_strength"], int,
                                             f"{where}.claimed_strength"),
                     verified_strength=_opt_int(g["verified_strength"],
                                                f"{where}.verified_strength"),
-                    wlp=(tuple(_typed(a, int, f"{where}.wlp")
-                               for a in _typed(g["wlp"], list, f"{where}.wlp"))
+                    wlp=(tuple(_int_list(g["wlp"], f"{where}.wlp"))
                          if g["wlp"] is not None else None),
                     p=fraction_from_str(g["p"]) if g["p"] is not None else None,
                 )
@@ -104,6 +103,17 @@ def _typed(value, kind: type, name: str):
     and floats are no integers, and a string or object is no list."""
     if type(value) is not kind:
         raise FileFormatError(f"{name}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _int_list(value, name: str) -> list[int]:
+    """A field that JSON gave as a list of ints, each checked as _typed
+    checks it: the types of the whole list at once, and the elements
+    walked only to name the first that is no int."""
+    _typed(value, list, name)
+    if set(map(type, value)) - {int}:
+        for item in value:
+            _typed(item, int, name)
     return value
 
 
@@ -149,9 +159,9 @@ def _check_claims(cols: int, claimed_t0: int, verified_t0: int | None,
         where = f"groups[{i}]"
         if not grp.columns:
             raise FileFormatError(f"{where}.columns: a group needs at least one column")
-        bad = [c for c in grp.columns if not 0 <= c < cols]
-        if bad:
-            raise FileFormatError(f"{where}.columns: {bad[0]} outside 0..{cols - 1}")
+        if not 0 <= min(grp.columns) <= max(grp.columns) < cols:
+            bad = next(c for c in grp.columns if not 0 <= c < cols)
+            raise FileFormatError(f"{where}.columns: {bad} outside 0..{cols - 1}")
         if len(set(grp.columns)) != grp.size:
             raise FileFormatError(f"{where}.columns: duplicate column")
         for name in ("claimed_strength", "verified_strength"):
@@ -243,13 +253,16 @@ def save_json(gd: GroupedDesign, path) -> None:
 
 
 def load_json(path) -> GroupedDesign:
-    """A design JSON file; one that cannot be read, decoded as UTF-8 or
-    parsed (nesting too deep for the parser included) is a FileFormatError
-    that names the path."""
+    """A design JSON file; one that cannot be read, decoded as read_text
+    decodes it or parsed (nesting too deep for the parser included) is a
+    FileFormatError that names the path.  The file is read once, as
+    bytes."""
     try:
-        text = Path(path).read_text()
-        doc = _canonical_doc(text)
+        raw = Path(path).read_bytes()
+        doc = _canonical_doc(raw)
         if doc is None:
+            # decoded as Path.read_text decodes: the default encoding, universal newlines
+            text = io.TextIOWrapper(io.BytesIO(raw), encoding=io.text_encoding(None)).read()
             doc = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
@@ -259,36 +272,39 @@ def load_json(path) -> GroupedDesign:
 _MATRIX_KEY = b',"matrix":['
 
 
-def _canonical_doc(text: str) -> dict | None:
-    """The document of text, its level matrix read straight from the bytes
-    as an int64 array, when that matrix is in the form dumps writes for
-    s <= 10; None for any other text, which json.loads then decides.
+def _canonical_doc(raw: bytes) -> dict | None:
+    """The document of the file bytes raw, its level matrix read straight
+    from them as an int64 array, when that matrix is in the form dumps
+    writes for s <= 10; None for any other text, which json.loads then
+    decides.
 
     That form is an ASCII text whose first ',"matrix":[' is followed by rows
     '[d,...,d]' joined by ',' and a closing ']', every cell one digit and
     every row laid out byte for byte like the first, so that each holds as
     many cells.  Whitespace, a leading zero, a cell of two digits, a sign
-    or a ragged row leave it.  json decodes the rest of the text with the
-    constant NaN in the matrix's place, and the array counts only if that
-    NaN, the one constant json met, came back as the top-level "matrix":
-    not one nested in a group, and not one that a later "matrix" key
-    overrides.
+    or a ragged row leave it.  The matrix ends at the first row, at the
+    first row's stride, whose last byte is no ',': that byte must be the
+    closing ']'.  The digits are checked on the uint8 grid and widened
+    once.  json decodes the rest of the text with the constant NaN in the
+    matrix's place, and the array counts only if that NaN, the one
+    constant json met, came back as the top-level "matrix": not one nested
+    in a group, and not one that a later "matrix" key overrides.
     """
-    if not text.isascii():
+    if not raw.isascii():
         return None
-    raw = text.encode("ascii")  # so offsets in raw are offsets in text
     start = raw.find(_MATRIX_KEY)
     first = start + len(_MATRIX_KEY)
-    end = raw.find(b"]]", first) + 2
     row = raw.find(b"]", first) - first + 2  # '[d,...,d],' of the first row
-    if start < 0 or end < 2 or row < 4 or row % 2 or (end - first) % row:
+    if start < 0 or row < 4 or row % 2 or len(raw) - first < row:
         return None
-    grid = np.frombuffer(raw, np.uint8, end - first, first).reshape(-1, row)
+    whole = np.frombuffer(raw, np.uint8, (len(raw) - first) // row * row, first).reshape(-1, row)
+    last = int(np.argmax(whole[:, -1] != ord(",")))
+    if whole[last, -1] != ord("]"):
+        return None
+    grid = whole[:last + 1]
     marks = np.frombuffer(b"[" + b"," * (row // 2 - 2) + b"]", np.uint8)
-    cells = grid[:, 1:row - 2:2].astype(np.int64)
-    cells -= ord("0")  # a byte below '0' wraps past 9 as uint64
-    if not ((cells.view(np.uint64) <= 9).all() and (grid[:, 0:row - 1:2] == marks).all()
-            and (grid[:-1, -1] == ord(",")).all() and grid[-1, -1] == ord("]")):
+    cells = grid[:, 1:row - 2:2] - np.uint8(ord("0"))  # a byte below '0' wraps past 9
+    if not ((cells <= 9).all() and (grid[:, 0:row - 1:2] == marks).all()):
         return None
     marker, constants = object(), []
 
@@ -296,13 +312,15 @@ def _canonical_doc(text: str) -> dict | None:
         constants.append(name)
         return marker
 
+    end = first + len(grid) * row
     try:
-        doc = json.loads(text[:start] + ',"matrix":NaN' + text[end:], parse_constant=constant)
+        doc = json.loads((raw[:start] + b',"matrix":NaN' + raw[end:]).decode("ascii"),
+                         parse_constant=constant)
     except (ValueError, RecursionError):
         return None
     if constants != ["NaN"] or type(doc) is not dict or doc.get("matrix") is not marker:
         return None
-    doc["matrix"] = cells
+    doc["matrix"] = cells.astype(np.int64)
     return doc
 
 

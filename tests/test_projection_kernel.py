@@ -9,6 +9,7 @@ the same oracle; the batched reading behind it, read_subjects, is compared
 subject by subject with the one-subject linear test and pattern oracles.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from goa import constructions as cx
 from goa import designs as dz
 from goa import gf
+from goa import serialize as io
 from goa.errors import StrengthPrereqError
 
 from conftest import (
@@ -124,14 +126,15 @@ class TestCheckStrength:
 
 def assert_matches_oracle_at_caps(d: dz.Design, t: int):
     """check_strength at t against the oracle, at chunk caps of one
-    tuple, of 16 cells and the default; each run counts by popcount
-    exactly when s^t <= 64."""
+    tuple, of 16 cells and the default; a run where s^t divides N counts
+    by popcount exactly when s^t <= 64, and one where it does not counts
+    nothing."""
     want = oracle_check_strength(d, t)
     for cells in (1, 16, dz._CHUNK_CELLS):
         with mock.patch.object(dz, "_CHUNK_CELLS", cells), \
                 mock.patch.object(dz, "_level_bitsets", wraps=dz._level_bitsets) as spy:
             assert_same_check(dz.check_strength(d, t), want)
-        assert spy.called == (d.s**t <= 64)
+        assert spy.called == (d.s**t <= 64 and d.runs % d.s**t == 0)
 
 
 def tiled(base: np.ndarray, runs: int, s: int) -> list[np.ndarray]:
@@ -175,6 +178,121 @@ class TestBitsetWords:
         points = np.vstack([np.eye(t, dtype=np.int64), np.ones((1, t), dtype=np.int64)])
         for matrix in tiled(gf.span(field, points.T), runs, s):
             assert_matches_oracle_at_caps(dz.Design(s, matrix), t)
+
+
+def assert_kernel_matches_oracles(d: dz.Design):
+    """check_strength at every t, max_strength and (with three or more
+    columns) p_of_d against the oracles at chunk caps of one tuple, of 16
+    cells and the default."""
+    for cells in (1, 16, dz._CHUNK_CELLS):
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            for t in range(1, d.cols + 1):
+                assert_same_check(dz.check_strength(d, t), oracle_check_strength(d, t))
+            assert dz.max_strength(d) == oracle_max_strength(d)
+            if d.cols >= 3:
+                assert dz.p_of_d(d) == oracle_p_of_d(d)
+
+
+def sum_columns(s: int) -> np.ndarray:
+    """Rows (x_1, x_2, x_1 + x_2) over GF(s), stacked s times: every pair
+    of columns holds each of its s^2 cells s = N / s^2 times, while the
+    triple's top-free cell (0, 0, 0) holds s against N / s^3 = 1."""
+    field = gf.level_field(s)
+    x1, x2 = np.divmod(np.arange(s * s), s)
+    rows = np.column_stack([x1, x2, field.add_t[x1, x2]])
+    return np.tile(rows, (s, 1))
+
+
+class TestFaceRule:
+    """While s^t <= 64 a tuple holds iff its faces hold and its (s - 1)^t
+    top-free cells do: cases where only one of the two fails, and a
+    failure found early that counts no face of a tuple past the chunk that
+    holds it."""
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_faces_hold_top_free_cell_off(self, s):
+        d = dz.Design(s, sum_columns(s))
+        table = _oracle_counts(d.matrix, (0, 1, 2), s).reshape(s, s, s)
+        assert table[0, 0, 0] == s
+        for pair in ((0, 1), (0, 2), (1, 2)):
+            assert (_oracle_counts(d.matrix, pair, s) == s).all()
+        assert not dz.check_strength(d, 3).ok
+        assert_kernel_matches_oracles(d)
+
+    @pytest.mark.parametrize("stacked", [1, 2])
+    def test_top_free_cells_exact_face_off(self, stacked):
+        # cell (0, 0) holds N / 4, the one top-free cell of a binary pair,
+        # while column 0 holds level 0 once and level 1 three times
+        rows = np.tile([[0, 0], [1, 1], [1, 1], [1, 0]], (stacked, 1))
+        if stacked > 1:
+            rows = np.column_stack([rows, np.arange(len(rows)) % 2])
+        d = dz.Design(2, rows)
+        assert _oracle_counts(d.matrix, (0, 1), 2)[0] == len(rows) // 4
+        res = dz.check_strength(d, 2)
+        assert res.witness == (0, 1)
+        assert_kernel_matches_oracles(d)
+
+    @settings(deadline=None)
+    @given(designs(), CHUNK_CAPS)
+    def test_without_face_memo(self, d, cells):
+        # every face found again for each batch that asks for it
+        with mock.patch.object(dz, "_FACE_MEMO_CELLS", 0), \
+                mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            for t in range(1, d.cols + 1):
+                assert_same_check(dz.check_strength(d, t), oracle_check_strength(d, t))
+            if d.cols >= 3:
+                assert dz.p_of_d(d) == oracle_p_of_d(d)
+
+    @pytest.mark.parametrize("cells", [1, dz._CHUNK_CELLS])
+    def test_early_exit_counts_only_faces_of_scanned_tuples(self, catalog_dir, cells):
+        # the survey-s2-k9-m13 rows (512 x 507) lack strength 3 first at
+        # (0, 1, 93); the walk stops in the chunk that holds it, and every
+        # pair it counted is a face of a triple it scanned
+        d = io.load_json(catalog_dir / "survey-s2-k9-m13.json").design
+        counted = {1: set(), 2: set(), 3: []}
+        real = dz._FaceRule.counts
+
+        def spy(rule, tuples):
+            if tuples.shape[1] == 3:
+                counted[3].extend(map(tuple, tuples.tolist()))
+            else:
+                counted[tuples.shape[1]].update(map(tuple, tuples.tolist()))
+            return real(rule, tuples)
+
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells), \
+                mock.patch.object(dz._FaceRule, "counts", spy):
+            res = dz.check_strength(d, 3)
+        assert res.witness == (0, 1, 93)
+        assert_same_check(res, oracle_check_strength(d, 3))
+        scanned = counted[3]
+        assert scanned == list(itertools.islice(itertools.combinations(range(d.cols), 3),
+                                                len(scanned)))
+        assert (0, 1, 93) in scanned
+        if cells == 1:
+            assert scanned[-1] == (0, 1, 93)
+        faces = {face for triple in scanned for face in itertools.combinations(triple, 2)}
+        assert counted[2] <= faces
+        # the columns are decided all at once, from the bitsets built for all of them
+        assert counted[1] == {(c,) for c in range(d.cols)}
+        assert len(counted[2]) < math.comb(d.cols, 2) // 50
+
+
+class TestCombinations:
+    """The walk's column tuples in lexicographic chunks, each twice as long
+    as the one before up to a cap."""
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    @pytest.mark.parametrize("size, most", [(1, None), (2, None), (3, 3), (1, 8), (2, 5),
+                                            (50, None)])
+    def test_lexicographic_chunks(self, n, size, most):
+        top = size if most is None else most
+        for t in range(1, n + 1):
+            chunks = list(dz._combinations(n, t, size, most))
+            want = list(itertools.combinations(range(n), t))
+            assert [tuple(c) for chunk in chunks for c in chunk.tolist()] == want
+            assert all(chunk.dtype == np.intp and chunk.shape[1] == t for chunk in chunks)
+            assert [len(c) for c in chunks[:-1]] == [min(size * 2**k, top)
+                                                     for k in range(len(chunks) - 1)]
 
 
 class TestMaxStrength:
@@ -488,13 +606,14 @@ class TestSpanCheck:
 
 
 class TestPopcountWords:
-    """The popcount tables, summed over W = 1, 2, 8 and 10 words of 64
-    rows: every tuple's table against the oracle's count, and
+    """The popcount walk, over W = 1, 2, 8 and 10 words of 64 rows: every
+    tuple's (s - 1)^t top-free counts against those cells of the oracle's
+    table, and its verdict against the oracle's, where s^t divides N; and
     check_strength against the oracle, its witness the lexicographically
     first failing tuple."""
 
-    @pytest.mark.parametrize("runs, s, words", [(64, 2, 1), (65, 2, 2), (486, 3, 8),
-                                                (640, 2, 10), (640, 4, 10)])
+    @pytest.mark.parametrize("runs, s, words", [(64, 2, 1), (65, 2, 2), (72, 2, 2),
+                                                (486, 3, 8), (640, 2, 10), (640, 4, 10)])
     def test_matches_oracle(self, runs, s, words):
         # OA(s^3, 4, s, 3), the coordinates of GF(s)^3 and their sum, tiled
         field = gf.level_field(s)
@@ -506,9 +625,14 @@ class TestPopcountWords:
             d = dz.Design(s, matrix)
             for t in (1, 2, 3):
                 assert s**t <= 64
-                for tuples, tables in dz._projection_tables(matrix, s, t, range(d.cols)):
-                    for cols, table in zip(tuples.tolist(), tables):
-                        assert np.array_equal(table, _oracle_counts(matrix, cols, s))
+                if runs % s**t == 0:
+                    want = runs // s**t
+                    for tuples, counts, ok in dz._projection_tables(matrix, s, t):
+                        for cols, count, holds in zip(tuples.tolist(), counts, ok):
+                            table = _oracle_counts(matrix, cols, s).reshape((s,) * t)
+                            top_free = table[(slice(0, s - 1),) * t].ravel()
+                            assert np.array_equal(count, top_free)
+                            assert holds == (table == want).all()
                 assert_matches_oracle_at_caps(d, t)
 
 

@@ -181,14 +181,14 @@ class TestMatrixCodec:
         text = io.dumps(cx.construct_thm1(s))
         path = tmp_path / "d.json"
         path.write_text(text)
-        assert (io._canonical_doc(text) is not None) == (s <= 10)
+        assert (io._canonical_doc(text.encode()) is not None) == (s <= 10)
         fast, forced = read_both(path)
         assert fast == forced == text
 
     def test_catalog_files_take_the_byte_path(self, catalog_dir):
         for path in sorted(catalog_dir.glob("*.json")):
             text = path.read_text()
-            doc = io._canonical_doc(text)
+            doc = io._canonical_doc(path.read_bytes())
             assert doc is not None, path.name
             assert doc["matrix"].dtype == np.int64
             assert io.dumps(io.load_json(path)) == text
@@ -217,8 +217,158 @@ class TestMatrixCodec:
         text = io.dumps(thm1_3)
         changed = edit(text)
         assert changed != text
-        assert io._canonical_doc(changed) is None
+        assert io._canonical_doc(changed.encode()) is None
         path = tmp_path / "d.json"
         path.write_text(changed)
         fast, forced = read_both(path)
         assert fast == forced
+
+
+def json_reference(path) -> str:
+    """What load_json must give for path: the dumps text of
+    grouped_from_dict(json.loads(text)), text decoded as read_text does, or
+    the FileFormatError message."""
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        return f"FileFormatError: {path}: {exc}"
+    try:
+        return io.dumps(io.grouped_from_dict(doc))
+    except FileFormatError as exc:
+        return f"FileFormatError: {exc}"
+
+
+def loaded(path) -> str:
+    try:
+        gd = io.load_json(path)
+    except FileFormatError as exc:
+        return f"FileFormatError: {exc}"
+    assert gd.design.matrix.dtype == np.int64
+    return io.dumps(gd)
+
+
+def last_row(text: str) -> tuple[int, int]:
+    """Where the matrix's last row '[d,...,d]' starts and ends in text."""
+    end = text.index("]]", text.index(',"matrix":[')) + 1
+    return text.rindex("[", 0, end), end
+
+
+def edit_last_row(change):
+    def edit(text):
+        start, end = last_row(text)
+        return text[:start] + change(text[start:end]) + text[end:]
+    return edit
+
+
+def middle_row(change):
+    def edit(text):
+        first = text.index(',"matrix":[') + len(',"matrix":[')
+        rows = text[first:last_row(text)[1]].split("],[")
+        rows[len(rows) // 2] = change(rows[len(rows) // 2])
+        return text[:first] + "],[".join(rows) + text[last_row(text)[1]:]
+    return edit
+
+
+def matrix_last(text: str) -> str:
+    """The "origin" key moved in front of "matrix", so the matrix closes
+    the document."""
+    at = text.index(',"origin":')
+    origin = text[at:text.rindex("}")]
+    head = text[:at]
+    key = head.index(',"matrix":[')
+    return head[:key] + origin + head[key:] + text[text.rindex("}"):]
+
+
+LOADER_EDITS = {
+    "unchanged": lambda t: t,
+    "brackets-in-origin": lambda t: t.replace(',"origin":"', ',"origin":"]]', 1),
+    "matrix-last": matrix_last,
+    "last-row-truncated": lambda t: t[:last_row(t)[0] + 2],
+    "last-row-short": edit_last_row(lambda r: r[:-3] + "]"),
+    "last-row-long": edit_last_row(lambda r: r[:-1] + ",0]"),
+    "middle-row-short": middle_row(lambda r: r[:-2]),
+    "two-digit-cell": middle_row(lambda r: r[:-1] + "10"),
+    "space-after-comma": middle_row(lambda r: r.replace(",", ", ", 1)),
+    "matrix-closed-by-brace": lambda t: t[:last_row(t)[1]] + "}" + t[last_row(t)[1] + 1:],
+    "no-trailing-newline": lambda t: t.rstrip("\n"),
+    "two-trailing-newlines": lambda t: t + "\n",
+}
+
+
+class TestLoaderAgainstJson:
+    """load_json, which reads a canonical matrix straight from the bytes,
+    against grouped_from_dict(json.loads(text)) on every catalog file and
+    edits of it that bring the end of the matrix into question."""
+
+    @pytest.mark.parametrize("edit", list(LOADER_EDITS), ids=list(LOADER_EDITS))
+    def test_catalog_edits(self, tmp_path, catalog_dir, edit):
+        for src in sorted(catalog_dir.glob("*.json")):
+            text = src.read_text()
+            changed = LOADER_EDITS[edit](text)
+            assert (changed == text) == (edit == "unchanged"), src.name
+            path = tmp_path / src.name
+            path.write_text(changed)
+            assert loaded(path) == json_reference(path), (edit, src.name)
+
+    @pytest.mark.parametrize("data", [
+        lambda t: t.replace(",", ",\r\n", 3).encode(),
+        lambda t: t.replace(',"origin":"', ',"origin":"\u00e9', 1).encode(),
+        lambda t: t.replace(',"matrix":[[', ',\r"matrix":[[', 1).encode(),
+    ], ids=["crlf", "non-ascii", "cr-before-matrix"])
+    def test_decoded_as_read_text(self, tmp_path, thm1_3, data):
+        path = tmp_path / "d.json"
+        path.write_bytes(data(io.dumps(thm1_3)))
+        assert loaded(path) == json_reference(path)
+
+    def test_undecodable_bytes(self, tmp_path, thm1_3):
+        path = tmp_path / "d.json"
+        path.write_bytes(io.dumps(thm1_3).encode()[:-3] + b"\xff}\n")
+        with pytest.raises(FileFormatError, match="can't decode byte 0xff"):
+            io.load_json(path)
+
+
+def group_doc(gd: dz.GroupedDesign) -> dict:
+    return json.loads(io.dumps(gd))
+
+
+class TestGroupFieldMessages:
+    """The messages of a bad group column, a bad wlp entry and an
+    out-of-range column, each at the first, a middle and the last place."""
+
+    @pytest.mark.parametrize("at", [0, 1, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [1.0, "2", True, None], ids=["float", "str", "bool", "null"])
+    def test_column_type(self, thm1_3, at, bad):
+        doc = group_doc(thm1_3)
+        doc["groups"][1]["columns"][at] = bad
+        with pytest.raises(FileFormatError) as err:
+            io.grouped_from_dict(doc)
+        assert str(err.value) == f"groups[1].columns: expected int, got {bad!r}"
+
+    @pytest.mark.parametrize("at", [0, 1, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [0.0, "0", False], ids=["float", "str", "bool"])
+    def test_wlp_type(self, thm1_3, at, bad):
+        doc = group_doc(thm1_3)
+        doc["groups"][0]["wlp"] = [0, 0, 0, 1]
+        doc["groups"][0]["wlp"][at] = bad
+        with pytest.raises(FileFormatError) as err:
+            io.grouped_from_dict(doc)
+        assert str(err.value) == f"groups[0].wlp: expected int, got {bad!r}"
+
+    @pytest.mark.parametrize("at", [0, 1, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [-1, 10, 11], ids=["negative", "cols", "past-cols"])
+    def test_column_range(self, thm1_3, at, bad):
+        doc = group_doc(thm1_3)
+        assert doc["cols"] == 10
+        doc["groups"][1]["columns"][at] = bad
+        with pytest.raises(FileFormatError) as err:
+            io.grouped_from_dict(doc)
+        assert str(err.value) == f"groups[1].columns: {bad} outside 0..9"
+
+    def test_first_bad_column_named(self, thm1_3):
+        doc = group_doc(thm1_3)
+        doc["groups"][0]["columns"] = [0, 12, -3, 1]
+        with pytest.raises(FileFormatError, match=r"^groups\[0\]\.columns: 12 outside 0\.\.9$"):
+            io.grouped_from_dict(doc)
+        doc["groups"][0]["columns"] = [0, 1.5, "x", 1]
+        with pytest.raises(FileFormatError, match=r"^groups\[0\]\.columns: expected int, got 1\.5$"):
+            io.grouped_from_dict(doc)
