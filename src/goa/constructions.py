@@ -31,6 +31,7 @@ from .designs import (
     annotate,
     check_strength,
     generator_from_exponents,
+    level_matrix,
     p_of_d,
     pg_points,
     regular_goa,
@@ -61,15 +62,14 @@ DS_SEARCH_COLUMN_LIMIT = 1 << 20  # balanced columns ds_search may enumerate
 
 @dataclass
 class DifferenceScheme:
-    """r x c matrix over GF(s) whose column differences are balanced."""
+    """r x c matrix over GF(s) whose column differences are balanced, held
+    as uint8 (level_matrix)."""
 
     s: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.int64)
-        if self.matrix.size and (self.matrix.min() < 0 or self.matrix.max() >= self.s):
-            raise ValueError(f"levels must lie in 0..{self.s - 1}")
+        self.matrix = level_matrix(self.matrix, self.s)
 
     @property
     def r(self) -> int:
@@ -83,7 +83,7 @@ class DifferenceScheme:
 def is_difference_scheme(matrix: np.ndarray, s: int) -> bool:
     """Check that every column-pair difference hits each element r/s times,
     i.e. that the columns of pairwise differences have strength 1."""
-    matrix = np.asarray(matrix, dtype=np.int64)
+    matrix = np.asarray(matrix)
     r, c = matrix.shape
     if r % s:
         return False
@@ -136,9 +136,10 @@ def ds_search(s: int, r: int, c: int) -> DifferenceScheme:
         raise SearchExhaustedError(f"no DS({r},{c},{s}): need s | r")
     field = gflib.level_field(s)
     want = r // s
-    zero = np.zeros((r, 1), dtype=np.int64)
+    zero = np.zeros((r, 1), dtype=np.uint8)
     if c <= 2:
-        return _certified(np.hstack([zero, np.repeat(np.arange(s), want)[:, None]])[:, :c], s)
+        column = np.repeat(np.arange(s, dtype=np.uint8), want)[:, None]
+        return _certified(np.hstack([zero, column])[:, :c], s)
     if math.factorial(r) // math.factorial(r // s) ** s > DS_SEARCH_COLUMN_LIMIT:
         raise ValueError(f"search shape {r}x{c} above desk-scale column limit")
     candidates = _balanced_columns(s, r)  # row 0 is the sorted column
@@ -187,7 +188,7 @@ def ds_catalog(s: int, r: int, c: int) -> DifferenceScheme:
     if (r, c) == (s, s):
         return _certified(gflib.level_field(s).mul_t.copy(), s)
     if (r, c) == (2 * s, 2 * s) and (s, r, c) in STORED_SCHEMES:
-        return _certified(np.array(STORED_SCHEMES[(s, r, c)], dtype=np.int64), s)
+        return _certified(np.array(STORED_SCHEMES[(s, r, c)]), s)
     raise UnsupportedShapeError(f"no catalogued DS({r},{c},{s})")
 
 
@@ -207,8 +208,7 @@ def kronecker_sum(a: DifferenceScheme, b: Design, origin: str | None = None) -> 
     r, c = a.matrix.shape
     n_runs, n_cols = b.matrix.shape
     gflib.check_cells("Kronecker sum", r * n_runs, c * n_cols)
-    left, right = a.matrix.astype(np.uint8), b.matrix.astype(np.uint8)
-    blocks = gflib.level_field(b.s).add(left[:, None, :, None], right[None, :, None, :])
+    blocks = gflib.level_field(b.s).add(a.matrix[:, None, :, None], b.matrix[None, :, None, :])
     return Design(b.s, blocks.reshape(r * n_runs, c * n_cols),
                   origin or f"kronecker({r}x{c} (+) {n_runs}x{n_cols})")
 

@@ -49,20 +49,37 @@ _FACE_MEMO_CELLS = 1 << 22
 _KRAWTCHOUK_CELLS = 1 << 16
 
 
+def level_matrix(matrix, s: int) -> np.ndarray:
+    """matrix as a uint8 level matrix, the one dtype every level matrix is
+    held in (no level field has more than gf.LEVEL_ORDER_LIMIT = 97 levels).
+
+    The levels are range-checked in the dtype they come in, and only then
+    narrowed, so a level of 300 is refused (ValueError), not wrapped to 44;
+    no s lets a level past 255 in.  A uint8 matrix is returned as it is.
+    Arithmetic on the levels must widen them first: a Python int times a
+    uint8 array stays uint8.
+    """
+    matrix = np.asarray(matrix)
+    top = min(s, 256)
+    if matrix.size and (matrix.min() < 0 or matrix.max() >= top):
+        raise ValueError(f"levels must lie in 0..{top - 1}")
+    return matrix.astype(np.uint8, copy=False)
+
+
 @dataclass
 class Design:
-    """An N x n level matrix with entries in {0, ..., s-1}."""
+    """An N x n level matrix with entries in {0, ..., s-1}, held as uint8
+    (level_matrix)."""
 
     s: int
     matrix: np.ndarray
     origin: str = "external"
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.int64)
-        if self.matrix.ndim != 2 or self.matrix.size == 0:
+        matrix = np.asarray(self.matrix)
+        if matrix.ndim != 2 or matrix.size == 0:
             raise ValueError("design matrix must be 2-d and nonempty")
-        if self.matrix.min() < 0 or self.matrix.max() >= self.s:
-            raise ValueError(f"levels must lie in 0..{self.s - 1}")
+        self.matrix = level_matrix(matrix, self.s)
 
     @property
     def runs(self) -> int:
@@ -388,7 +405,7 @@ class Reading(NamedTuple):
 
 def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
                   linear: bool = False) -> list[Reading]:
-    """Read a stack of subjects of one N x n level matrix at once.
+    """Read a stack of subjects of one N x n uint8 level matrix at once.
 
     A subject is a list of columns: the whole array or one group.  Subject
     g's pattern stops at A_tops[g] (all of it when tops or tops[g] is
@@ -441,7 +458,7 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     index = np.zeros((count, width), dtype=np.intp)
     index[~pad] = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.intp,
                               count=int(widths.sum()))
-    stack = np.take(matrix.astype(np.uint8), index, axis=1)  # (N, G, M): row axis first
+    stack = np.take(matrix, index, axis=1)  # (N, G, M): row axis first
     stack[:, pad] = 0
     if linear:
         ok, bases = np.ones(count, dtype=bool), [None] * count

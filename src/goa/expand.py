@@ -50,7 +50,7 @@ def oa_to_lhd(design: Design, seed: int = 0) -> RealDesign:
     per, rem = divmod(n_runs, s)
     if rem:
         raise ShapeMismatchError("run count must be divisible by the level count")
-    fine = np.zeros_like(design.matrix)
+    fine = np.zeros(design.matrix.shape, dtype=np.int64)  # ranks up to N - 1
     for c in range(design.cols):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
         col = design.matrix[:, c]
@@ -95,8 +95,9 @@ def rotate_columns(gd: GroupedDesign) -> RealDesign:
                                     claimed_t0=0))
     if any(grp.verified_strength < 3 for grp in prereq.groups):
         raise StrengthPrereqError("every group must have strength 3")
-    doubled = 2 * design.matrix - 1  # levels +-1 = twice the centered +-1/2
-    halves = doubled[:, np.concatenate([grp.columns for grp in gd.groups])]
+    columns = np.concatenate([grp.columns for grp in gd.groups])
+    # levels +-1 = twice the centered +-1/2, widened first: in uint8, 2 * 0 - 1 is 255
+    halves = 2 * design.matrix[:, columns].astype(np.int64) - 1
     runs, width = halves.shape
     # twice the rotated levels; odd integers in -7..7
     int2 = (halves.reshape(runs, width // 4, 4) @ ROTATION_Q).reshape(runs, width)

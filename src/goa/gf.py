@@ -25,10 +25,10 @@ elements of GF(p^j) as 0..s-1 with 0 -> 0 and i -> beta^(i-1) for i >= 1.
 `level_field` maps each label to its GF(p) coordinates, derives total
 add/mul tables on the labels so that callers can stay label-based
 regardless of whether s is prime.  A row space is built and checked
-on uint8 labels: span doubles its rows one basis row at a time, each
-step one small mul_t gather and one GF.add, which sums prime-field labels
-in uint8 arithmetic and takes extension-field sums from a uint8 copy of
-add_t.  Products of matrices go
+on uint8 labels, the dtype of every level matrix: span doubles its rows
+one basis row at a time, each step one small mul_t gather and one
+GF.add, which sums prime-field labels in uint8 arithmetic and takes
+extension-field sums from a uint8 copy of add_t.  Products of matrices go
 through the regular representation, in which each element of GF(p^j)
 acts as a j x j matrix over GF(p).  `_lift` maps a matrix of labels to
 its matrix over GF(p) that way, an injective ring homomorphism (the
@@ -472,18 +472,19 @@ def null_space(gf: GF, m) -> np.ndarray:
 
 
 def span(gf: GF, basis) -> np.ndarray:
-    """All GF-linear combinations of the (d, m) basis rows, as s^d int64 rows.
+    """All GF-linear combinations of the (d, m) basis rows, as s^d uint8
+    rows of labels, a level matrix.
 
     Rows come out in lexicographic order of the coefficient tuple
     (c_1, ..., c_d), the first coefficient most significant.  By doubling
     from the zero row: the span of b_i, ..., b_d lists c b_i plus the span
     of b_(i+1), ..., b_d for c = 0, ..., s-1: per basis row, from the last
     to the first, one gather of its s multiples mul_t[:, b_i] and one
-    GF.add of uint8 labels.  The rows are widened to int64 once, at the end.
+    GF.add of uint8 labels.
     """
     basis = np.asarray(basis, dtype=np.int64)
     rows = np.zeros((1, basis.shape[1]), dtype=np.uint8)
     for row in basis[::-1]:
         multiples = gf.mul_t[:, row].astype(np.uint8)
         rows = gf.add(multiples[:, None], rows).reshape(-1, basis.shape[1])
-    return rows.astype(np.int64)
+    return rows

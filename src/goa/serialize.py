@@ -5,9 +5,10 @@ strings, so a load/save round trip is byte identical.  CSV files carry one
 run per line as comma-separated levels with no header.
 
 Integer matrices never pass through json on the way out: _int_text writes
-them from the array.  On the way in, a level matrix in the canonical form
-dumps writes for s <= 10 is read straight from the file's bytes, and any
-other document is left to json.loads.
+them from the array, in its own dtype, and save_json writes the text piece
+by piece as bytes.  On the way in, a level matrix in the canonical form
+dumps writes for s <= 10 is read straight from the file's bytes as uint8,
+and any other document is left to json.loads.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def fraction_from_str(text: str) -> Fraction:
 
 def grouped_to_dict(gd: GroupedDesign) -> dict:
     """The fields of a design document; "matrix" is the level array itself,
-    which dumps writes with _int_text."""
+    which _json_text writes with _int_text."""
     groups = []
     for grp in gd.groups:
         groups.append(
@@ -122,9 +123,11 @@ def _opt_int(value, name: str) -> int | None:
 
 
 def _int_matrix(rows, name: str) -> np.ndarray:
-    """A list of integer rows, or the int64 array _canonical_doc read from
-    the bytes; one boolean, float or string cell rejects a list."""
-    if type(rows) is np.ndarray and rows.dtype == np.int64:
+    """A list of integer rows as int64, or the uint8 array _canonical_doc
+    read from the bytes; one boolean, float or string cell rejects a list.
+    Its levels are not checked here: Design checks them before it narrows
+    the matrix to uint8."""
+    if type(rows) is np.ndarray and rows.dtype == np.uint8:
         return rows
     if set(map(type, itertools.chain.from_iterable(rows))) - {int}:
         raise FileFormatError(f"{name}: every cell must be an integer")
@@ -170,32 +173,41 @@ def _check_claims(cols: int, claimed_t0: int, verified_t0: int | None,
                 raise FileFormatError(f"{where}.{name} {t} outside 0..{grp.size}")
 
 
-def _int_text(matrix: np.ndarray, csv: bool = False) -> bytes:
+def _int_text(matrix: np.ndarray, csv: bool = False) -> memoryview:
     """An integer matrix as ASCII: byte for byte
     json.dumps(matrix.tolist(), separators=(",", ":")), or with csv one line
-    of comma-separated cells per row.
+    of comma-separated cells per row.  The text is one uint8 array, handed
+    out as a memoryview, which a file writes and bytes.join joins without a
+    copy, and which compares equal to the same bytes.
 
-    When every cell is one digit 0..9, every row has the same bytes but
-    its digits, and the text is filled in as one grid of such rows.  Else
-    every cell gets one slot of sign, digits (most significant first) and
-    separator, as wide as the widest cell needs, the digits computed in the
-    narrowest unsigned dtype that holds the largest magnitude.  Slot bytes
-    that a cell leaves unused, a plus sign, leading zeros and the separator
-    after a row's last cell, stay NUL and are dropped at the end, as are
-    the brackets of csv rows.
+    The matrix is read in its own dtype and never widened.  When every cell
+    is one digit 0..9, every row has the same bytes but its digits, and the
+    text is filled in as one grid of such rows.  Else every cell gets one
+    slot of sign, digits (most significant first) and separator, as wide as
+    the widest cell needs, the digits computed in the narrowest unsigned
+    dtype that holds the largest magnitude.  Slot bytes that a cell leaves
+    unused, a plus sign, leading zeros and the separator after a row's last
+    cell, stay NUL and are dropped at the end, as are the brackets of csv
+    rows.
     """
-    matrix = np.asarray(matrix, dtype=np.int64)
+    matrix = np.asarray(matrix)
     runs, cols = matrix.shape
     low, high = (int(matrix.min()), int(matrix.max())) if matrix.size else (0, 0)
     if matrix.size and 0 <= low and high <= 9:
         return _digit_text(matrix, csv)
-    mag = matrix.astype(np.min_scalar_type(max(high, -low)))
+    # unsigned, so a signed matrix, the only one with a sign to flip, is copied
+    mag = matrix.astype(np.min_scalar_type(max(high, -low)), copy=False)
     if low < 0:
         negative = matrix < 0
         np.negative(mag, out=mag, where=negative)  # |x|, since it fits the dtype
     width = len(str(max(high, -low)))
     sign = int(low < 0)
-    cells = np.zeros((runs, cols, sign + width + 1), dtype=np.uint8)
+    slot = sign + width + 1
+    # the text with its NULs: an opening byte, then each row's opening
+    # byte, cells, closing byte and row end, then a closing byte
+    flat = np.zeros(runs * (cols * slot + 3) + 2, dtype=np.uint8)
+    grid = flat[1:-1].reshape(runs, cols * slot + 3)
+    cells = grid[:, 1:-2].reshape(runs, cols, slot, copy=False)
     if sign:
         cells[..., 0] = np.where(negative, ord("-"), 0)
     for place in range(width):
@@ -206,17 +218,17 @@ def _int_text(matrix: np.ndarray, csv: bool = False) -> bytes:
         cells[..., -2 - place] = digit
     cells[..., -1] = ord(",")
     cells[:, -1:, -1] = 0
-    opening, closing, row_end = b"\0\0\n" if csv else b"[],"
-    grid = np.concatenate([np.full((runs, 1), opening, np.uint8),
-                           cells.reshape(runs, cols * cells.shape[2]),
-                           np.full((runs, 2), [closing, row_end], np.uint8)], axis=1)
-    if runs and not csv:
-        grid[-1, -1] = 0
-    text = grid[grid != 0].tobytes()
-    return text if csv else b"[" + text + b"]"
+    if not csv:
+        flat[0], flat[-1] = ord("["), ord("]")
+        grid[:, 0], grid[:, -2], grid[:, -1] = ord("["), ord("]"), ord(",")
+        if runs:
+            grid[-1, -1] = 0
+    else:
+        grid[:, -1] = ord("\n")
+    return memoryview(flat[flat != 0])
 
 
-def _digit_text(matrix: np.ndarray, csv: bool) -> bytes:
+def _digit_text(matrix: np.ndarray, csv: bool) -> memoryview:
     """_int_text of a nonempty matrix of digits 0..9: rows "[d,...,d],"
     after an opening "[", the last row's "," made the closing "]", or with
     csv rows "d,...,d\n"."""
@@ -232,24 +244,34 @@ def _digit_text(matrix: np.ndarray, csv: bool) -> bytes:
         text[0] = grid[:, 0] = ord("[")
         grid[:, -2:] = np.frombuffer(b"],", np.uint8)
         grid[-1, -1] = ord("]")
-    return text.tobytes()
+    return memoryview(text)
 
 
-def _compact_json(doc: dict, key: str) -> str:
-    """json.dumps(doc, separators=(",", ":")), the integer matrix doc[key]
-    written by _int_text and never handed to json."""
-    items = [json.dumps(k) + ":" + _int_text(v).decode() if k == key
-             else json.dumps({k: v}, separators=(",", ":"))[1:-1]
-             for k, v in doc.items()]
-    return "{" + ",".join(items) + "}"
+def _json_text(doc: dict, key: str):
+    """Yield json.dumps(doc, separators=(",", ":")) + "\n" as bytes-like
+    pieces, the integer matrix doc[key] one piece from _int_text, never
+    handed to json, and each other field encoded by json on its own."""
+    yield b"{"
+    for i, (k, v) in enumerate(doc.items()):
+        comma = b"," if i else b""
+        if k == key:
+            yield comma + json.dumps(k).encode() + b":"
+            yield _int_text(v)
+        else:
+            yield comma + json.dumps({k: v}, separators=(",", ":"))[1:-1].encode()
+    yield b"}\n"
 
 
 def dumps(gd: GroupedDesign) -> str:
-    return _compact_json(grouped_to_dict(gd), "matrix") + "\n"
+    return b"".join(_json_text(grouped_to_dict(gd), "matrix")).decode()
 
 
 def save_json(gd: GroupedDesign, path) -> None:
-    Path(path).write_text(dumps(gd))
+    """Write the text of dumps(gd) to path, piece by piece as bytes: the
+    level matrix is written from _int_text's array, with no str of the
+    whole text, no join and no encode."""
+    with open(path, "wb") as fh:
+        fh.writelines(_json_text(grouped_to_dict(gd), "matrix"))
 
 
 def load_json(path) -> GroupedDesign:
@@ -274,7 +296,7 @@ _MATRIX_KEY = b',"matrix":['
 
 def _canonical_doc(raw: bytes) -> dict | None:
     """The document of the file bytes raw, its level matrix read straight
-    from them as an int64 array, when that matrix is in the form dumps
+    from them as a uint8 array, when that matrix is in the form dumps
     writes for s <= 10; None for any other text, which json.loads then
     decides.
 
@@ -284,8 +306,8 @@ def _canonical_doc(raw: bytes) -> dict | None:
     many cells.  Whitespace, a leading zero, a cell of two digits, a sign
     or a ragged row leave it.  The matrix ends at the first row, at the
     first row's stride, whose last byte is no ',': that byte must be the
-    closing ']'.  The digits are checked on the uint8 grid and widened
-    once.  json decodes the rest of the text with the constant NaN in the
+    closing ']'.  The digits are checked on the uint8 grid and kept in
+    it.  json decodes the rest of the text with the constant NaN in the
     matrix's place, and the array counts only if that NaN, the one
     constant json met, came back as the top-level "matrix": not one nested
     in a group, and not one that a later "matrix" key overrides.
@@ -320,12 +342,12 @@ def _canonical_doc(raw: bytes) -> dict | None:
         return None
     if constants != ["NaN"] or type(doc) is not dict or doc.get("matrix") is not marker:
         return None
-    doc["matrix"] = cells.astype(np.int64)
+    doc["matrix"] = cells
     return doc
 
 
 def save_csv(design: Design, path) -> None:
-    Path(path).write_text(_int_text(design.matrix, csv=True).decode())
+    Path(path).write_bytes(_int_text(design.matrix, csv=True))
 
 
 def load_csv(path, s: int) -> Design:
@@ -340,7 +362,8 @@ def load_csv(path, s: int) -> Design:
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise FileFormatError(f"{path}: ragged or empty CSV")
     try:
-        return Design(s, np.array(rows, dtype=np.int64), origin="external")
+        # Python ints, int64 or wider, range-checked by Design before it narrows them
+        return Design(s, np.array(rows), origin="external")
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -371,7 +394,8 @@ def save_real_json(matrix: np.ndarray, origin: str, path,
     }
     if int_matrix is not None:
         doc["int_matrix"] = int_matrix
-    Path(path).write_text(_compact_json(doc, "int_matrix") + "\n")
+    with open(path, "wb") as fh:
+        fh.writelines(_json_text(doc, "int_matrix"))
 
 
 def save_real_csv(matrix: np.ndarray, path) -> None:

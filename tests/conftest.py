@@ -155,7 +155,7 @@ def oracle_ext_field_walk(s: int, k: int, coeffs) -> np.ndarray | None:
 
 
 def _oracle_counts(matrix: np.ndarray, cols, s: int) -> np.ndarray:
-    enc = matrix[:, cols[0]].copy()
+    enc = matrix[:, cols[0]].astype(np.int64)  # a uint8 level matrix would wrap
     for c in cols[1:]:
         enc = enc * s + matrix[:, c]
     return np.bincount(enc, minlength=s ** len(cols))
@@ -507,7 +507,7 @@ def oracle_rotate_columns(gd: dz.GroupedDesign) -> np.ndarray:
     doubled +-1 columns split in two, each half times ROTATION_Q, the
     pieces joined in group order.  The reference for expand.rotate_columns'
     one (N, 2g, 4) product."""
-    doubled = 2 * gd.design.matrix - 1
+    doubled = 2 * gd.design.matrix.astype(np.int64) - 1
     pieces = []
     for grp in gd.groups:
         block = doubled[:, grp.columns]

@@ -188,7 +188,7 @@ class TestDifferenceSchemes:
         # the normal form: column 0 and row 0 zero, column 1 sorted, the
         # later columns distinct and in increasing order
         assert not got[:, 0].any() and not got[0].any()
-        assert (np.diff(got[:, 1:2], axis=0) >= 0).all()
+        assert (np.diff(got[:, 1:2].astype(np.int64), axis=0) >= 0).all()  # uint8 would wrap
         assert [tuple(col) for col in got.T[1:]] == sorted(set(map(tuple, got.T[1:])))
 
     @pytest.mark.parametrize("s,r,c", [(4, 16, 4), (5, 15, 3), (3, 21, 3)])

@@ -22,11 +22,27 @@ def goa32():
     return cx.construct_consecutive(gf.ext_field(2, 5, best), 8)
 
 
+@functools.cache
+def survey_s2_k9_m10() -> dz.GroupedDesign:
+    """The catalog's survey-s2-k9-m10 entry, 512 x 510."""
+    best, _ = cx.rank_primitive_polys(2, 9, 10)[0]
+    return cx.construct_consecutive(gf.ext_field(2, 9, best), 10)
+
+
 class TestLhd:
     def test_columns_are_permutations(self, thm1_3):
         real = ex.oa_to_lhd(thm1_3.design, seed=3)
         for c in range(real.cols):
             assert np.array_equal(np.sort(real.int_matrix[:, c]), np.arange(27))
+
+    def test_ranks_past_a_byte(self):
+        # 512 runs: fine ranks up to 511 do not fit the uint8 level matrix
+        design = survey_s2_k9_m10().design
+        real = ex.oa_to_lhd(design, seed=5)
+        assert real.int_matrix.dtype == np.int64
+        for c in range(real.cols):
+            assert np.array_equal(np.sort(real.int_matrix[:, c]), np.arange(512))
+        assert np.array_equal(real.int_matrix // 256, design.matrix)
 
     def test_strata_recover_parent(self, thm1_3):
         real = ex.oa_to_lhd(thm1_3.design, seed=3)

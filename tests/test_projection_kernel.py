@@ -504,7 +504,7 @@ class TestReadSubjects:
     def test_power_of_s_rows_not_linear(self):
         # {(a, a)} over GF(5) with levels 1 and 2 of column 1 swapped: five
         # distinct rows, each once, yet (1, 2) + (1, 2) = (2, 4) is no row
-        rows = np.array([[a, [0, 2, 1, 3, 4][a]] for a in range(5)] * 2)
+        rows = np.array([[a, [0, 2, 1, 3, 4][a]] for a in range(5)] * 2, dtype=np.uint8)
         assert oracle_linear_basis(5, rows) is None
         both, first, second = dz.read_subjects(5, rows, [[0, 1], [0], [1]])
         assert both == dz.Reading(None, None)
@@ -544,7 +544,7 @@ def boundary_matrix(s: int, width: int, k: int, seed: int) -> np.ndarray:
     last = linear.copy()
     top = np.lexsort(space.T[::-1])[-1]
     last[[top, len(space) + top], -1] = field.add_t[space[top, -1], 1]
-    return np.hstack([linear, uneven, coset, last])
+    return np.hstack([linear, uneven, coset, last]).astype(np.uint8)  # a level matrix
 
 
 def span_check_blocks(s: int, k: int) -> np.ndarray:
@@ -562,7 +562,7 @@ def span_check_blocks(s: int, k: int) -> np.ndarray:
     assert space[-1, :k].tolist() == [s - 1] * k  # the last in sorted order
     last[-1, -1] = field.add_t[last[-1, -1], 1]
     doubled = np.vstack([space[::2], space[1::2]])
-    return np.hstack([space, coset, last, doubled])
+    return np.hstack([space, coset, last, doubled]).astype(np.uint8)  # a level matrix
 
 
 class TestSpanCheck:

@@ -147,6 +147,15 @@ class TestMatrixCodec:
             lines = [",".join(str(int(x)) for x in row) for row in m]
             assert io._int_text(m, csv=True) == ("\n".join(lines) + "\n").encode()
 
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)))
+    def test_uint8_writer_matches_json(self, m):
+        # a level matrix is written in its own dtype, two- and three-digit cells too
+        assert io._int_text(m) == json.dumps(m.tolist(), separators=COMPACT).encode()
+        if m.size:
+            lines = [",".join(str(int(x)) for x in row) for row in m]
+            assert io._int_text(m, csv=True) == ("\n".join(lines) + "\n").encode()
+
     @pytest.mark.parametrize("m", [
         [[7]], [[0], [3], [9]], [[0, 9, 5], [1, 2, 3]],
         [[-1]], [[-3], [12], [0]], [[10, 99, 100], [255, 256, -255]],
@@ -168,7 +177,7 @@ class TestMatrixCodec:
         io.save_csv(dz.Design(s, matrix), tmp_path / "d.csv")
         lines = [",".join(str(int(x)) for x in row) for row in matrix]
         assert (tmp_path / "d.csv").read_text() == "\n".join(lines) + "\n"
-        centered = matrix - s // 2
+        centered = matrix.astype(np.int64) - s // 2  # negative cells; uint8 would wrap
         io.save_real_json(centered / s, "test", tmp_path / "r.json", centered)
         doc = {"runs": int(matrix.shape[0]), "cols": int(matrix.shape[1]),
                "real_matrix": [[float(x) for x in row] for row in centered / s],
@@ -190,7 +199,7 @@ class TestMatrixCodec:
             text = path.read_text()
             doc = io._canonical_doc(path.read_bytes())
             assert doc is not None, path.name
-            assert doc["matrix"].dtype == np.int64
+            assert doc["matrix"].dtype == np.uint8
             assert io.dumps(io.load_json(path)) == text
 
     @pytest.mark.parametrize("edit", [
@@ -243,7 +252,7 @@ def loaded(path) -> str:
         gd = io.load_json(path)
     except FileFormatError as exc:
         return f"FileFormatError: {exc}"
-    assert gd.design.matrix.dtype == np.int64
+    assert gd.design.matrix.dtype == np.uint8
     return io.dumps(gd)
 
 
