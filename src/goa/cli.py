@@ -21,7 +21,6 @@ from . import serialize
 from .designs import (
     GeneratorMatrix,
     GroupedDesign,
-    Reading,
     claims_ok,
     p_of_d,
     read_subjects,
@@ -148,7 +147,8 @@ def cmd_construct(args) -> int:
         result = construct_thm2(ds, base)
         gd = result.grouped
         for grp, bound in zip(gd.groups, result.bounds):
-            print(f"group of {grp.size}: p = {_group_p(gd, grp)} (bound {bound})")
+            p = _group_p(grp, functools.partial(p_of_d, gd.design))
+            print(f"group of {grp.size}: p = {p} (bound {bound})")
         name = f"thm2-s{s}"
 
     if gd.generator is not None:
@@ -171,16 +171,15 @@ def _verdict(gd: GroupedDesign) -> int:
     return EXIT_CLAIM
 
 
-def _group_p(gd: GroupedDesign, grp, reading: Reading | None = None) -> Fraction | int | None:
+def _group_p(grp, measure) -> Fraction | int | None:
     """A checked group's p: the stored value, 1 once strength 3 is verified,
-    else measured from reading, the group's reading when the caller holds
-    one (VerifyReport.readings); None for a group of fewer than three
+    else measure(grp.columns); None for a group of fewer than three
     columns."""
     if grp.p is not None:
         return grp.p
     if grp.verified_strength >= 3:
         return 1
-    return p_of_d(gd.design, grp.columns, reading) if grp.size >= 3 else None
+    return measure(grp.columns) if grp.size >= 3 else None
 
 
 def cmd_verify(args) -> int:
@@ -189,11 +188,13 @@ def cmd_verify(args) -> int:
     for line in report.lines():
         print(line)
     if report.ok:
-        for idx, (grp, reading) in enumerate(zip(gd.groups, report.readings)):
+        # an unstored p is measured in the checks' context, from its group
+        # reading and the verdicts found there
+        for idx, grp in enumerate(gd.groups):
             line = [f"group {idx + 1}: {grp.size} cols, verified strength {grp.verified_strength}"]
             if grp.wlp is not None:
                 line.append(f"wlp {tuple(grp.wlp)}")
-            p = _group_p(gd, grp, reading)
+            p = _group_p(grp, report.context.p)
             if p is not None:
                 line.append(f"p {p}")
             print(", ".join(line))

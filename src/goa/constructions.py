@@ -28,11 +28,12 @@ from .designs import (
     GeneratorMatrix,
     Group,
     GroupedDesign,
+    _annotate,
+    _CheckContext,
     annotate,
     check_strength,
     generator_from_exponents,
     level_matrix,
-    p_of_d,
     pg_points,
     regular_goa,
     strength_from_wlp,
@@ -229,13 +230,16 @@ def _kronecker_goa(design: Design, n: int, parts, verified_t0: int | None = None
     (scheme columns js, base columns ws, claimed strength) per group: the
     group takes the columns j*n + w for j in js and w in ws.  The claims are
     annotated, the whole array's strength read as verified_t0 when another
-    grouping has proven it, and p is measured for groups claimed below 3."""
+    grouping has proven it, and p is measured for groups claimed below 3
+    in the check context of the annotation, from its group readings and the
+    pairs it decided."""
     groups = [Group([j * n + w for j in js for w in ws], claimed_strength=t)
               for js, ws, t in parts]
-    gd = annotate(GroupedDesign(design, groups, claimed_t0=2), verified_t0)
+    ctx = _CheckContext(design)
+    gd = _annotate(GroupedDesign(design, groups, claimed_t0=2), ctx, verified_t0)
     for grp in gd.groups:
         if grp.claimed_strength < 3:
-            grp.p = p_of_d(design, grp.columns)
+            grp.p = ctx.p(grp.columns)
     return gd
 
 

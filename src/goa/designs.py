@@ -12,10 +12,16 @@ lexicographically first failing columns of any failed claim.  While s^t <=
 t-tuple holds each of its cells N / s^(t-1) times, the tuple holds each of
 its s^t cells N / s^t times iff each of its (s - 1)^t top-free cells, those
 with no coordinate at s - 1, does; so only those are counted, and the
-faces, found on demand down to t = 1, decide the rest.  Wordlength
-patterns are read off the weights of the rows themselves by the MacWilliams
-transform, for a whole stack of subjects (the array, or all its groups) at
-once by read_subjects.  The strength-3 triple proportion p(D) is an exact
+faces, found on demand down to t = 1, decide the rest.  Every count on
+a design is made in one check context per call (_CheckContext): the
+bitsets are built once, each column and each pair is decided once for
+the whole array, its groups and their p, and a walk counts a list of
+columns of the full matrix in place, its witnesses named by positions in
+that list.  The context is also the one place where a pattern settles a
+claim or the subject is counted.  Wordlength patterns are read off the
+weights of the rows themselves by the MacWilliams transform, for a whole
+stack of subjects (the array, or all its groups) at once by
+read_subjects.  The strength-3 triple proportion p(D) is an exact
 rational: read off A_3 where the rows are linear with A_1 = A_2 = 0, else
 counted triple by triple.
 """
@@ -43,7 +49,7 @@ from .errors import (
 # words of the AND block; for the span check of _span_test, bytes of each
 # uint8 temporary
 _CHUNK_CELLS = 1 << 14
-# cells of the largest face-verdict memo of _FaceRule, one byte each
+# cells of the largest face-verdict memo of _CheckContext, one byte each
 _FACE_MEMO_CELLS = 1 << 22
 # subject x weight (or x pattern length) cells per block of wlp_from_weights
 _KRAWTCHOUK_CELLS = 1 << 16
@@ -223,44 +229,66 @@ _FACE_COLUMNS = [np.array([[c for c in range(j) if c != i] for i in range(j)],
                           dtype=np.intp).reshape(j, max(j - 1, 0)) for j in range(7)]
 
 
-class _FaceRule:
-    """Strength verdicts of the column tuples of an N x n level matrix,
-    decided by the face rule; for tuples of at most t - 1 columns, kept.
+class _CheckContext:
+    """Every count made on one design, for one call: annotate,
+    verify_claims, or one check_strength, max_strength or p_of_d.  A
+    subject is a list of columns of the full matrix; a walk counts its
+    projections in place and names its tuples by their positions in that
+    list.  No verdict outlives the call: the matrix may change between
+    calls.
 
-    A face of a j-tuple is one of its (j - 1)-column sub-tuples, and a
-    top-free cell is a level combination with no coordinate at s - 1.  If
-    every face holds each of its cells N / s^(j-1) times, the tuple holds
-    each of its cells N / s^j times iff each of its (s - 1)^j top-free
-    cells does: by induction on the number i of coordinates at s - 1, such
-    a cell holds a face's count less s - 1 cells with i - 1 of them, N /
-    s^(j-1) - (s - 1) N / s^j.  So only levels 0..s-2 get row bitsets, the
-    count of top-free cell (a_1, ..., a_j) on columns (c_1, ..., c_j) is
-    the popcount of bits[c_1, a_1] & ... & bits[c_j, a_j], (s - 1)^j W
-    words for W words of 64 rows, and a tuple fails iff a top-free cell is
-    off or a face fails.  The one face of a column, the empty tuple, always
-    holds.  Face verdicts are found on demand: every column's at once the
-    first time a tuple asks (its bitsets are built already), wider faces
-    each distinct one once, in batches of at most _CHUNK_CELLS words, kept
-    by the face's base-n code while n^j <= _FACE_MEMO_CELLS, else found
-    again for each batch of (j + 1)-tuples that asks."""
+    The face rule.  A face of a j-tuple is one of its (j - 1)-column
+    sub-tuples, and a top-free cell is a level combination with no
+    coordinate at s - 1.  If every face holds each of its cells N /
+    s^(j-1) times, the tuple holds each of its cells N / s^j times iff each
+    of its (s - 1)^j top-free cells does: by induction on the number i of
+    coordinates at s - 1, such a cell holds a face's count less s - 1 cells
+    with i - 1 of them, N / s^(j-1) - (s - 1) N / s^j.  So only levels
+    0..s-2 get row bitsets, built for every column on the first popcount
+    walk (never when patterns settle every claim), the count of top-free
+    cell (a_1, ..., a_j) on columns (c_1, ..., c_j) is the popcount of
+    bits[c_1, a_1] & ... & bits[c_j, a_j], (s - 1)^j W words for W words of
+    64 rows, and a tuple fails iff a top-free cell is off or a face fails.
+    The one face of a column, the empty tuple, always holds.
 
-    def __init__(self, matrix: np.ndarray, s: int, t: int):
-        self.s, self.runs, self.n = s, matrix.shape[0], matrix.shape[1]
-        self.bits = _level_bitsets(matrix, s - 1)
-        # per face width j >= 2: 0 unknown, 1 holds, 2 fails
-        self.memo = [np.zeros(self.n**j, dtype=np.uint8)
-                     if 1 < j and self.n**j <= _FACE_MEMO_CELLS else None for j in range(t)]
-        self.radix = [None if memo is None else self.n ** np.arange(j - 1, -1, -1)
-                      for j, memo in enumerate(self.memo)]
+    Verdicts are found on demand and kept: every column's at once the first
+    time a tuple asks; each pair once, by its sorted columns (a pair's
+    verdict depends on neither its order nor its subject), in an n x n
+    memo while n^2 <= _FACE_MEMO_CELLS; each wider face once per walk, by
+    its positions in the subject, while m^j <= _FACE_MEMO_CELLS for m
+    columns.  Past a memo, a face is found again for each batch that asks.
+    Unknown tuples are counted in batches of at most _CHUNK_CELLS words.
+
+    The context is the one place where a wordlength pattern settles a
+    claim or the subject is counted (strength, highest, p), and it holds
+    the group readings it read (read_groups) for p."""
+
+    def __init__(self, design: Design):
+        self.s, self.matrix = design.s, design.matrix
+        self.runs, self.n = design.matrix.shape
+        self.every = np.arange(self.n)
+        self.bits = None  # levels 0..s-2 of every column, on the first popcount walk
         self.columns = None  # the verdict of every column, once a tuple has asked
+        # per pair code lo * n + hi: 0 unknown, 1 holds, 2 fails
+        self.pairs = (np.zeros(self.n**2, dtype=np.uint8) if self.n**2 <= _FACE_MEMO_CELLS
+                      else None)
+        self.readings: dict[tuple[int, ...], Reading] = {}
+
+    def read_groups(self, subjects, tops, linear: bool) -> list[Reading]:
+        """read_subjects of the groups, each reading held for p, which reads
+        its A_3: a group's top reaches 3 wherever its p may be measured."""
+        subjects = [list(c) for c in subjects]
+        out = read_subjects(self.s, self.matrix, subjects, tops, linear=linear)
+        self.readings.update(zip(map(tuple, subjects), out))
+        return out
 
     def size(self, j: int) -> int:
         """j-tuples per batch: an AND block of at most _CHUNK_CELLS words."""
         return max(1, _CHUNK_CELLS // ((self.s - 1)**j * self.bits.shape[2]))
 
     def counts(self, tuples: np.ndarray) -> np.ndarray:
-        """(len(tuples), (s - 1)^j) top-free counts of the j-tuples, cell
-        a_1 (s - 1)^(j-1) + ... + a_j."""
+        """(len(tuples), (s - 1)^j) top-free counts of the j-tuples of
+        columns, cell a_1 (s - 1)^(j-1) + ... + a_j."""
         block = self.bits[tuples[:, 0]]
         for i in range(1, tuples.shape[1]):
             block = (block[:, :, None] & self.bits[tuples[:, i], None]).reshape(
@@ -269,87 +297,157 @@ class _FaceRule:
         # inner word axis is slow
         return np.einsum("tcw->tc", np.bitwise_count(block), dtype=np.int64)
 
-    def verdicts(self, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The top-free counts of a batch of j-tuples, and which tuples hold
-        every cell N / s^j times; faces are asked for only when some
-        tuple's top-free cells hold."""
+    def verdicts(self, cols: np.ndarray, tuples: np.ndarray, memo) -> np.ndarray:
+        """Which j-tuples, positions in cols, hold every cell N / s^j times;
+        faces are asked for only when some tuple's top-free cells hold."""
         j = tuples.shape[1]
-        counts = self.counts(tuples)
-        ok = (counts == self.runs // self.s**j).all(axis=1)
+        ok = (self.counts(cols[tuples]) == self.runs // self.s**j).all(axis=1)
         if j > 1 and ok.any():
             faces = tuples[:, _FACE_COLUMNS[j]].reshape(-1, j - 1)
-            ok &= self.holds(faces).reshape(-1, j).all(axis=1)
-        return counts, ok
+            ok &= self.holds(cols, faces, memo).reshape(-1, j).all(axis=1)
+        return ok
 
-    def holds(self, tuples: np.ndarray) -> np.ndarray:
-        """Which j-tuples hold every cell N / s^j times: kept verdicts, and
-        each distinct unknown tuple found once."""
+    def holds(self, cols: np.ndarray, tuples: np.ndarray, memo) -> np.ndarray:
+        """Which j-tuples, positions in cols, hold: kept verdicts, and each
+        distinct unknown tuple found once; memo[j] is the walk's memo of
+        j-tuples for j >= 3."""
         j = tuples.shape[1]
         if j == 1:
             # each column costs s - 1 popcounts of its bitsets, all built already
             if self.columns is None:
-                self.columns = self.verdicts(np.arange(self.n)[:, None])[1]
-            return self.columns[tuples[:, 0]]
-        memo = self.memo[j]
-        if memo is None:
+                self.columns = self.verdicts(self.every, self.every[:, None], None)
+            return self.columns[cols[tuples[:, 0]]]
+        if j == 2:
+            return self._kept(self.pairs, self.every, np.sort(cols[tuples], axis=1), None)
+        return self._kept(memo[j], cols, tuples, memo)
+
+    def _kept(self, table, cols: np.ndarray, tuples: np.ndarray, memo) -> np.ndarray:
+        """holds for j >= 2, through table, the verdicts by base-len(cols)
+        code (None past the memo)."""
+        j = tuples.shape[1]
+        if table is None:
             keys = np.ascontiguousarray(tuples).view(np.dtype((np.void, j * tuples.itemsize)))
             fresh, back = np.unique(keys[:, 0], return_inverse=True)
-            return self._decide(fresh.view(np.intp).reshape(-1, j))[back]
-        radix = self.radix[j]
+            return self._decide(cols, fresh.view(np.intp).reshape(-1, j), memo)[back]
+        radix = len(cols) ** np.arange(j - 1, -1, -1)
         codes = tuples @ radix
-        state = memo[codes]
+        state = table[codes]
         fresh = np.sort(codes[state == 0])
         if len(fresh):
             first = np.ones(len(fresh), dtype=bool)
             np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
             fresh = fresh[first]
-            memo[fresh] = 2 - self._decide(fresh[:, None] // radix % self.n)
-            state = memo[codes]
+            table[fresh] = 2 - self._decide(cols, fresh[:, None] // radix % len(cols), memo)
+            state = table[codes]
         return state == 1
 
-    def _decide(self, tuples: np.ndarray) -> np.ndarray:
+    def _decide(self, cols: np.ndarray, tuples: np.ndarray, memo) -> np.ndarray:
         """Which j-tuples hold, found by verdicts in batches of size(j)."""
         size = self.size(tuples.shape[1])
         if len(tuples) <= size:
-            return self.verdicts(tuples)[1]
-        return np.concatenate([self.verdicts(tuples[lo:lo + size])[1]
+            return self.verdicts(cols, tuples, memo)
+        return np.concatenate([self.verdicts(cols, tuples[lo:lo + size], memo)
                                for lo in range(0, len(tuples), size)])
 
+    def walk(self, columns, t: int):
+        """Yield (tuples, ok) chunks of the t-column projections of the
+        subject columns, with s^t dividing N, in itertools.combinations
+        order of their positions: ok says which tuples hold each of their
+        s^t level combinations N / s^t times.
 
-def _projection_tables(matrix: np.ndarray, s: int, t: int):
-    """Yield (tuples, counts, ok) chunks of the t-column projections of
-    matrix, N x n with s^t dividing N, in itertools.combinations order:
-    ok says which tuples hold each of their s^t level combinations N / s^t
-    times, and counts are what was counted to decide it.
+        This one walk serves check_strength, max_strength, p_of_d,
+        annotate and verify_claims.  While s^t <= 64 the face rule decides:
+        a tuple holds iff its (t - 1)-column faces hold and its (s - 1)^t
+        top-free cells each hold N / s^t, popcounts of an AND block of
+        (s - 1)^t W words a tuple for W words of 64 rows; columns and pairs
+        are looked up in the kept verdicts, found there once.  The first
+        chunk is _CHUNK_CELLS // (s^t W) tuples, what full tables would fit
+        in _CHUNK_CELLS words, so that an early failure scans no more tuples
+        than that; each next chunk is twice as long, up to a block of
+        _CHUNK_CELLS words.  For larger s^t, a popcount costs more words per
+        64 rows than one bincount cell per row, so row i of a chunk of
+        _CHUNK_CELLS // max(N, s^t) tuples is coded with an offset of i *
+        s^t, and one bincount counts every tuple's full table, cell a_1
+        s^(t-1) + ... + a_t.
+        """
+        cols = np.asarray(columns, dtype=np.intp)
+        m, cells = len(cols), self.s**t
+        if cells <= 64:
+            if self.bits is None:
+                self.bits = _level_bitsets(self.matrix, self.s - 1)
+            memo = [np.zeros(m**j, dtype=np.uint8) if 2 < j and m**j <= _FACE_MEMO_CELLS
+                    else None for j in range(t)]
+            decide = self.holds if t <= 2 else self.verdicts
+            first = max(1, _CHUNK_CELLS // (cells * self.bits.shape[2]))
+            for tuples in _combinations(m, t, first, self.size(t)):
+                yield tuples, decide(cols, tuples, memo)
+            return
+        for tuples in _combinations(m, t, max(1, _CHUNK_CELLS // max(self.runs, cells))):
+            enc = np.arange(len(tuples))
+            for i in range(t):
+                enc = enc * self.s + self.matrix[:, cols[tuples[:, i]]]
+            tables = np.bincount(enc.ravel(), minlength=enc.shape[1] * cells).reshape(-1, cells)
+            yield tuples, (tables == self.runs // cells).all(axis=1)
 
-    This one walk serves check_strength, max_strength, p_of_d and
-    verify_claims.  While s^t <= 64 the face rule decides (_FaceRule): a
-    tuple holds iff its (t - 1)-column faces hold and its (s - 1)^t
-    top-free cells, the counts, each hold N / s^t, popcounts of an AND
-    block of (s - 1)^t W words a tuple for W words of 64 rows.  The first
-    chunk is _CHUNK_CELLS // (s^t W) tuples, what full tables would fit in
-    _CHUNK_CELLS words, so that an early failure scans no more tuples than
-    that; each next chunk is twice as long, up to a block of _CHUNK_CELLS
-    words.  For larger s^t, a popcount costs more words per 64 rows than
-    one bincount cell per row, so row i of a chunk of _CHUNK_CELLS //
-    max(N, s^t) tuples is coded with an offset of i * s^t, and one
-    bincount counts every tuple's full table, cell a_1 s^(t-1) + ... +
-    a_t.
-    """
-    runs, n = matrix.shape
-    cells = s**t
-    if cells <= 64:
-        rule = _FaceRule(matrix, s, t)
-        first = max(1, _CHUNK_CELLS // (cells * rule.bits.shape[2]))
-        for tuples in _combinations(n, t, first, rule.size(t)):
-            yield tuples, *rule.verdicts(tuples)
-        return
-    for tuples in _combinations(n, t, max(1, _CHUNK_CELLS // max(runs, cells))):
-        enc = np.arange(len(tuples))
-        for i in range(t):
-            enc = enc * s + matrix[:, tuples[:, i]]
-        tables = np.bincount(enc.ravel(), minlength=enc.shape[1] * cells).reshape(-1, cells)
-        yield tuples, tables, (tables == runs // cells).all(axis=1)
+    def check(self, columns, t: int) -> StrengthCheck:
+        """check_strength at t <= len(columns) of the subject columns: the
+        witness is the lexicographically first failing tuple of positions
+        in columns, its table counted on their columns in tuple order."""
+        cols = list(columns)
+        want, rem = divmod(self.runs, self.s**t)
+        if rem:
+            witness = tuple(range(t))
+        else:
+            witness = next((tuple(tuples[np.argmin(ok)].tolist())
+                            for tuples, ok in self.walk(cols, t) if not ok.all()), None)
+            if witness is None:
+                return StrengthCheck(True, t)
+        table = _projection_table(self.matrix, self.s, [cols[i] for i in witness])
+        return StrengthCheck(False, t, witness, table, want)
+
+    def strength(self, columns, t: int, pattern: tuple[int, ...] | None) -> StrengthCheck:
+        """The strength-t claim on the subject columns.  When pattern, their
+        wordlength pattern, holds A_1..A_t, it holds iff they all vanish
+        (strength d⊥ - 1) and nothing is counted; rows that are not linear
+        (pattern None) and a failure are counted (check), the failure for
+        its witness."""
+        if pattern is not None and t <= len(pattern) and not any(pattern[:t]):
+            return StrengthCheck(True, t)
+        return self.check(columns, t)
+
+    def highest(self, columns, cap: int | None = None,
+                pattern: tuple[int, ...] | None = None) -> int:
+        """The largest t <= cap (all the columns when None) of strength t on
+        the subject columns; 0 if even t = 1 fails.  Linear rows, whose
+        pattern runs to A_cap, have min(cap, d⊥ - 1), read off it.  Any
+        other subject is counted from the cap down, since strength t implies
+        every lower strength: a t with s^t not dividing N is skipped
+        uncounted, so cap=None never builds s^cols-cell tables."""
+        cols = list(columns)
+        limit = len(cols) if cap is None else min(cap, len(cols))
+        if pattern is not None:
+            return strength_from_wlp(pattern[:limit])
+        for t in range(limit, 0, -1):
+            if self.runs % self.s**t == 0 and self.check(cols, t).ok:
+                return t
+        return 0
+
+    def p(self, columns) -> Fraction:
+        """p_of_d of the subject columns, read off the reading held for
+        them (read_groups), or read here to A_3."""
+        cols = list(columns)
+        if len(cols) < 3:
+            raise TooFewColumnsError("p(D) needs at least three columns")
+        if self.runs % self.s**3:
+            return Fraction(0)
+        triples = math.comb(len(cols), 3)
+        reading = self.readings.get(tuple(cols))
+        if reading is None:
+            reading = read_subjects(self.s, self.matrix, [cols], [3])[0]
+        pattern = reading.pattern
+        if pattern is not None and not any(pattern[:2]):
+            return 1 - Fraction(pattern[2], triples)
+        return Fraction(sum(int(ok.sum()) for _, ok in self.walk(cols, 3)), triples)
 
 
 def check_strength(design: Design, t: int) -> StrengthCheck:
@@ -357,26 +455,16 @@ def check_strength(design: Design, t: int) -> StrengthCheck:
 
     Passes iff every t-column projection holds each of the s^t level
     combinations exactly N/s^t times; while s^t <= 64 that is decided by
-    the face rule (_FaceRule), from each tuple's (s - 1)^t top-free cells
-    and the verdicts of its (t - 1)-column faces.  Chunks are scanned in
-    lexicographic order, so on failure the witness is still the
+    the face rule (_CheckContext), from each tuple's (s - 1)^t top-free
+    cells and the verdicts of its (t - 1)-column faces.  Chunks are scanned
+    in lexicographic order, so on failure the witness is still the
     lexicographically first offending column set, with its full count
     table from one bincount; failure is a value.  When s^t does not divide
     N, the first column set fails uncounted but for its table.
     """
     if not 1 <= t <= design.cols:
         raise ValueError(f"need 1 <= t <= {design.cols}")
-    want, rem = divmod(design.runs, design.s**t)
-    if rem:
-        witness = tuple(range(t))
-    else:
-        witness = next((tuple(tuples[np.argmin(ok)].tolist())
-                        for tuples, _, ok in _projection_tables(design.matrix, design.s, t)
-                        if not ok.all()), None)
-        if witness is None:
-            return StrengthCheck(True, t)
-    table = _projection_table(design.matrix, design.s, witness)
-    return StrengthCheck(False, t, witness, table, want)
+    return _CheckContext(design).check(range(design.cols), t)
 
 
 def max_strength(design: Design, cap: int | None = None) -> int:
@@ -386,11 +474,7 @@ def max_strength(design: Design, cap: int | None = None) -> int:
     cap and steps down only on failure.  A t with s^t not dividing N is
     skipped uncounted, so cap=None never builds s^cols-cell tables.
     """
-    limit = design.cols if cap is None else min(cap, design.cols)
-    for t in range(limit, 0, -1):
-        if design.runs % design.s**t == 0 and check_strength(design, t).ok:
-            return t
-    return 0
+    return _CheckContext(design).highest(range(design.cols), cap)
 
 
 class Reading(NamedTuple):
@@ -623,35 +707,22 @@ def wlp_of_columns(design: Design, columns) -> tuple[int, ...] | None:
     return read_subjects(design.s, design.matrix, [columns])[0].pattern
 
 
-def p_of_d(design: Design, columns=None, reading: Reading | None = None) -> Fraction:
+def p_of_d(design: Design, columns=None) -> Fraction:
     """Exact proportion of column triples that form a strength-3 subarray.
 
-    reading is the columns' reading when the caller holds one that runs
-    to A_3 (read_subjects with a top of at least 3, or None); else the
-    columns are read here.  When their rows are linear and A_1 = A_2 = 0,
-    a triple lacks strength 3 iff a word of length 3 lives on it, and that
-    word is unique up to scalars (two that are not would combine into a
-    shorter one), so p = 1 - A_3 / C(m, 3) and nothing is counted.  Any
-    other subject is counted by the same projection kernel as
-    check_strength: while s^3 <= 64, by the face rule, a triple holds iff
-    its three pairs hold (each pair decided once, from its (s - 1)^2
-    top-free cells and its columns) and its (s - 1)^3 top-free cells hold
-    N / s^3 each.
+    The columns (all of them when None) are read to A_3 (read_subjects).
+    When their rows are linear and A_1 = A_2 = 0, a triple lacks strength 3
+    iff a word of length 3 lives on it, and that word is unique up to
+    scalars (two that are not would combine into a shorter one), so p = 1 -
+    A_3 / C(m, 3) and nothing is counted.  Any other subject is counted by
+    the same projection walk as check_strength (_CheckContext): while s^3
+    <= 64, by the face rule, a triple holds iff its three pairs hold (each
+    pair decided once, from its (s - 1)^2 top-free cells and its columns)
+    and its (s - 1)^3 top-free cells hold N / s^3 each.  annotate and
+    verify_claims measure p in the context of their other checks, from
+    the group readings and verdicts found there.
     """
-    cols = list(range(design.cols)) if columns is None else list(columns)
-    if len(cols) < 3:
-        raise TooFewColumnsError("p(D) needs at least three columns")
-    if design.runs % design.s**3:
-        return Fraction(0)
-    triples = math.comb(len(cols), 3)
-    if reading is None or reading.pattern is not None and len(reading.pattern) < 3:
-        reading = read_subjects(design.s, design.matrix, [cols], [3])[0]
-    pattern = reading.pattern
-    if pattern is not None and not any(pattern[:2]):
-        return 1 - Fraction(pattern[2], triples)
-    matrix = design.matrix if columns is None else design.matrix[:, cols]
-    hits = sum(int(ok.sum()) for _, _, ok in _projection_tables(matrix, design.s, 3))
-    return Fraction(hits, triples)
+    return _CheckContext(design).p(range(design.cols) if columns is None else columns)
 
 
 def pg_points(ext: gflib.ExtField) -> np.ndarray:
@@ -661,19 +732,6 @@ def pg_points(ext: gflib.ExtField) -> np.ndarray:
 
 def generator_from_exponents(ext: gflib.ExtField, exps) -> GeneratorMatrix:
     return GeneratorMatrix(ext.s, ext.antilog[np.asarray(exps, dtype=np.int64) % ext.period].T)
-
-
-def _strength_at(s: int, matrix: np.ndarray, t: int, pattern: tuple[int, ...] | None,
-                 columns=None) -> StrengthCheck:
-    """check_strength at t of the rows of matrix on columns (all of them
-    when None).  When pattern, the rows' wordlength pattern, holds
-    A_1..A_t, the claim holds iff they all vanish (strength d⊥ - 1) and
-    nothing is counted or gathered; rows that are not linear (pattern None)
-    and a failure are counted, the failure for its lexicographically first
-    witness."""
-    if pattern is not None and t <= len(pattern) and not any(pattern[:t]):
-        return StrengthCheck(True, t)
-    return check_strength(Design(s, matrix if columns is None else matrix[:, columns]), t)
 
 
 def annotate(gd: GroupedDesign, verified_t0: int | None = None) -> GroupedDesign:
@@ -686,27 +744,33 @@ def annotate(gd: GroupedDesign, verified_t0: int | None = None) -> GroupedDesign
     reads all the groups at once, and tests them only when the array is
     not linear, since a projection of a linear array is linear.  A linear
     subject's strength is min(claim, d⊥ - 1), read off its pattern; a
-    subject that is not linear is credited only what check_strength
-    confirms (max_strength).  A group's full pattern is read only when it
-    is recorded, else its A_1..A_claim.  A given verified_t0 is the whole
-    array's verdict at this claim, already found for another grouping of
-    the same array, and is not found again.
+    subject that is not linear is credited only what its count confirms.
+    Every count is made in one check context (_CheckContext), which builds
+    the bitsets and decides each column and each pair at most once for the
+    whole array and all its groups.  A group's full pattern is read only
+    when it is recorded, else its A_1..A_claim, and A_3 for its p.  A
+    given verified_t0 is the whole array's verdict at this claim, already
+    found for another grouping of the same array, and is not found again.
     """
-    design, s = gd.design, gd.design.s
+    return _annotate(gd, _CheckContext(gd.design), verified_t0)
+
+
+def _annotate(gd: GroupedDesign, ctx: _CheckContext,
+              verified_t0: int | None = None) -> GroupedDesign:
+    """annotate, counting in ctx, the check context of gd.design, which
+    then holds the group readings for p."""
+    design = gd.design
     regular = gd.generator is not None
-    whole = read_subjects(s, design.matrix, [range(design.cols)], [gd.claimed_t0])[0].pattern
-    if verified_t0 is None:
-        verified_t0 = (max_strength(design, gd.claimed_t0) if whole is None
-                       else strength_from_wlp(whole))
-    gd.verified_t0 = verified_t0
-    readings = read_subjects(s, design.matrix, [grp.columns for grp in gd.groups],
-                             None if regular else [grp.claimed_strength for grp in gd.groups],
-                             linear=whole is not None)
+    every = range(design.cols)
+    whole = read_subjects(design.s, design.matrix, [every], [gd.claimed_t0])[0].pattern
+    gd.verified_t0 = (ctx.highest(every, gd.claimed_t0, whole) if verified_t0 is None
+                      else verified_t0)
+    readings = ctx.read_groups([grp.columns for grp in gd.groups],
+                               None if regular else [max(grp.claimed_strength, 3)
+                                                     for grp in gd.groups],
+                               linear=whole is not None)
     for grp, (pattern, _) in zip(gd.groups, readings):
-        cap = grp.claimed_strength
-        grp.verified_strength = (
-            max_strength(Design(s, design.matrix[:, grp.columns]), cap) if pattern is None
-            else strength_from_wlp(pattern[:cap]))
+        grp.verified_strength = ctx.highest(grp.columns, grp.claimed_strength, pattern)
         if regular:
             grp.wlp = pattern
     return gd
@@ -738,13 +802,14 @@ class ClaimCheck:
 
 @dataclass
 class VerifyReport:
-    """The checks of verify_claims, and the reading of each group they
-    were made from (read_subjects), from which a caller can go on to
-    measure p (p_of_d) without reading the group again."""
+    """The checks of verify_claims, and the check context they were made
+    in (_CheckContext), which holds the group readings and every verdict
+    found, so that a caller can go on to measure a group's p
+    (context.p) without reading or counting anything again."""
 
     ok: bool
     checks: list[ClaimCheck]
-    readings: list[Reading]
+    context: _CheckContext
 
     def lines(self) -> list[str]:
         out = []
@@ -755,17 +820,17 @@ class VerifyReport:
         return out
 
 
-def _strength_claim(checks: list[ClaimCheck], subject: str, s: int, matrix: np.ndarray,
-                    t: int, pattern: tuple[int, ...] | None, columns=None) -> bool:
-    """Append the check of a strength-t claim on the rows of matrix on
-    columns (all when None) and return whether it holds.  It fails
-    uncounted when s^t does not divide N, so a large t never sizes
-    s^t-cell tables; else the subject's pattern decides it when the rows
-    are linear, and the columns are gathered only to be counted."""
-    if len(matrix) % s**t:
+def _strength_claim(checks: list[ClaimCheck], subject: str, ctx: _CheckContext, columns,
+                    t: int, pattern: tuple[int, ...] | None) -> bool:
+    """Append the check of a strength-t claim on the subject columns and
+    return whether it holds.  It fails uncounted when s^t does not divide
+    N, so a large t never sizes s^t-cell tables; else the subject's pattern
+    decides it when the rows are linear, and the columns are counted in
+    place otherwise (ctx.strength)."""
+    if ctx.runs % ctx.s**t:
         ok, detail = False, "s^t does not divide N"
     else:
-        res = _strength_at(s, matrix, t, pattern, columns)
+        res = ctx.strength(columns, t, pattern)
         ok, detail = res.ok, "" if res.ok else f"witness columns {res.witness}"
     checks.append(ClaimCheck(subject, f"strength {t}", ok, detail))
     return ok
@@ -797,25 +862,29 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     stacked all have rank k; nothing is expanded.  A generator whose rows
     are dependent fails, even where its combinations, each repeated, are
     the stored rows.  On a linear subject a strength-t claim holds iff
-    A_1..A_t vanish, and check_strength counts only to find a failure's
-    witness; on any other subject it counts.  A group's one reading serves
-    its strength claim, its stored pattern and its p (p_of_d): it is the
-    full pattern when one is stored, else it runs to A_t, and to at least
-    A_3 when s^3 | N.  The report
-    returns the group readings, so a caller that goes on to measure p does
-    not read again.  The strength checked is the larger of the claimed and
-    the stored one; like annotate, it is recorded as verified on each
-    subject where it holds.
+    A_1..A_t vanish, and it is counted only to find a failure's witness;
+    on any other subject it is counted.  A group's one reading serves its
+    strength claim, its stored pattern and its p: it is the full pattern
+    when one is stored, else it runs to A_t, and to at least A_3 when s^3
+    | N.  Every count is made in one check context (_CheckContext), whose
+    bitsets and column and pair verdicts are found once for the array and
+    all its groups; the report returns it, so a caller that goes on to
+    measure p reads and counts nothing twice.  A failure's witness names
+    positions in its subject's columns.  The strength checked is the
+    larger of the claimed and the stored one; like annotate, it is
+    recorded as verified on each subject where it holds.
     """
     checks: list[ClaimCheck] = []
     design, s = gd.design, gd.design.s
+    ctx = _CheckContext(design)
 
     def top(t: int) -> int:
         """How much of the pattern a strength-t claim reads."""
         return t if t >= 1 and design.runs % s**t == 0 else 0
 
+    every = range(design.cols)
     t0 = max(gd.claimed_t0, gd.verified_t0 or 0)
-    whole = read_subjects(s, design.matrix, [range(design.cols)], [top(t0)])[0]
+    whole = read_subjects(s, design.matrix, [every], [top(t0)])[0]
 
     if gd.generator is not None:
         gen, field, basis = gd.generator.matrix, gflib.level_field(s), whole.basis
@@ -825,29 +894,27 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
                 and gflib.mat_rank(field, np.vstack([gen, basis])) == k)
         checks.append(ClaimCheck("array", "generator reproduces rows", same))
 
-    if t0 < 1 or _strength_claim(checks, "array", s, design.matrix, t0, whole.pattern):
+    if t0 < 1 or _strength_claim(checks, "array", ctx, every, t0, whole.pattern):
         gd.verified_t0 = t0
 
     strengths = [max(grp.claimed_strength, grp.verified_strength or 0) for grp in gd.groups]
-    readings = read_subjects(
-        s, design.matrix, [grp.columns for grp in gd.groups],
+    readings = ctx.read_groups(
+        [grp.columns for grp in gd.groups],
         [None if grp.wlp is not None else max(top(t), top(3))
          for grp, t in zip(gd.groups, strengths)],
         linear=whole.pattern is not None)
     for idx, (grp, t, reading) in enumerate(zip(gd.groups, strengths, readings)):
         name = f"group {idx + 1} ({grp.size} cols)"
-        if t < 1 or _strength_claim(checks, name, s, design.matrix, t, reading.pattern,
-                                    grp.columns):
+        if t < 1 or _strength_claim(checks, name, ctx, grp.columns, t, reading.pattern):
             grp.verified_strength = t
         if grp.wlp is not None:
             _stored_claim(checks, name, "wordlength pattern", tuple(grp.wlp), reading.pattern,
                           "recomputed")
         if grp.p is not None:
             _stored_claim(checks, name, "triple proportion p", grp.p,
-                          p_of_d(design, grp.columns, reading) if grp.size >= 3 else None,
-                          "measured")
+                          ctx.p(grp.columns) if grp.size >= 3 else None, "measured")
 
-    return VerifyReport(all(c.ok for c in checks), checks, readings)
+    return VerifyReport(all(c.ok for c in checks), checks, ctx)
 
 
 def subset_design(design: Design, keep) -> Design:

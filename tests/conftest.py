@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,15 @@ from goa.errors import LevelLimitError, NotPrimePowerError
 
 # `pytest --hypothesis-profile=ci` replays the same examples on every run
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+
+def counted_checks():
+    """A spy on every strength check counted in a check context, whatever
+    called it: each call's args are (context, columns, t).  A difference
+    scheme's own check (is_difference_scheme) is counted too, on its r x
+    C(c, 2) differences."""
+    return mock.patch.object(dz._CheckContext, "check", autospec=True,
+                             side_effect=dz._CheckContext.check)
 
 
 @pytest.fixture(scope="session")

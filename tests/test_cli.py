@@ -18,7 +18,7 @@ from goa import search as sx
 from goa import serialize as io
 from goa.cli import main
 
-from conftest import oracle_row_reduce
+from conftest import counted_checks, oracle_row_reduce
 
 # Malformed fields of the thm1 s=3 file (groups [0-3], [4-6], [7-9],
 # strengths 3, t0 2, first row all zero): the path to the field, its new
@@ -279,8 +279,8 @@ class TestVerify:
         # the three thm1 groups carry no stored p and verify at strength 3
         main(["construct", "thm1", "--s", "3", "--out", "t.json"])
         capsys.readouterr()
-        counted = AssertionError("p_of_d was called")
-        with mock.patch.object(cli, "p_of_d", side_effect=counted), \
+        counted = AssertionError("p was measured")
+        with mock.patch.object(dz._CheckContext, "p", side_effect=counted), \
                 mock.patch.object(dz, "p_of_d", side_effect=counted):
             assert main(["verify", "t.json"]) == 0
         out = capsys.readouterr().out
@@ -398,40 +398,43 @@ class TestCertifyOnce:
         assert "array: strength 3: FAIL (witness columns (" in capsys.readouterr().out
 
     def test_construct_counts_nothing_on_a_linear_design(self, workdir):
-        # thm1's rows are linear: every claim is read off the dual distance
-        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as check:
+        # thm1's rows are linear: every claim is read off the dual distance,
+        # and no bitset is built
+        with counted_checks() as check, \
+                mock.patch.object(dz, "_level_bitsets", wraps=dz._level_bitsets) as bits:
             assert main(["construct", "thm1", "--s", "3", "--out", "t.json"]) == 0
         assert not check.called
+        assert not bits.called
 
     def test_nonlinear_design_still_counts(self, workdir):
         # goa162-12x2 is a Kronecker sum whose rows and groups are not linear:
         # building and verifying each count the array and both groups at t = 2
         for argv in (["catalog", "--out", ".", "--only", "goa162-12x2"],
                      ["verify", "goa162-12x2.json"]):
-            with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as check:
+            with counted_checks() as check:
                 assert main(argv) == 0
-            assert [(c.args[0].cols, c.args[1]) for c in check.call_args_list] == [
-                (24, 2), (12, 2), (12, 2)]
+            assert [(len(c.args[1]), c.args[2]) for c in check.call_args_list
+                    if c.args[0].runs == 162] == [(24, 2), (12, 2), (12, 2)]
 
     def test_prop1_counts_nothing_on_a_linear_base(self, workdir):
         # the base group's projection and its strength-3 prerequisite are
         # read off the dual distance; only the Kronecker sum is counted
         main(["construct", "ebert", "--s", "3", "--out", "e.json"])
-        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as check:
+        with counted_checks() as check:
             assert main(["construct", "prop1", "--s", "3", "--ds-shape", "6,6", "--blocks", "2",
                          "--base", "e.json", "--base-group", "0", "--out", "p.json"]) == 0
-        assert [(c.args[0].runs, c.args[0].cols, c.args[1]) for c in check.call_args_list] == [
-            (486, 60, 2), (486, 20, 3), (486, 20, 3)]
+        assert [(c.args[0].runs, len(c.args[1]), c.args[2]) for c in check.call_args_list
+                if c.args[0].runs != 6] == [(486, 60, 2), (486, 20, 3), (486, 20, 3)]
 
     def test_thm2_counts_the_sum_once(self, workdir):
         # the coarse and the nested grouping share one A (+) B and its
         # whole-array verdict; each group is counted once
         main(["construct", "ebert", "--s", "3", "--h", "1,0,0,1,2", "--out", "e.json"])
-        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as check:
+        with counted_checks() as check:
             assert main(["construct", "thm2", "--s", "3", "--ds-shape", "6,6",
                          "--base", "e.json", "--out", "t.json"]) == 0
-        assert [(c.args[0].runs, c.args[0].cols, c.args[1]) for c in check.call_args_list] == [
-            (486, 240, 2)] + [(486, 60, 2)] * 4 + [(486, 20, 3)] * 8
+        assert [(c.args[0].runs, len(c.args[1]), c.args[2]) for c in check.call_args_list
+                if c.args[0].runs != 6] == [(486, 240, 2)] + [(486, 60, 2)] * 4 + [(486, 20, 3)] * 8
 
     @pytest.mark.parametrize("setup, argv, groups, printed", [
         pytest.param([], ["construct", "ebert", "--s", "3", "--out", "e.json"], 4, "",

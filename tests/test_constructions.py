@@ -329,12 +329,15 @@ class TestKroneckerGrouping:
 
     def test_columns_claims_and_p(self, ebert3, oa_27_4_3_3):
         ds = cx.ds_catalog(3, 3, 3)
-        with mock.patch.object(cx, "annotate", wraps=dz.annotate) as annotate:
+        with mock.patch.object(cx, "annotate", wraps=dz.annotate) as annotate, \
+                mock.patch.object(cx, "_annotate", wraps=dz._annotate) as in_context:
             prop1 = cx.construct_prop1(ds, [[0], [1, 2]], oa_27_4_3_3)
             wide = cx.grouped_kronecker(ds, [[0, 1, 2]], oa_27_4_3_3)
             thm2 = cx.construct_thm2(ds, ebert3)
-        # one call per Kronecker grouping; the prerequisite readings claim t0 = 3 or 0
-        kronecker = [c for c in annotate.call_args_list if c.args[0].claimed_t0 == 2]
+        # one call per Kronecker grouping, annotated in the context its p is
+        # measured in; the prerequisite readings claim t0 = 3 or 0
+        kronecker = [c for c in annotate.call_args_list + in_context.call_args_list
+                     if c.args[0].claimed_t0 == 2]
         assert len(kronecker) == 4
         n = oa_27_4_3_3.cols
         assert [g.columns for g in prop1.groups] == [

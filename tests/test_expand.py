@@ -131,7 +131,7 @@ class TestRotation:
                             assert prod @ block[:, w] == 0
 
     def test_linear_groups_are_not_counted(self, goa32):
-        with mock.patch.object(dz, "check_strength", side_effect=AssertionError("counted")):
+        with mock.patch.object(dz._CheckContext, "check", side_effect=AssertionError("counted")):
             assert ex.rotate_columns(goa32).int_matrix.shape == (32, 24)
 
     def test_requires_two_levels(self, thm1_3):

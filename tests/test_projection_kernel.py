@@ -1,7 +1,7 @@
 """The chunked projection-counting kernel against the per-tuple oracle.
 
 check_strength, max_strength and p_of_d all count through one chunked
-kernel; these properties compare each with the exhaustive one-tuple-at-a-time
+walk of a check context; these properties compare each with the exhaustive one-tuple-at-a-time
 loop in conftest on random small designs, at chunk caps down to one tuple
 per chunk so that chunk boundaries fall everywhere.  The strength of a
 linear design is read off its dual distance instead, and is compared with
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goa import cli
 from goa import constructions as cx
 from goa import designs as dz
 from goa import gf
@@ -26,6 +27,7 @@ from goa.errors import StrengthPrereqError
 
 from conftest import (
     _oracle_counts,
+    counted_checks,
     oracle_check_strength,
     oracle_is_linear,
     oracle_linear_basis,
@@ -250,7 +252,7 @@ class TestFaceRule:
         # pair it counted is a face of a triple it scanned
         d = io.load_json(catalog_dir / "survey-s2-k9-m13.json").design
         counted = {1: set(), 2: set(), 3: []}
-        real = dz._FaceRule.counts
+        real = dz._CheckContext.counts
 
         def spy(rule, tuples):
             if tuples.shape[1] == 3:
@@ -260,7 +262,7 @@ class TestFaceRule:
             return real(rule, tuples)
 
         with mock.patch.object(dz, "_CHUNK_CELLS", cells), \
-                mock.patch.object(dz._FaceRule, "counts", spy):
+                mock.patch.object(dz._CheckContext, "counts", spy):
             res = dz.check_strength(d, 3)
         assert res.witness == (0, 1, 93)
         assert_same_check(res, oracle_check_strength(d, 3))
@@ -310,10 +312,10 @@ class TestMaxStrength:
         rng = np.random.default_rng(0)
         base = gf.span(gf.level_field(2), np.eye(4, dtype=np.int64))
         d = dz.Design(2, base[:, rng.integers(0, 4, size=40)])
-        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
+        with counted_checks() as spy:
             got = dz.max_strength(d)
         assert got == oracle_max_strength(d)
-        assert all(2 ** call.args[1] <= d.runs for call in spy.call_args_list)
+        assert all(2 ** call.args[2] <= d.runs for call in spy.call_args_list)
 
 
 @st.composite
@@ -360,8 +362,8 @@ class TestPofD:
                                   max_size=d.cols, unique=True))
         counted = any(oracle_wlp_of_rows(d.s, d.matrix[:, cols], 2))
         with mock.patch.object(dz, "_CHUNK_CELLS", cells), \
-                mock.patch.object(dz, "_projection_tables",
-                                  wraps=dz._projection_tables) as spy:
+                mock.patch.object(dz._CheckContext, "walk", autospec=True,
+                                  side_effect=dz._CheckContext.walk) as spy:
             assert dz.p_of_d(d, cols) == oracle_p_of_d(d, cols)
         assert spy.called == counted
 
@@ -372,27 +374,32 @@ class TestPofD:
                          lambda d: d.cols >= 3)),
            st.data())
     def test_held_reading(self, d, data):
-        # the reading a caller holds, to A_3 or whole, is used as it is:
-        # linear rows, rows that are not linear, and linear rows whose
-        # zero or copied columns give A_1 or A_2 > 0 (then p is counted)
+        # the group reading a check context holds, to A_3 or whole, is used
+        # as it is: linear rows, rows that are not linear, and linear rows
+        # whose zero or copied columns give A_1 or A_2 > 0 (then p is counted)
         cols = data.draw(st.lists(st.integers(0, d.cols - 1), min_size=3,
                                   max_size=d.cols, unique=True))
         top = data.draw(st.sampled_from([3, None]))
-        reading = dz.read_subjects(d.s, d.matrix, [cols], [top])[0]
+        ctx = dz._CheckContext(d)
+        ctx.read_groups([cols], [top], linear=False)
         with mock.patch.object(dz, "read_subjects", wraps=dz.read_subjects) as read:
-            assert dz.p_of_d(d, cols, reading) == oracle_p_of_d(d, cols)
+            assert ctx.p(cols) == oracle_p_of_d(d, cols)
         assert not read.called
 
-    def test_short_reading_is_read_again(self):
-        # a reading that stops before A_3 cannot give p; the columns are
-        # read again, to A_3
+    def test_held_readings_reach_a3(self):
+        # a group claimed below strength 3 is read to A_3 by annotate, and
+        # p is measured from that reading; columns the context holds no
+        # reading for are read once, to A_3
         d = dz.Design(3, gf.span(gf.level_field(3),
                                  [[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 2, 1]]))
         cols = list(range(5))
-        short = dz.read_subjects(d.s, d.matrix, [cols], [2])[0]
-        assert short.pattern is not None and len(short.pattern) == 2
+        ctx = dz._CheckContext(d)
+        dz._annotate(dz.GroupedDesign(d, [dz.Group(cols, 2)]), ctx)
+        assert len(ctx.readings[tuple(cols)].pattern) == 3
         with mock.patch.object(dz, "read_subjects", wraps=dz.read_subjects) as read:
-            assert dz.p_of_d(d, cols, short) == oracle_p_of_d(d, cols)
+            assert ctx.p(cols) == oracle_p_of_d(d, cols)
+            assert not read.called
+            assert dz.p_of_d(d, cols) == oracle_p_of_d(d, cols)
         assert [call.args[3] for call in read.call_args_list] == [[3]]
 
 
@@ -627,7 +634,9 @@ class TestPopcountWords:
                 assert s**t <= 64
                 if runs % s**t == 0:
                     want = runs // s**t
-                    for tuples, counts, ok in dz._projection_tables(matrix, s, t):
+                    ctx = dz._CheckContext(d)
+                    for tuples, ok in ctx.walk(range(d.cols), t):
+                        counts = ctx.counts(tuples)
                         for cols, count, holds in zip(tuples.tolist(), counts, ok):
                             table = _oracle_counts(matrix, cols, s).reshape((s,) * t)
                             top_free = table[(slice(0, s - 1),) * t].ravel()
@@ -739,18 +748,18 @@ class TestDualDistance:
         assert np.array_equal(basis, oracle_linear_basis(d.s, d.matrix))
         assert d.s ** len(basis) == len(np.unique(d.matrix, axis=0))
         assert gf.mat_rank(gf.level_field(d.s), np.vstack([basis, d.matrix])) == len(basis)
-        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
+        with counted_checks() as spy:
             gd = dz.annotate(dz.GroupedDesign(d, [dz.Group(list(range(d.cols)), d.cols)],
                                               claimed_t0=d.cols))
         assert gd.verified_t0 == gd.groups[0].verified_strength == oracle_max_strength(d)
         assert not spy.called
         for t in range(1, d.cols + 1):
             want = oracle_check_strength(d, t)
-            with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
+            with counted_checks() as spy:
                 # a failure is counted, for check_strength's witness
                 pattern = read_all(d, t, linear=True).pattern
                 assert pattern == oracle_wlp_of_rows(d.s, d.matrix, t)
-                assert_same_check(dz._strength_at(d.s, d.matrix, t, pattern), want)
+                assert_same_check(dz._CheckContext(d).strength(range(d.cols), t, pattern), want)
             assert spy.call_count == (not want.ok)
 
     @settings(deadline=None)
@@ -761,13 +770,13 @@ class TestDualDistance:
         assert (oracle_linear_basis(d.s, d.matrix) is not None) == linear
         for t in range(1, d.cols + 1):
             want = oracle_check_strength(d, t)
-            with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
+            with counted_checks() as spy:
                 pattern = read_all(d, t).pattern
                 assert pattern == (oracle_wlp_of_rows(d.s, d.matrix, t) if linear else None)
-                assert_same_check(dz._strength_at(d.s, d.matrix, t, pattern), want)
+                assert_same_check(dz._CheckContext(d).strength(range(d.cols), t, pattern), want)
             if not linear:
                 assert spy.call_count == 1
-        with mock.patch.object(dz, "check_strength", wraps=dz.check_strength) as spy:
+        with counted_checks() as spy:
             gd = dz.annotate(dz.GroupedDesign(d, [], claimed_t0=d.cols))
         assert gd.verified_t0 == oracle_max_strength(d, d.cols)
         if linear:
@@ -812,3 +821,83 @@ class TestStrengthPrereqs:
         assert refused(lambda: cx.construct_thm2(one, b)) == any(weak)
         for base, want in zip(bases, weak):
             assert refused(lambda: cx.construct_prop1(one, [[0]], base)) == want
+
+
+class TestOneContext:
+    """Every count on one design goes through one check context: the
+    bitsets are built once, each column and each pair decided once, for
+    the whole array, its groups and their p, and a group's witness names
+    positions in its own columns, which may come in any order."""
+
+    def test_verify_decides_each_pair_once(self, catalog_dir, capsys):
+        # goa486-thm2 (486 x 108, groups of 30, 30, 24 and 24 columns) is
+        # not linear: the array's strength 2, each group's and each group's
+        # p are all counted
+        counted = {1: [], 2: [], 3: []}
+        real = dz._CheckContext.counts
+
+        def spy(ctx, tuples):
+            counted[tuples.shape[1]].extend(map(tuple, tuples.tolist()))
+            return real(ctx, tuples)
+
+        with mock.patch.object(dz._CheckContext, "counts", spy), \
+                mock.patch.object(dz, "_level_bitsets", wraps=dz._level_bitsets) as bits:
+            assert cli.main(["verify", str(catalog_dir / "goa486-thm2.json")]) == 0
+        assert capsys.readouterr().out.endswith("all claims hold\n")
+        assert bits.call_count == 1
+        assert sorted(counted[1]) == [(c,) for c in range(108)]
+        assert sorted(counted[2]) == list(itertools.combinations(range(108), 2))
+        assert len(counted[2]) == 5778
+
+    def test_kronecker_p_in_the_annotation_context(self, ebert3):
+        # thm2's two groupings of one A (+) B: each is annotated and its p
+        # measured in one context, so neither reads a group again nor
+        # builds a second set of bitsets; the linear base builds none
+        ds = cx.ds_catalog(3, 6, 6)
+        with mock.patch.object(dz, "read_subjects", wraps=dz.read_subjects) as read, \
+                mock.patch.object(dz, "_level_bitsets", wraps=dz._level_bitsets) as bits:
+            out = cx.construct_thm2(ds, ebert3)
+        groups = [len(ebert3.groups), len(out.grouped.groups), len(out.nested.groups)]
+        assert [len(c.args[2]) for c in read.call_args_list] == [
+            n for g in groups for n in (1, g)]
+        assert bits.call_count == 2
+        assert all(grp.p == oracle_p_of_d(out.grouped.design, grp.columns)
+                   for grp in out.grouped.groups)
+
+    @settings(deadline=None)
+    @given(grouped_bases(), CHUNK_CAPS)
+    def test_groups_match_the_gathered_oracle(self, gd, cells):
+        # annotate, then verify_claims of the same claims and of each
+        # group's p, after the whole array's pairs are decided
+        d = gd.design
+        subs = [dz.Design(d.s, d.matrix[:, grp.columns]) for grp in gd.groups]
+        gd.claimed_t0 = min(2, d.cols)
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            dz.annotate(gd)
+            for grp, sub in zip(gd.groups, subs):
+                assert grp.verified_strength == oracle_max_strength(sub, grp.claimed_strength)
+                grp.p = oracle_p_of_d(d, grp.columns) if grp.size >= 3 else None
+            gd.verified_t0 = None
+            report = dz.verify_claims(gd)
+        for idx, (grp, sub) in enumerate(zip(gd.groups, subs)):
+            name = f"group {idx + 1} ({grp.size} cols)"
+            [check] = [c for c in report.checks if c.subject == name and
+                       c.claim.startswith("strength ")]
+            t = grp.claimed_strength
+            assert check.claim == f"strength {t}"
+            if d.runs % d.s**t:
+                assert (check.ok, check.detail) == (False, "s^t does not divide N")
+            else:
+                want = oracle_check_strength(sub, t)
+                assert check.ok == want.ok
+                assert check.detail == ("" if want.ok else f"witness columns {want.witness}")
+            if grp.p is not None:
+                assert [c.ok for c in report.checks
+                        if c.subject == name and c.claim == "triple proportion p"] == [True]
+        # the report's context, all those verdicts kept, checks each group
+        # at every t as the oracle checks it gathered, its witness and table
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            for grp, sub in zip(gd.groups, subs):
+                for t in range(1, grp.size + 1):
+                    assert_same_check(report.context.check(grp.columns, t),
+                                      oracle_check_strength(sub, t))
