@@ -31,7 +31,6 @@ from .designs import (
     _annotate,
     _CheckContext,
     annotate,
-    check_strength,
     generator_from_exponents,
     level_matrix,
     pg_points,
@@ -83,7 +82,8 @@ class DifferenceScheme:
 
 def is_difference_scheme(matrix: np.ndarray, s: int) -> bool:
     """Check that every column-pair difference hits each element r/s times,
-    i.e. that the columns of pairwise differences have strength 1."""
+    i.e. that the columns of pairwise differences have strength 1: one
+    bincount of difference column i, element e at i s + e."""
     matrix = np.asarray(matrix)
     r, c = matrix.shape
     if r % s:
@@ -93,7 +93,8 @@ def is_difference_scheme(matrix: np.ndarray, s: int) -> bool:
     u, v = np.array(list(itertools.combinations(range(c), 2))).T
     field = gflib.level_field(s)
     diffs = field.add_t[matrix[:, u], field.neg_t[matrix[:, v]]]
-    return check_strength(Design(s, diffs), 1).ok
+    counts = np.bincount((np.arange(len(u)) * s + diffs).ravel(), minlength=len(u) * s)
+    return bool((counts == r // s).all())
 
 
 def _balanced_columns(s: int, r: int) -> np.ndarray:

@@ -46,8 +46,9 @@ from .errors import (
 )
 
 # int64 cells per projection-counting chunk; for a popcount chunk, uint64
-# words of the AND block; for the span check of _span_test, bytes of each
-# uint8 temporary
+# words of the AND block; for a step of the span check of _span_test, bytes
+# of each uint8 or bool temporary (the sums, and their mismatches, reduced
+# over the row axis first)
 _CHUNK_CELLS = 1 << 14
 # cells of the largest face-verdict memo of _CheckContext, one byte each
 _FACE_MEMO_CELLS = 1 << 22
@@ -497,33 +498,41 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     every projection of an array found linear is, and skips the test.  A
     level count with no field has no linear subjects.
 
-    The G subjects are one zero-padded (N, G, M) uint8 stack, M the widest
-    subject; trailing zero columns change neither the row order, nor
-    linearity, nor the weights.
+    The G subjects are one (N, G, M) uint8 stack, M the widest subject.
+    The whole array as the only subject is read in place, as the view
+    matrix[:, None, :]; other subjects are gathered by one take, and zero
+    padded only when their widths differ: trailing zero columns change
+    neither the row order, nor linearity, nor the weights.  The matrix is
+    never written to.
 
     Linear test.  Sorted, the s^r vectors sum_i c_i b_i of a space with
     RREF basis b_1..b_r come in the order of (c_1, ..., c_r): the entries
     before the pivot of b_i depend on c_1..c_(i-1) alone, and the pivot
     entry is c_i.  So one sort of each subject's rows decides it, keyed by
     each row's base-s integer code, first column most significant, while
-    s^M < 2^63, and by its bytes above (_row_keys): both orders are that
-    of the digits.  The distinct rows must number c = s^r, begin exactly at
-    the multiples of N/c (equal multiplicities), and be the span of the
-    distinct rows s^(r-1), ..., s, 1 in the order of its coefficient
-    tuples.  That equality also proves those r rows independent, and makes
-    them the RREF basis.  The span check runs on the uint8 labels: in that
-    order, distinct row a = d s^e + a', d its leading base-s digit, is d
-    times row s^e plus row a', and row 0 is zero.  Each step (e, d) is one
-    mul_t gather of row s^e and one GF.add against the rows a' < s^e, for
-    all candidates with one r at once, in temporaries of at most
-    _CHUNK_CELLS bytes by subjects and by rows; a subject that fails a
-    step takes no later one.
+    s^M < 2^63 (in uint16, radix sorted, while s^M <= 2^16), and by its
+    bytes above (_row_keys): both orders are that of the digits.  The
+    distinct rows must number c = s^r, r found by one searchsorted in the
+    powers of s, begin exactly at the multiples of N/c (equal
+    multiplicities), and be the span of the distinct rows s^(r-1), ...,
+    s, 1 in the order of its coefficient tuples.  That equality also
+    proves those r rows independent, and makes them the RREF basis.  The
+    span check runs on the uint8 labels: in that order, distinct row a = d
+    s^e + a', d its leading base-s digit, is d times row s^e plus row a',
+    and row 0 is zero.  Each step (e, d) is one mul_t gather of row s^e and
+    one GF.add against the rows a' < s^e, for all candidates with one r at
+    once, in temporaries of at most _CHUNK_CELLS bytes by subjects and by
+    rows, its mismatches reduced over the leading row axis first; a
+    subject that fails a step takes no later one.
 
     Patterns.  With B_i rows of weight i, the defining words of length j
     number sum_i B_i K_j(i) / N (MacWilliams), K_j the Krawtchouk
     polynomial, one per scalar multiple, so each sum divides by N (s - 1).
-    One bincount makes the (G, M + 1) weight histogram, and
-    wlp_from_weights reads every pattern off it by one recurrence
+    Row weights are summed over the column axis by one einsum of stack !=
+    0, not by a reduce of that short inner axis, in uint16 while M < 2^16
+    and in intp above, so every weight is exact; one bincount makes the
+    (G, M + 1) weight histogram, and wlp_from_weights reads every pattern
+    off it by one recurrence
     (j + 1) K_{j+1}(i) = ((s - 1)(m - j) + j - s i) K_j(i)
     - (s - 1)(m - j + 1) K_{j-1}(i), in exact integers over the weights
     that occur, with each subject's own m: O(M t) per subject.
@@ -536,14 +545,19 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
         return [Reading(None, None)] * count
     if not count:
         return []
+    matrix = np.asarray(matrix, dtype=np.uint8)  # as it is when uint8
     widths = np.array([len(c) for c in cols], dtype=np.intp)
     width = max(1, int(widths.max()))
-    pad = np.arange(width) >= widths[:, None]
-    index = np.zeros((count, width), dtype=np.intp)
-    index[~pad] = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.intp,
-                              count=int(widths.sum()))
-    stack = np.take(matrix, index, axis=1)  # (N, G, M): row axis first
-    stack[:, pad] = 0
+    if count == 1 and width == matrix.shape[1] and cols[0] == list(range(width)):
+        stack = matrix[:, None, :]  # the whole array, read in place
+    else:
+        pad = np.arange(width) >= widths[:, None]
+        index = np.zeros((count, width), dtype=np.intp)
+        index[~pad] = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.intp,
+                                  count=int(widths.sum()))
+        stack = np.take(matrix, index, axis=1)  # (N, G, M): row axis first
+        if widths.min() < width:
+            stack[:, pad] = 0
     if linear:
         ok, bases = np.ones(count, dtype=bool), [None] * count
     else:
@@ -552,8 +566,10 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     caps = widths if tops is None else np.minimum(
         widths, [w if top is None else top for top, w in zip(tops, widths.tolist())])
     found = np.flatnonzero(ok)
-    weights = (stack if len(found) == count else stack[:, found]).astype(bool).sum(axis=2)
-    weights += (width + 1) * np.arange(len(found))
+    nonzero = (stack if len(found) == count else stack[:, found]) != 0
+    # no weight exceeds width: uint16 sums are exact below 2^16
+    weights = np.einsum("ngm->ng", nonzero, dtype=np.uint16 if width < 1 << 16 else np.intp)
+    weights = weights + (width + 1) * np.arange(len(found))
     hist = np.bincount(weights.ravel(), minlength=len(found) * (width + 1)).reshape(-1, width + 1)
     out = [Reading(None, None)] * count
     patterns = wlp_from_weights(s, n, hist, widths[found], caps[found])
@@ -617,12 +633,16 @@ def _krawtchouk_fits(s: int, n: int, m: int, steps: int) -> bool:
 
 def _row_keys(stack: np.ndarray, s: int) -> np.ndarray:
     """(G, N) sort keys of the rows of the (N, G, M) stack, in the order of
-    their digits, first column first: each row's base-s integer code while
-    s^M < 2^63, else its M bytes as one np.void."""
+    their digits, first column first: each row's base-s integer code, in
+    uint16 while s^M <= 2^16 and in int64 while s^M < 2^63, else its M bytes
+    as one np.void."""
     width = stack.shape[2]
-    if s**width < 1 << 63:
-        return np.einsum("ngm,m->gn", stack, s ** np.arange(width - 1, -1, -1, dtype=np.int64))
-    return np.ascontiguousarray(stack.transpose(1, 0, 2)).view(np.dtype((np.void, width)))[..., 0]
+    if s**width >= 1 << 63:
+        return np.ascontiguousarray(stack.transpose(1, 0, 2)).view(
+            np.dtype((np.void, width)))[..., 0]
+    code = np.uint16 if s**width <= 1 << 16 else np.int64
+    return np.einsum("ngm,m->gn", stack, s ** np.arange(width - 1, -1, -1, dtype=code),
+                     dtype=code)
 
 
 def _span_test(field: gflib.GF, stack: np.ndarray,
@@ -630,36 +650,42 @@ def _span_test(field: gflib.GF, stack: np.ndarray,
     """Which subjects of the (N, G, M) uint8 stack have linear rows (see
     read_subjects), and the RREF basis of each that has, else None.  The
     stack is left as it is: each subject's rows are ordered by argsort of
-    their keys (_row_keys), and only the s^r sampled distinct rows are
-    gathered from it, as one (s^r, G', M) uint8 array per rank r.  Step
-    (q, d), q = s^e, checks rows[d q:(d + 1) q] == GF.add(rows[:q],
-    mul_t[d][rows[q]]) in chunks of `run` rows by `per` subjects, each
-    temporary at most _CHUNK_CELLS bytes; the subjects that fail a step
-    are dropped before the next."""
+    their keys (_row_keys; a radix sort for uint16 keys), and only the s^r
+    sampled distinct rows are gathered from it, as one (s^r, G', M) uint8
+    array per rank r.  The rank is found by one searchsorted of the distinct
+    row counts in the powers of s.  Step (q, d), q = s^e, checks rows[d
+    q:(d + 1) q] == GF.add(rows[:q], mul_t[d][rows[q]]) in chunks of `run`
+    rows by `per` subjects, each temporary at most _CHUNK_CELLS bytes, its
+    mismatches reduced over the leading row axis first; the subjects that
+    fail a step are dropped before the next."""
     s = field.s
     n, count, width = stack.shape
     bases: list[np.ndarray | None] = [None] * count
     keys = _row_keys(stack, s)
-    order = np.argsort(keys, axis=1)
-    keys = np.take_along_axis(keys, order, axis=1)
+    order = np.argsort(keys, axis=1, kind="stable" if keys.dtype == np.uint16 else None)
+    keys = np.take(keys, order + n * np.arange(count)[:, None])
     new = np.ones((count, n), dtype=bool)
     new[:, 1:] = keys[:, 1:] != keys[:, :-1]
     distinct = new.sum(axis=1)
-    rank, power = np.zeros_like(distinct), np.ones_like(distinct)
-    while (below := power < distinct).any():
-        rank += below
-        power[below] *= s
-    step = n // distinct  # distinct row i of subject g is sorted row i * step[g]
-    ok = ((power == distinct) & (n % distinct == 0)
-          & (new == (np.arange(n) % step[:, None] == 0)).all(axis=1))
+    powers = [1]
+    while powers[-1] < n:
+        powers.append(powers[-1] * s)
+    # r = the least with s^r >= the distinct rows; linear rows need equality
+    rank = np.searchsorted(powers, distinct)
+    ok = (np.array(powers)[rank] == distinct) & (n % distinct == 0)
     mul = field.mul_t.astype(np.uint8)
     for r in sorted(set(rank[ok].tolist())):
         members = np.flatnonzero(ok & (rank == r))
+        ok[members] = False
+        # distinct row i of a subject must begin sorted row i N / s^r: then
+        # each is repeated N / s^r times
+        step = n // s**r
+        live = members[new[members, ::step].all(axis=1)]
         # (s^r, G', M): distinct row a of subject live[g] is rows[a, g]
-        rows = stack.reshape(-1, width).take(order[members, ::n // s**r].T * count + members,
-                                             axis=0)
+        rows = stack.reshape(-1, width).take(order[live, ::step].T * count + live, axis=0)
         zero = ~rows[0].any(axis=1)
-        live, rows = members[zero], rows[:, zero]
+        if not zero.all():
+            live, rows = live[zero], rows[:, zero]
         for q in (s**e for e in range(r)):
             # a' rows by subjects per temporary of at most _CHUNK_CELLS bytes
             run = min(q, max(1, _CHUNK_CELLS // width))
@@ -671,14 +697,18 @@ def _span_test(field: gflib.GF, stack: np.ndarray,
                     for a in range(0, q, run):
                         b = min(a + run, q)
                         got = field.add(rows[a:b, lo:lo + per], scaled)
-                        keep[lo:lo + per] &= (got == rows[d * q + a:d * q + b, lo:lo + per]
-                                              ).all(axis=(0, 2))
+                        # reduced over the leading row axis first: a reduce of
+                        # the short inner column axis is slow
+                        keep[lo:lo + per] &= ~(got != rows[d * q + a:d * q + b, lo:lo + per]
+                                               ).any(axis=0).any(axis=1)
                 if not keep.all():
                     live, rows = live[keep], rows[:, keep]
-        ok[members] = False
         ok[live] = True
+        # (G', r, M): the basis rows s^(r-1), ..., s, 1 of each live subject
+        block = np.ascontiguousarray(rows[s ** np.arange(r - 1, -1, -1)].transpose(1, 0, 2),
+                                     dtype=np.int64)
         for at, g in enumerate(live.tolist()):
-            bases[g] = rows[s ** np.arange(r - 1, -1, -1), at, :widths[g]].astype(np.int64)
+            bases[g] = block[at, :, :widths[g]]
     return ok, bases
 
 
@@ -858,10 +888,12 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     rows only when the array is not linear.  A strength-t claim reads
     A_1..A_t only when s^t | N, else it fails uncounted.  A generator of
     k independent rows spans a linear space with each row once, so it
-    passes iff the rows are linear, N = s^k and G, the row basis and both
-    stacked all have rank k; nothing is expanded.  A generator whose rows
-    are dependent fails, even where its combinations, each repeated, are
-    the stored rows.  On a linear subject a strength-t claim holds iff
+    passes iff the rows are linear with a basis of k rows, N = s^k, and G
+    and G stacked over that basis both have rank k, found by one
+    elimination of the (2, 2k, n) stack [G over k zero rows, G over the
+    basis]; nothing is expanded.  A generator whose rows are dependent
+    fails, even where its combinations, each repeated, are the stored
+    rows.  On a linear subject a strength-t claim holds iff
     A_1..A_t vanish, and it is counted only to find a failure's witness;
     on any other subject it is counted.  A group's one reading serves its
     strength claim, its stored pattern and its p: it is the full pattern
@@ -889,9 +921,11 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     if gd.generator is not None:
         gen, field, basis = gd.generator.matrix, gflib.level_field(s), whole.basis
         k = len(gen)
-        same = (basis is not None and len(basis) == k and s**k == design.runs
-                and gen.shape[1] == design.cols and gflib.mat_rank(field, gen) == k
-                and gflib.mat_rank(field, np.vstack([gen, basis])) == k)
+        # G has rank k, and the basis adds nothing to it
+        same = bool(basis is not None and len(basis) == k and s**k == design.runs
+                    and gen.shape[1] == design.cols
+                    and (gflib.mat_rank(field, np.stack([np.vstack([gen, np.zeros_like(basis)]),
+                                                         np.vstack([gen, basis])])) == k).all())
         checks.append(ClaimCheck("array", "generator reproduces rows", same))
 
     if t0 < 1 or _strength_claim(checks, "array", ctx, every, t0, whole.pattern):

@@ -22,8 +22,8 @@ settings.register_profile("ci", derandomize=True, deadline=None)
 def counted_checks():
     """A spy on every strength check counted in a check context, whatever
     called it: each call's args are (context, columns, t).  A difference
-    scheme's own check (is_difference_scheme) is counted too, on its r x
-    C(c, 2) differences."""
+    scheme's own check (is_difference_scheme) is one bincount, made in no
+    context, so it is not among them."""
     return mock.patch.object(dz._CheckContext, "check", autospec=True,
                              side_effect=dz._CheckContext.check)
 

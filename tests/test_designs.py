@@ -351,6 +351,22 @@ class TestVerifyClaims:
         assert [(c.claim, c.ok) for c in report.checks if not c.ok] == [
             ("generator reproduces rows", False)]
 
+    def test_generator_ranks_in_one_elimination(self, thm1_3):
+        # G and G over the row basis are ranked together, as one (2, 2k, n)
+        # stack whose first matrix is G over k zero rows
+        import copy
+
+        gd = copy.deepcopy(thm1_3)
+        gen = gd.generator.matrix
+        with mock.patch.object(gf, "mat_rank", wraps=gf.mat_rank) as rank:
+            report = dz.verify_claims(gd)
+        assert report.checks[0] == dz.ClaimCheck("array", "generator reproduces rows", True)
+        (call,) = rank.call_args_list
+        stack = call.args[1]
+        assert stack.shape == (2, 2 * len(gen), gen.shape[1])
+        assert np.array_equal(stack[:, :len(gen)], [gen, gen])
+        assert not stack[0, len(gen):].any()
+
     def test_dependent_generator_rows_fail(self):
         # a stored generator has k independent rows and N = s^k: these three
         # rows over GF(3) have rank 2, so their 27 combinations are the nine

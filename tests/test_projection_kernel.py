@@ -449,6 +449,46 @@ def reading_cases(draw):
     return dz.Design(s, rows), subjects, tops
 
 
+# s = 97 rows are the span of one row: 97 of them
+STACK_K = {2: 4, 3: 3, 4: 2, 5: 2, 8: 2, 9: 2, 97: 1}
+
+
+@st.composite
+def stack_cases(draw):
+    """A design over GF(s), s in STACK_K, and subjects in one of the three
+    stack shapes of read_subjects: the whole array as the only subject,
+    read in place; groups of one width, which need no zero padding; and
+    ragged groups, which do.  Every column in a drawn order, as the only
+    subject, is a group: it is read in place only in the identity order.
+    The design is linear, has one cell shifted, one row repeated, or the
+    levels of one column permuted."""
+    d = draw(linear_designs(STACK_K))
+    rows, s = d.matrix, d.s
+    how = draw(st.sampled_from(["linear", "shifted", "repeated", "permuted"]))
+    r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, d.cols - 1))
+    if how == "shifted":
+        rows[r, c] = (rows[r, c] + draw(st.integers(1, s - 1))) % s
+    elif how == "repeated":
+        rows = np.vstack([rows, rows[r]])
+    elif how == "permuted":
+        rows[:, c] = np.array(draw(st.permutations(range(s))), dtype=np.uint8)[rows[:, c]]
+    shape = draw(st.sampled_from(["whole", "reordered", "equal", "ragged"]))
+    n = rows.shape[1]
+    if shape == "whole":
+        subjects = [list(range(n))]
+    elif shape == "reordered":
+        subjects = [draw(st.permutations(range(n)))]
+    else:
+        widths = (draw(st.lists(st.integers(1, n), min_size=2, max_size=5)) if shape == "ragged"
+                  else [draw(st.integers(1, n))] * draw(st.integers(1, 5)))
+        if shape == "ragged" and len(set(widths)) == 1:
+            widths[0] = 0 if widths[0] > 1 else 2
+        subjects = [draw(st.permutations(range(n)))[:w] for w in widths]
+    tops = draw(st.none() | st.lists(st.none() | st.integers(0, 6),
+                                     min_size=len(subjects), max_size=len(subjects)))
+    return dz.Design(s, rows), subjects, tops
+
+
 class TestReadSubjects:
     """The batched reading of a stack of subjects against the one-subject
     oracles: the linear test and RREF basis, and the MacWilliams pattern."""
@@ -470,6 +510,38 @@ class TestReadSubjects:
             assert np.array_equal(basis, want)
             assert pattern == oracle_wlp_of_rows(d.s, rows, None if top is None
                                                  else min(top, len(cols)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack_cases(), CHUNK_CAPS)
+    def test_stack_shapes_match_oracles(self, case, cells):
+        # the matrix is read-only: the whole array is read in place, and no
+        # shape may write to it
+        d, subjects, tops = case
+        matrix = d.matrix.copy()
+        matrix.flags.writeable = False
+        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+            readings = dz.read_subjects(d.s, matrix, subjects, tops)
+        assert np.array_equal(matrix, d.matrix)
+        assert len(readings) == len(subjects)
+        for cols, top, (pattern, basis) in zip(subjects, tops or [None] * len(subjects),
+                                               readings):
+            rows = d.matrix[:, cols]
+            want = oracle_linear_basis(d.s, rows)
+            if want is None:
+                assert pattern is None and basis is None
+                continue
+            assert np.array_equal(basis, want)
+            assert pattern == oracle_wlp_of_rows(d.s, rows, None if top is None
+                                                 else min(top, len(cols)))
+
+    def test_weights_past_two_bytes(self):
+        # the span of the all-ones row of 70,000 columns: a row weight of
+        # 70,000 must be summed exactly, so A_2 = C(70000, 2)
+        matrix = np.zeros((2, 70_000), dtype=np.uint8)
+        matrix[1] = 1
+        (reading,) = dz.read_subjects(2, matrix, [range(70_000)], [2])
+        assert reading.pattern == (0, 2_449_965_000) == (0, math.comb(70_000, 2))
+        assert np.array_equal(reading.basis, matrix[1:])
 
     @settings(deadline=None)
     @given(reading_cases())
