@@ -14,16 +14,17 @@ its s^t cells N / s^t times iff each of its (s - 1)^t top-free cells, those
 with no coordinate at s - 1, does; so only those are counted, and the
 faces, found on demand down to t = 1, decide the rest.  Every count on
 a design is made in one check context per call (_CheckContext): the
-bitsets are built once, each column and each pair is decided once for
-the whole array, its groups and their p, and a walk counts a list of
-columns of the full matrix in place, its witnesses named by positions in
-that list.  The context is also the one place where a pattern settles a
-claim or the subject is counted.  Wordlength patterns are read off the
-weights of the rows themselves by the MacWilliams transform, for a whole
-stack of subjects (the array, or all its groups) at once by
-read_subjects.  The strength-3 triple proportion p(D) is an exact
-rational: read off A_3 where the rows are linear with A_1 = A_2 = 0, else
-counted triple by triple.
+bitsets are built once, and every tuple's verdict is kept one way, by its
+sorted columns of the full matrix, so a tuple is decided once for the
+whole array, its groups and their p while the memo of its width fits; a
+walk counts a list of columns of the full matrix in place, its witnesses
+named by positions in that list.  The context is also the one place
+where a pattern settles a claim or the subject is counted.  Wordlength
+patterns are read off the weights of the rows themselves by the
+MacWilliams transform, for a whole stack of subjects (the array, or all
+its groups) at once by read_subjects.  The strength-3 triple proportion
+p(D) is an exact rational: read off A_3 where the rows are linear with
+A_1 = A_2 = 0, else counted triple by triple.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from .errors import (
 # of each uint8 or bool temporary (the sums, and their mismatches, reduced
 # over the row axis first)
 _CHUNK_CELLS = 1 << 14
-# cells of the largest face-verdict memo of _CheckContext, one byte each
+# cells of the largest verdict memo of _CheckContext, n^j for the j-tuples of
+# n columns, one byte each
 _FACE_MEMO_CELLS = 1 << 22
 # subject x weight (or x pattern length) cells per block of wlp_from_weights
 _KRAWTCHOUK_CELLS = 1 << 16
@@ -215,15 +217,6 @@ def _combinations(n: int, t: int, size: int, most: int | None = None):
         size = min(2 * size, most)
 
 
-def _projection_table(matrix: np.ndarray, s: int, cols) -> np.ndarray:
-    """The s^t count table of the t columns cols, cell a_1 s^(t-1) + ...
-    + a_t: one bincount."""
-    enc = np.zeros(len(matrix), dtype=np.intp)
-    for c in cols:
-        enc = enc * s + matrix[:, c]
-    return np.bincount(enc, minlength=s ** len(cols))
-
-
 # _FACE_COLUMNS[j][i]: the columns of a j-tuple that its face i keeps, for
 # the j <= 6 of s^j <= 64
 _FACE_COLUMNS = [np.array([[c for c in range(j) if c != i] for i in range(j)],
@@ -252,13 +245,13 @@ class _CheckContext:
     64 rows, and a tuple fails iff a top-free cell is off or a face fails.
     The one face of a column, the empty tuple, always holds.
 
-    Verdicts are found on demand and kept: every column's at once the first
-    time a tuple asks; each pair once, by its sorted columns (a pair's
-    verdict depends on neither its order nor its subject), in an n x n
-    memo while n^2 <= _FACE_MEMO_CELLS; each wider face once per walk, by
-    its positions in the subject, while m^j <= _FACE_MEMO_CELLS for m
-    columns.  Past a memo, a face is found again for each batch that asks.
-    Unknown tuples are counted in batches of at most _CHUNK_CELLS words.
+    Verdicts are found on demand and kept one way: a tuple's verdict
+    depends on neither its order nor its subject, so memo[j] holds the
+    verdicts of j-tuples of columns of the full matrix, sorted, by code
+    c_1 n^(j-1) + ... + c_j, built the first time a j-tuple asks while n^j
+    <= _FACE_MEMO_CELLS.  Past that size, the distinct tuples of each batch
+    are found once for that batch.  Unknown tuples are counted in batches
+    of at most _CHUNK_CELLS words.
 
     The context is the one place where a wordlength pattern settles a
     claim or the subject is counted (strength, highest, p), and it holds
@@ -267,12 +260,9 @@ class _CheckContext:
     def __init__(self, design: Design):
         self.s, self.matrix = design.s, design.matrix
         self.runs, self.n = design.matrix.shape
-        self.every = np.arange(self.n)
         self.bits = None  # levels 0..s-2 of every column, on the first popcount walk
-        self.columns = None  # the verdict of every column, once a tuple has asked
-        # per pair code lo * n + hi: 0 unknown, 1 holds, 2 fails
-        self.pairs = (np.zeros(self.n**2, dtype=np.uint8) if self.n**2 <= _FACE_MEMO_CELLS
-                      else None)
+        # memo[j][code]: 0 unknown, 1 holds, 2 fails
+        self.memo: dict[int, np.ndarray] = {}
         self.readings: dict[tuple[int, ...], Reading] = {}
 
     def read_groups(self, subjects, tops, linear: bool) -> list[Reading]:
@@ -298,39 +288,38 @@ class _CheckContext:
         # inner word axis is slow
         return np.einsum("tcw->tc", np.bitwise_count(block), dtype=np.int64)
 
-    def verdicts(self, cols: np.ndarray, tuples: np.ndarray, memo) -> np.ndarray:
-        """Which j-tuples, positions in cols, hold every cell N / s^j times;
+    def tables(self, tuples: np.ndarray) -> np.ndarray:
+        """(len(tuples), s^t) full count tables of the t-tuples of columns,
+        cell a_1 s^(t-1) + ... + a_t: row i of tuple k is coded with an
+        offset of k s^t, and one bincount counts them all."""
+        cells = self.s**tuples.shape[1]
+        enc = np.arange(len(tuples))
+        for i in range(tuples.shape[1]):
+            enc = enc * self.s + self.matrix[:, tuples[:, i]]
+        return np.bincount(enc.ravel(), minlength=len(tuples) * cells).reshape(-1, cells)
+
+    def verdicts(self, tuples: np.ndarray) -> np.ndarray:
+        """Which sorted j-tuples of columns hold every cell N / s^j times;
         faces are asked for only when some tuple's top-free cells hold."""
         j = tuples.shape[1]
-        ok = (self.counts(cols[tuples]) == self.runs // self.s**j).all(axis=1)
+        ok = (self.counts(tuples) == self.runs // self.s**j).all(axis=1)
         if j > 1 and ok.any():
-            faces = tuples[:, _FACE_COLUMNS[j]].reshape(-1, j - 1)
-            ok &= self.holds(cols, faces, memo).reshape(-1, j).all(axis=1)
+            ok &= self.holds(tuples[:, _FACE_COLUMNS[j]].reshape(-1, j - 1)).reshape(
+                -1, j).all(axis=1)
         return ok
 
-    def holds(self, cols: np.ndarray, tuples: np.ndarray, memo) -> np.ndarray:
-        """Which j-tuples, positions in cols, hold: kept verdicts, and each
-        distinct unknown tuple found once; memo[j] is the walk's memo of
-        j-tuples for j >= 3."""
+    def holds(self, tuples: np.ndarray) -> np.ndarray:
+        """Which sorted j-tuples of columns hold: kept verdicts, and each
+        distinct unknown tuple found once."""
         j = tuples.shape[1]
-        if j == 1:
-            # each column costs s - 1 popcounts of its bitsets, all built already
-            if self.columns is None:
-                self.columns = self.verdicts(self.every, self.every[:, None], None)
-            return self.columns[cols[tuples[:, 0]]]
-        if j == 2:
-            return self._kept(self.pairs, self.every, np.sort(cols[tuples], axis=1), None)
-        return self._kept(memo[j], cols, tuples, memo)
-
-    def _kept(self, table, cols: np.ndarray, tuples: np.ndarray, memo) -> np.ndarray:
-        """holds for j >= 2, through table, the verdicts by base-len(cols)
-        code (None past the memo)."""
-        j = tuples.shape[1]
+        table = self.memo.get(j)
         if table is None:
-            keys = np.ascontiguousarray(tuples).view(np.dtype((np.void, j * tuples.itemsize)))
-            fresh, back = np.unique(keys[:, 0], return_inverse=True)
-            return self._decide(cols, fresh.view(np.intp).reshape(-1, j), memo)[back]
-        radix = len(cols) ** np.arange(j - 1, -1, -1)
+            if self.n**j > _FACE_MEMO_CELLS:
+                keys = np.ascontiguousarray(tuples).view(np.dtype((np.void, j * tuples.itemsize)))
+                fresh, back = np.unique(keys[:, 0], return_inverse=True)
+                return self._decide(fresh.view(np.intp).reshape(-1, j))[back]
+            table = self.memo[j] = np.zeros(self.n**j, dtype=np.uint8)
+        radix = self.n ** np.arange(j - 1, -1, -1)
         codes = tuples @ radix
         state = table[codes]
         fresh = np.sort(codes[state == 0])
@@ -338,16 +327,16 @@ class _CheckContext:
             first = np.ones(len(fresh), dtype=bool)
             np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
             fresh = fresh[first]
-            table[fresh] = 2 - self._decide(cols, fresh[:, None] // radix % len(cols), memo)
+            table[fresh] = 2 - self._decide(fresh[:, None] // radix % self.n)
             state = table[codes]
         return state == 1
 
-    def _decide(self, cols: np.ndarray, tuples: np.ndarray, memo) -> np.ndarray:
-        """Which j-tuples hold, found by verdicts in batches of size(j)."""
+    def _decide(self, tuples: np.ndarray) -> np.ndarray:
+        """Which sorted j-tuples hold, found by verdicts in batches of size(j)."""
         size = self.size(tuples.shape[1])
         if len(tuples) <= size:
-            return self.verdicts(cols, tuples, memo)
-        return np.concatenate([self.verdicts(cols, tuples[lo:lo + size], memo)
+            return self.verdicts(tuples)
+        return np.concatenate([self.verdicts(tuples[lo:lo + size])
                                for lo in range(0, len(tuples), size)])
 
     def walk(self, columns, t: int):
@@ -360,51 +349,49 @@ class _CheckContext:
         annotate and verify_claims.  While s^t <= 64 the face rule decides:
         a tuple holds iff its (t - 1)-column faces hold and its (s - 1)^t
         top-free cells each hold N / s^t, popcounts of an AND block of
-        (s - 1)^t W words a tuple for W words of 64 rows; columns and pairs
-        are looked up in the kept verdicts, found there once.  The first
-        chunk is _CHUNK_CELLS // (s^t W) tuples, what full tables would fit
-        in _CHUNK_CELLS words, so that an early failure scans no more tuples
-        than that; each next chunk is twice as long, up to a block of
-        _CHUNK_CELLS words.  For larger s^t, a popcount costs more words per
-        64 rows than one bincount cell per row, so row i of a chunk of
-        _CHUNK_CELLS // max(N, s^t) tuples is coded with an offset of i *
-        s^t, and one bincount counts every tuple's full table, cell a_1
-        s^(t-1) + ... + a_t.
+        (s - 1)^t W words a tuple for W words of 64 rows.  Each chunk's
+        tuples are sorted to columns of the full matrix once, and kept in
+        the context's memo with their faces while n^t fits it, so a
+        group's strength-3 check and its p count each triple once.  The
+        first chunk is _CHUNK_CELLS // (s^t W) tuples, what full tables
+        would fit in _CHUNK_CELLS words, so that an early failure scans no
+        more tuples than that; each next chunk is twice as long, up to a
+        block of _CHUNK_CELLS words.  For larger s^t, a popcount costs more
+        words per 64 rows than one bincount cell per row, so a chunk of
+        _CHUNK_CELLS // max(N, s^t) tuples is counted in full tables by one
+        bincount (tables).
         """
         cols = np.asarray(columns, dtype=np.intp)
         m, cells = len(cols), self.s**t
         if cells <= 64:
             if self.bits is None:
                 self.bits = _level_bitsets(self.matrix, self.s - 1)
-            memo = [np.zeros(m**j, dtype=np.uint8) if 2 < j and m**j <= _FACE_MEMO_CELLS
-                    else None for j in range(t)]
-            decide = self.holds if t <= 2 else self.verdicts
+            decide = self.holds if self.n**t <= _FACE_MEMO_CELLS else self.verdicts
             first = max(1, _CHUNK_CELLS // (cells * self.bits.shape[2]))
             for tuples in _combinations(m, t, first, self.size(t)):
-                yield tuples, decide(cols, tuples, memo)
+                yield tuples, decide(np.sort(cols[tuples], axis=1))
             return
         for tuples in _combinations(m, t, max(1, _CHUNK_CELLS // max(self.runs, cells))):
-            enc = np.arange(len(tuples))
-            for i in range(t):
-                enc = enc * self.s + self.matrix[:, cols[tuples[:, i]]]
-            tables = np.bincount(enc.ravel(), minlength=enc.shape[1] * cells).reshape(-1, cells)
-            yield tuples, (tables == self.runs // cells).all(axis=1)
+            yield tuples, (self.tables(cols[tuples]) == self.runs // cells).all(axis=1)
 
     def check(self, columns, t: int) -> StrengthCheck:
         """check_strength at t <= len(columns) of the subject columns: the
         witness is the lexicographically first failing tuple of positions
-        in columns, its table counted on their columns in tuple order."""
-        cols = list(columns)
+        in columns, its table counted on their columns in tuple order.
+        When s^t does not divide N, the first tuple fails uncounted, its
+        table counted only while s^t <= gf.DESK_CELL_LIMIT."""
+        cols = np.asarray(columns, dtype=np.intp)
         want, rem = divmod(self.runs, self.s**t)
         if rem:
             witness = tuple(range(t))
+            if self.s**t > gflib.DESK_CELL_LIMIT:
+                return StrengthCheck(False, t, witness, None, want)
         else:
             witness = next((tuple(tuples[np.argmin(ok)].tolist())
                             for tuples, ok in self.walk(cols, t) if not ok.all()), None)
             if witness is None:
                 return StrengthCheck(True, t)
-        table = _projection_table(self.matrix, self.s, [cols[i] for i in witness])
-        return StrengthCheck(False, t, witness, table, want)
+        return StrengthCheck(False, t, witness, self.tables(cols[np.array([witness])])[0], want)
 
     def strength(self, columns, t: int, pattern: tuple[int, ...] | None) -> StrengthCheck:
         """The strength-t claim on the subject columns.  When pattern, their
@@ -461,7 +448,8 @@ def check_strength(design: Design, t: int) -> StrengthCheck:
     in lexicographic order, so on failure the witness is still the
     lexicographically first offending column set, with its full count
     table from one bincount; failure is a value.  When s^t does not divide
-    N, the first column set fails uncounted but for its table.
+    N, the first column set fails uncounted but for its table, and past
+    gf.DESK_CELL_LIMIT cells it gets none: counts is None.
     """
     if not 1 <= t <= design.cols:
         raise ValueError(f"need 1 <= t <= {design.cols}")
@@ -750,7 +738,8 @@ def p_of_d(design: Design, columns=None) -> Fraction:
     pair decided once, from its (s - 1)^2 top-free cells and its columns)
     and its (s - 1)^3 top-free cells hold N / s^3 each.  annotate and
     verify_claims measure p in the context of their other checks, from
-    the group readings and verdicts found there.
+    the group readings and verdicts found there, so a triple counted for
+    a strength-3 check is not counted again.
     """
     return _CheckContext(design).p(range(design.cols) if columns is None else columns)
 
@@ -776,11 +765,12 @@ def annotate(gd: GroupedDesign, verified_t0: int | None = None) -> GroupedDesign
     subject's strength is min(claim, d⊥ - 1), read off its pattern; a
     subject that is not linear is credited only what its count confirms.
     Every count is made in one check context (_CheckContext), which builds
-    the bitsets and decides each column and each pair at most once for the
-    whole array and all its groups.  A group's full pattern is read only
-    when it is recorded, else its A_1..A_claim, and A_3 for its p.  A
-    given verified_t0 is the whole array's verdict at this claim, already
-    found for another grouping of the same array, and is not found again.
+    the bitsets and decides each tuple of columns at most once for the
+    whole array and all its groups while the memo of its width fits.  A
+    group's full pattern is read only when it is recorded, else its
+    A_1..A_claim, and A_3 for its p.  A given verified_t0 is the whole
+    array's verdict at this claim, already found for another grouping of
+    the same array, and is not found again.
     """
     return _annotate(gd, _CheckContext(gd.design), verified_t0)
 
@@ -899,8 +889,8 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     strength claim, its stored pattern and its p: it is the full pattern
     when one is stored, else it runs to A_t, and to at least A_3 when s^3
     | N.  Every count is made in one check context (_CheckContext), whose
-    bitsets and column and pair verdicts are found once for the array and
-    all its groups; the report returns it, so a caller that goes on to
+    bitsets and kept tuple verdicts are found once for the array and all
+    its groups; the report returns it, so a caller that goes on to
     measure p reads and counts nothing twice.  A failure's witness names
     positions in its subject's columns.  The strength checked is the
     larger of the claimed and the stored one; like annotate, it is

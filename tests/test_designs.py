@@ -15,7 +15,12 @@ from goa.errors import (
     TooFewColumnsError,
 )
 
-from conftest import oracle_shift_exponents, oracle_wlp, oracle_wlp_of_rows
+from conftest import (
+    oracle_check_strength,
+    oracle_shift_exponents,
+    oracle_wlp,
+    oracle_wlp_of_rows,
+)
 
 
 class TestExpandGenerator:
@@ -80,6 +85,20 @@ class TestStrength:
         d = dz.Design(2, [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]])
         res = dz.check_strength(d, 2)
         assert not res.ok and res.witness == (0, 2)
+
+    @pytest.mark.parametrize("t", [7, 40])
+    def test_uncounted_failure_is_a_value(self, t):
+        # 64 runs fill neither 2^7 nor 2^40 cells: the first tuple fails
+        # uncounted, its 128-cell table counted as the oracle counts it, and
+        # no table sized past gf.DESK_CELL_LIMIT cells (2^40 int64 cells
+        # would be 8 TiB)
+        d = dz.Design(2, np.random.default_rng(0).integers(0, 2, (64, 40)))
+        res = dz.check_strength(d, t)
+        assert (res.ok, res.t, res.witness, res.expected) == (False, t, tuple(range(t)), 0)
+        if 2**t > gf.DESK_CELL_LIMIT:
+            assert res.counts is None
+        else:
+            assert np.array_equal(res.counts, oracle_check_strength(d, t).counts)
 
 
 class TestWlp:

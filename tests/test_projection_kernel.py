@@ -235,10 +235,12 @@ class TestFaceRule:
         assert_kernel_matches_oracles(d)
 
     @settings(deadline=None)
-    @given(designs(), CHUNK_CAPS)
-    def test_without_face_memo(self, d, cells):
-        # every face found again for each batch that asks for it
-        with mock.patch.object(dz, "_FACE_MEMO_CELLS", 0), \
+    @given(designs(), CHUNK_CAPS, st.booleans())
+    def test_without_face_memo(self, d, cells, pairs):
+        # every face found again for each batch that asks for it; or, with
+        # a memo of d.cols^2 cells, columns and pairs kept and triples and
+        # wider tuples found per batch
+        with mock.patch.object(dz, "_FACE_MEMO_CELLS", d.cols**2 if pairs else 0), \
                 mock.patch.object(dz, "_CHUNK_CELLS", cells):
             for t in range(1, d.cols + 1):
                 assert_same_check(dz.check_strength(d, t), oracle_check_strength(d, t))
@@ -249,7 +251,8 @@ class TestFaceRule:
     def test_early_exit_counts_only_faces_of_scanned_tuples(self, catalog_dir, cells):
         # the survey-s2-k9-m13 rows (512 x 507) lack strength 3 first at
         # (0, 1, 93); the walk stops in the chunk that holds it, and every
-        # pair it counted is a face of a triple it scanned
+        # pair it counted is a face of a triple it scanned, and every column
+        # a face of a pair it counted
         d = io.load_json(catalog_dir / "survey-s2-k9-m13.json").design
         counted = {1: set(), 2: set(), 3: []}
         real = dz._CheckContext.counts
@@ -274,8 +277,7 @@ class TestFaceRule:
             assert scanned[-1] == (0, 1, 93)
         faces = {face for triple in scanned for face in itertools.combinations(triple, 2)}
         assert counted[2] <= faces
-        # the columns are decided all at once, from the bitsets built for all of them
-        assert counted[1] == {(c,) for c in range(d.cols)}
+        assert counted[1] <= {(c,) for pair in counted[2] for c in pair}
         assert len(counted[2]) < math.comb(d.cols, 2) // 50
 
 
@@ -897,9 +899,10 @@ class TestStrengthPrereqs:
 
 class TestOneContext:
     """Every count on one design goes through one check context: the
-    bitsets are built once, each column and each pair decided once, for
-    the whole array, its groups and their p, and a group's witness names
-    positions in its own columns, which may come in any order."""
+    bitsets are built once, each tuple of columns decided once while its
+    memo fits, for the whole array, its groups and their p, and a group's
+    witness names positions in its own columns, which may come in any
+    order."""
 
     def test_verify_decides_each_pair_once(self, catalog_dir, capsys):
         # goa486-thm2 (486 x 108, groups of 30, 30, 24 and 24 columns) is
@@ -920,6 +923,30 @@ class TestOneContext:
         assert sorted(counted[1]) == [(c,) for c in range(108)]
         assert sorted(counted[2]) == list(itertools.combinations(range(108), 2))
         assert len(counted[2]) == 5778
+
+    def test_strength_and_p_share_their_triples(self, thm1_3):
+        # group 0 of thm1-s3 (27 x 10, columns 0..3) with column 0 shifted
+        # to (x + 1) mod 3: its rows are not linear, so its strength 3 and
+        # its p are both counted, and p finds its four triples kept; only
+        # the group's four columns are decided, on demand
+        matrix = thm1_3.design.matrix.copy()
+        matrix[:, 0] = (matrix[:, 0] + 1) % 3
+        d = dz.Design(3, matrix)
+        cols = thm1_3.groups[0].columns
+        counted = {1: [], 2: [], 3: []}
+        real = dz._CheckContext.counts
+
+        def spy(ctx, tuples):
+            counted[tuples.shape[1]].extend(map(tuple, tuples.tolist()))
+            return real(ctx, tuples)
+
+        ctx = dz._CheckContext(d)
+        with mock.patch.object(dz._CheckContext, "counts", spy):
+            assert ctx.check(cols, 3).ok
+            assert ctx.p(cols) == oracle_p_of_d(d, cols) == 1
+        assert sorted(counted[3]) == list(itertools.combinations(cols, 3))
+        assert sorted(counted[2]) == list(itertools.combinations(cols, 2))
+        assert sorted(counted[1]) == [(c,) for c in cols]
 
     def test_kronecker_p_in_the_annotation_context(self, ebert3):
         # thm2's two groupings of one A (+) B: each is annotated and its p
