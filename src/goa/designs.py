@@ -513,9 +513,10 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     rows, its mismatches reduced over the leading row axis first; a
     subject that fails a step takes no later one.
 
-    Patterns.  With B_i rows of weight i, the defining words of length j
-    number sum_i B_i K_j(i) / N (MacWilliams), K_j the Krawtchouk
-    polynomial, one per scalar multiple, so each sum divides by N (s - 1).
+    Patterns, read only when some subject is linear.  With B_i rows of
+    weight i, the defining words of length j number sum_i B_i K_j(i) / N
+    (MacWilliams), K_j the Krawtchouk polynomial, one per scalar multiple,
+    so each sum divides by N (s - 1).
     Row weights are summed over the column axis by one einsum of stack !=
     0, not by a reduce of that short inner axis, in uint16 while M < 2^16
     and in intp above, so every weight is exact; one bincount makes the
@@ -550,16 +551,18 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
         ok, bases = np.ones(count, dtype=bool), [None] * count
     else:
         ok, bases = _span_test(field, stack, widths)
+    out = [Reading(None, None)] * count
+    found = np.flatnonzero(ok)
+    if not len(found):
+        return out  # nothing linear: no weights to read
 
     caps = widths if tops is None else np.minimum(
         widths, [w if top is None else top for top, w in zip(tops, widths.tolist())])
-    found = np.flatnonzero(ok)
     nonzero = (stack if len(found) == count else stack[:, found]) != 0
     # no weight exceeds width: uint16 sums are exact below 2^16
     weights = np.einsum("ngm->ng", nonzero, dtype=np.uint16 if width < 1 << 16 else np.intp)
     weights = weights + (width + 1) * np.arange(len(found))
     hist = np.bincount(weights.ravel(), minlength=len(found) * (width + 1)).reshape(-1, width + 1)
-    out = [Reading(None, None)] * count
     patterns = wlp_from_weights(s, n, hist, widths[found], caps[found])
     for g, pattern in zip(found.tolist(), patterns):
         out[g] = Reading(pattern, bases[g])
@@ -878,12 +881,13 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     rows only when the array is not linear.  A strength-t claim reads
     A_1..A_t only when s^t | N, else it fails uncounted.  A generator of
     k independent rows spans a linear space with each row once, so it
-    passes iff the rows are linear with a basis of k rows, N = s^k, and G
-    and G stacked over that basis both have rank k, found by one
-    elimination of the (2, 2k, n) stack [G over k zero rows, G over the
-    basis]; nothing is expanded.  A generator whose rows are dependent
-    fails, even where its combinations, each repeated, are the stored
-    rows.  On a linear subject a strength-t claim holds iff
+    passes iff the rows are linear with a basis B of k rows, N = s^k, and
+    G spans B's rows.  B is in RREF, so a vector of its span is its
+    entries at B's pivot columns times B: G spans B's rows iff G = C B
+    (one mat_mul), C = G at the pivot columns, and the k x k C has rank k
+    (one mat_rank); nothing is expanded.  A generator whose rows are
+    dependent fails, even where its combinations, each repeated, are the
+    stored rows.  On a linear subject a strength-t claim holds iff
     A_1..A_t vanish, and it is counted only to find a failure's witness;
     on any other subject it is counted.  A group's one reading serves its
     strength claim, its stored pattern and its p: it is the full pattern
@@ -909,13 +913,16 @@ def verify_claims(gd: GroupedDesign) -> VerifyReport:
     whole = read_subjects(s, design.matrix, [every], [top(t0)])[0]
 
     if gd.generator is not None:
-        gen, field, basis = gd.generator.matrix, gflib.level_field(s), whole.basis
+        gen, basis = gd.generator.matrix, whole.basis
         k = len(gen)
-        # G has rank k, and the basis adds nothing to it
         same = bool(basis is not None and len(basis) == k and s**k == design.runs
-                    and gen.shape[1] == design.cols
-                    and (gflib.mat_rank(field, np.stack([np.vstack([gen, np.zeros_like(basis)]),
-                                                         np.vstack([gen, basis])])) == k).all())
+                    and gen.shape[1] == design.cols)
+        if same:
+            # a row of the basis's span is its pivot entries times the basis,
+            # and G's rows are independent iff those k x k coefficients are
+            field, coeffs = gflib.level_field(s), gen[:, (basis != 0).argmax(axis=1)]
+            same = bool((gflib.mat_mul(field, coeffs, basis) == gen).all()
+                        and gflib.mat_rank(field, coeffs) == k)
         checks.append(ClaimCheck("array", "generator reproduces rows", same))
 
     if t0 < 1 or _strength_claim(checks, "array", ctx, every, t0, whole.pattern):

@@ -4,11 +4,12 @@ The JSON container stores only integers, strings and "num/den" rational
 strings, so a load/save round trip is byte identical.  CSV files carry one
 run per line as comma-separated levels with no header.
 
-Integer matrices never pass through json on the way out: _int_text writes
-them from the array, in its own dtype, and save_json writes the text piece
-by piece as bytes.  On the way in, a level matrix in the canonical form
-dumps writes for s <= 10 is read straight from the file's bytes as uint8,
-and any other document is left to json.loads.
+Integer matrices, the level matrix and the generator, never pass through
+json on the way out: _int_text writes them from the array, in its own
+dtype, and save_json writes the text piece by piece as bytes.  On the way
+in, each is read straight from the file's bytes as a uint8 grid when it is
+in the canonical form dumps writes for s <= 10, and any other document is
+left to json.loads.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ def fraction_from_str(text: str) -> Fraction:
 
 
 def grouped_to_dict(gd: GroupedDesign) -> dict:
-    """The fields of a design document; "matrix" is the level array itself,
-    which _json_text writes with _int_text."""
+    """The fields of a design document; "generator" and "matrix" are the
+    integer arrays themselves, which _json_text writes with _int_text."""
     groups = []
     for grp in gd.groups:
         groups.append(
@@ -59,7 +60,7 @@ def grouped_to_dict(gd: GroupedDesign) -> dict:
         "claimed_t0": gd.claimed_t0,
         "verified_t0": gd.verified_t0,
         "groups": groups,
-        "generator": gd.generator.matrix.tolist() if gd.generator is not None else None,
+        "generator": gd.generator.matrix if gd.generator is not None else None,
         "matrix": gd.design.matrix,
         "origin": gd.design.origin,
     }
@@ -247,14 +248,15 @@ def _digit_text(matrix: np.ndarray, csv: bool) -> memoryview:
     return memoryview(text)
 
 
-def _json_text(doc: dict, key: str):
+def _json_text(doc: dict):
     """Yield json.dumps(doc, separators=(",", ":")) + "\n" as bytes-like
-    pieces, the integer matrix doc[key] one piece from _int_text, never
-    handed to json, and each other field encoded by json on its own."""
+    pieces, with each array in doc (a 2-d integer matrix) standing for its
+    list of rows: each array one piece from _int_text, never handed to json,
+    and each other field encoded by json on its own."""
     yield b"{"
     for i, (k, v) in enumerate(doc.items()):
         comma = b"," if i else b""
-        if k == key:
+        if type(v) is np.ndarray:
             yield comma + json.dumps(k).encode() + b":"
             yield _int_text(v)
         else:
@@ -263,15 +265,15 @@ def _json_text(doc: dict, key: str):
 
 
 def dumps(gd: GroupedDesign) -> str:
-    return b"".join(_json_text(grouped_to_dict(gd), "matrix")).decode()
+    return b"".join(_json_text(grouped_to_dict(gd))).decode()
 
 
 def save_json(gd: GroupedDesign, path) -> None:
     """Write the text of dumps(gd) to path, piece by piece as bytes: the
-    level matrix is written from _int_text's array, with no str of the
-    whole text, no join and no encode."""
+    generator and the level matrix are written from _int_text's arrays,
+    with no str of the whole text, no join and no encode."""
     with open(path, "wb") as fh:
-        fh.writelines(_json_text(grouped_to_dict(gd), "matrix"))
+        fh.writelines(_json_text(grouped_to_dict(gd)))
 
 
 def load_json(path) -> GroupedDesign:
@@ -291,33 +293,74 @@ def load_json(path) -> GroupedDesign:
     return grouped_from_dict(doc)
 
 
-_MATRIX_KEY = b',"matrix":['
-
-
 def _canonical_doc(raw: bytes) -> dict | None:
-    """The document of the file bytes raw, its level matrix read straight
-    from them as a uint8 array, when that matrix is in the form dumps
+    """The document of the file bytes raw, its level grids read straight
+    from them as uint8 arrays (_level_grid), when they are in the form dumps
     writes for s <= 10; None for any other text, which json.loads then
     decides.
 
-    That form is an ASCII text whose first ',"matrix":[' is followed by rows
-    '[d,...,d]' joined by ',' and a closing ']', every cell one digit and
-    every row laid out byte for byte like the first, so that each holds as
-    many cells.  Whitespace, a leading zero, a cell of two digits, a sign
-    or a ragged row leave it.  The matrix ends at the first row, at the
-    first row's stride, whose last byte is no ',': that byte must be the
-    closing ']'.  The digits are checked on the uint8 grid and kept in
-    it.  json decodes the rest of the text with the constant NaN in the
-    matrix's place, and the array counts only if that NaN, the one
-    constant json met, came back as the top-level "matrix": not one nested
-    in a group, and not one that a later "matrix" key overrides.
+    The grids are the text after the first ',"generator":[', if there is
+    one, and after the first ',"matrix":[' past it: the generator is
+    optional and must come before the matrix.  json decodes the rest of
+    the text with the constant NaN in each grid's place, and the arrays
+    count only if those NaNs, the only constants json met, came back in
+    order as the top-level "generator" and "matrix": not one nested in a
+    group, and not one that a later key of the same name overrides.
     """
     if not raw.isascii():
         return None
-    start = raw.find(_MATRIX_KEY)
-    first = start + len(_MATRIX_KEY)
+    grids, at = {}, 0
+    for key in ("generator", "matrix"):
+        head = f',"{key}":['.encode()
+        start = raw.find(head, at)
+        if start < 0:
+            continue
+        grid = _level_grid(raw, start + len(head))
+        if grid is None:
+            return None
+        at = grid[0]
+        grids[key] = (start, *grid)
+    if "matrix" not in grids:
+        return None
+    pieces, at = [], 0
+    for key, (start, end, _) in grids.items():
+        pieces += [raw[at:start], f',"{key}":NaN'.encode()]
+        at = end
+    pieces.append(raw[at:])
+    markers = []
+
+    def constant(name):
+        markers.append(object())
+        return markers[-1]
+
+    try:
+        doc = json.loads(b"".join(pieces).decode("ascii"), parse_constant=constant)
+    except (ValueError, RecursionError):
+        return None
+    # any other NaN or Infinity in the text adds a marker
+    if (len(markers) != len(grids) or type(doc) is not dict
+            or any(doc.get(key) is not marker for key, marker in zip(grids, markers))):
+        return None
+    for key, (_, _, cells) in grids.items():
+        doc[key] = cells
+    return doc
+
+
+def _level_grid(raw: bytes, first: int) -> tuple[int, np.ndarray] | None:
+    """The end of the level grid that begins at raw[first], just past its
+    closing ']', and its digits as a uint8 array; None unless it is in the
+    form dumps writes for s <= 10.
+
+    That form is rows '[d,...,d]' joined by ',' and a closing ']', every
+    cell one digit and every row laid out byte for byte like the first, so
+    that each holds as many cells.  Whitespace, a leading zero, a cell of
+    two digits, a sign or a ragged row leave it.  The grid ends at the
+    first row, at the first row's stride, whose last byte is no ',': that
+    byte must be the closing ']'.  The digits are checked on the uint8 grid
+    and kept in it.
+    """
     row = raw.find(b"]", first) - first + 2  # '[d,...,d],' of the first row
-    if start < 0 or row < 4 or row % 2 or len(raw) - first < row:
+    if row < 4 or row % 2 or len(raw) - first < row:
         return None
     whole = np.frombuffer(raw, np.uint8, (len(raw) - first) // row * row, first).reshape(-1, row)
     last = int(np.argmax(whole[:, -1] != ord(",")))
@@ -328,22 +371,7 @@ def _canonical_doc(raw: bytes) -> dict | None:
     cells = grid[:, 1:row - 2:2] - np.uint8(ord("0"))  # a byte below '0' wraps past 9
     if not ((cells <= 9).all() and (grid[:, 0:row - 1:2] == marks).all()):
         return None
-    marker, constants = object(), []
-
-    def constant(name):
-        constants.append(name)
-        return marker
-
-    end = first + len(grid) * row
-    try:
-        doc = json.loads((raw[:start] + b',"matrix":NaN' + raw[end:]).decode("ascii"),
-                         parse_constant=constant)
-    except (ValueError, RecursionError):
-        return None
-    if constants != ["NaN"] or type(doc) is not dict or doc.get("matrix") is not marker:
-        return None
-    doc["matrix"] = cells
-    return doc
+    return first + len(grid) * row, cells
 
 
 def save_csv(design: Design, path) -> None:
@@ -395,7 +423,7 @@ def save_real_json(matrix: np.ndarray, origin: str, path,
     if int_matrix is not None:
         doc["int_matrix"] = int_matrix
     with open(path, "wb") as fh:
-        fh.writelines(_json_text(doc, "int_matrix"))
+        fh.writelines(_json_text(doc))
 
 
 def save_real_csv(matrix: np.ndarray, path) -> None:

@@ -111,6 +111,17 @@ def oracle_span(field: gf.GF, basis) -> np.ndarray:
     return gf.mat_mul(field, coeffs, basis)
 
 
+def oracle_generator_check(field: gf.GF, gen, basis) -> bool:
+    """Whether the k x n generator spans the row space of the k independent
+    basis rows with k independent rows of its own: G, and G stacked over
+    the basis, both have rank k, found by one elimination of the (2, 2k, n)
+    stack [G over k zero rows, G over the basis].  The reference for
+    verify_claims' check at the basis's pivot columns."""
+    gen, k = np.asarray(gen), len(gen)
+    stack = np.stack([np.vstack([gen, np.zeros_like(basis)]), np.vstack([gen, basis])])
+    return bool((gf.mat_rank(field, stack) == k).all())
+
+
 def oracle_row_reduce(field: gf.GF, m) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form, one pivot column at a time through the
     add/mul tables; returns (R, pivot column list).

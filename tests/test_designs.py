@@ -17,6 +17,7 @@ from goa.errors import (
 
 from conftest import (
     oracle_check_strength,
+    oracle_generator_check,
     oracle_shift_exponents,
     oracle_wlp,
     oracle_wlp_of_rows,
@@ -370,21 +371,62 @@ class TestVerifyClaims:
         assert [(c.claim, c.ok) for c in report.checks if not c.ok] == [
             ("generator reproduces rows", False)]
 
-    def test_generator_ranks_in_one_elimination(self, thm1_3):
-        # G and G over the row basis are ranked together, as one (2, 2k, n)
-        # stack whose first matrix is G over k zero rows
+    def test_generator_ranks_its_pivot_columns(self, thm1_3):
+        # G is checked against the row basis the linear test found: one
+        # product of G at the basis's pivot columns with the basis, and one
+        # rank, of that k x k matrix
         import copy
 
         gd = copy.deepcopy(thm1_3)
         gen = gd.generator.matrix
-        with mock.patch.object(gf, "mat_rank", wraps=gf.mat_rank) as rank:
+        basis = dz.read_subjects(3, gd.design.matrix, [range(gd.design.cols)])[0].basis
+        pivots = (basis != 0).argmax(axis=1)
+        with (mock.patch.object(gf, "mat_rank", wraps=gf.mat_rank) as rank,
+              mock.patch.object(gf, "mat_mul", wraps=gf.mat_mul) as mul):
             report = dz.verify_claims(gd)
         assert report.checks[0] == dz.ClaimCheck("array", "generator reproduces rows", True)
         (call,) = rank.call_args_list
-        stack = call.args[1]
-        assert stack.shape == (2, 2 * len(gen), gen.shape[1])
-        assert np.array_equal(stack[:, :len(gen)], [gen, gen])
-        assert not stack[0, len(gen):].any()
+        assert call.args[1].shape == (len(gen), len(gen))
+        assert np.array_equal(call.args[1], gen[:, pivots])
+        (call,) = mul.call_args_list
+        assert np.array_equal(call.args[1], gen[:, pivots])
+        assert np.array_equal(call.args[2], basis)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 5, 8, 9]), st.data())
+    def test_generator_verdict_matches_oracle(self, s, data):
+        # a random full-rank G over GF(s), its design, and generators that
+        # may or may not span its rows: G itself, G times an invertible
+        # matrix, G with a dependent row, a G of another random space of
+        # the same dimension, G with two columns swapped, and G with one
+        # cell changed
+        field = gf.level_field(s)
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(k, k + 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def full_rank(rows: int, cols: int) -> np.ndarray:
+            while gf.mat_rank(field, m := rng.integers(0, s, (rows, cols))) < rows:
+                pass
+            return m
+
+        gen = full_rank(k, n)
+        design = dz.expand_generator(dz.GeneratorMatrix(s, gen))
+        i, j, c = rng.integers(0, k), rng.integers(0, n, 2), rng.integers(1, s)
+        dependent, coeffs = gen.copy(), rng.integers(0, s, (1, k))
+        coeffs[0, i] = 0
+        dependent[i] = gf.mat_mul(field, coeffs, gen)[0]
+        swapped = gen.copy()
+        swapped[:, j] = swapped[:, j[::-1]]
+        changed = gen.copy()
+        changed[i, j[0]] = field.add_t[changed[i, j[0]], c]
+        variants = [gen, gf.mat_mul(field, full_rank(k, k), gen), dependent,
+                    full_rank(k, n), swapped, changed]
+        for variant in variants:
+            gd = dz.GroupedDesign(design, [], claimed_t0=0,
+                                  generator=dz.GeneratorMatrix(s, variant))
+            (check,) = dz.verify_claims(gd).checks
+            assert check.ok == oracle_generator_check(field, variant, gen)
 
     def test_dependent_generator_rows_fail(self):
         # a stored generator has k independent rows and N = s^k: these three

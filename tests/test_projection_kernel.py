@@ -577,6 +577,24 @@ class TestReadSubjects:
             assert np.array_equal(reading.basis, [[1, 0, 1], [0, 1, 1]])
             assert reading.pattern == (0, 0, 1)
 
+    @pytest.mark.parametrize("subjects", [[range(10)], [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]])
+    def test_nothing_linear_reads_no_weights(self, thm1_3, subjects):
+        # column 0 shifted to (x + 1) mod 3: neither the whole array nor any
+        # subject holding column 0 is linear; the groups without it are, so
+        # a stack of those and the shifted group still reads their patterns
+        matrix = thm1_3.design.matrix.copy()
+        matrix[:, 0] = (matrix[:, 0] + 1) % 3
+        shifted = [list(subjects[0])]
+        with mock.patch.object(dz, "wlp_from_weights",
+                               side_effect=AssertionError("weights were read")):
+            assert dz.read_subjects(3, matrix, shifted) == [dz.Reading(None, None)]
+        readings = dz.read_subjects(3, matrix, subjects)
+        for cols, (pattern, basis) in zip(subjects, readings):
+            want = oracle_linear_basis(3, matrix[:, list(cols)])
+            assert (basis is None) == (want is None) == (0 in cols)
+            assert pattern == (None if want is None
+                               else oracle_wlp_of_rows(3, matrix[:, list(cols)]))
+
     @pytest.mark.parametrize("s", [101, 6])
     def test_no_field_no_pattern(self, s):
         assert dz.read_subjects(s, np.zeros((4, 2), dtype=np.int64), [[0], [1], []]) == [

@@ -118,13 +118,23 @@ class TestRealDesign:
         assert doc["int_matrix"][1] == [2, 0]
 
 
-def in_matrix(change):
-    """An edit of a design text that applies change to its matrix."""
+def in_grid(key, change):
+    """An edit of a design text that applies change to its grid after the
+    first key: its generator or its matrix."""
     def edit(text):
-        start = text.index(',"matrix":[') + len(',"matrix":')
+        start = text.index(f',"{key}":[') + len(f',"{key}":')
         end = text.index("]]", start) + 2
         return text[:start] + change(text[start:end]) + text[end:]
     return edit
+
+
+def generator_last(text: str) -> str:
+    """The generator moved from in front of the matrix to after it."""
+    start = text.index(',"generator":[')
+    end = text.index("]]", start) + 2
+    rest = text[:start] + text[end:]
+    at = rest.index(',"origin":')
+    return rest[:at] + text[start:end] + rest[at:]
 
 
 def move_cell(matrix: str) -> str:
@@ -195,33 +205,53 @@ class TestMatrixCodec:
         assert fast == forced == text
 
     def test_catalog_files_take_the_byte_path(self, catalog_dir):
+        generators = 0
         for path in sorted(catalog_dir.glob("*.json")):
             text = path.read_text()
             doc = io._canonical_doc(path.read_bytes())
             assert doc is not None, path.name
             assert doc["matrix"].dtype == np.uint8
+            if json.loads(text)["generator"] is not None:
+                assert doc["generator"].dtype == np.uint8, path.name
+                generators += 1
+            else:
+                assert doc["generator"] is None
             assert io.dumps(io.load_json(path)) == text
+        assert generators
 
     @pytest.mark.parametrize("edit", [
-        in_matrix(lambda m: m.replace("],[", "], [", 1)),
-        in_matrix(lambda m: m.replace("[[0,", "[[00,", 1)),
-        in_matrix(lambda m: m.replace("[[0,", "[[", 1)),
-        in_matrix(move_cell),
-        in_matrix(lambda m: m.replace("[[0,", "[[-0,", 1)),
-        in_matrix(lambda m: m.replace("[[0,", "[[10,", 1)),
+        in_grid("matrix", lambda m: m.replace("],[", "], [", 1)),
+        in_grid("matrix", lambda m: m.replace("[[0,", "[[00,", 1)),
+        in_grid("matrix", lambda m: m.replace("[[0,", "[[", 1)),
+        in_grid("matrix", move_cell),
+        in_grid("matrix", lambda m: m.replace("[[0,", "[[-0,", 1)),
+        in_grid("matrix", lambda m: m.replace("[[0,", "[[10,", 1)),
         # a second top-level "matrix" after the first, canonical or spaced
         lambda t: t.replace(',"origin"', ',"matrix":[[0]],"origin"'),
         lambda t: t.replace(',"origin"', ', "matrix": [[0]],"origin"'),
         # the top-level matrix spaced, a canonical one nested in a group
         lambda t: t.replace(',"matrix":[', ',"matrix": [').replace(
             '"claimed_strength"', '"matrix":[[0,1]],"claimed_strength"', 1),
-        # another JSON constant, and json errors, outside the matrix
+        # the generator's grid: out of the canonical form as a matrix can
+        # leave it, nested in a group, a second top-level one, after the matrix
+        in_grid("generator", lambda g: g.replace("],[", "], [", 1)),
+        in_grid("generator", lambda g: "[[0" + g[2:]),
+        in_grid("generator", move_cell),
+        in_grid("generator", lambda g: "[[1" + g[2:]),
+        lambda t: t.replace('"claimed_strength"', '"generator":[[0,1]],"claimed_strength"', 1),
+        lambda t: t.replace(',"matrix":[', ',"generator":[[0]],"matrix":[', 1),
+        generator_last,
+        # another JSON constant, before the grids or after them, and json
+        # errors, outside the grids
         lambda t: t.replace('"claimed_t0":2', '"claimed_t0":NaN'),
+        lambda t: t.replace('"origin":"thm1(s=3)"', '"origin":Infinity'),
         lambda t: t.replace('"claimed_t0":2', '"claimed_t0":'),
         lambda t: t.rstrip()[:-1],
     ], ids=["whitespace", "leading-zero", "short-row", "ragged-same-length", "sign",
-            "two-digit", "duplicate", "duplicate-spaced", "nested", "nan", "json-error",
-            "unclosed"])
+            "two-digit", "duplicate", "duplicate-spaced", "nested", "generator-whitespace",
+            "generator-leading-zero", "generator-ragged", "generator-two-digit",
+            "generator-nested", "generator-duplicate", "generator-after-matrix", "nan",
+            "infinity-after-grids", "json-error", "unclosed"])
     def test_every_other_form_reads_as_json_does(self, tmp_path, thm1_3, edit):
         text = io.dumps(thm1_3)
         changed = edit(text)

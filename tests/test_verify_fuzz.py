@@ -2,8 +2,9 @@
 
 The verifier must not crash on any document, must not pass a matrix with
 one changed cell, and must pass a changed generator exactly when it spans
-the row space of the original.  Byte mutations of the files goa writes must
-read the same through the level-matrix codec as through json alone.
+the row space of the original.  Byte mutations of the files goa writes, in
+their generator and matrix grids or anywhere, must read the same through
+the level-grid codec as through json alone.
 """
 
 import contextlib
@@ -169,12 +170,12 @@ def test_written_files_take_the_byte_path():
 @given(data=st.data())
 def test_byte_mutation_verifies_as_through_json(verify_bytes, data):
     raw = bytearray(files()[data.draw(st.sampled_from(sorted(files())))])
-    start = raw.index(b',"matrix":[')
-    end = raw.index(b"]]", start) + 2
+    grids = [(start, raw.index(b"]]", start) + 2)
+             for start in (raw.index(key) for key in (b',"generator":[', b',"matrix":['))]
     for _ in range(data.draw(st.integers(1, 2))):
-        # half the edits land in the matrix and its key; a digit replaced
-        # by a digit there keeps the canonical form
-        lo, hi = (start, end) if data.draw(st.booleans()) else (0, len(raw))
+        # half the edits land in the generator or the matrix and its key; a
+        # digit replaced by a digit there keeps the canonical form
+        lo, hi = data.draw(st.sampled_from(grids)) if data.draw(st.booleans()) else (0, len(raw))
         at = data.draw(st.integers(lo, min(hi, len(raw)) - 1))
         op = data.draw(st.sampled_from(["replace", "replace", "insert", "delete"]))
         if op == "delete":
