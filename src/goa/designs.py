@@ -47,15 +47,15 @@ from .errors import (
 )
 
 # int64 cells per projection-counting chunk; for a popcount chunk, uint64
-# words of the AND block; for a step of the span check of _span_test, bytes
-# of each uint8 or bool temporary (the sums, and their mismatches, reduced
-# over the row axis first)
+# words of the AND block
 _CHUNK_CELLS = 1 << 14
 # cells of the largest verdict memo of _CheckContext, n^j for the j-tuples of
 # n columns, one byte each
 _FACE_MEMO_CELLS = 1 << 22
 # subject x weight (or x pattern length) cells per block of wlp_from_weights
 _KRAWTCHOUK_CELLS = 1 << 16
+# labels of each column block's span (gf.span) in the linear test of _span_test
+_SPAN_CELLS = 1 << 20
 
 
 def level_matrix(matrix, s: int) -> np.ndarray:
@@ -504,14 +504,13 @@ def read_subjects(s: int, matrix: np.ndarray, subjects, tops=None,
     powers of s, begin exactly at the multiples of N/c (equal
     multiplicities), and be the span of the distinct rows s^(r-1), ...,
     s, 1 in the order of its coefficient tuples.  That equality also
-    proves those r rows independent, and makes them the RREF basis.  The
-    span check runs on the uint8 labels: in that order, distinct row a = d
-    s^e + a', d its leading base-s digit, is d times row s^e plus row a',
-    and row 0 is zero.  Each step (e, d) is one mul_t gather of row s^e and
-    one GF.add against the rows a' < s^e, for all candidates with one r at
-    once, in temporaries of at most _CHUNK_CELLS bytes by subjects and by
-    rows, its mismatches reduced over the leading row axis first; a
-    subject that fails a step takes no later one.
+    proves those r rows independent, and makes them the RREF basis.  So
+    the distinct rows are compared with gf.span of those r rows, which
+    lists the span in that order from the zero row (a coset, whose least
+    row is not zero, fails the same comparison), for all candidates with
+    one r at once: gf.span works column by column, so the candidates'
+    columns side by side are spanned in blocks of about _SPAN_CELLS
+    labels.
 
     Patterns, read only when some subject is linear.  With B_i rows of
     weight i, the defining words of length j number sum_i B_i K_j(i) / N
@@ -644,11 +643,11 @@ def _span_test(field: gflib.GF, stack: np.ndarray,
     their keys (_row_keys; a radix sort for uint16 keys), and only the s^r
     sampled distinct rows are gathered from it, as one (s^r, G', M) uint8
     array per rank r.  The rank is found by one searchsorted of the distinct
-    row counts in the powers of s.  Step (q, d), q = s^e, checks rows[d
-    q:(d + 1) q] == GF.add(rows[:q], mul_t[d][rows[q]]) in chunks of `run`
-    rows by `per` subjects, each temporary at most _CHUNK_CELLS bytes, its
-    mismatches reduced over the leading row axis first; the subjects that
-    fail a step are dropped before the next."""
+    row counts in the powers of s.  Those rows, viewed as one (s^r, G' M)
+    array, must equal gf.span of their own rows s^(r-1), ..., s, 1, spanned
+    and compared in blocks of _SPAN_CELLS // s^r columns (a block edge may
+    fall inside a subject); a subject is linear iff each of its columns
+    matches."""
     s = field.s
     n, count, width = stack.shape
     bases: list[np.ndarray | None] = [None] * count
@@ -657,6 +656,7 @@ def _span_test(field: gflib.GF, stack: np.ndarray,
     keys = np.take(keys, order + n * np.arange(count)[:, None])
     new = np.ones((count, n), dtype=bool)
     new[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    del keys  # freed before the rows are gathered: as bytes, they take N M bytes a subject
     distinct = new.sum(axis=1)
     powers = [1]
     while powers[-1] < n:
@@ -664,7 +664,6 @@ def _span_test(field: gflib.GF, stack: np.ndarray,
     # r = the least with s^r >= the distinct rows; linear rows need equality
     rank = np.searchsorted(powers, distinct)
     ok = (np.array(powers)[rank] == distinct) & (n % distinct == 0)
-    mul = field.mul_t.astype(np.uint8)
     for r in sorted(set(rank[ok].tolist())):
         members = np.flatnonzero(ok & (rank == r))
         ok[members] = False
@@ -672,32 +671,20 @@ def _span_test(field: gflib.GF, stack: np.ndarray,
         # each is repeated N / s^r times
         step = n // s**r
         live = members[new[members, ::step].all(axis=1)]
-        # (s^r, G', M): distinct row a of subject live[g] is rows[a, g]
-        rows = stack.reshape(-1, width).take(order[live, ::step].T * count + live, axis=0)
-        zero = ~rows[0].any(axis=1)
-        if not zero.all():
-            live, rows = live[zero], rows[:, zero]
-        for q in (s**e for e in range(r)):
-            # a' rows by subjects per temporary of at most _CHUNK_CELLS bytes
-            run = min(q, max(1, _CHUNK_CELLS // width))
-            per = max(1, _CHUNK_CELLS // (run * width))
-            for d in range(1, s):
-                keep = np.ones(len(live), dtype=bool)
-                for lo in range(0, len(live), per):
-                    scaled = mul[d].take(rows[q, lo:lo + per])
-                    for a in range(0, q, run):
-                        b = min(a + run, q)
-                        got = field.add(rows[a:b, lo:lo + per], scaled)
-                        # reduced over the leading row axis first: a reduce of
-                        # the short inner column axis is slow
-                        keep[lo:lo + per] &= ~(got != rows[d * q + a:d * q + b, lo:lo + per]
-                                               ).any(axis=0).any(axis=1)
-                if not keep.all():
-                    live, rows = live[keep], rows[:, keep]
+        if not len(live):
+            continue
+        # (s^r, G' M): distinct row a of subject live[g] is rows[a, g M:(g + 1) M]
+        rows = stack.reshape(-1, width).take(order[live, ::step].T * count + live,
+                                             axis=0).reshape(s**r, -1)
+        basis = rows[s ** np.arange(r - 1, -1, -1)]
+        per = max(1, _SPAN_CELLS // s**r)
+        keep = np.concatenate([
+            (gflib.span(field, basis[:, lo:lo + per]) == rows[:, lo:lo + per]).all(axis=0)
+            for lo in range(0, rows.shape[1], per)]).reshape(len(live), width).all(axis=1)
+        live, basis = live[keep], basis.reshape(r, len(live), width)[:, keep]
         ok[live] = True
-        # (G', r, M): the basis rows s^(r-1), ..., s, 1 of each live subject
-        block = np.ascontiguousarray(rows[s ** np.arange(r - 1, -1, -1)].transpose(1, 0, 2),
-                                     dtype=np.int64)
+        # (G', r, M): the basis rows s^(r-1), ..., s, 1 of each linear subject
+        block = np.ascontiguousarray(basis.transpose(1, 0, 2), dtype=np.int64)
         for at, g in enumerate(live.tolist()):
             bases[g] = block[at, :, :widths[g]]
     return ok, bases

@@ -480,11 +480,12 @@ def span(gf: GF, basis) -> np.ndarray:
     from the zero row: the span of b_i, ..., b_d lists c b_i plus the span
     of b_(i+1), ..., b_d for c = 0, ..., s-1: per basis row, from the last
     to the first, one gather of its s multiples mul_t[:, b_i] and one
-    GF.add of uint8 labels.
+    GF.add of uint8 labels.  The gather is a take, which keeps the span
+    row-major, the order of the rows it is compared with (_span_test).
     """
     basis = np.asarray(basis, dtype=np.int64)
     rows = np.zeros((1, basis.shape[1]), dtype=np.uint8)
     for row in basis[::-1]:
-        multiples = gf.mul_t[:, row].astype(np.uint8)
+        multiples = gf.mul_t.take(row, axis=1).astype(np.uint8)
         rows = gf.add(multiples[:, None], rows).reshape(-1, basis.shape[1])
     return rows

@@ -66,6 +66,13 @@ def grouped_to_dict(gd: GroupedDesign) -> dict:
     }
 
 
+# the keys grouped_to_dict writes ("generator" may be left out): any other,
+# such as a renamed "genertor", is refused, not dropped with what it holds
+_DOC_KEYS = {"s", "runs", "cols", "claimed_t0", "verified_t0", "groups", "generator", "matrix",
+             "origin"}
+_GROUP_KEYS = {"columns", "claimed_strength", "verified_strength", "wlp", "p"}
+
+
 def grouped_from_dict(doc: dict) -> GroupedDesign:
     try:
         s = _level_count(doc["s"])
@@ -89,9 +96,13 @@ def grouped_from_dict(doc: dict) -> GroupedDesign:
                     p=fraction_from_str(g["p"]) if g["p"] is not None else None,
                 )
             )
+            if other := sorted(g.keys() - _GROUP_KEYS):
+                raise FileFormatError(f"{where}: unknown keys {other}")
         claimed_t0 = _typed(doc["claimed_t0"], int, "claimed_t0")
         verified_t0 = _opt_int(doc["verified_t0"], "verified_t0")
         _check_claims(design.cols, claimed_t0, verified_t0, groups)
+        if other := sorted(doc.keys() - _DOC_KEYS):
+            raise FileFormatError(f"document: unknown keys {other}")
         gen = None
         if doc.get("generator") is not None:
             gen = GeneratorMatrix(s, _level_matrix(doc["generator"], "generator", s))

@@ -28,6 +28,19 @@ def counted_checks():
                              side_effect=dz._CheckContext.check)
 
 
+def assert_built_nothing_from(gen, span, expand):
+    """That a verify spied on by span (on gf.span) and expand (on
+    designs.expand_generator) built no row from gen, the stored generator's
+    array it held: the linear test spans the rows' own basis (span ran), no
+    call of gf.span received gen or a view of it, and nothing was expanded.
+    (The rows' RREF basis may equal gen in value: a consecutive generator
+    is in RREF.)"""
+    assert span.called
+    assert not any(np.shares_memory(np.asarray(call.args[1]), gen)
+                   for call in span.call_args_list)
+    assert not expand.called
+
+
 @pytest.fixture(scope="session")
 def catalog_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("catalog")

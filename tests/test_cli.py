@@ -18,7 +18,7 @@ from goa import search as sx
 from goa import serialize as io
 from goa.cli import main
 
-from conftest import counted_checks, oracle_row_reduce
+from conftest import assert_built_nothing_from, counted_checks, oracle_row_reduce
 
 # Malformed fields of the thm1 s=3 file (groups [0-3], [4-6], [7-9],
 # strengths 3, t0 2, first row all zero): the path to the field, its new
@@ -244,7 +244,8 @@ class TestVerify:
 
     def test_oversized_generator_fails_unexpanded(self, workdir, capsys):
         # a full-rank 16 x 63 generator stored with 64 runs: 2^16 != 64, so
-        # the check fails without spanning 65,536 rows
+        # the check fails without spanning 65,536 rows; the linear test spans
+        # only the rows' own basis
         points = gf.span(gf.level_field(2), np.eye(6, dtype=np.int64))[1:]
         design = dz.expand_generator(dz.GeneratorMatrix(2, points.T))
         big = np.random.default_rng(0).integers(0, 2, size=(16, 63))
@@ -252,9 +253,12 @@ class TestVerify:
         io.save_json(dz.GroupedDesign(design, [], generator=dz.GeneratorMatrix(2, big)),
                      workdir / "big.json")
         capsys.readouterr()
-        with mock.patch.object(gf, "span", side_effect=AssertionError("span was called")) as span:
+        with mock.patch.object(cli, "verify_claims", wraps=dz.verify_claims) as verify, \
+                mock.patch.object(gf, "span", wraps=gf.span) as span, \
+                mock.patch.object(dz, "expand_generator", wraps=dz.expand_generator) as expand:
             assert main(["verify", "big.json"]) == 2
-        assert not span.called
+        assert_built_nothing_from(verify.call_args.args[0].generator.matrix, span, expand)
+        assert all(2 ** len(call.args[1]) <= design.runs for call in span.call_args_list)
         assert "array: generator reproduces rows: FAIL" in capsys.readouterr().out
 
     def test_dependent_generator_exits_2(self, workdir):
@@ -272,8 +276,11 @@ class TestVerify:
 
     def test_linear_file_verifies_unexpanded(self, workdir):
         main(["construct", "consecutive", "--s", "2", "--k", "5", "--m", "6", "--out", "c.json"])
-        with mock.patch.object(gf, "span", side_effect=AssertionError("span was called")):
+        with mock.patch.object(cli, "verify_claims", wraps=dz.verify_claims) as verify, \
+                mock.patch.object(gf, "span", wraps=gf.span) as span, \
+                mock.patch.object(dz, "expand_generator", wraps=dz.expand_generator) as expand:
             assert main(["verify", "c.json"]) == 0
+        assert_built_nothing_from(verify.call_args.args[0].generator.matrix, span, expand)
 
     def test_strength3_groups_print_p_1_uncounted(self, workdir, capsys):
         # the three thm1 groups carry no stored p and verify at strength 3

@@ -16,6 +16,7 @@ from goa.errors import (
 )
 
 from conftest import (
+    assert_built_nothing_from,
     oracle_check_strength,
     oracle_generator_check,
     oracle_shift_exponents,
@@ -357,7 +358,7 @@ class TestVerifyClaims:
 
     def test_generator_of_another_row_space_fails(self, thm1_3):
         # G with two columns swapped still has rank 3 and spans 27 rows, but
-        # not these; the verdict comes from ranks, with nothing expanded
+        # not these; the verdict comes from ranks, with nothing built from G
         import copy
 
         gd = copy.deepcopy(thm1_3)
@@ -366,8 +367,10 @@ class TestVerifyClaims:
         field = gf.level_field(3)
         assert gf.mat_rank(field, gen) == 3
         assert gf.mat_rank(field, np.vstack([gen, thm1_3.generator.matrix])) > 3
-        with mock.patch.object(gf, "span", side_effect=AssertionError("span was called")):
+        with mock.patch.object(gf, "span", wraps=gf.span) as span, \
+                mock.patch.object(dz, "expand_generator", wraps=dz.expand_generator) as expand:
             report = dz.verify_claims(gd)
+        assert_built_nothing_from(gen, span, expand)
         assert [(c.claim, c.ok) for c in report.checks if not c.ok] == [
             ("generator reproduces rows", False)]
 

@@ -41,6 +41,10 @@ from conftest import (
 # s <= 4
 MAX_K = {2: 4, 3: 3, 4: 2, 5: 2, 7: 2, 8: 2, 9: 2}
 CHUNK_CAPS = st.sampled_from([1, 16, 256, dz._CHUNK_CELLS])
+# labels per column block of the linear test's span: one column a block, a
+# few columns (1 to 16 for the spans drawn here), so that block edges fall
+# inside subjects, and the default
+SPAN_BLOCKS = st.sampled_from([1, 32, dz._SPAN_CELLS])
 
 
 @st.composite
@@ -496,10 +500,10 @@ class TestReadSubjects:
     oracles: the linear test and RREF basis, and the MacWilliams pattern."""
 
     @settings(max_examples=300, deadline=None)
-    @given(reading_cases(), CHUNK_CAPS)
+    @given(reading_cases(), SPAN_BLOCKS)
     def test_matches_oracles(self, case, cells):
         d, subjects, tops = case
-        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+        with mock.patch.object(dz, "_SPAN_CELLS", cells):
             readings = dz.read_subjects(d.s, d.matrix, subjects, tops)
         assert len(readings) == len(subjects)
         every = tops or [None] * len(subjects)
@@ -514,14 +518,14 @@ class TestReadSubjects:
                                                  else min(top, len(cols)))
 
     @settings(max_examples=300, deadline=None)
-    @given(stack_cases(), CHUNK_CAPS)
+    @given(stack_cases(), SPAN_BLOCKS)
     def test_stack_shapes_match_oracles(self, case, cells):
         # the matrix is read-only: the whole array is read in place, and no
         # shape may write to it
         d, subjects, tops = case
         matrix = d.matrix.copy()
         matrix.flags.writeable = False
-        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+        with mock.patch.object(dz, "_SPAN_CELLS", cells):
             readings = dz.read_subjects(d.s, matrix, subjects, tops)
         assert np.array_equal(matrix, d.matrix)
         assert len(readings) == len(subjects)
@@ -556,12 +560,14 @@ class TestReadSubjects:
         assert [r.pattern for r in assumed] == [r.pattern for r in tested]
         assert all(r.basis is None for r in assumed)
 
-    @pytest.mark.parametrize("cells", [1, 16, 256, dz._CHUNK_CELLS])
+    @pytest.mark.parametrize("cells", [1, 16, 18, 256, 16384, dz._SPAN_CELLS])
     def test_last_distinct_row_decides(self, cells):
         # the span of two rows over GF(3), and a copy whose last sorted
         # distinct row (2, 2, 1) is moved off the space to (2, 2, 2): both
-        # have nine distinct rows, each once, so only the span check, in
-        # its last step, tells them apart, at every chunk size
+        # have nine distinct rows, each once, so only the span of their
+        # basis, in its last row, tells them apart, in blocks of one column
+        # (cells 1 and 16), of two (18: edges inside each subject), and of
+        # the whole stack (256 up to the default)
         space = gf.span(gf.level_field(3), [[1, 0, 1], [0, 1, 1]])
         broken = space.copy()
         assert broken[-1].tolist() == [2, 2, 1]
@@ -570,7 +576,7 @@ class TestReadSubjects:
         subjects = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
         assert [oracle_linear_basis(3, matrix[:, c]) is None for c in subjects] == [
             False, True, False]
-        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+        with mock.patch.object(dz, "_SPAN_CELLS", cells):
             first, middle, last = dz.read_subjects(3, matrix, subjects)
         assert middle == dz.Reading(None, None)
         for reading in (first, last):
@@ -650,8 +656,8 @@ def span_check_blocks(s: int, k: int) -> np.ndarray:
     """Four blocks of k + 2 columns over one rank-k space whose basis is
     (I_k | random), so the first k cells fix a row: linear; a coset (row 0
     nonzero); the space with its last sorted row moved by one cell, which
-    keeps s^k distinct rows and breaks only the span check's last step (e =
-    k - 1, d = s - 1); and the space with rows repeated."""
+    keeps s^k distinct rows and differs from the span of its basis only in
+    that row; and the space with rows repeated."""
     field = gf.level_field(s)
     rng = np.random.default_rng(s)
     basis = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, s, (k, 2))])
@@ -665,13 +671,15 @@ def span_check_blocks(s: int, k: int) -> np.ndarray:
 
 
 class TestSpanCheck:
-    """The linear test's span check in uint8 over every kind of level
-    field, against the one-subject oracles: verdicts, RREF bases and
-    patterns of a stack that holds failing subjects among passing ones, at
-    chunk caps that split it into one subject (and one row) per temporary,
-    into several subject chunks, and at the default."""
+    """The linear test's comparison of the rows with gf.span of their
+    basis, in uint8 over every kind of level field, against the one-subject
+    oracles: verdicts, RREF bases and patterns of a stack that holds failing
+    subjects among passing ones, in column blocks of one column, blocks
+    whose edges fall inside subjects, and the default; and one subject
+    wider than a default block.  cells is _SPAN_CELLS, the labels of a
+    block's span."""
 
-    @pytest.mark.parametrize("cells", [1, 256, dz._CHUNK_CELLS])
+    @pytest.mark.parametrize("cells", [1, 256, 16384, dz._SPAN_CELLS])
     @pytest.mark.parametrize("s, k", [(2, 5), (3, 3), (4, 3), (5, 2), (8, 2), (9, 2), (97, 2)])
     def test_matches_oracles(self, s, k, cells):
         matrix = span_check_blocks(s, k)
@@ -679,13 +687,12 @@ class TestSpanCheck:
         linear, coset, last, doubled = (list(range(b * w, (b + 1) * w)) for b in range(4))
         # failing subjects in the middle of the stack, and projections of lower rank
         kinds = [linear, last, doubled, coset, linear[1:], last, linear[k:] + linear[:1], linear]
-        # enough copies for two or more subject chunks at the last q = s^(k-1),
-        # where a chunk holds `per` subjects of `run` rows each
-        run = min(s ** (k - 1), max(1, cells // w))
-        per = max(1, cells // (run * w))
-        subjects = kinds * (1 + 2 * per // len(kinds))
+        subjects = kinds * 2
         tops = [None if i % 3 else 3 for i in range(len(subjects))]
-        with mock.patch.object(dz, "_CHUNK_CELLS", cells):
+        # _SPAN_CELLS // s^k columns a block at rank k: one at cells 1, and 1
+        # to 10 at 256, so that block edges fall inside subjects; at 16384 and
+        # at the default, the whole stack but at s = 97
+        with mock.patch.object(dz, "_SPAN_CELLS", cells):
             readings = dz.read_subjects(s, matrix, subjects, tops)
         wants = {}
         for cols, top, (pattern, basis) in zip(subjects, tops, readings):
@@ -702,6 +709,23 @@ class TestSpanCheck:
                                                  else min(top, len(cols)))
         assert [wants[tuple(c)] is not None for c in kinds] == [
             True, False, True, False, True, False, True, True]
+
+    def test_subject_wider_than_a_block(self):
+        # 2^12 distinct rows, so a default block spans 256 columns and each
+        # 300-column subject two blocks or more: linear, uneven, a coset, and
+        # the space with its last sorted row moved in its last column, past
+        # its first block
+        s, width, k = 2, 300, 12
+        assert dz._SPAN_CELLS // s**k < width
+        matrix = boundary_matrix(s, width, k, seed=width)
+        subjects = [range(b * width, (b + 1) * width) for b in range(4)]
+        linear, *failing = dz.read_subjects(s, matrix, subjects, [3] * 4)
+        rows = matrix[:, subjects[0]]
+        assert np.array_equal(linear.basis, oracle_linear_basis(s, rows))
+        assert linear.pattern == oracle_wlp_of_rows(s, rows, 3)
+        for cols, reading in zip(subjects[1:], failing):
+            assert oracle_linear_basis(s, matrix[:, cols]) is None
+            assert reading == dz.Reading(None, None)
 
 
 class TestPopcountWords:

@@ -137,6 +137,16 @@ def generator_last(text: str) -> str:
     return rest[:at] + text[start:end] + rest[at:]
 
 
+# a key that grouped_to_dict does not write: the generator's key renamed, so
+# that the generator would be dropped; a group key renamed; and an extra key
+# in group 1, none of them in the grids
+KEY_EDITS = [
+    lambda t: t.replace(',"generator":[', ',"genertor":[', 1),
+    lambda t: t.replace('"claimed_strength"', '"claimed_strengt"', 1),
+    lambda t: t.replace('"claimed_strength"', '"note":"x","claimed_strength"', 1),
+]
+
+
 def move_cell(matrix: str) -> str:
     """The last cell of row 1 moved to the front of row 2: the same bytes,
     rows of different lengths."""
@@ -247,20 +257,25 @@ class TestMatrixCodec:
         lambda t: t.replace('"origin":"thm1(s=3)"', '"origin":Infinity'),
         lambda t: t.replace('"claimed_t0":2', '"claimed_t0":'),
         lambda t: t.rstrip()[:-1],
+        *KEY_EDITS,
     ], ids=["whitespace", "leading-zero", "short-row", "ragged-same-length", "sign",
             "two-digit", "duplicate", "duplicate-spaced", "nested", "generator-whitespace",
             "generator-leading-zero", "generator-ragged", "generator-two-digit",
             "generator-nested", "generator-duplicate", "generator-after-matrix", "nan",
-            "infinity-after-grids", "json-error", "unclosed"])
+            "infinity-after-grids", "json-error", "unclosed", "generator-renamed",
+            "group-key-renamed", "group-key-extra"])
     def test_every_other_form_reads_as_json_does(self, tmp_path, thm1_3, edit):
         text = io.dumps(thm1_3)
         changed = edit(text)
         assert changed != text
-        assert io._canonical_doc(changed.encode()) is None
+        # a key edit keeps both grids canonical; every other edit leaves that form
+        assert (io._canonical_doc(changed.encode()) is None) == (edit not in KEY_EDITS)
         path = tmp_path / "d.json"
         path.write_text(changed)
         fast, forced = read_both(path)
         assert fast == forced
+        if edit in KEY_EDITS:
+            assert fast.startswith("FileFormatError: ")
 
 
 def json_reference(path) -> str:

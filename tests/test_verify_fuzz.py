@@ -147,15 +147,28 @@ def files() -> dict[str, bytes]:
             for name, doc in docs().items()}
 
 
-@pytest.fixture(scope="module")
-def verify_bytes(tmp_path_factory):
-    path = tmp_path_factory.mktemp("bytes") / "design.json"
+def stated(gd) -> tuple:
+    """What a design file states but its strength numbers: its matrix,
+    generator, groups and their stored patterns and p.  An edit of a
+    strength number to one that still holds passes verify, as it should
+    (claimed_t0 2 made 1, say)."""
+    gen = None if gd.generator is None else gd.generator.matrix.tolist()
+    groups = [(g.columns, g.wlp, g.p) for g in gd.groups]
+    return gd.design.s, gd.design.matrix.tolist(), gen, groups
 
+
+@pytest.fixture(scope="module")
+def bytes_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bytes") / "design.json"
+
+
+@pytest.fixture(scope="module")
+def verify_bytes(bytes_path):
     def run(raw: bytes) -> tuple[int, str, str]:
-        path.write_bytes(raw)
+        bytes_path.write_bytes(raw)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["verify", str(path)])
+            code = cli.main(["verify", str(bytes_path)])
         return code, out.getvalue(), err.getvalue()
 
     return run
@@ -168,8 +181,9 @@ def test_written_files_take_the_byte_path():
 
 @FUZZ
 @given(data=st.data())
-def test_byte_mutation_verifies_as_through_json(verify_bytes, data):
-    raw = bytearray(files()[data.draw(st.sampled_from(sorted(files())))])
+def test_byte_mutation_verifies_as_through_json(verify_bytes, bytes_path, data):
+    name = data.draw(st.sampled_from(sorted(files())))
+    raw = bytearray(files()[name])
     grids = [(start, raw.index(b"]]", start) + 2)
              for start in (raw.index(key) for key in (b',"generator":[', b',"matrix":['))]
     for _ in range(data.draw(st.integers(1, 2))):
@@ -187,3 +201,8 @@ def test_byte_mutation_verifies_as_through_json(verify_bytes, data):
     fast = verify_bytes(bytes(raw))
     with mock.patch.object(serialize, "_canonical_doc", return_value=None):
         assert verify_bytes(bytes(raw)) == fast
+    # an edit that passes drops no stored claim: a renamed key is refused,
+    # so no generator, pattern or p goes missing
+    if fast[0] == 0:
+        assert stated(serialize.load_json(bytes_path)) == stated(
+            serialize.grouped_from_dict(docs()[name]))
