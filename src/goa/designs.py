@@ -64,15 +64,17 @@ def level_matrix(matrix, s: int) -> np.ndarray:
 
     The levels are range-checked in the dtype they come in, and only then
     narrowed, so a level of 300 is refused (ValueError), not wrapped to 44;
-    no s lets a level past 255 in.  A uint8 matrix is returned as it is.
-    Arithmetic on the levels must widen them first: a Python int times a
-    uint8 array stays uint8.
+    no s lets a level past 255 in.  The result is C-contiguous, as the row
+    readers expect (a column subset comes in column-major and is copied); a
+    C-contiguous uint8 matrix is returned as it is.  Arithmetic on the
+    levels must widen them first: a Python int times a uint8 array stays
+    uint8.
     """
     matrix = np.asarray(matrix)
     top = min(s, 256)
     if matrix.size and (matrix.min() < 0 or matrix.max() >= top):
         raise ValueError(f"levels must lie in 0..{top - 1}")
-    return matrix.astype(np.uint8, copy=False)
+    return np.ascontiguousarray(matrix, dtype=np.uint8)
 
 
 @dataclass

@@ -191,7 +191,7 @@ def _chunking(s: int, k: int) -> tuple[int, int]:
 
 
 def _draw_restarts(field: gflib.GF, k: int, polys: int,
-                   seeds: list[tuple[int, int]], attempts: int) -> tuple[np.ndarray, np.ndarray]:
+                   seeds: list[tuple[int, ...]], attempts: int) -> tuple[np.ndarray, np.ndarray]:
     """(polynomial index, H) of each seeded restart.
 
     A restart's first word block holds the index and `attempts` H draws.
@@ -244,9 +244,8 @@ def _draw_restarts(field: gflib.GF, k: int, polys: int,
     return which, h_mats.reshape(-1, k, k)
 
 
-# numpy's SeedSequence mixing (pool size 4) and PCG64 multiplier; NEP 19
-# keeps the streams they define stable across numpy releases
-_POOL_SIZE = 4
+# numpy's SeedSequence mixing and PCG64 multiplier; NEP 19 keeps the
+# streams they define stable across numpy releases
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -254,30 +253,23 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
-def _uint32_words(n: int) -> list[int]:
-    """The uint32 words SeedSequence makes of a non-negative int, low first."""
-    words = [n & _MASK32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _pcg_seeds(seed: int, restarts) -> list[tuple[int, int, int, int]]:
+    """The four uint64 words SeedSequence(seed, spawn_key=(r,)) generates
+    for PCG64, for each r.
 
-
-def _pcg_seeds(seed: int, restarts) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=(r,))) for each r.
-
-    The entropy is the seed's words, zero padded to the pool size, then r's
-    one or two words.  The pool after the seed's words is shared, so only
-    the spawn words are hashed per r, in uint32 arrays (the same code runs
-    on Python ints masked to 32 bits).  PCG64 is seeded from the
-    generated state by two 128-bit LCG steps.
+    numpy's SeedSequence(seed).pool is the pool after the seed's words.  It
+    took pool_size hashes per word of the seed, zero padded to the pool
+    size: pool_size * max(pool_size, w) for a seed of w 32-bit words, each
+    stepping the hash constant once.  Only r's one or two words are hashed
+    per r, in uint32 arrays (the same code runs on Python ints masked to 32
+    bits), and the state is generated from the pool.
     """
     if seed < 0:
         raise GoaError(f"the rng seed must be non-negative, got {seed}")
-    entropy = _uint32_words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
+    seq = np.random.SeedSequence(seed)
+    steps = seq.pool_size * max(seq.pool_size, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
     r = np.asarray(restarts, dtype=np.uint64)
-    const = _INIT_A
 
     def hashmix(x):
         nonlocal const
@@ -290,36 +282,28 @@ def _pcg_seeds(seed: int, restarts) -> list[tuple[int, int]]:
         x = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
         return x ^ x >> 16
 
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for i in range(_POOL_SIZE):
-        for j in range(_POOL_SIZE):
-            if i != j:
-                pool[j] = mix(pool[j], hashmix(pool[i]))
-    for w in entropy[_POOL_SIZE:]:
-        pool = [mix(x, hashmix(w)) for x in pool]
-    pool = [mix(x, hashmix((r & _MASK32).astype(np.uint32))) for x in pool]
+    pool = [mix(x, hashmix((r & _MASK32).astype(np.uint32))) for x in seq.pool.tolist()]
     high = (r >> np.uint64(32)).astype(np.uint32)
     pool = [np.where(high > 0, mix(x, hashmix(high)), x) for x in pool]
     const, state = _INIT_B, []
-    for i in range(2 * _POOL_SIZE):
-        x = pool[i % _POOL_SIZE] ^ const
+    for i in range(2 * len(pool)):
+        x = pool[i % len(pool)] ^ const
         const = const * _MULT_B & _MASK32
         x = x * const & _MASK32
         state.append((x ^ x >> 16).astype(np.uint64))
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (state[2 * i] | state[2 * i + 1] << np.uint64(32)).tolist() for i in range(4))
-    seeds = []
-    for a, b, c, d in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        seeds.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return seeds
+    return list(zip(*((state[2 * i] | state[2 * i + 1] << np.uint64(32)).tolist()
+                      for i in range(4))))
 
 
-def _stream_words(seeds: list[tuple[int, int]], length: int) -> np.ndarray:
-    """The first `length` uint64 outputs of PCG64 from each (state, inc)."""
+def _stream_words(seeds: list[tuple[int, int, int, int]], length: int) -> np.ndarray:
+    """The first `length` uint64 outputs of PCG64 from each restart's four
+    generated words (a, b, c, d), seeded as PCG64 seeds itself: initial
+    state a 2^64 + b, increment 2 (c 2^64 + d) + 1, two 128-bit LCG steps."""
     bitgen = np.random.PCG64(0)
     out = np.empty((len(seeds), length), dtype="<u8")
-    for i, (state, inc) in enumerate(seeds):
+    for i, (a, b, c, d) in enumerate(seeds):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128
         bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                         "has_uint32": 0, "uinteger": 0}
         out[i] = bitgen.random_raw(length)

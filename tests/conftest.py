@@ -254,12 +254,16 @@ def oracle_linear_basis(s: int, matrix: np.ndarray) -> np.ndarray | None:
     return basis
 
 
+def _krawtchouk(j: int, i: int, m: int, s: int) -> int:
+    """K_j(i; m, s) = sum_h (-1)^h (s-1)^(j-h) C(i, h) C(m-i, j-h), term by term."""
+    return sum((-1) ** h * (s - 1) ** (j - h) * math.comb(i, h) * math.comb(m - i, j - h)
+               for h in range(j + 1))
+
+
 def oracle_wlp_of_rows(s: int, rows: np.ndarray, t: int | None = None) -> tuple[int, ...]:
     """Wordlength pattern (A_1, ..., A_t) of the N rows of a linear space
     over GF(s), each vector repeated equally often, by the MacWilliams
-    transform of the row weights: A_j = sum_i B_i K_j(i) / N(s - 1), the
-    Krawtchouk values summed term by term as
-    K_j(i) = sum_h (-1)^h (s-1)^(j-h) C(i, h) C(m-i, j-h).
+    transform of the row weights: A_j = sum_i B_i K_j(i) / N(s - 1).
 
     One subject at a time; the reference for the batched Krawtchouk
     recurrence of designs.read_subjects.
@@ -268,13 +272,29 @@ def oracle_wlp_of_rows(s: int, rows: np.ndarray, t: int | None = None) -> tuple[
     hist = np.bincount(np.count_nonzero(rows, axis=1), minlength=m + 1).tolist()
     pattern = []
     for j in range(1, (m if t is None else t) + 1):
-        krawtchouk = [sum((-1) ** h * (s - 1) ** (j - h) * math.comb(i, h) * math.comb(m - i, j - h)
-                          for h in range(j + 1)) for i in range(m + 1)]
-        total = sum(b * k for b, k in zip(hist, krawtchouk))
+        total = sum(b * _krawtchouk(j, i, m, s) for i, b in enumerate(hist))
         q, r = divmod(total, n * (s - 1))
         assert r == 0, "weight count not divisible by N(s-1)"
         pattern.append(q)
     return tuple(pattern)
+
+
+def oracle_gwlp(matrix: np.ndarray, s: int) -> tuple[int, ...]:
+    """N^2 times the generalized wordlength pattern (A_1, ..., A_n) of any
+    N x n matrix of s levels, in exact ints: N^2 A_j = sum_i H_i K_j(i; n, s),
+    H_i the number of ordered row pairs at Hamming distance i (Xu,
+    Statistica Sinica 13, 2003).  Strength t holds iff A_1 = ... = A_t = 0
+    (Xu & Wu, Ann. Statist. 29, 2001), and no column tuple is read, so it
+    checks the projection walk from outside.  On a linear space, and on
+    any relabelling of its columns' levels, A_j is s - 1 times the
+    wordlength pattern.
+    """
+    matrix = np.asarray(matrix)
+    n = matrix.shape[1]
+    dist = (matrix[:, None, :] != matrix[None, :, :]).sum(axis=2)
+    hist = np.bincount(dist.ravel(), minlength=n + 1).tolist()
+    return tuple(sum(h * _krawtchouk(j, i, n, s) for i, h in enumerate(hist) if h)
+                 for j in range(1, n + 1))
 
 
 def shifted_word_basis(h: gf.Poly, m: int) -> np.ndarray:

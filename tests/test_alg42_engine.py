@@ -237,6 +237,9 @@ def test_redrawn_restarts(share):
 @example(seed=2**200 + 12345, r=2**32 - 1)
 @example(seed=2**64 + 5, r=2**32)
 @example(seed=0, r=2**64 - 1)
+# four and five words: the hash constant's steps switch from the pool size to the seed's width
+@example(seed=2**128 - 1, r=7)
+@example(seed=2**128, r=2**32 + 7)
 def test_stream_words_match_pcg64(seed, r):
     got = sx._stream_words(sx._pcg_seeds(seed, [r]), 8)
     want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))).random_raw(8)

@@ -9,6 +9,7 @@ the same oracle; the batched reading behind it, read_subjects, is compared
 subject by subject with the one-subject linear test and pattern oracles.
 """
 
+import functools
 import itertools
 import math
 from unittest import mock
@@ -29,6 +30,7 @@ from conftest import (
     _oracle_counts,
     counted_checks,
     oracle_check_strength,
+    oracle_gwlp,
     oracle_is_linear,
     oracle_linear_basis,
     oracle_max_strength,
@@ -897,6 +899,51 @@ class TestDualDistance:
         assert gd.verified_t0 == oracle_max_strength(d, d.cols)
         if linear:
             assert not spy.called
+
+
+@functools.cache
+def thm1_rows(s: int) -> np.ndarray:
+    return cx.construct_thm1(s).design.matrix
+
+
+@st.composite
+def relabelled_thm1(draw):
+    """(design, base, broken): a column subset base of thm1 at s in
+    {2, 3, 4, 5}, each column's levels permuted at random and, when
+    broken (half the time), one cell set to (x + 1) mod s."""
+    s = draw(st.sampled_from([2, 3, 4, 5]))
+    rows = thm1_rows(s)
+    cols = draw(st.lists(st.integers(0, rows.shape[1] - 1), min_size=1, unique=True))
+    base = rows[:, cols].astype(np.int64)
+    perms = np.array(draw(st.lists(st.permutations(range(s)), min_size=len(cols),
+                                   max_size=len(cols))))
+    matrix = perms[np.arange(len(cols)), base]
+    broken = draw(st.booleans())
+    if broken:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(cols) - 1))
+        matrix[i, j] = (matrix[i, j] + 1) % s
+    return dz.Design(s, matrix), base, broken
+
+
+class TestGeneralizedPattern:
+    """Strength t holds iff A_1 = ... = A_t = 0 of the generalized
+    wordlength pattern, which the oracle reads off the distances between
+    rows, not off any projection; the designs are mostly not linear, so
+    they are counted."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(relabelled_thm1())
+    def test_strength_is_a_vanishing_head(self, case):
+        d, base, broken = case
+        gwlp = oracle_gwlp(d.matrix, d.s)
+        if not broken:
+            assert gwlp == tuple((d.s - 1) * d.runs**2 * a
+                                 for a in oracle_wlp_of_rows(d.s, base))
+        vanish = [not any(gwlp[:t]) for t in range(d.cols + 1)]
+        for t in range(1, d.cols + 1):
+            if d.runs % d.s**t == 0:
+                assert dz.check_strength(d, t).ok == vanish[t]
+        assert dz.max_strength(d) == max(t for t in range(d.cols + 1) if vanish[t])
 
 
 @st.composite
